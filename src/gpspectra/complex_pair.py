@@ -149,9 +149,10 @@ def newton_refine(
 ) -> complex:
     """Polish a root seed by Newton's method on the mode symbol.
 
-    Keeps the best iterate seen; stops on a machine-size step.  Two
-    consecutive residual increases are treated as divergence (the seed was
-    outside the basin), and the returned root must satisfy
+    Keeps the best iterate seen; stops on a machine-size step, or once the
+    residual grows after the best iterate has met the target.  Two
+    consecutive increases before that are treated as divergence (the seed
+    was outside the basin), and the returned root must satisfy
     |L(root)| <= residual_tol * a**2.
     """
     scale = residual_tol * p.frequency**2
@@ -169,6 +170,8 @@ def newton_refine(
         if res_new < best_res:
             best, best_res = z, res_new
         if res_new > res:
+            if best_res <= scale:
+                break  # growth at the rounding floor, with the target met
             increases += 1
             if increases >= 2:
                 raise DivergenceError(

@@ -2,46 +2,70 @@
 
 On each interval (-g_k, -g_{k-1}) (with g_0 = 0) the mode symbol L runs
 from -inf at the left pole to +inf at the right one (to L(0) > 0 on the
-first interval), so it crosses zero.  The same bracketing carries over to
-the stiffness factor f(z) = 1 - w*Khat(z), whose roots sit strictly to the
-right of the symbol roots and share the pole limits.  Roots are located by
-guarded bisection followed by a short Newton polish; a missing sign change
-is reported, never papered over.
+first interval), and so does the stiffness factor f(z) = 1 - w*Khat(z),
+whose root sits strictly right of the symbol root.  Divided by a**2 both
+are secular equations in the offset delta = z + g_k from the left pole,
+
+    1 + s*(delta - g_k)**2 - w * sum_j c_j/(delta + (g_j - g_k)) = 0,
+
+with s = 1/a**2 for L and s = 0 for f, so a root pinched against its pole
+keeps full relative accuracy.  All branches of a block are solved at once
+by rational interpolation: each step fits (alpha + beta*delta) /
+(delta*(1 - delta/D)), poles at both interval ends (D = g_k - g_{k-1}), to
+the value and slope at the iterate and moves to its root -- Newton on the
+pole-cleared function, started at delta = 0 and held inside a sign-change
+bracket.  A missing sign change (the first interval of an overloaded
+kernel) is reported, never papered over.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import NoSignChangeError
-from .kernels import POLE_GUARD_FACTOR, ExponentialKernel
-from .pencil import ModePencil, stiffness, symbol, symbol_deriv
+import numpy as np
 
-#: bisection stops once the bracket is this fraction of the initial width
-WIDTH_TOL = 1e-13
+from .errors import MaxIterationsError, NoSignChangeError
+from .kernels import ExponentialKernel
+from .pencil import ModePencil
 
-#: endpoints are pulled inside the interval by this fraction of its width
-ENDPOINT_STANDOFF = 1e-9
+#: entries of a work array (ladder size * branches solved together)
+BLOCK_CELLS = 1 << 16
 
-#: Newton polish steps after bisection
-POLISH_STEPS = 8
+#: iteration cap; the bracket alone converges within it
+MAX_ITER = 100
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class BranchRoot:
-    """A located real root: 1-based branch index, value, bracket, residual."""
+    """A located real root of branch ``index`` (1-based).
+
+    ``offset`` = value + g_k is what the solver computes.  ``residual`` is
+    |L| (|f| for a stiffness root) and ``root_error`` the Newton step
+    |L/L'|, both evaluated at that offset.
+    """
 
     index: int
     value: float
     interval: tuple[float, float]
     residual: float
+    offset: float
+    root_error: float
+
+    @property
+    def relative_error(self) -> float:
+        """The branch quality gate: |L/L'| / max(1, |root|).
+
+        Root-error based because the raw residual blows up with L' near a
+        pole without the root being any worse.
+        """
+        return self.root_error / max(1.0, abs(self.value))
 
 
-def bracket_intervals(
-    kernel: ExponentialKernel, count: int
-) -> list[tuple[float, float]]:
+def bracket_intervals(kernel: ExponentialKernel, count: int) -> list[tuple[float, float]]:
     """First ``count`` pole-to-pole intervals (-g_k, -g_{k-1}), g_0 = 0."""
     if not 1 <= count <= kernel.size:
         raise ValueError(f"count {count} outside 1..{kernel.size}")
@@ -49,94 +73,72 @@ def bracket_intervals(
     return [(-edges[k], -edges[k - 1]) for k in range(1, count + 1)]
 
 
-def _bracketed_root(
-    fun: Callable[[float], float],
-    dfun: Callable[[float], float],
-    lo: float,
-    hi: float,
-    standoff: float,
-) -> float:
-    width = hi - lo
-    a = lo + max(ENDPOINT_STANDOFF * width, standoff)
-    b = hi - max(ENDPOINT_STANDOFF * width, standoff)
-    fa, fb = fun(a), fun(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise NoSignChangeError(a, b, fa, fb)
-    target = WIDTH_TOL * width
-    while b - a > target:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # float exhaustion
-            break
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    root = 0.5 * (a + b)
-    best, best_res = root, abs(fun(root))
-    z = root
-    for _ in range(POLISH_STEPS):
-        d = dfun(z)
-        if d == 0.0:
-            break
-        step = fun(z) / d
-        z = z - step
-        if not a <= z <= b:
-            break
-        res = abs(fun(z))
-        if res < best_res:
-            best, best_res = z, res
-        if abs(step) <= 1e-17 * max(1.0, abs(z)):
-            break
-    return best
+def _solve_block(c, g, w: float, s: float, k: np.ndarray) -> np.ndarray:
+    """Offsets of the branches with 0-based indices ``k``, all at once."""
+    gk, wck, first = g[k], w * c[k], k == 0
+    D = np.where(first, np.inf, gk - g[k - 1])
+    wcr = np.where(first, 0.0, w * c[k - 1] / D)
+    rows = np.arange(g.size)[:, None]
+    # the poles other than the two interval ends, in offset coordinates
+    shift = np.where((rows == k) | (rows == k - 1), np.inf, g[:, None] - gk)
+    d, lo, hi = np.zeros(k.size), np.zeros(k.size), np.where(first, gk, D)
+    done = np.zeros(k.size, dtype=bool)
+    for _ in range(MAX_ITER):
+        t = d + shift
+        terms = c[:, None] / t
+        x = d - gk
+        A = 1.0 + s * x * x - w * terms.sum(axis=0)
+        Q, R = d * A - wck, 1.0 - d / D
+        P = R * Q + d * wcr  # delta*(1 - delta/D)*F, finite at both interval ends
+        dP = R * (A + d * (2.0 * s * x + w * (terms / t).sum(axis=0))) + wcr - Q / D
+        floor = _EPS * (d * (1.0 + s * x * x + w * np.abs(terms).sum(axis=0)) + wck + d * wcr)
+        lo, hi = np.where(P < 0, d, lo), np.where(P > 0, d, hi)
+        step = P / dP
+        # a Newton step from the rounding floor of P ends the iteration
+        small = (np.abs(P) <= floor) | (np.abs(step) <= 2.0 * _EPS * d)
+        new = d - step
+        fallback = np.where(small, d, np.where(lo > 0, np.sqrt(lo * hi), 0.5 * hi))
+        d = np.where(done, d, np.where((new > lo) & (new < hi), new, fallback))
+        done |= small
+        if done.all():
+            return d
+    raise MaxIterationsError(f"branches {(k[~done] + 1).tolist()} not settled in {MAX_ITER} steps")
 
 
-def _locate(
-    p: ModePencil,
-    which: str,
-    intervals: Sequence[tuple[float, float]],
-    first_index: int,
-) -> list[BranchRoot]:
-    if which == "symbol":
-        fun = lambda x: symbol(p, x).real
-        dfun = lambda x: symbol_deriv(p, x).real
-    else:
-        fun = lambda x: stiffness(p, x).real
-        # f'(z) = -w * Khat'(z) = L'(z)/a**2 - 2z/a**2
-        a2 = p.frequency**2
-        dfun = lambda x: (symbol_deriv(p, x).real - 2.0 * x) / a2
-    standoff = 10.0 * POLE_GUARD_FACTOR * p.kernel.rates[-1]
+def _solve(p: ModePencil, first: int, last: int, inertia: bool) -> list[BranchRoot]:
+    """Branches first..last of the symbol (``inertia``) or the stiffness factor."""
+    kern = p.kernel
+    c, g = kern._c, kern._g
+    w, a2 = p.memory_weight, p.frequency**2
+    scale, s = (a2, 1.0 / a2) if inertia else (1.0, 0.0)
+    intervals = bracket_intervals(kern, last)
+    if first == 1 and not w * kern.l1_norm < 1.0:
+        # F(0) = 1 - w*sum c_j/g_j: no sign change left of the origin
+        raise NoSignChangeError(*intervals[0], -math.inf, scale * (1.0 - w * kern.l1_norm))
     out = []
-    for offset, (lo, hi) in enumerate(intervals):
-        k = first_index + offset
-        root = _bracketed_root(fun, dfun, lo, hi, standoff)
-        out.append(
-            BranchRoot(
-                index=k,
-                value=root,
-                interval=(lo, hi),
-                residual=abs(symbol(p, root)) if which == "symbol" else abs(stiffness(p, root)),
-            )
-        )
+    block = max(1, BLOCK_CELLS // g.size)
+    for start in range(first - 1, last, block):
+        k = np.arange(start, min(start + block, last))
+        d = _solve_block(c, g, w, s, k)
+        # F and F' at the offsets, every pole included, for residual and step
+        t = d + (g[:, None] - g[k])
+        x = d - g[k]
+        F = 1.0 + s * x * x - w * (c[:, None] / t).sum(axis=0)
+        dF = 2.0 * s * x + w * (c[:, None] / (t * t)).sum(axis=0)
+        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), dF.tolist())
+        for i, value, offset, f, df in cols:
+            out.append(BranchRoot(i + 1, value, intervals[i], scale * abs(f), offset, abs(f / df)))
     return out
 
 
 def branch_roots(p: ModePencil, count: int) -> list[BranchRoot]:
     """Real roots of the mode symbol, one per pole interval, k = 1..count."""
-    intervals = bracket_intervals(p.kernel, count)
-    return _locate(p, "symbol", intervals, 1)
+    return _solve(p, 1, count, inertia=True)
 
 
 def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
     """Real roots of the stiffness factor f, one per pole interval."""
-    intervals = bracket_intervals(p.kernel, count)
-    return _locate(p, "stiffness", intervals, 1)
+    return _solve(p, 1, count, inertia=False)
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,10 @@ def branch_convergence(pencils: Sequence[ModePencil], k: int) -> ConvergenceReco
     if not 1 <= k <= kern.size:
         raise ValueError(f"branch index {k} outside 1..{kern.size}")
 
-    g_k = kern.rates[k - 1]
-    interval = bracket_intervals(kern, k)[k - 1]
-    mu, x = [], []
-    for p in pencils:
-        mu.append(_locate(p, "symbol", [interval], k)[0].value)
-        x.append(_locate(p, "stiffness", [interval], k)[0].value)
-    dev = [abs(m + g_k) for m in mu]
-    gaps = [abs(m - s) for m, s in zip(mu, x)]
+    mu = [_solve(p, k, k, inertia=True)[0] for p in pencils]
+    x = [_solve(p, k, k, inertia=False)[0] for p in pencils]
+    dev = [m.offset for m in mu]
+    gaps = [s.offset - m.offset for m, s in zip(mu, x)]
     if any(b > a * (1 + 1e-9) for a, b in zip(dev, dev[1:])):
         raise ValueError(
             f"branch {k} does not approach its pole monotonically: {dev}"
@@ -207,8 +205,8 @@ def branch_convergence(pencils: Sequence[ModePencil], k: int) -> ConvergenceReco
     return ConvergenceRecord(
         index=k,
         frequencies=tuple(freqs),
-        roots=tuple(mu),
-        stiffness_values=tuple(x),
+        roots=tuple(m.value for m in mu),
+        stiffness_values=tuple(s.value for s in x),
         pole_deviations=tuple(dev),
         gaps=tuple(gaps),
         deviation_slope=deviation_slope,

@@ -12,7 +12,7 @@ from .complex_pair import (
     spectrum_contour,
 )
 from .errors import NumericalError
-from .pencil import ModePencil, symbol, symbol_deriv
+from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_roots, stiffness_roots
 
 
@@ -52,15 +52,15 @@ class SpectrumResult:
 
 
 def _interlacing_margin(
-    p: ModePencil,
     roots: tuple[BranchRoot, ...],
     stiff: tuple[BranchRoot, ...],
 ) -> float:
-    edges = (0.0,) + p.kernel.rates
+    # gaps taken between offsets from the left pole, which stay resolved
+    # after root and stiffness root round to the same double
     margin = float("inf")
-    for k, (mu, x) in enumerate(zip(roots, stiff), start=1):
-        lo, hi = -edges[k], -edges[k - 1]
-        margin = min(margin, mu.value - lo, x.value - mu.value, hi - x.value)
+    for mu, x in zip(roots, stiff):
+        lo, hi = mu.interval
+        margin = min(margin, mu.offset, x.offset - mu.offset, (hi - lo) - x.offset)
     return margin
 
 
@@ -72,23 +72,19 @@ def solve_mode(
     """Locate every root of the mode symbol and bundle the evidence.
 
     All kernel poles bracket one real branch; the conjugate pair comes from
-    the fixed-point map polished by Newton.  Quality gates are root-error
-    based: a branch root must have Newton-step estimate
-    |L/L'| <= residual_tol * max(1, |root|) (the raw residual can be large
-    near a pole where L' explodes without the root being any worse), and
-    the pair must satisfy |L| <= residual_tol * a**2.  With ``certify`` the
-    rectangle count is attached — the certificate is stored either way, the
+    the fixed-point map polished by Newton.  A branch root must pass its
+    gate ``BranchRoot.relative_error <= residual_tol`` and the pair must
+    satisfy |L| <= residual_tol * a**2.  With ``certify`` the rectangle
+    count is attached — the certificate is stored either way, the
     assertion belongs to the verification layer.
     """
     n = p.kernel.size
     real = tuple(branch_roots(p, n))
     stiff = tuple(stiffness_roots(p, n))
     for r in real:
-        slope = abs(symbol_deriv(p, r.value))
-        step = r.residual / max(slope, 1e-300)
-        if step > residual_tol * max(1.0, abs(r.value)):
+        if r.relative_error > residual_tol:
             raise NumericalError(
-                f"branch {r.index} root-error estimate {step:.3e} exceeds "
+                f"branch {r.index} root-error estimate {r.root_error:.3e} exceeds "
                 f"{residual_tol * max(1.0, abs(r.value)):.3e}"
             )
 
@@ -111,6 +107,6 @@ def solve_mode(
         pair_residual=pair_residual,
         pair_iterations=fp.iterations,
         contraction_bound=fp.derivative_bound,
-        interlacing_margin=_interlacing_margin(p, real, stiff),
+        interlacing_margin=_interlacing_margin(real, stiff),
         certificate=certificate,
     )

@@ -2,16 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpspectra import (
     ExponentialKernel,
     ModePencil,
     NoSignChangeError,
+    aberth_roots,
     bracket_intervals,
     branch_convergence,
     branch_roots,
     stiffness_roots,
+    to_polynomial,
 )
 from conftest import MU_1
 
@@ -103,3 +107,73 @@ def test_branch_convergence_input_checks():
         branch_convergence([pencils[0], ModePencil(100.0, 0.5, other)], 1)
     with pytest.raises(ValueError):
         branch_convergence([pencils[1], pencils[0]], 1)  # must increase
+
+
+def _check_branches(p: ModePencil) -> None:
+    """Interlacing in offsets and in z, and agreement with the polynomial oracle."""
+    n = p.kernel.size
+    mus, xs = branch_roots(p, n), stiffness_roots(p, n)
+    edges = (0.0,) + p.kernel.rates
+    for k, (mu, x) in enumerate(zip(mus, xs), start=1):
+        g, width = edges[k], edges[k] - edges[k - 1]
+        assert 0.0 < mu.offset < x.offset < width
+        assert mu.value == mu.offset - g and x.value == x.offset - g
+        assert -g < mu.value <= x.value < -edges[k - 1]
+        assert mu.relative_error <= 1e-10
+    reference = aberth_roots(to_polynomial(p))
+    real = np.sort(reference[np.argsort(np.abs(reference.imag))[:n]].real)[::-1]
+    for mu, ref in zip(mus, real):
+        assert abs(mu.value - ref) <= 1e-8 * max(1.0, abs(mu.value))
+
+
+@st.composite
+def admissible_modes(draw):
+    """Pool-style ladders: log-uniform first rate, gaps and amplitudes over
+    [0.1, 10], memory strength sum c/g in [0.2, 0.85], a log-uniform over
+    [1, 1e6], xi in [0.05, 0.95]."""
+    n = draw(st.integers(1, 12))
+    exponent = st.floats(-1.0, 1.0)
+    rates = np.cumsum([10.0 ** draw(exponent) for _ in range(n)])
+    raw = np.array([10.0 ** draw(exponent) for _ in range(n)])
+    strength = draw(st.floats(0.2, 0.85))
+    coeffs = raw * (strength / float(np.sum(raw / rates)))
+    a = 10.0 ** draw(st.floats(0.0, 6.0))
+    xi = draw(st.floats(0.05, 0.95))
+    return ModePencil(a, xi, ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(admissible_modes())
+def test_random_admissible_ladders_interlace_and_match_the_oracle(p):
+    _check_branches(p)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rates, a, xi",
+    [
+        (  # five roots within 1.4e-12 of their poles, below 1e-13 * g_max
+            (0.027209640330231735, 0.18221727070225166, 0.04388710431883703,
+             0.8642757147205821, 0.01785422167470183, 0.6445962398603519,
+             0.01860696446372273, 0.616506857038023, 0.01738124265504293),
+            (0.6342280476514871, 1.3937729841299715, 10.926312107752533,
+             11.10056475998144, 13.241605317620879, 15.276987599564382,
+             20.058801312215603, 22.047700340409033, 22.162843391484333),
+            637280.0617993774, 0.09467011703938635,
+        ),
+        (  # eight pinched roots, the closest 1.1e-13 from its pole
+            (0.009063925450145229, 0.20178507197663306, 0.02366613949678161,
+             0.019746498615638156, 0.0052287818825832695, 0.08917063136052075,
+             0.013985573676019032, 0.007166121785549923, 0.019695566102429982,
+             0.12642680082556051),
+            (0.7547139058348149, 1.185558303034324, 6.419223274411688,
+             7.842541290923249, 8.319985546968917, 8.461802119847036,
+             14.259899713227933, 15.050518919349427, 18.067872509740848,
+             20.73822299022735),
+            523269.1795203003, 0.06570376490251909,
+        ),
+    ],
+)
+def test_roots_inside_the_pole_guard_are_resolved(coeffs, rates, a, xi):
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    _check_branches(p)
+    assert min(mu.offset for mu in branch_roots(p, len(rates))) < 1e-13 * rates[-1]

@@ -7,11 +7,14 @@ from gpspectra import (
     ExponentialKernel,
     ModePencil,
     NumericalError,
+    PowerLawFamily,
     aberth_roots,
     match_roots,
+    materialize,
     solve_mode,
     to_polynomial,
 )
+from gpspectra.cli import _mode_checks
 from conftest import MU_1, PAIR
 
 
@@ -72,3 +75,32 @@ def test_three_stage_kernel_solve():
 def test_unreachable_tolerance_is_reported(cubic):
     with pytest.raises(NumericalError):
         solve_mode(cubic, residual_tol=1e-30)
+
+
+def test_margin_survives_roots_that_round_together():
+    # root and stiffness root are both -0.5115471967709293 as doubles; their
+    # offsets from the pole still differ by about 1e-18
+    kern = ExponentialKernel((0.3750777167829557,), (0.5115479318995791,))
+    sol = solve_mode(ModePencil(443822.29163667734, 0.49463905069806846, kern))
+    assert sol.real_roots[0].value == sol.stiffness_roots[0].value
+    assert sol.interlacing_margin > 0
+
+
+def test_thousand_term_power_law_ladder_passes_the_mode_checks():
+    # the verify job stops at its admissibility row here (sum c/g = zeta(5/2)
+    # > 1, while w * sum c/g = 0.13 < 1), so its per-mode checks run directly
+    p = ModePencil(10.0, 0.5, materialize(PowerLawFamily(1, 1, 0.5, 2, count=1000)))
+    sol = solve_mode(p)
+    assert sol.certificate.zeros_inferred == 1002
+    rows = _mode_checks(p, sol, 1e-10)
+    assert [status for _, status, _ in rows] == ["pass"] * 6 + ["skipped"]
+
+
+def test_newton_stops_at_the_rounding_floor():
+    # the pair residual grows twice at 2.9e-14, far below the 1.6e-8 target
+    kern = ExponentialKernel(
+        (0.6291569907817, 1.3511870243658715, 6.886481120855284),
+        (5.159532667882476, 14.123973596124657, 14.551716380648147),
+    )
+    sol = solve_mode(ModePencil(12.478060865184569, 0.7896387431846728, kern))
+    assert sol.pair_residual <= 1e-10 * 12.478060865184569**2
