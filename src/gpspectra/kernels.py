@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from mpmath import mp
 
 from .errors import PoleProximityError
 from .quadrature import integrate, integrate_power_weighted
@@ -235,6 +234,8 @@ def laplace_tail(family: PowerLawFamily, zeta: complex, dps: int = 30) -> comple
     machine answers questions about the infinite kernel: materialize rates
     past the window of interest and close the remainder analytically.
     """
+    from mpmath import mp  # imported here: its only user, and slow to import
+
     zeta = complex(zeta)
     n = family.count
     first_dropped = family.scale * (n + 1) ** family.beta

@@ -21,18 +21,21 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from mpmath import mp
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import linear_sum_assignment
 
 from .errors import MaxIterationsError, NumericalError
-from .pencil import ModePencil
+from .pencil import ModePencil, common_denominator
 
 #: largest mode system materialised as a dense matrix
 ODE_MAX = 32
 
 #: residual acceptance for the simultaneous root finder
 ABERTH_RESIDUAL = 1e-10
+
+#: bits kept, relative to the larger component, of a point fed to the exact
+#: Newton step; finer grids only make the integers longer (imaginary parts
+#: of ~1e-78 on real roots would otherwise cost hundreds of bits)
+QUANT_BITS = 60
 
 _GOLDEN = 0.6180339887498949
 
@@ -51,50 +54,82 @@ def _working_value(x) -> np.clongdouble:
     return np.clongdouble(x)
 
 
-def _precise_value(x):
-    """Convert one coefficient to an mpmath number at working precision."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+def _exact(x) -> Fraction:
+    """The exact rational value of one real int, float, longdouble or Fraction."""
     if isinstance(x, (int, np.integer)):
-        return mp.mpf(int(x))
-    if isinstance(x, np.longdouble):
-        m, e = np.frexp(x)
-        return mp.mpf(int(m * np.longdouble(2.0) ** 64)) * mp.mpf(2.0) ** (int(e) - 64)
-    if isinstance(x, (complex, np.complexfloating)):
-        return mp.mpc(complex(x))
-    return mp.mpf(float(x))
+        return Fraction(int(x))
+    return x if isinstance(x, Fraction) else Fraction(*x.as_integer_ratio())
+
+
+def _gaussian_numerators(exacts: list) -> list[tuple[int, int]]:
+    """Coefficients as Gaussian-integer numerators over one common denominator.
+
+    The denominator itself is dropped: it scales P and P' alike, so Newton
+    steps do not see it.
+    """
+    parts = []
+    for x in exacts:
+        if isinstance(x, (complex, np.complexfloating)):
+            parts += [_exact(x.real), _exact(x.imag)]
+        else:
+            parts += [_exact(x), Fraction(0)]
+    nums, _ = common_denominator(parts)
+    return list(zip(nums[::2], nums[1::2]))
+
+
+def _newton_iterate(nums: list[tuple[int, int]], root: complex) -> complex | None:
+    """One exact Newton step z - P(z)/P'(z), rounded once to a complex double.
+
+    The point is first put on the grid 2**(e - QUANT_BITS), e the binary
+    exponent of its larger component, and written as Z/s with Gaussian
+    integer Z and s = 2**t.  Horner's rule on the homogenised polynomial
+    Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s) carries Q and Q'
+    exactly, and the iterate Z/s - Q/(s Q') = (Z Q' - Q)/(s Q') is rounded
+    by integer true division.  Returns None where Q' vanishes.
+    """
+    _, e = math.frexp(max(abs(root.real), abs(root.imag)))
+    t = QUANT_BITS - e
+    x, y = round(math.ldexp(root.real, t)), round(math.ldexp(root.imag, t))
+    if t < 0:
+        x, y, t = x << -t, y << -t, 0
+    deg = len(nums) - 1
+    qr = qi = er = ei = 0
+    for k in range(deg, -1, -1):
+        nr, ni = nums[k]
+        shift = t * (deg - k)
+        er, ei = er * x - ei * y + qr, er * y + ei * x + qi
+        qr, qi = qr * x - qi * y + (nr << shift), qr * y + qi * x + (ni << shift)
+    dr, di = er << t, ei << t
+    norm = dr * dr + di * di
+    if norm == 0:
+        return None
+    pr, pi = x * er - y * ei - qr, x * ei + y * er - qi
+    return complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
 
 
 def _polish_roots(z: np.ndarray, exacts: list, steps: int = 4) -> np.ndarray:
-    """Newton-polish converged iterates against the exact coefficients.
+    """Newton-polish converged iterates with P and P' evaluated exactly.
 
     The simultaneous iteration leaves every iterate deep inside its own
     Newton basin; what still limits it is evaluation noise at working
     precision, which for badly conditioned monomial bases (condition
     numbers around 1e10 for pinched roots) costs ~1e-9 of forward
-    accuracy.  Re-evaluating at 40 significant digits from the exact
-    coefficient values puts that noise near 1e-30, so the returned
-    double-precision roots are correctly rounded.
+    accuracy.  Every coefficient is an exact rational and every iterate a
+    binary rational, so each Newton step is formed exactly in Python
+    integers (:func:`_newton_iterate`) and rounded once.  From a point
+    within about 2**-60 of a root the exact step lands within round-off of
+    it, so iterates stop as soon as they repeat, or after ``steps``.
     """
-    with mp.workdps(40):
-        cs = [_precise_value(x) for x in exacts]
-        tiny = mp.mpf(10) ** -35
-        out = []
-        for seed in z:
-            root = mp.mpc(complex(seed))
-            for _ in range(steps):
-                value = cs[-1]
-                deriv = mp.mpf(0)
-                for coeff in cs[-2::-1]:
-                    deriv = deriv * root + value
-                    value = value * root + coeff
-                if deriv == 0:
-                    break
-                step = value / deriv
-                root = root - step
-                if abs(step) <= tiny * (1 + abs(root)):
-                    break
-            out.append(complex(root))
+    nums = _gaussian_numerators(exacts)
+    out = []
+    for seed in z.astype(complex):
+        root = complex(seed)
+        for _ in range(steps):
+            step = _newton_iterate(nums, root)
+            if step is None or step == root:
+                break
+            root = step
+        out.append(root)
     return np.array(out, dtype=complex)
 
 
@@ -119,11 +154,13 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e. be an exact
     root of a polynomial whose coefficients differ relatively by at most
     ABERTH_RESIDUAL; anything worse is reported as non-convergence rather
-    than returned.  Exact rational coefficients (Fraction values, as the
-    cleared-pencil expansion produces) are honoured end to end: the
-    converged iterates get a final Newton polish against the exact values
-    so the returned roots are correct to double precision regardless of
-    monomial-basis conditioning.
+    than returned.  Exact coefficient values (Fraction values, as the
+    cleared-pencil expansion produces, or the exact binary values of int,
+    float, longdouble and complex entries) are honoured end to end: the
+    converged iterates get a final Newton polish with P and P' evaluated
+    exactly in integers, so the returned roots are correct to double
+    precision regardless of monomial-basis conditioning, and real roots of
+    real polynomials come back with an imaginary part of exactly zero.
     """
     raw = np.asarray(coeffs)
     if raw.ndim != 1 or raw.size < 2:
@@ -231,19 +268,32 @@ class ModeSystem:
         return self.matrix.shape[0]
 
     def char_coefficients(self) -> np.ndarray:
-        """Ascending monic characteristic coefficients via Faddeev-LeVerrier."""
-        m = self.matrix.astype(np.longdouble)
-        n = m.shape[0]
-        coeffs = np.zeros(n + 1, dtype=np.longdouble)
-        coeffs[n] = 1.0
-        work = np.zeros_like(m)
-        eye = np.eye(n, dtype=np.longdouble)
-        ck = np.longdouble(1.0)
+        """Ascending monic characteristic coefficients via Faddeev-LeVerrier.
+
+        The recursion runs exactly: the entries are binary rationals, so
+        M = A/d with an integer matrix A, whose characteristic coefficients
+        C_k are integers (the trace divisions are exact) and give those of
+        M as C_k / d**(n-k), each rounded once.  Products with A use only
+        its nonzero entries; the arrow layout has about 3n of them.
+        """
+        n = self.dimension
+        ints, d = common_denominator([Fraction(x) for x in self.matrix.flat])
+        rows = [
+            [(j, v) for j, v in enumerate(ints[i * n : (i + 1) * n]) if v]
+            for i in range(n)
+        ]
+        coeffs = [0] * (n + 1)
+        coeffs[n] = 1
+        work = [[0] * n for _ in range(n)]
         for k in range(1, n + 1):
-            work = m @ (work + ck * eye)
-            ck = -np.trace(work) / k
-            coeffs[n - k] = ck
-        return np.asarray(coeffs, dtype=float)
+            for i in range(n):
+                work[i][i] += coeffs[n - k + 1]
+            work = [
+                [sum(v * work[j][col] for j, v in row) for col in range(n)]
+                for row in rows
+            ]
+            coeffs[n - k] = -sum(work[i][i] for i in range(n)) // k
+        return np.array([c / d ** (n - k) for k, c in enumerate(coeffs)])
 
 
 def build_mode_system(p: ModePencil) -> ModeSystem:
@@ -338,6 +388,47 @@ def simulate_decay(p: ModePencil, horizon: float, dt: float) -> DecayEstimate:
     )
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square cost matrix, minimising the sum.
+
+    Shortest augmenting paths with dual potentials (the Jonker-Volgenant
+    form of the Hungarian method): each row in turn is routed along the
+    cheapest reduced-cost path to a free column, O(n**3) in all.  Index 0
+    of the column arrays is the virtual start column of each search.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    owner = np.zeros(n + 1, dtype=int)  # 1-based row holding each column, 0 if free
+    via = np.zeros(n + 1, dtype=int)  # previous column on the shortest path
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        dist = np.full(n + 1, np.inf)
+        done = np.zeros(n + 1, dtype=bool)
+        while owner[col] != 0:
+            done[col] = True
+            i = owner[col]
+            reduced = cost[i - 1] - u[i] - v[1:]
+            closer = ~done[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            via[1:][closer] = col
+            open_dist = np.where(done[1:], np.inf, dist[1:])
+            nxt = int(np.argmin(open_dist)) + 1
+            delta = open_dist[nxt - 1]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[1:][~done[1:]] -= delta
+            col = nxt
+        while col:
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    assigned = np.empty(n, dtype=int)
+    assigned[owner[1:] - 1] = np.arange(n)
+    return assigned
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Pairing of two root multisets with the worst relative deviation."""
@@ -382,9 +473,7 @@ def match_roots(
         if np.any(pairing < 0):
             ambiguous = True
     if ambiguous:
-        rows, cols = linear_sum_assignment(dist)
-        pairing = np.empty(n, dtype=int)
-        pairing[rows] = cols
+        pairing = _min_cost_assignment(dist)
 
     pairs = tuple((complex(a[i]), complex(b[pairing[i]])) for i in range(n))
     deviation = max(

@@ -17,6 +17,7 @@ identities used as cross-checks throughout the test-suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,23 +72,29 @@ def inertia(p: ModePencil, zeta) -> complex | np.ndarray:
     return zeta * zeta / p.frequency**2
 
 
-def _poly_mul(acc: list, root: Fraction) -> list:
-    """Multiply ascending exact coefficients by (z + root)."""
-    out = [Fraction(0)] * (len(acc) + 1)
+def common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of exact rationals over their least common denominator."""
+    den = math.lcm(*(f.denominator for f in values))
+    return [f.numerator * (den // f.denominator) for f in values], den
+
+
+def _poly_mul(acc: list[int], root: int) -> list[int]:
+    """Multiply ascending integer coefficients by (y + root)."""
+    out = [0] * (len(acc) + 1)
     for i, v in enumerate(acc):
         out[i] += root * v
         out[i + 1] += v
     return out
 
 
-def _poly_div_linear(b: list, root: Fraction) -> list:
-    """Exact synthetic division of ascending coefficients by (z + root).
+def _poly_div_linear(b: list[int], root: int) -> list[int]:
+    """Exact synthetic division of ascending integer coefficients by (y + root).
 
     Only valid when the division is exact, which holds by construction
     here: ``b`` is always a product that contains the factor being
     removed.
     """
-    q = [Fraction(0)] * (len(b) - 1)
+    q = [0] * (len(b) - 1)
     q[-1] = b[-1]
     for i in range(len(b) - 2, 0, -1):
         q[i - 1] = b[i] - root * q[i]
@@ -110,29 +117,38 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     tolerances downstream.  Cast with ``float`` for ordinary numeric
     work.  Ladders larger than POLY_MAX are refused: the coefficient
     range becomes meaningless long before that.
+
+    The expansion runs in integers: with a common rate denominator S and
+    integer rates R_k = S*g_k, the products are formed in y = S*z, and
+    each coefficient becomes one Fraction at the end.
     """
     n = p.kernel.size
     if n > POLY_MAX:
         raise ValueError(f"ladder size {n} exceeds polynomial cap {POLY_MAX}")
-    rates = [Fraction(g) for g in p.kernel.rates]
-    coeffs = [Fraction(c) for c in p.kernel.coeffs]
     a2 = Fraction(p.frequency) ** 2
     w = Fraction(p.memory_weight)
+    ints, scale = common_denominator([Fraction(g) for g in p.kernel.rates])
+    (a2_int, *weight_ints), unit = common_denominator(
+        [a2] + [a2 * w * Fraction(c) for c in p.kernel.coeffs]
+    )
 
-    base = [Fraction(1)]
-    for g in rates:
-        base = _poly_mul(base, g)
-
-    # (z**2 + a**2) * base
-    main = [Fraction(0)] * (n + 3)
+    # prod_k (y + R_k) = S**n prod_k (z + g_k): coefficient i carries S**(n-i)
+    base = [1]
+    for r in ints:
+        base = _poly_mul(base, r)
+    # unit * S**(n+2-i) * P_i, from (y**2 + S**2 a**2) * base and the partials
+    # prod_{j != k} (y + R_j), whose coefficient i carries S**(n-1-i)
+    main = [0] * (n + 3)
+    s2 = scale * scale
     for i, v in enumerate(base):
-        main[i] += a2 * v
-        main[i + 2] += v
+        main[i] += s2 * a2_int * v
+        main[i + 2] += unit * v
+    s3 = s2 * scale
+    for r, u in zip(ints, weight_ints):
+        for i, v in enumerate(_poly_div_linear(base, r)):
+            main[i] -= s3 * u * v
 
-    for k in range(n):
-        partial = _poly_div_linear(base, rates[k])
-        weight = a2 * w * coeffs[k]
-        for i, v in enumerate(partial):
-            main[i] -= weight * v
-
-    return np.array(main, dtype=object)
+    return np.array(
+        [Fraction(v, unit * scale ** (n + 2 - i)) for i, v in enumerate(main)],
+        dtype=object,
+    )

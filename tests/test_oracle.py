@@ -1,8 +1,18 @@
 """Independent cross-checks: simultaneous roots, ODE realisation, decay."""
 
+import ast
+import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from mpmath import mp
 
+import gpspectra.oracle
 from gpspectra import (
     ExponentialKernel,
     ModePencil,
@@ -12,7 +22,8 @@ from gpspectra import (
     simulate_decay,
     to_polynomial,
 )
-from conftest import MU_1, PAIR
+from gpspectra.oracle import _min_cost_assignment
+from conftest import MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
 
 
 # ------------------------------------------------------------ aberth roots
@@ -35,6 +46,60 @@ def test_exact_rational_coefficients(cubic):
     roots = aberth_roots(to_polynomial(cubic))
     match = match_roots(roots, [MU_1, PAIR, PAIR.conjugate()])
     assert match.max_relative_deviation < 1e-14
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [190.0, 100.0, 2.0, 1.0],
+        [190.0 + 0j, 100.0 + 0j, 2.0 + 0j, 1.0 + 0j],
+        np.array([190, 100, 2, 1], dtype=np.longdouble),
+        [Fraction(190), Fraction(100), Fraction(2), Fraction(1)],
+    ],
+    ids=["float", "complex", "longdouble", "fraction"],
+)
+def test_every_coefficient_type_is_polished_exactly(coeffs):
+    # only the exact polish returns the frozen roots bit for bit, and the
+    # real root with an imaginary part of exactly zero
+    roots = aberth_roots(coeffs)
+    assert sorted(roots.tolist(), key=lambda z: (z.imag, z.real)) == [
+        PAIR.conjugate(), MU_1 + 0j, PAIR,
+    ]
+
+
+def test_polish_is_exact_for_non_binary_rationals():
+    # (3z - 1)(3z - 2) and (z - i)(z - 2i): roots are the rounded 1/3, 2/3
+    roots = aberth_roots([Fraction(2), Fraction(-9), Fraction(9)])
+    assert sorted(roots.tolist(), key=lambda z: z.real) == [1 / 3, 2 / 3]
+    roots = aberth_roots([-2.0 + 0j, -3j, 1.0 + 0j])
+    assert sorted(roots.tolist(), key=lambda z: z.imag) == [1j, 2j]
+
+
+def _mp_newton(coeffs, seeds):
+    """Roots from a 40-digit Newton iteration on exact rational coefficients."""
+    with mp.workdps(40):
+        descending = [mp.mpf(c.numerator) / c.denominator for c in coeffs[::-1]]
+        out = []
+        for seed in seeds:
+            root = mp.mpc(complex(seed))
+            for _ in range(8):
+                value, deriv = mp.polyval(descending, root, derivative=True)
+                root -= value / deriv
+            out.append(complex(root))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("ladder", [PINCHED_FIVE, PINCHED_EIGHT], ids=["five", "eight"])
+def test_pinched_roots_match_a_multiprecision_newton(ladder):
+    coeffs, rates, a, xi = ladder
+    poly = list(to_polynomial(ModePencil(a, xi, ExponentialKernel(coeffs, rates))))
+    roots = aberth_roots(poly)
+    reference = _mp_newton(poly, roots)
+    pair = np.argsort(np.abs(roots.imag))[-2:]
+    real = np.argsort(np.abs(roots.imag))[:-2]
+    assert np.array_equal(roots[pair], reference[pair])
+    assert np.array_equal(roots[real].real, reference[real].real)
+    assert np.all(roots[real].imag == 0.0)
 
 
 def test_integer_spaced_real_roots():
@@ -110,6 +175,14 @@ def test_tiny_kernel_factorises():
     assert match.max_relative_deviation < 1e-14
 
 
+def _coefficient_deviation(p: ModePencil) -> float:
+    """Largest relative gap between the companion and the cleared coefficients."""
+    via_matrix = build_mode_system(p).char_coefficients()
+    via_clearing = np.array([float(c) for c in to_polynomial(p)])
+    scale = np.maximum(1.0, np.abs(via_clearing))
+    return float(np.max(np.abs(via_matrix - via_clearing) / scale))
+
+
 def test_char_coefficients_agree_with_clearing_on_random_pencils():
     rng = np.random.default_rng(99)
     for _ in range(20):
@@ -117,14 +190,31 @@ def test_char_coefficients_agree_with_clearing_on_random_pencils():
         rates = tuple(np.cumsum(10.0 ** rng.uniform(-0.5, 0.5, size=n)))
         coeffs = tuple(10.0 ** rng.uniform(-1.0, 0.0, size=n))
         p = ModePencil(
-            frequency=float(rng.choice([5.0, 50.0])),
+            frequency=float(rng.choice([5.0, 50.0, 1e3, 1e5])),
             xi=float(rng.uniform(0.2, 0.8)),
             kernel=ExponentialKernel(coeffs, rates),
         )
-        via_matrix = build_mode_system(p).char_coefficients()
-        via_clearing = np.array([float(c) for c in to_polynomial(p)])
-        scale = np.maximum(1.0, np.abs(via_clearing))
-        assert np.max(np.abs(via_matrix - via_clearing) / scale) < 1e-12
+        assert _coefficient_deviation(p) < 1e-12
+
+
+def test_char_coefficients_on_an_ill_conditioned_ladder():
+    # ladder 705 of perfbench's random_modes pool: a longdouble recursion
+    # was 2.2e-5 off the cleared polynomial here
+    p = ModePencil(
+        frequency=64.35824364965178,
+        xi=0.8573461730818587,
+        kernel=ExponentialKernel(
+            (0.01515618474614228, 0.011517012830668288, 0.115090676560496,
+             0.09629977361514673, 0.029378445598393692, 0.6327779659079433,
+             0.015646258212884127, 0.010520298583514484, 0.258019651078486,
+             0.03156702888474187, 0.6310627890671746, 0.042528207321632365),
+            (0.2123914790533109, 0.3617027132509253, 0.5357572417813361,
+             1.2703661817702931, 1.7651332597002396, 5.854261859975733,
+             6.039788029083185, 6.161884476049332, 7.625562376485079,
+             8.047420041573734, 8.814025537659791, 12.7524421156863),
+        ),
+    )
+    assert _coefficient_deviation(p) < 1e-12
 
 
 def test_dimension_cap():
@@ -183,3 +273,54 @@ def test_match_roots_identity_and_shift():
 def test_match_roots_cardinality():
     with pytest.raises(ValueError):
         match_roots([1.0, 2.0], [1.0])
+
+
+def test_min_cost_assignment_matches_brute_force():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        # clustered roots, matched against a shuffled, jittered copy
+        centres = rng.normal(size=3) + 1j * rng.normal(size=3)
+        a = centres[rng.integers(0, 3, size=n)] + 1e-3 * rng.normal(size=n)
+        b = rng.permutation(a) + 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        cost = np.abs(a[:, None] - b[None, :])
+        assigned = _min_cost_assignment(cost)
+        assert sorted(assigned.tolist()) == list(range(n))
+        best = min(
+            sum(cost[i, p[i]] for i in range(n))
+            for p in itertools.permutations(range(n))
+        )
+        total = sum(cost[i, assigned[i]] for i in range(n))
+        assert total == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+
+def test_match_roots_resolves_near_ties_optimally():
+    # greedy pairing in row order would give 0 -> 0.9 and leave 1 -> -0.95
+    match = match_roots([0.0, 1.0], [0.9, -0.95])
+    assert match.pairs == ((0.0, -0.95), (1.0, 0.9))
+
+
+# ------------------------------------------------------------- independence
+
+
+def test_oracle_imports_no_solver_module():
+    tree = ast.parse(Path(gpspectra.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"real_branches", "complex_pair", "solve", "quadrature"}
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    src = str(Path(gpspectra.__file__).resolve().parents[1])
+    probe = "import sys, gpspectra; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "[]"

@@ -17,7 +17,7 @@ from gpspectra import (
     stiffness_roots,
     to_polynomial,
 )
-from conftest import MU_1
+from conftest import MU_1, PINCHED_EIGHT, PINCHED_FIVE
 
 
 def test_bracket_intervals_single():
@@ -148,31 +148,7 @@ def test_random_admissible_ladders_interlace_and_match_the_oracle(p):
     _check_branches(p)
 
 
-@pytest.mark.parametrize(
-    "coeffs, rates, a, xi",
-    [
-        (  # five roots within 1.4e-12 of their poles, below 1e-13 * g_max
-            (0.027209640330231735, 0.18221727070225166, 0.04388710431883703,
-             0.8642757147205821, 0.01785422167470183, 0.6445962398603519,
-             0.01860696446372273, 0.616506857038023, 0.01738124265504293),
-            (0.6342280476514871, 1.3937729841299715, 10.926312107752533,
-             11.10056475998144, 13.241605317620879, 15.276987599564382,
-             20.058801312215603, 22.047700340409033, 22.162843391484333),
-            637280.0617993774, 0.09467011703938635,
-        ),
-        (  # eight pinched roots, the closest 1.1e-13 from its pole
-            (0.009063925450145229, 0.20178507197663306, 0.02366613949678161,
-             0.019746498615638156, 0.0052287818825832695, 0.08917063136052075,
-             0.013985573676019032, 0.007166121785549923, 0.019695566102429982,
-             0.12642680082556051),
-            (0.7547139058348149, 1.185558303034324, 6.419223274411688,
-             7.842541290923249, 8.319985546968917, 8.461802119847036,
-             14.259899713227933, 15.050518919349427, 18.067872509740848,
-             20.73822299022735),
-            523269.1795203003, 0.06570376490251909,
-        ),
-    ],
-)
+@pytest.mark.parametrize("coeffs, rates, a, xi", [PINCHED_FIVE, PINCHED_EIGHT])
 def test_roots_inside_the_pole_guard_are_resolved(coeffs, rates, a, xi):
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
     _check_branches(p)
