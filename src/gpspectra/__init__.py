@@ -22,6 +22,22 @@ The ``gpspectra`` command line exposes the same machinery on JSON job
 configs; see the README for the schema.
 """
 
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    # The package's matrices are at most ODE_MAX x ODE_MAX, too small for
+    # OpenBLAS to split across threads, but numpy's OpenBLAS starts a worker
+    # per CPU when it loads, and each spins for about 0.1 s of CPU before it
+    # sleeps.  That spin makes every short CLI process slower, by an amount
+    # that depends on what else the machine runs.  So the BLAS loaded here
+    # gets one thread; the variable is unset again once numpy has loaded.
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .asymptotics import (
     AsymptoticPrediction,
     SlopeFit,

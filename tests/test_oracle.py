@@ -324,3 +324,20 @@ def test_import_loads_neither_scipy_nor_mpmath():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
+def test_import_loads_openblas_with_one_thread():
+    src = str(Path(gpspectra.__file__).resolve().parents[1])
+    probe = "import os, gpspectra; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+            env=dict(env, PYTHONPATH=src, **extra),
+        ).stdout.split()
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})
+    ]
+    # one thread in all, and the variable is unset again; a value the user set is kept
+    assert runs[0] == ["1", "None"]
+    assert runs[1][1] == "2"
