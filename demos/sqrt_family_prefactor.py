@@ -18,9 +18,8 @@ from gpspectra import (
     PowerLawFamily,
     asymptotic_constant,
     empirical_order,
-    fixed_point_pair,
     materialize,
-    newton_refine,
+    solve_pair,
     tail_bound,
 )
 
@@ -44,7 +43,7 @@ points = []
 for j in range(6):
     a = 100.0 * 10.0 ** (0.4 * j)
     p = ModePencil(frequency=a, xi=0.5, kernel=kernel)
-    lam = newton_refine(p, fixed_point_pair(p).plus)
+    lam = solve_pair(p).plus
     points.append((a, abs(lam.real)))
     print(f"  a = {a:12.1f}   |Re lam| = {abs(lam.real):.6e}"
           f"   x sqrt(a) = {abs(lam.real) * math.sqrt(a):.6f}")

@@ -55,6 +55,7 @@ from .complex_pair import (
     count_zeros,
     fixed_point_pair,
     newton_refine,
+    solve_pair,
     spectrum_contour,
 )
 from .errors import (
@@ -157,6 +158,7 @@ __all__ = [
     "predict_power_law",
     "simulate_decay",
     "solve_mode",
+    "solve_pair",
     "spectrum_contour",
     "stiffness",
     "stiffness_roots",

@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
-from .complex_pair import fixed_point_pair, newton_refine
+from .complex_pair import solve_pair
 from .errors import ConfigError, GPSpectraError, NumericalError
 from .kernels import ExponentialKernel, PowerLawFamily, admissibility_report, materialize
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
@@ -286,48 +286,26 @@ def _pencils(cfg: JobConfig, kernel: ExponentialKernel) -> list[ModePencil]:
     return [ModePencil(frequency=a, xi=cfg.xi, kernel=kernel) for a in cfg.modes]
 
 
-def _labels(cfg: JobConfig) -> list[str]:
-    return [f"mode {i} (a_n={_fmt(a)})" for i, a in enumerate(cfg.modes, start=1)]
+def _map_modes(solve, pencils: list[ModePencil], jobs: int) -> list:
+    """``solve(pencil)`` for every mode on ``jobs`` threads, in mode order.
+
+    A numerical failure is re-raised naming its mode; for several failures
+    the first mode in order is named.  Threads overlap only the work that
+    releases the interpreter lock, the numpy passes over large ladders.
+    """
+
+    def labelled(n: int, pencil: ModePencil):
+        try:
+            return solve(pencil)
+        except NumericalError as exc:
+            raise NumericalError(f"mode {n} (a_n={_fmt(pencil.frequency)}): {exc}") from exc
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(labelled, range(1, len(pencils) + 1), pencils))
 
 
-def _run_tasks(worker, tasks, labels, jobs: int) -> list:
-    """Run worker over tasks, keeping order and naming the failing mode."""
-    if jobs <= 1:
-        results = []
-        for label, task in zip(labels, tasks):
-            try:
-                results.append(worker(task))
-            except NumericalError as exc:
-                raise NumericalError(f"{label}: {exc}") from exc
-        return results
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, task) for task in tasks]
-        results = []
-        for label, future in zip(labels, futures):
-            try:
-                results.append(future.result())
-            except NumericalError as exc:
-                raise NumericalError(f"{label}: {exc}") from exc
-    return results
-
-
-# workers are module level so process pools can pickle them
-
-
-def _spectrum_worker(task) -> SpectrumResult:
-    pencil, residual_tol, certify = task
-    return solve_mode(pencil, residual_tol=residual_tol, certify=certify)
-
-
-def _pair_worker(task) -> complex:
-    pencil, residual_tol = task
-    seed = fixed_point_pair(pencil).plus
-    plus = newton_refine(pencil, seed, residual_tol=residual_tol)
-    return plus.conjugate() if plus.imag < 0 else plus
-
-
-def _oracle_worker(task) -> tuple[float, float]:
-    pencil, residual_tol = task
+def _oracle_deviations(pencil: ModePencil, residual_tol: float) -> tuple[float, float]:
+    """Root deviation from the polynomial oracle and companion coefficient deviation."""
     result = solve_mode(pencil, residual_tol=residual_tol, certify=False)
     coeffs = to_polynomial(pencil)
     reference = aberth_roots(coeffs)
@@ -350,8 +328,9 @@ def run_spectrum(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
     """All roots of every mode: N bracketed real branches plus the pair."""
     kernel = _materialized(cfg)
     pencils = _pencils(cfg, kernel)
-    tasks = [(p, cfg.residual_tol, False) for p in pencils]
-    results = _run_tasks(_spectrum_worker, tasks, _labels(cfg), jobs)
+    results = _map_modes(
+        lambda p: solve_mode(p, residual_tol=cfg.residual_tol, certify=False), pencils, jobs
+    )
 
     lines = _header(cfg)
     lines.append("n,a_n,xi,kind,k,re,im,residual,interval_lo,interval_hi")
@@ -466,8 +445,7 @@ def run_verify(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
         return "\n".join(lines) + "\n", False
 
     pencils = _pencils(cfg, kernel)
-    tasks = [(p, 1e-10, True) for p in pencils]
-    results = _run_tasks(_spectrum_worker, tasks, _labels(cfg), jobs)
+    results = _map_modes(solve_mode, pencils, jobs)
 
     failures = 0
     total = 1
@@ -493,8 +471,7 @@ def run_sweep(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     kernel = _materialized(cfg)
     pencils = _pencils(cfg, kernel)
-    tasks = [(p, cfg.residual_tol) for p in pencils]
-    numeric = _run_tasks(_pair_worker, tasks, _labels(cfg), jobs)
+    numeric = _map_modes(lambda p: solve_pair(p, residual_tol=cfg.residual_tol).plus, pencils, jobs)
 
     if cfg.family is not None:
         predictions = [predict_power_law(a, cfg.xi, cfg.family) for a in cfg.modes]
@@ -552,8 +529,7 @@ def run_oracle_check(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
             f"config.kernel: ladder size {kernel.size} exceeds polynomial oracle cap {POLY_MAX}"
         )
     pencils = _pencils(cfg, kernel)
-    tasks = [(p, cfg.residual_tol) for p in pencils]
-    rows = _run_tasks(_oracle_worker, tasks, _labels(cfg), jobs)
+    rows = _map_modes(lambda p: _oracle_deviations(p, cfg.residual_tol), pencils, jobs)
 
     lines = _header(cfg)
     lines.append("n,a_n,root_deviation,coeff_deviation,status")
@@ -634,7 +610,7 @@ def _parse_args(argv):
         job = sub.add_parser(name, help=_JOB_HELP[name])
         job.add_argument("--config", required=True, help="path to the JSON job config")
         job.add_argument("--out", help="output path (overrides the config's output key)")
-        job.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+        job.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     return parser.parse_args(argv)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,13 @@ _MAX_BISECT_DEPTH = 48
 
 @dataclass(frozen=True)
 class FixedPointPair:
-    """Conjugate pair located by the fixed-point map, plus convergence data."""
+    """Conjugate pair located by the fixed-point map, plus convergence data.
+
+    :func:`fixed_point_pair` returns the map's own iterate;
+    :func:`solve_pair` returns it Newton-polished, with ``plus`` in the upper
+    half plane and ``minus`` its conjugate.  ``iterations`` and
+    ``derivative_bound`` always describe the fixed-point map.
+    """
 
     plus: complex
     minus: complex
@@ -187,6 +193,20 @@ def newton_refine(
             f"refined residual {best_res:.3e} misses target {scale:.3e}"
         )
     return best
+
+
+def solve_pair(p: ModePencil, residual_tol: float = 1e-10) -> FixedPointPair:
+    """The oscillatory pair: the fixed-point map's root polished by Newton.
+
+    The polished upper root must satisfy |L| <= residual_tol * a**2 (see
+    :func:`newton_refine`); a polish that lands in the lower half plane is
+    flipped to its conjugate, so ``plus`` is always the upper root.
+    """
+    fp = fixed_point_pair(p)
+    plus = newton_refine(p, fp.plus, residual_tol=residual_tol)
+    if plus.imag < 0:
+        plus = plus.conjugate()
+    return replace(fp, plus=plus, minus=plus.conjugate())
 
 
 def _segment_phase(

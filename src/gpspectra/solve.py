@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex_pair import (
-    CountCertificate,
-    count_zeros,
-    fixed_point_pair,
-    newton_refine,
-    spectrum_contour,
-)
+from .complex_pair import CountCertificate, count_zeros, solve_pair, spectrum_contour
 from .errors import NumericalError
 from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_roots, stiffness_roots
@@ -88,11 +82,7 @@ def solve_mode(
                 f"{residual_tol * max(1.0, abs(r.value)):.3e}"
             )
 
-    fp = fixed_point_pair(p)
-    plus = newton_refine(p, fp.plus, residual_tol=residual_tol)
-    if plus.imag < 0:
-        plus = plus.conjugate()
-    pair_residual = abs(symbol(p, plus))
+    pair = solve_pair(p, residual_tol=residual_tol)
 
     certificate = None
     if certify:
@@ -102,11 +92,11 @@ def solve_mode(
         pencil=p,
         real_roots=real,
         stiffness_roots=stiff,
-        pair_plus=plus,
-        pair_minus=plus.conjugate(),
-        pair_residual=pair_residual,
-        pair_iterations=fp.iterations,
-        contraction_bound=fp.derivative_bound,
+        pair_plus=pair.plus,
+        pair_minus=pair.minus,
+        pair_residual=abs(symbol(p, pair.plus)),
+        pair_iterations=pair.iterations,
+        contraction_bound=pair.derivative_bound,
         interlacing_margin=_interlacing_margin(real, stiff),
         certificate=certificate,
     )

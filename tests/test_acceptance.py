@@ -21,15 +21,14 @@ from gpspectra import (
     asymptotic_constant_quadrature,
     continuum_laplace,
     empirical_order,
-    fixed_point_pair,
     laplace,
     laplace_tail,
     match_roots,
     materialize,
-    newton_refine,
     predict_finite_sum,
     simulate_decay,
     solve_mode,
+    solve_pair,
     tail_bound,
     to_polynomial,
 )
@@ -72,11 +71,6 @@ def corpus():
                 seconds = time.perf_counter() - start
                 instances.append((pencil, result, seconds))
     return instances
-
-
-def _pair_only(pencil: ModePencil) -> complex:
-    plus = newton_refine(pencil, fixed_point_pair(pencil).plus)
-    return plus.conjugate() if plus.imag < 0 else plus
 
 
 def _family_with_tail_below(alpha, beta, moment, bound):
@@ -147,7 +141,7 @@ def test_05_finite_sum_remainder_orders():
     kernel = ExponentialKernel((1.0,), (2.0,))
     re_points, im_points = [], []
     for a in (1e1, 1e2, 1e3, 1e4, 1e5):
-        pair = _pair_only(ModePencil(frequency=a, xi=0.5, kernel=kernel))
+        pair = solve_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
         predicted = predict_finite_sum(a, 0.5, kernel.initial_value).value
         re_points.append((a, abs(pair.real - predicted.real)))
         im_points.append((a, abs(pair.imag - predicted.imag)))
@@ -165,7 +159,7 @@ def test_06_sqrt_family_decay_law():
     points = []
     for j in range(6):
         a = 100.0 * 10.0 ** (0.4 * j)
-        pair = _pair_only(ModePencil(frequency=a, xi=0.5, kernel=kernel))
+        pair = solve_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
         points.append((a, abs(pair.real)))
     fit = empirical_order(points)
     assert abs(fit.slope - (-0.5)) <= 0.15
@@ -179,7 +173,7 @@ def test_07_log_family_decay_law():
     family = _family_with_tail_below(alpha=1.0, beta=1.0, moment=1, bound=1e-6)
     kernel = materialize(family)
     a = 1e4
-    pair = _pair_only(ModePencil(frequency=a, xi=0.5, kernel=kernel))
+    pair = solve_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
     ratio = abs(pair.real) * a / math.log(a)
     assert abs(ratio - 0.5) <= 0.1 * 0.5
 
@@ -201,7 +195,7 @@ def test_09_weight_exponent_sorts_the_regimes():
 
     def decay_rates(xi):
         return [
-            abs(_pair_only(ModePencil(frequency=a, xi=xi, kernel=kernel)).real)
+            abs(solve_pair(ModePencil(frequency=a, xi=xi, kernel=kernel)).plus.real)
             for a in ladder
         ]
 

@@ -52,12 +52,22 @@ def test_out_flag_writes_the_same_bytes(run_cli, cubic_config, tmp_path):
     assert target.read_text(encoding="utf-8") == streamed
 
 
-def test_parallel_output_matches_serial(run_cli, cubic_config):
-    config = dict(cubic_config, modes=[10.0, 20.0])
-    _, serial, _ = run_cli("spectrum", config)
-    code, parallel, _ = run_cli("spectrum", config, "--jobs", "2")
+@pytest.mark.parametrize("job", ["spectrum", "verify", "oracle-check", "sweep"])
+def test_parallel_output_matches_serial(run_cli, cubic_config, job):
+    config = dict(cubic_config, modes={"a_min": 10.0, "factor": 10.0, "count": 4})
+    _, serial, _ = run_cli(job, config)
+    code, parallel, _ = run_cli(job, config, "--jobs", "3")
     assert code == 0
     assert parallel == serial
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_numerical_failure_names_the_first_failing_mode(run_cli, cubic_config, jobs):
+    config = dict(cubic_config, modes=[10.0, 20.0], tolerances={"residual": 1e-30})
+    code, out, err = run_cli("spectrum", config, "--jobs", jobs)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: mode 1 (a_n=10): " in err
 
 
 # ------------------------------------------------------------ config errors

@@ -14,6 +14,7 @@ from gpspectra import (
     count_zeros,
     fixed_point_pair,
     newton_refine,
+    solve_pair,
     spectrum_contour,
     symbol,
 )
@@ -63,6 +64,16 @@ def test_newton_rejects_pole_shadow(cubic):
     # a seed on the wrong side of the kernel pole never reaches a root
     with pytest.raises(DivergenceError):
         newton_refine(cubic, -2.0000001 + 0j)
+
+
+def test_solve_pair_polishes_the_upper_root(cubic):
+    pair = solve_pair(cubic)
+    fp = fixed_point_pair(cubic)
+    assert abs(pair.plus - PAIR) < 1e-13 and pair.plus.imag > 0
+    assert pair.minus == pair.plus.conjugate()
+    assert (pair.iterations, pair.derivative_bound) == (fp.iterations, fp.derivative_bound)
+    with pytest.raises(DivergenceError):
+        solve_pair(cubic, residual_tol=1e-30)
 
 
 # --------------------------------------------------------------- contours

@@ -317,7 +317,10 @@ def test_oracle_imports_no_solver_module():
 
 def test_import_loads_neither_scipy_nor_mpmath():
     src = str(Path(gpspectra.__file__).resolve().parents[1])
-    probe = "import sys, gpspectra; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    probe = (
+        "import sys, gpspectra, gpspectra.cli; "
+        "print(sorted({'scipy', 'mpmath', 'multiprocessing'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, timeout=60,
