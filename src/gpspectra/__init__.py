@@ -74,6 +74,7 @@ from .kernels import (
     AdmissibilityReport,
     ExponentialKernel,
     PowerLawFamily,
+    TailSeries,
     admissibility_report,
     angular_integral,
     continuum_laplace,
@@ -82,7 +83,9 @@ from .kernels import (
     laplace_deriv,
     laplace_tail,
     materialize,
+    materialize_within,
     tail_bound,
+    tail_coefficients,
 )
 from .oracle import (
     DecayEstimate,
@@ -132,6 +135,7 @@ __all__ = [
     "RectContour",
     "SlopeFit",
     "SpectrumResult",
+    "TailSeries",
     "aberth_roots",
     "admissibility_report",
     "angular_integral",
@@ -153,6 +157,7 @@ __all__ = [
     "laplace_tail",
     "match_roots",
     "materialize",
+    "materialize_within",
     "newton_refine",
     "predict_finite_sum",
     "predict_power_law",
@@ -165,5 +170,6 @@ __all__ = [
     "symbol",
     "symbol_deriv",
     "tail_bound",
+    "tail_coefficients",
     "to_polynomial",
 ]

@@ -34,7 +34,13 @@ from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
 from .complex_pair import solve_pair
 from .errors import ConfigError, GPSpectraError, NumericalError
-from .kernels import ExponentialKernel, PowerLawFamily, admissibility_report, materialize
+from .kernels import (
+    ExponentialKernel,
+    PowerLawFamily,
+    admissibility_report,
+    materialize,
+    materialize_within,
+)
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
 from .pencil import POLY_MAX, ModePencil, symbol, to_polynomial
 from .solve import SpectrumResult, solve_mode
@@ -465,11 +471,17 @@ def run_sweep(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
 
     Requires the geometric ladder form with at least four points; only the
     oscillatory pair is computed (no real-branch sweep), so large kernels
-    stay affordable. Footer rows carry the fitted log-log error slopes.
+    stay affordable: a family sums its ladder only up to the first rate
+    past twice the pair's reach, about 2*max(a_n), and the poles beyond
+    as a series (see ``materialize_within``). Footer rows carry the
+    fitted log-log error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
-    kernel = _materialized(cfg)
+    if cfg.family is not None:
+        kernel = materialize_within(cfg.family, 2.0 * max(cfg.modes))
+    else:
+        kernel = cfg.kernel
     pencils = _pencils(cfg, kernel)
     numeric = _map_modes(lambda p: solve_pair(p, residual_tol=cfg.residual_tol).plus, pencils, jobs)
 

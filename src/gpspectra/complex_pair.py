@@ -163,16 +163,18 @@ def newton_refine(
     """
     scale = residual_tol * p.frequency**2
     z = complex(seed)
-    res = abs(symbol(p, z))
+    value = symbol(p, z)
+    res = abs(value)
     best, best_res = z, res
     increases = 0
     for _ in range(max_steps):
         d = symbol_deriv(p, z)
         if d == 0:
             break
-        step = symbol(p, z) / d
+        step = value / d
         z = z - step
-        res_new = abs(symbol(p, z))
+        value = symbol(p, z)
+        res_new = abs(value)
         if res_new < best_res:
             best, best_res = z, res_new
         if res_new > res:
@@ -303,6 +305,7 @@ def count_zeros(p: ModePencil, contour: RectContour) -> CountCertificate:
     count.  Poles hugging the boundary (within EDGE_GUARD_FACTOR of the
     shorter side) are rejected up front.
     """
+    p.kernel.require_every_pole("a zero count")
     guard = EDGE_GUARD_FACTOR * min(
         contour.x_max - contour.x_min, contour.y_max - contour.y_min
     )
@@ -342,6 +345,7 @@ def spectrum_contour(p: ModePencil, window: int, samples_per_side: int = 256) ->
     real branch stays strictly inside.  The height exceeds the pair by
     construction: Y = 1.1 * a * sqrt(1 + K(0) * w).
     """
+    p.kernel.require_every_pole("the spectrum contour")
     n = p.kernel.size
     if not 1 <= window <= n:
         raise ValueError(f"window {window} outside 1..{n}")

@@ -15,12 +15,12 @@ the effective regularity exponent in (0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import PoleProximityError
+from .errors import NumericalError, PoleProximityError
 from .quadrature import integrate, integrate_power_weighted
 
 #: relative factor applied to the largest rate when guarding pole proximity
@@ -28,6 +28,45 @@ POLE_GUARD_FACTOR = 1e-13
 
 #: transforms are only evaluated this far (radians) from the branch ray
 ARG_MARGIN = 0.1
+
+
+def _horner(coeffs, x):
+    """sum_j coeffs[j] * x**j; scalar or elementwise over an array."""
+    out = 0.0
+    for u in reversed(coeffs):
+        out = out * x + u
+    return out
+
+
+@dataclass(frozen=True)
+class TailSeries:
+    """Transform of poles left off an explicit ladder, as a power series.
+
+    Stands for sum_j coeffs[j] * (-z/radius)**j, the expansion of
+    sum_k c_k/(z + g_k) over poles with every g_k >= 2*radius, so the series
+    holds to double precision for |z| <= radius and is refused beyond it.
+    Scaling by the radius keeps every coefficient within the double range.
+    """
+
+    coeffs: tuple[float, ...]
+    radius: float
+
+    def _argument(self, zeta):
+        if np.any(np.abs(zeta) > self.radius):
+            raise NumericalError(
+                f"|z| up to {np.max(np.abs(zeta)):.6e} lies outside the far-pole "
+                f"series radius {self.radius:.6e}"
+            )
+        return -zeta / self.radius
+
+    def value(self, zeta):
+        """The far poles' share of Khat(zeta)."""
+        return _horner(self.coeffs, self._argument(zeta))
+
+    def deriv(self, zeta):
+        """The far poles' share of Khat'(zeta)."""
+        slopes = [j * u for j, u in enumerate(self.coeffs)][1:]
+        return _horner(slopes, self._argument(zeta)) / -self.radius
 
 
 @dataclass(frozen=True)
@@ -40,14 +79,20 @@ class ExponentialKernel:
         Positive amplitudes c_k.
     rates : tuple of float
         Positive, strictly increasing decay rates g_k, same length as coeffs.
+    tail : TailSeries or None
+        Poles beyond the ladder, summed as a series valid on |z| <= radius
+        (see :func:`materialize_within`).  Only the transform and its
+        derivative can use it; whatever needs every pole refuses such a
+        kernel (:meth:`require_every_pole`).
     """
 
     coeffs: tuple[float, ...]
     rates: tuple[float, ...]
+    tail: TailSeries | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        g = np.asarray(self.rates, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
+        g = np.array(self.rates, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("kernel needs at least one term")
         if c.shape != g.shape:
@@ -58,29 +103,41 @@ class ExponentialKernel:
             raise ValueError("rates must be strictly positive")
         if not np.all(np.diff(g) > 0):
             raise ValueError("rates must be strictly increasing")
+        c.flags.writeable = g.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(c.tolist()))
         object.__setattr__(self, "rates", tuple(g.tolist()))
+        # the arrays every evaluation uses; not fields, so equality and
+        # hashing still go by the tuples
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_g", g)
 
     @property
     def size(self) -> int:
         return len(self.coeffs)
 
-    @cached_property
-    def _c(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
+    def require_every_pole(self, purpose: str) -> None:
+        """Refuse ``purpose`` when the ladder carries a far-pole series.
 
-    @cached_property
-    def _g(self) -> np.ndarray:
-        return np.asarray(self.rates, dtype=float)
+        Sums over the poles, pole intervals, root counts and the cleared
+        polynomial all need each pole explicitly; the series only gives
+        the transform near the origin.
+        """
+        if self.tail is not None:
+            raise ValueError(
+                f"{purpose} needs every pole, but this kernel sums the poles "
+                f"beyond its {self.size} explicit terms as a series"
+            )
 
     @cached_property
     def l1_norm(self) -> float:
         """Integral of K over (0, inf): sum c_k / g_k.  Also Khat(0)."""
+        self.require_every_pole("the total-memory norm")
         return math.fsum((self._c / self._g).tolist())
 
     @cached_property
     def initial_value(self) -> float:
         """K(0) = sum c_k (may be large for near-singular kernels)."""
+        self.require_every_pole("the initial value")
         return math.fsum(self.coeffs)
 
 
@@ -102,6 +159,7 @@ def admissibility_report(kernel: ExponentialKernel) -> AdmissibilityReport:
     condition on the full rate sequence; it is informational only and never
     asserted.
     """
+    kernel.require_every_pole("the admissibility report")
     g = kernel._g
     spacing = float(np.max(g[:-1] * np.diff(g))) if kernel.size > 1 else math.nan
     s = kernel.l1_norm
@@ -130,31 +188,35 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     Accepts a scalar or an ndarray of points.  Scalar evaluations on small
     ladders use exactly-rounded compensated summation; large ladders and
     array arguments fall back to pairwise summation, which is more than
-    accurate enough for ladders of a few million terms.
+    accurate enough for ladders of a few million terms.  A kernel's
+    far-pole series adds its share; beyond its radius it raises
+    :class:`NumericalError` rather than extrapolate.
     """
     z = np.asarray(zeta, dtype=complex)
     shifted = z[..., None] + kernel._g
     _guard_poles(kernel, shifted)
     terms = kernel._c / shifted
     if z.ndim == 0 and kernel.size <= 20000:
-        return complex(
-            math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel())
-        )
-    out = np.sum(terms, axis=-1)
+        out = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
+    else:
+        out = np.sum(terms, axis=-1)
+    if kernel.tail is not None:
+        out = out + kernel.tail.value(complex(z) if z.ndim == 0 else z)
     return complex(out) if z.ndim == 0 else out
 
 
 def laplace_deriv(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
-    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2."""
+    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2, far-pole series included."""
     z = np.asarray(zeta, dtype=complex)
     shifted = z[..., None] + kernel._g
     _guard_poles(kernel, shifted)
     terms = -kernel._c / shifted**2
     if z.ndim == 0 and kernel.size <= 20000:
-        return complex(
-            math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel())
-        )
-    out = np.sum(terms, axis=-1)
+        out = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
+    else:
+        out = np.sum(terms, axis=-1)
+    if kernel.tail is not None:
+        out = out + kernel.tail.deriv(complex(z) if z.ndim == 0 else z)
     return complex(out) if z.ndim == 0 else out
 
 
@@ -192,12 +254,16 @@ class PowerLawFamily:
         return (self.alpha + self.beta - 1.0) / self.beta
 
 
-def materialize(family: PowerLawFamily) -> ExponentialKernel:
-    """Build the explicit truncated ladder for a power-law family."""
+def materialize(family: PowerLawFamily, tail: TailSeries | None = None) -> ExponentialKernel:
+    """Build the explicit truncated ladder for a power-law family.
+
+    ``tail`` is attached as the kernel's far-pole series (see
+    :func:`materialize_within`).
+    """
     k = np.arange(1, family.count + 1, dtype=float)
     coeffs = family.amplitude / k**family.alpha
     rates = family.scale * k**family.beta
-    return ExponentialKernel(coeffs, rates)  # post-init normalises to tuples
+    return ExponentialKernel(coeffs, rates, tail)  # post-init normalises to tuples
 
 
 def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
@@ -213,50 +279,121 @@ def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
     return family.amplitude / (family.scale**moment * p * count**p)
 
 
-#: geometric-expansion length cap in laplace_tail; at the enforced ratio
-#: |zeta|/g_{count+1} <= 1/2 the 60th term is below 1e-18 relative
+#: terms of every tail series: with |z| at most half the first dropped rate,
+#: term j is below 2**-j of the first, so the 60th is below 1e-18 relative
 _TAIL_TERMS = 60
+
+#: Euler-Maclaurin corrections closing each Hurwitz zeta sum
+_EM_TERMS = 12
+
+
+def _hurwitz_zetas(alpha, beta, n: int, terms: int) -> list:
+    """zeta_H(alpha + (j+1)*beta, n) for j < terms, at mpmath's working precision.
+
+    Sums k = n .. N-1 directly and closes with _EM_TERMS Euler-Maclaurin
+    corrections at N >= 2*(s + 2*_EM_TERMS), where each correction is
+    below (1/(4 pi))**2 of the one before.  (mpmath's own Hurwitz zeta
+    is not used: at 30 digits it keeps only about nine correct digits of
+    zeta_H(14.3, 209), and about twelve even at 60 digits for s = 60.8.)
+    """
+    from mpmath import mp
+
+    s = [alpha + (j + 1) * beta for j in range(terms)]
+    big = max(n, math.ceil(2.0 * (float(s[-1]) + 2 * _EM_TERMS)))
+    sums = [mp.zero] * terms
+    for k in range(n, big):  # the powers k**-s_j share one running product
+        term, step = mp.mpf(k) ** -alpha, mp.mpf(k) ** -beta
+        for j in range(terms):
+            term *= step
+            sums[j] += term
+    top = mp.mpf(big)
+    weights = [mp.bernoulli(2 * i) / mp.factorial(2 * i) for i in range(1, _EM_TERMS + 1)]
+    out = []
+    for sj, head in zip(s, sums):
+        power = top**-sj
+        total = head + power * top / (sj - 1) + power / 2
+        rising, factor = sj, power / top  # (s)_(2i-1) and big**(1-s-2i)
+        for i, weight in enumerate(weights, start=1):
+            total += weight * rising * factor
+            rising *= (sj + 2 * i - 1) * (sj + 2 * i)
+            factor /= top * top
+        out.append(total)
+    return out
+
+
+@lru_cache(maxsize=16)
+def tail_coefficients(
+    family: PowerLawFamily, count: int, radius: float, dps: int = 30
+) -> tuple[float, ...]:
+    """Series coefficients of the family's poles past ``count``.
+
+    sum over k > count of c_k/(z + g_k) = sum_j t_j * (-z/radius)**j, where
+
+        t_j = amplitude * radius**j * scale**-(j+1) * zeta_H(alpha + (j+1)*beta, count + 1)
+
+    with the Hurwitz zeta zeta_H(s, n) = sum_{k>=n} k**-s.  The series
+    converges for |z| < g_{count+1}.  The coefficients are computed once,
+    at ``dps`` digits in mpmath, and rounded to doubles; any later
+    evaluation is a double-precision Horner sum.
+    """
+    from mpmath import mp  # imported here: slow to import, needed only here
+
+    with mp.workdps(dps):
+        zetas = _hurwitz_zetas(mp.mpf(family.alpha), mp.mpf(family.beta), count + 1, _TAIL_TERMS)
+        front = mp.mpf(family.amplitude) / mp.mpf(family.scale)
+        ratio = mp.mpf(radius) / mp.mpf(family.scale)
+        return tuple(float(front * ratio**j * z) for j, z in enumerate(zetas))
 
 
 def laplace_tail(family: PowerLawFamily, zeta: complex, dps: int = 30) -> complex:
     """Transform mass the truncation at ``family.count`` discarded.
 
-    Evaluates sum over k > count of c_k/(zeta + g_k) exactly, so that
+    Evaluates sum over k > count of c_k/(zeta + g_k), so that
     ``laplace(materialize(family), z) + laplace_tail(family, z)`` is the
     transform of the *infinite* ladder.  Expanding each term geometrically
-    in zeta/g_k turns the sum into
-
-        amplitude * sum_j (-zeta)**j * scale**-(j+1) * zeta_H(alpha+(j+1)*beta)
-
-    with Hurwitz zeta values zeta_H(s) = sum_{k>count} k**-s; the series
-    converges for |zeta| < g_{count+1} and we require a factor-two margin so
-    thirty-odd terms reach full double precision.  This is how a finite
-    machine answers questions about the infinite kernel: materialize rates
-    past the window of interest and close the remainder analytically.
+    in zeta/g_k turns the sum into the power series of
+    :func:`tail_coefficients`; it converges for |zeta| < g_{count+1} and we
+    require a factor-two margin so sixty terms reach full double
+    precision.  This is how a finite machine answers questions about the
+    infinite kernel: materialize rates past the window of interest and
+    close the remainder analytically.
     """
-    from mpmath import mp  # imported here: its only user, and slow to import
-
     zeta = complex(zeta)
-    n = family.count
-    first_dropped = family.scale * (n + 1) ** family.beta
+    first_dropped = family.scale * (family.count + 1) ** family.beta
     if abs(zeta) >= 0.5 * first_dropped:
         raise ValueError(
             f"|zeta| = {abs(zeta):.3e} is not below half the first dropped "
             f"rate {first_dropped:.3e}; increase the family count"
         )
-    with mp.workdps(dps):
-        z = mp.mpc(zeta)
-        total = mp.mpc(0)
-        power = mp.mpc(1)
-        floor = mp.mpf(10) ** (5 - dps)
-        for j in range(_TAIL_TERMS):
-            s = family.alpha + family.beta * (j + 1)
-            term = power / mp.mpf(family.scale) ** (j + 1) * mp.zeta(s, n + 1)
-            total += term
-            if abs(term) < floor * (1.0 + abs(total)):
-                break
-            power *= -z
-        return complex(total * mp.mpf(family.amplitude))
+    radius = 0.5 * first_dropped
+    series = TailSeries(tail_coefficients(family, family.count, radius, dps), radius)
+    return complex(series.value(zeta))
+
+
+def materialize_within(family: PowerLawFamily, radius: float) -> ExponentialKernel:
+    """A kernel with the family's transform on |z| <= radius.
+
+    The explicit ladder stops at the smallest m with g_{m+1} >= 2*radius,
+    and the poles m < k <= count ride along as a :class:`TailSeries`:
+    t(m) - t(count) in the terms of :func:`tail_coefficients`.  Summing m
+    terms instead of ``count`` is what makes pair-only work on long
+    ladders cheap.  When m reaches ``count`` the whole ladder is
+    materialized, exactly as :func:`materialize` does.
+    """
+    need = 2.0 * radius
+    if math.log(need / family.scale) / family.beta > math.log(family.count):
+        return materialize(family)
+    m = max(1, math.ceil((need / family.scale) ** (1.0 / family.beta)) - 1)
+    while family.scale * (m + 1) ** family.beta < need:
+        m += 1
+    while m > 1 and family.scale * m**family.beta >= need:
+        m -= 1
+    if m >= family.count:
+        return materialize(family)
+    near = tail_coefficients(family, m, radius)
+    far = tail_coefficients(family, family.count, radius)
+    series = TailSeries(tuple(u - v for u, v in zip(near, far)), radius)
+    return materialize(replace(family, count=m), series)
 
 
 def _check_arg(zeta: complex) -> None:

@@ -122,6 +122,7 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     integer rates R_k = S*g_k, the products are formed in y = S*z, and
     each coefficient becomes one Fraction at the end.
     """
+    p.kernel.require_every_pole("the cleared polynomial")
     n = p.kernel.size
     if n > POLY_MAX:
         raise ValueError(f"ladder size {n} exceeds polynomial cap {POLY_MAX}")

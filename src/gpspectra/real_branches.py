@@ -108,6 +108,7 @@ def _solve_block(c, g, w: float, s: float, k: np.ndarray) -> np.ndarray:
 def _solve(p: ModePencil, first: int, last: int, inertia: bool) -> list[BranchRoot]:
     """Branches first..last of the symbol (``inertia``) or the stiffness factor."""
     kern = p.kernel
+    kern.require_every_pole("the real branches")
     c, g = kern._c, kern._g
     w, a2 = p.memory_weight, p.frequency**2
     scale, s = (a2, 1.0 / a2) if inertia else (1.0, 0.0)

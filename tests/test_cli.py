@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gpspectra import ModePencil, PowerLawFamily, materialize, solve_pair
 from conftest import MU_1, PAIR
 
 
@@ -169,6 +170,63 @@ def test_sweep_footer_carries_decay_slopes(run_cli, cubic_config):
     rows = _data_rows(out)[1:]
     assert len(rows) == 4
     assert all(r.endswith(",tends_to_axis") for r in rows)
+
+
+SQRT_FAMILY = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 1.0}
+
+#: sweep output of the 64-term square-root family, whose head ladder is the
+#: whole family, as produced before family sweeps split off a tail series
+FAMILY_64_SWEEP = """\
+# gpspectra 0.1.0
+# config {"job": "sweep", "kernel": {"family": {"alpha": 0.5, "amplitude": 1.0, "beta": 1.0, "count": 64, "scale": 1.0}}, "modes": {"a_min": 10.0, "count": 4, "factor": 10.0}, "tolerances": {"quadrature": 1e-10, "residual": 1e-10}, "xi": 0.5}
+a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime
+10,-0.28583849709424169,9.7746159587064252,-0.3512407365520363,9.648759263447964,0.065402239457794609,0.12585669525846122,tends_to_axis
+100,-0.067569775896797912,99.985252159175957,-0.11107207345395916,99.888927926546046,0.043502297557161243,0.096324232629910966,tends_to_axis
+1000,-0.0072943703844333511,999.99982782133907,-0.035124073655203626,999.9648759263448,0.027829703270770275,0.034951894994264876,tends_to_axis
+10000,-0.00073009652418227176,9999.9999982744575,-0.011107207345395916,9999.988892792655,0.010377110821213644,0.011105481802587747,tends_to_axis
+# fit err_re slope -0.25925521127698736 half_width 0.085228743404577659 below_floor 0
+# fit err_im slope -0.36032815880767144 half_width 0.1264773776143614 below_floor 0
+"""
+
+
+def _family_sweep_config(count: int, xi: float = 0.5) -> dict:
+    return {
+        "kernel": {"family": dict(SQRT_FAMILY, count=count)},
+        "xi": xi,
+        "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
+    }
+
+
+def test_family_sweep_matches_the_full_ladder(run_cli):
+    # the head stops at g_m < 4 * 12500 <= g_(m+1); the other 50001 poles are the series
+    code, out, _ = run_cli("sweep", _family_sweep_config(10**5))
+    assert code == 0
+    full = materialize(PowerLawFamily(**SQRT_FAMILY, count=10**5))
+    rows = _data_rows(out)[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [100.0, 500.0, 2500.0, 12500.0]
+    for row in rows:
+        a, re, im = (float(x) for x in row.split(",")[:3])
+        reference = solve_pair(ModePencil(a, 0.5, full)).plus
+        assert abs(complex(re, im) - reference) <= 1e-12 * abs(reference)
+        assert abs(re - reference.real) <= 1e-12 * abs(reference.real)
+
+
+def test_family_sweep_output_does_not_depend_on_jobs(run_cli):
+    config = _family_sweep_config(10**5, xi=0.8)
+    code, serial, _ = run_cli("sweep", config)
+    assert code == 0
+    assert run_cli("sweep", config, "--jobs", "2")[1] == serial
+
+
+def test_family_sweep_with_the_whole_ladder_as_head_is_unchanged(run_cli):
+    config = {
+        "kernel": {"family": dict(SQRT_FAMILY, count=64)},
+        "xi": 0.5,
+        "modes": {"a_min": 10.0, "factor": 10.0, "count": 4},
+    }
+    code, out, _ = run_cli("sweep", config)
+    assert code == 0
+    assert out == FAMILY_64_SWEEP
 
 
 def test_sweep_requires_a_real_ladder(run_cli, cubic_config):

@@ -60,6 +60,28 @@ def test_newton_is_a_noop_at_the_root(cubic):
     assert abs(refined - PAIR) < 1e-13
 
 
+def test_newton_evaluates_the_symbol_once_per_step(cubic, monkeypatch):
+    import gpspectra.complex_pair as cp
+
+    calls = {"symbol": 0, "symbol_deriv": 0}
+
+    def counted(name):
+        original = getattr(cp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cp, name, counted(name))
+    refined = newton_refine(cubic, PAIR + 1e-3 * (1.0 + 1.0j))
+    assert abs(refined - PAIR) < 1e-12
+    assert calls["symbol_deriv"] >= 3
+    assert calls["symbol"] == calls["symbol_deriv"] + 1
+
+
 def test_newton_rejects_pole_shadow(cubic):
     # a seed on the wrong side of the kernel pole never reaches a root
     with pytest.raises(DivergenceError):

@@ -8,18 +8,30 @@ from mpmath import mp
 
 from gpspectra import (
     ExponentialKernel,
+    ModePencil,
+    NumericalError,
     PoleProximityError,
     PowerLawFamily,
+    RectContour,
     admissibility_report,
     angular_integral,
     asymptotic_constant,
+    branch_convergence,
+    branch_roots,
+    build_mode_system,
     continuum_laplace,
+    count_zeros,
     laplace,
     laplace_asymptotic,
     laplace_deriv,
     laplace_tail,
     materialize,
+    materialize_within,
+    solve_mode,
+    spectrum_contour,
+    stiffness_roots,
     tail_bound,
+    to_polynomial,
 )
 
 
@@ -227,6 +239,95 @@ def test_laplace_tail_radius_guard():
     fam = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100)
     with pytest.raises(ValueError):
         laplace_tail(fam, 60.0)  # first dropped rate is 101
+
+
+@pytest.mark.parametrize(
+    "family, radius",
+    [
+        (PowerLawFamily(1.0, 1.0, 0.5, 1.0, 20000), 1000.0),
+        (PowerLawFamily(0.7, 2.0, 0.8, 1.5, 30000), 3000.0),
+    ],
+    ids=["sqrt", "beta_1.5"],
+)
+def test_far_pole_series_matches_the_summed_terms(family, radius):
+    kern = materialize_within(family, radius)
+    full = materialize(family)
+    m = kern.size
+    assert m < family.count
+    assert full.rates[m] >= 2.0 * radius > full.rates[m - 1]
+    c, g = full._c[m:], full._g[m:]
+    for phi in np.linspace(-math.pi, math.pi, 13):
+        z = radius * complex(math.cos(phi), math.sin(phi))
+        terms = c / (z + g)
+        direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(kern.tail.value(z) - direct) <= 1e-14 * abs(direct)
+        slopes = -c / (z + g) ** 2
+        direct = complex(math.fsum(slopes.real), math.fsum(slopes.imag))
+        assert abs(kern.tail.deriv(z) - direct) <= 1e-14 * abs(direct)
+
+
+def test_head_and_series_reproduce_the_whole_ladder():
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100000)
+    kern, full = materialize_within(family, 2000.0), materialize(family)
+    points = np.array([2000j, 1500.0 + 500j, -1999.0 + 1.0j, 30.0 - 40.0j])
+    assert np.all(np.abs(laplace(kern, points) / laplace(full, points) - 1) < 1e-14)
+    for z in points:
+        assert abs(laplace(kern, z) / laplace(full, z) - 1) < 1e-14
+        assert abs(laplace_deriv(kern, z) / laplace_deriv(full, z) - 1) < 1e-13
+
+
+def test_head_reaching_count_materializes_the_whole_ladder():
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 64)
+    kern = materialize_within(family, 20000.0)
+    assert kern.tail is None
+    assert kern == materialize(family)
+
+
+def test_laplace_outside_the_series_radius_raises():
+    kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), 100.0)
+    edge = 100.0 * complex(math.cos(2.0), math.sin(2.0))
+    laplace(kern, edge)  # on the radius itself the series still holds
+    for z in (100.000001j, 1.001 * edge, np.array([1j, 150.0])):
+        with pytest.raises(NumericalError):
+            laplace(kern, z)
+        with pytest.raises(NumericalError):
+            laplace_deriv(kern, z)
+
+
+def test_kernel_arrays_are_the_validated_ones():
+    kern = ExponentialKernel([0.5, 0.25], [1.0, 3.0])
+    assert kern.coeffs == (0.5, 0.25) and kern.rates == (1.0, 3.0)
+    assert kern._c.tolist() == [0.5, 0.25] and kern._g.tolist() == [1.0, 3.0]
+    assert not kern._c.flags.writeable
+    assert kern == ExponentialKernel((0.5, 0.25), (1.0, 3.0), None)
+    assert hash(kern) == hash(ExponentialKernel((0.5, 0.25), (1.0, 3.0)))
+
+
+def _series_pencil() -> ModePencil:
+    kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 2000), 100.0)
+    return ModePencil(frequency=50.0, xi=0.5, kernel=kern)
+
+
+#: every entry point that needs each pole of the kernel
+NEEDS_EVERY_POLE = {
+    "branch_roots": lambda p: branch_roots(p, 3),
+    "stiffness_roots": lambda p: stiffness_roots(p, 3),
+    "branch_convergence": lambda p: branch_convergence([p, ModePencil(60.0, p.xi, p.kernel)], 2),
+    "spectrum_contour": lambda p: spectrum_contour(p, 3),
+    "count_zeros": lambda p: count_zeros(p, RectContour(-10.0, 10.0, -60.0, 60.0)),
+    "solve_mode": solve_mode,
+    "to_polynomial": to_polynomial,
+    "build_mode_system": build_mode_system,
+    "admissibility_report": lambda p: admissibility_report(p.kernel),
+    "l1_norm": lambda p: p.kernel.l1_norm,
+    "initial_value": lambda p: p.kernel.initial_value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_EVERY_POLE))
+def test_whatever_needs_every_pole_refuses_a_series_kernel(name):
+    with pytest.raises(ValueError, match="needs every pole"):
+        NEEDS_EVERY_POLE[name](_series_pencil())
 
 
 def test_bounded_gap_between_ladder_and_continuum():
