@@ -82,6 +82,7 @@ from .kernels import (
     laplace_asymptotic,
     laplace_deriv,
     laplace_tail,
+    laplace_with_deriv,
     materialize,
     materialize_within,
     tail_bound,
@@ -96,7 +97,15 @@ from .oracle import (
     match_roots,
     simulate_decay,
 )
-from .pencil import ModePencil, inertia, stiffness, symbol, symbol_deriv, to_polynomial
+from .pencil import (
+    ModePencil,
+    inertia,
+    stiffness,
+    symbol,
+    symbol_deriv,
+    symbol_with_deriv,
+    to_polynomial,
+)
 from .real_branches import (
     BranchRoot,
     ConvergenceRecord,
@@ -155,6 +164,7 @@ __all__ = [
     "laplace_asymptotic",
     "laplace_deriv",
     "laplace_tail",
+    "laplace_with_deriv",
     "match_roots",
     "materialize",
     "materialize_within",
@@ -169,6 +179,7 @@ __all__ = [
     "stiffness_roots",
     "symbol",
     "symbol_deriv",
+    "symbol_with_deriv",
     "tail_bound",
     "tail_coefficients",
     "to_polynomial",

@@ -26,6 +26,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -612,7 +613,9 @@ _JOB_HELP = {
 }
 
 
-def _parse_args(argv):
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gpspectra",
         description="Spectra of second-order modes with exponential-sum memory damping.",
@@ -623,11 +626,11 @@ def _parse_args(argv):
         job.add_argument("--config", required=True, help="path to the JSON job config")
         job.add_argument("--out", help="output path (overrides the config's output key)")
         job.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         try:
             text = Path(args.config).read_text(encoding="utf-8")

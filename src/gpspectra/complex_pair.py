@@ -26,8 +26,8 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import laplace, laplace_deriv
-from .pencil import ModePencil, symbol, symbol_deriv
+from .kernels import laplace_with_deriv
+from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
 MAX_QUADRATURE_DEFECT = 0.25
@@ -126,10 +126,9 @@ def fixed_point_pair(
     tau = 0.0 + 0.0j
     for it in range(1, max_iter + 1):
         z = 1j * a + tau * a
-        khat = laplace(p.kernel, z)
+        khat, dkhat = laplace_with_deriv(p.kernel, z)
         denom = weight * (tau + 2j)
         tau_next = khat / denom
-        dkhat = laplace_deriv(p.kernel, z)
         deriv = (dkhat * a * (tau + 2j) - khat) / (weight * (tau + 2j) ** 2)
         if abs(deriv) >= 1.0:
             raise NonContractionError(
@@ -155,25 +154,25 @@ def newton_refine(
 ) -> complex:
     """Polish a root seed by Newton's method on the mode symbol.
 
-    Keeps the best iterate seen; stops on a machine-size step, or once the
-    residual grows after the best iterate has met the target.  Two
-    consecutive increases before that are treated as divergence (the seed
-    was outside the basin), and the returned root must satisfy
-    |L(root)| <= residual_tol * a**2.
+    Each iterate costs one pass over the ladder, which gives L and L'
+    together (:func:`symbol_with_deriv`).  Keeps the best iterate seen;
+    stops on a machine-size step, or once the residual grows after the
+    best iterate has met the target.  Two consecutive increases before
+    that are treated as divergence (the seed was outside the basin), and
+    the returned root must satisfy |L(root)| <= residual_tol * a**2.
     """
     scale = residual_tol * p.frequency**2
     z = complex(seed)
-    value = symbol(p, z)
+    value, d = symbol_with_deriv(p, z)
     res = abs(value)
     best, best_res = z, res
     increases = 0
     for _ in range(max_steps):
-        d = symbol_deriv(p, z)
         if d == 0:
             break
         step = value / d
         z = z - step
-        value = symbol(p, z)
+        value, d = symbol_with_deriv(p, z)
         res_new = abs(value)
         if res_new < best_res:
             best, best_res = z, res_new

@@ -15,6 +15,7 @@ the effective regularity exponent in (0, 1].
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -28,6 +29,16 @@ POLE_GUARD_FACTOR = 1e-13
 
 #: transforms are only evaluated this far (radians) from the branch ray
 ARG_MARGIN = 0.1
+
+#: largest ladder whose transform at one point is summed exactly rounded
+FSUM_MAX = 20000
+
+#: ladder terms per block of the scalar pass over longer ladders: each
+#: temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so blocks
+#: reuse heap memory and stay in cache; and OpenBLAS runs a dot product
+#: on one thread up to 10000 terms, so the sums do not depend on its
+#: thread count
+SUM_BLOCK = 8192
 
 
 def _horner(coeffs, x):
@@ -52,12 +63,21 @@ class TailSeries:
     radius: float
 
     def _argument(self, zeta):
-        if np.any(np.abs(zeta) > self.radius):
+        if isinstance(zeta, np.ndarray):
+            outside = np.any(np.abs(zeta) > self.radius)
+        else:
+            outside = abs(zeta) > self.radius
+        if outside:
             raise NumericalError(
                 f"|z| up to {np.max(np.abs(zeta)):.6e} lies outside the far-pole "
                 f"series radius {self.radius:.6e}"
             )
         return -zeta / self.radius
+
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        """j * coeffs[j] for j >= 1: the series of the derivative in -z/radius."""
+        return tuple(j * u for j, u in enumerate(self.coeffs))[1:]
 
     def value(self, zeta):
         """The far poles' share of Khat(zeta)."""
@@ -65,8 +85,7 @@ class TailSeries:
 
     def deriv(self, zeta):
         """The far poles' share of Khat'(zeta)."""
-        slopes = [j * u for j, u in enumerate(self.coeffs)][1:]
-        return _horner(slopes, self._argument(zeta)) / -self.radius
+        return _horner(self._slopes, self._argument(zeta)) / -self.radius
 
 
 @dataclass(frozen=True)
@@ -172,9 +191,9 @@ def admissibility_report(kernel: ExponentialKernel) -> AdmissibilityReport:
     )
 
 
-def _guard_poles(kernel: ExponentialKernel, shifted: np.ndarray) -> None:
+def _guard_poles(kernel: ExponentialKernel, closest: float) -> None:
+    """Refuse an evaluation whose nearest pole is ``closest`` away."""
     guard = POLE_GUARD_FACTOR * kernel.rates[-1]
-    closest = np.min(np.abs(shifted))
     if closest < guard:
         raise PoleProximityError(
             f"evaluation point within {closest:.3e} of a kernel pole "
@@ -182,42 +201,126 @@ def _guard_poles(kernel: ExponentialKernel, shifted: np.ndarray) -> None:
         )
 
 
+def _pole_distance(kernel: ExponentialKernel, z: complex) -> float:
+    """min_k |z + g_k| for one point.
+
+    |z + g| grows with |Re z + g|, so the nearest pole is one of the two
+    rates either side of -Re z.
+    """
+    g = kernel.rates
+    i = bisect_left(g, -z.real)
+    return min(abs(z + g[j]) for j in (i - 1, i) if 0 <= j < len(g))
+
+
+def _fsum(terms: np.ndarray) -> complex:
+    # fsum reads Python floats several times faster than numpy scalars
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, complex]:
+    """Khat and Khat' of the explicit ladder at one point, in real arithmetic.
+
+    With x = g + Re z, y = Im z, q = 1/(x**2 + y**2), p = x*q and v = y*q,
+    each term is c/(z + g) = c*(p - i*v) and -c/(z + g)**2 =
+    -c*(p - v)*(p + v) + 2i*c*p*v.  Every factor stays near 1/|z + g|, so
+    nothing underflows before x**2 + y**2 overflows, and p**2 - v**2 is
+    formed per term, not as a difference of two sums.  Where x**2 + y**2
+    could overflow, z and the rates are first scaled by a power of two,
+    which is exact.  The ladder is summed SUM_BLOCK terms at a time, and
+    the block sums are added in order.
+    """
+    g, scale = kernel._g, 1.0
+    top = max(abs(z.real), abs(z.imag), kernel.rates[-1])
+    if top >= 2.0**511:
+        scale = 2.0 ** -math.frexp(top)[1]
+        g, z = g * scale, z * scale
+    x0, y = z.real, z.imag
+    y2 = y * y
+    s_p = s_v = s_re = s_pv = 0.0
+    for lo in range(0, kernel.size, SUM_BLOCK):
+        c = kernel._c[lo : lo + SUM_BLOCK]
+        x = g[lo : lo + SUM_BLOCK] + x0
+        q = x * x
+        q += y2
+        np.reciprocal(q, out=q)
+        p = x * q
+        v = q * y
+        cp = c * p
+        cv = c * v
+        s_p += cp.sum()
+        s_v += cv.sum()
+        s_re += np.dot(cp - cv, p + v)
+        s_pv += np.dot(cp, v)
+    return (
+        complex(s_p * scale, -s_v * scale),
+        complex(-s_re * scale * scale, 2.0 * s_pv * scale * scale),
+    )
+
+
+def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
+    """(Khat(zeta), Khat'(zeta)) at one point, from one pass over the ladder.
+
+    Ladders of at most FSUM_MAX terms form the same terms as
+    :func:`laplace` and :func:`laplace_deriv` and sum them exactly
+    rounded.  Longer ladders are summed in real arithmetic, SUM_BLOCK
+    terms at a time, without complex temporaries (:func:`_blocked_sums`),
+    and the scalar :func:`laplace` and :func:`laplace_deriv` return the
+    two halves of that pass; so at any one point both values equal theirs
+    bit for bit.  The far-pole series adds its share to both, and the
+    pole guard is that of :func:`laplace`.
+    """
+    z = complex(zeta)
+    _guard_poles(kernel, _pole_distance(kernel, z))
+    if kernel.size <= FSUM_MAX:
+        shifted = z + kernel._g
+        out = _fsum(kernel._c / shifted)
+        dout = _fsum(-kernel._c / shifted**2)
+    else:
+        out, dout = _blocked_sums(kernel, z)
+    if kernel.tail is not None:
+        out = out + kernel.tail.value(z)
+        dout = dout + kernel.tail.deriv(z)
+    return out, dout
+
+
+def _transform(kernel: ExponentialKernel, zeta, deriv: bool) -> complex | np.ndarray:
+    z = np.asarray(zeta, dtype=complex)
+    if z.ndim == 0 and kernel.size > FSUM_MAX:
+        return laplace_with_deriv(kernel, complex(z))[deriv]
+    shifted = z[..., None] + kernel._g
+    if z.ndim == 0:
+        _guard_poles(kernel, _pole_distance(kernel, complex(z)))
+    else:
+        _guard_poles(kernel, np.min(np.abs(shifted)))
+    terms = -kernel._c / shifted**2 if deriv else kernel._c / shifted
+    out = _fsum(terms) if z.ndim == 0 else np.sum(terms, axis=-1)
+    if kernel.tail is not None:
+        at = complex(z) if z.ndim == 0 else z
+        out = out + (kernel.tail.deriv(at) if deriv else kernel.tail.value(at))
+    return complex(out) if z.ndim == 0 else out
+
+
 def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """Khat(zeta) = sum_k c_k / (zeta + g_k).
 
-    Accepts a scalar or an ndarray of points.  Scalar evaluations on small
-    ladders use exactly-rounded compensated summation; large ladders and
-    array arguments fall back to pairwise summation, which is more than
-    accurate enough for ladders of a few million terms.  A kernel's
-    far-pole series adds its share; beyond its radius it raises
-    :class:`NumericalError` rather than extrapolate.
+    Accepts a scalar or an ndarray of points.  A scalar on a ladder of at
+    most FSUM_MAX terms is summed exactly rounded (``math.fsum``); a scalar
+    on a longer ladder takes the blocked real-arithmetic pass of
+    :func:`laplace_with_deriv`; an array of points is summed pairwise
+    along the ladder.  Either way the error stays near machine precision
+    for ladders of a few million terms.  A kernel's far-pole series adds
+    its share; beyond its radius it raises :class:`NumericalError` rather
+    than extrapolate.
     """
-    z = np.asarray(zeta, dtype=complex)
-    shifted = z[..., None] + kernel._g
-    _guard_poles(kernel, shifted)
-    terms = kernel._c / shifted
-    if z.ndim == 0 and kernel.size <= 20000:
-        out = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
-    else:
-        out = np.sum(terms, axis=-1)
-    if kernel.tail is not None:
-        out = out + kernel.tail.value(complex(z) if z.ndim == 0 else z)
-    return complex(out) if z.ndim == 0 else out
+    return _transform(kernel, zeta, deriv=False)
 
 
 def laplace_deriv(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
-    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2, far-pole series included."""
-    z = np.asarray(zeta, dtype=complex)
-    shifted = z[..., None] + kernel._g
-    _guard_poles(kernel, shifted)
-    terms = -kernel._c / shifted**2
-    if z.ndim == 0 and kernel.size <= 20000:
-        out = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
-    else:
-        out = np.sum(terms, axis=-1)
-    if kernel.tail is not None:
-        out = out + kernel.tail.deriv(complex(z) if z.ndim == 0 else z)
-    return complex(out) if z.ndim == 0 else out
+    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2, far-pole series included.
+
+    Summed as :func:`laplace` sums.
+    """
+    return _transform(kernel, zeta, deriv=True)
 
 
 @dataclass(frozen=True)

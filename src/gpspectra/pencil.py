@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import ExponentialKernel, laplace, laplace_deriv
+from .kernels import ExponentialKernel, laplace, laplace_deriv, laplace_with_deriv
 
 #: largest ladder for which the cleared polynomial is formed explicitly
 POLY_MAX = 64
@@ -60,6 +60,17 @@ def symbol_deriv(p: ModePencil, zeta) -> complex | np.ndarray:
     """L'(z) = 2z - a**2 * w * Khat'(z)."""
     a2 = p.frequency**2
     return 2.0 * zeta - a2 * p.memory_weight * laplace_deriv(p.kernel, zeta)
+
+
+def symbol_with_deriv(p: ModePencil, zeta: complex) -> tuple[complex, complex]:
+    """(L(z), L'(z)) at one point, from one pass over the ladder.
+
+    Equal bit for bit to (symbol(p, z), symbol_deriv(p, z)).
+    """
+    z = complex(zeta)
+    a2 = p.frequency**2
+    khat, dkhat = laplace_with_deriv(p.kernel, z)
+    return z * z + a2 * (1.0 - p.memory_weight * khat), 2.0 * z - a2 * p.memory_weight * dkhat
 
 
 def stiffness(p: ModePencil, zeta) -> complex | np.ndarray:

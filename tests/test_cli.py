@@ -1,10 +1,17 @@
 """CLI contract: schema errors, exit codes, deterministic CSV output."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gpspectra import ModePencil, PowerLawFamily, materialize, solve_pair
+import gpspectra
+from gpspectra import ModePencil, PowerLawFamily, materialize, materialize_within, solve_pair
+from gpspectra.kernels import FSUM_MAX
 from conftest import MU_1, PAIR
 
 
@@ -218,6 +225,42 @@ def test_family_sweep_output_does_not_depend_on_jobs(run_cli):
     assert run_cli("sweep", config, "--jobs", "2")[1] == serial
 
 
+#: prints the head's transform and slope at the pair points of a sweep to a=12500
+_HEAD_PROBE = """
+from gpspectra import PowerLawFamily, laplace_with_deriv, materialize_within
+kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), 25000.0)
+for z in (-3.0 + 12500j, -0.2 + 100j, 1e4 - 1e4j):
+    print(*(v.hex() for w in laplace_with_deriv(kern, z) for v in (w.real, w.imag)))
+"""
+
+
+def test_family_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the head is summed in blocks with BLAS dot products, which must not
+    # split across threads; the package loads OpenBLAS with one thread
+    # only when the variable is unset, so the second run really has two
+    assert materialize_within(PowerLawFamily(**SQRT_FAMILY, count=10**5), 25000.0).size > FSUM_MAX
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_family_sweep_config(10**5, xi=0.8)), encoding="utf-8")
+    src = Path(gpspectra.__file__).resolve().parents[1]
+    outputs = []
+    for threads in (None, "2"):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        runs = [
+            subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True, env=env, check=True
+            ).stdout
+            for argv in (
+                ["-m", "gpspectra", "sweep", "--config", str(config)],
+                ["-c", _HEAD_PROBE],
+            )
+        ]
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+
+
 def test_family_sweep_with_the_whole_ladder_as_head_is_unchanged(run_cli):
     config = {
         "kernel": {"family": dict(SQRT_FAMILY, count=64)},
@@ -279,3 +322,20 @@ def test_asymptote_finite_sum_orders(run_cli, cubic_config):
     assert fields[3] == "finite_sum_xi_lt_half"
     assert float(fields[7]) == 1.5  # real remainder exponent 2(1-xi)
     assert float(fields[8]) == 0.5  # imag remainder exponent 1-2xi
+
+
+# ------------------------------------------------------------------ parser
+
+
+def test_the_parser_is_built_once_and_parses_alike_every_time(capsys):
+    from gpspectra import cli
+
+    assert cli._parser() is cli._parser()
+    seen = []
+    for argv in (["spectrum"], ["spectrum"], ["--help"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        seen.append((exc.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1] and seen[2] == seen[3]
+    assert seen[0][0] == 2 and "--config" in seen[0][1].err
+    assert seen[2][0] == 0 and "oracle-check" in seen[2][1].out

@@ -61,25 +61,32 @@ def test_newton_is_a_noop_at_the_root(cubic):
 
 
 def test_newton_evaluates_the_symbol_once_per_step(cubic, monkeypatch):
+    # one fused pass gives L and L' at each iterate: once at the seed, then
+    # once per step, with no separate symbol or symbol_deriv pass
     import gpspectra.complex_pair as cp
+    import gpspectra.pencil as pencil
 
-    calls = {"symbol": 0, "symbol_deriv": 0}
+    fused = cp.symbol_with_deriv
+    points = []
 
-    def counted(name):
-        original = getattr(cp, name)
+    def counted(p, z):
+        points.append(z)
+        return fused(p, z)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+    def separate(*args):
+        raise AssertionError("the polish took a separate pass over the ladder")
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(cp, name, counted(name))
-    refined = newton_refine(cubic, PAIR + 1e-3 * (1.0 + 1.0j))
+    monkeypatch.setattr(cp, "symbol_with_deriv", counted)
+    monkeypatch.setattr(cp, "symbol", separate)
+    for name in ("symbol", "symbol_deriv", "laplace", "laplace_deriv"):
+        monkeypatch.setattr(pencil, name, separate)
+    seed = PAIR + 1e-3 * (1.0 + 1.0j)
+    refined = newton_refine(cubic, seed)
     assert abs(refined - PAIR) < 1e-12
-    assert calls["symbol_deriv"] >= 3
-    assert calls["symbol"] == calls["symbol_deriv"] + 1
+    assert points[0] == seed and len(points) >= 4
+    for here, there in zip(points, points[1:]):
+        value, slope = fused(cubic, here)
+        assert there == here - value / slope
 
 
 def test_newton_rejects_pole_shadow(cubic):

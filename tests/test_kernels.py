@@ -1,5 +1,6 @@
 """Kernel ladders, their transforms, and the power-law family plumbing."""
 
+import cmath
 import math
 
 import numpy as np
@@ -25,14 +26,19 @@ from gpspectra import (
     laplace_asymptotic,
     laplace_deriv,
     laplace_tail,
+    laplace_with_deriv,
     materialize,
     materialize_within,
     solve_mode,
     spectrum_contour,
     stiffness_roots,
+    symbol,
+    symbol_deriv,
+    symbol_with_deriv,
     tail_bound,
     to_polynomial,
 )
+from gpspectra.kernels import FSUM_MAX, POLE_GUARD_FACTOR
 
 
 # ---------------------------------------------------------------- ladders
@@ -111,6 +117,113 @@ def test_pole_guard_trips():
         laplace(kern, -1.0 + 1e-14)
     with pytest.raises(PoleProximityError):
         laplace_deriv(kern, -1.0 + 1e-14 + 0j)
+    with pytest.raises(PoleProximityError):
+        laplace_with_deriv(kern, -1.0 + 1e-14)
+
+    # the scalar guard finds the nearest pole by bisection; it must refuse
+    # exactly the points the O(n) pass over an array of points refuses, on
+    # the exactly summed and on the blocked path alike
+    for size in (7, FSUM_MAX + 1):
+        g = np.arange(1.0, size + 1.0)
+        kern = ExponentialKernel(1.0 / np.sqrt(g), g)
+        guard = POLE_GUARD_FACTOR * g[-1]
+        points = [0.0, -g[-1] - 2.0, -0.5 * (g[1] + g[2]) + 1e-3j]
+        for pole in (g[0], g[3], g[-1]):
+            for d in (0.0, 0.5, 0.99, 1.01, 2.0):
+                for phi in (0.0, 1.0, math.pi / 2, 2.5, math.pi):
+                    points.append(-pole + d * guard * complex(math.cos(phi), math.sin(phi)))
+        trips = 0
+        for z in points:
+            try:
+                laplace(kern, np.array([z]))
+            except PoleProximityError:
+                trips += 1
+                for f in (laplace, laplace_deriv, laplace_with_deriv):
+                    with pytest.raises(PoleProximityError):
+                        f(kern, z)
+            else:
+                laplace(kern, z), laplace_deriv(kern, z), laplace_with_deriv(kern, z)
+        assert 0 < trips < len(points)
+
+
+def _fsum_terms(terms):
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
+    rng = np.random.default_rng(2014)
+    kernels = [materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), 100.0)]
+    for size in (1, 2, 5, 40, 300, FSUM_MAX):
+        g = np.cumsum(rng.uniform(0.1, 3.0, size))
+        kernels.append(ExponentialKernel(rng.uniform(0.01, 2.0, size), g))
+    for kern in kernels:
+        assert kern.size <= FSUM_MAX
+        reach = min(kern.rates[-1], 90.0)
+        for _ in range(8):
+            z = cmath.rect(rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi))
+            fused = laplace_with_deriv(kern, z)
+            assert fused == (laplace(kern, z), laplace_deriv(kern, z))
+            mode = ModePencil(10.0, 0.5, kern)
+            assert symbol_with_deriv(mode, z) == (symbol(mode, z), symbol_deriv(mode, z))
+            shifted = z + kern._g
+            value = _fsum_terms(kern._c / shifted)
+            slope = _fsum_terms(-kern._c / shifted**2)
+            if kern.tail is not None:
+                # the series' slope coefficients, formed as they always were
+                r = kern.tail.radius
+                slopes = [j * u for j, u in enumerate(kern.tail.coeffs)][1:]
+                tail_slope = 0.0
+                for u in reversed(slopes):
+                    tail_slope = tail_slope * (-z / r) + u
+                assert kern.tail.deriv(z) == tail_slope / -r
+                value += kern.tail.value(z)
+                slope += kern.tail.deriv(z)
+            assert fused == (value, slope)
+
+
+@pytest.mark.parametrize("which", ["head_and_series", "plain", "plain_negative_rates_side"])
+def test_fused_transform_on_large_ladders_matches_exact_sums(which):
+    if which == "head_and_series":
+        kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), 25000.0)
+        points = [-3.0 + 12500j, 12000.0 + 3000j, -24000.0 + 50j, 30.0 - 40.0j]
+    else:
+        rng = np.random.default_rng(5)
+        g = np.cumsum(rng.uniform(0.5, 1.5, 30001))
+        kern = ExponentialKernel(rng.uniform(0.01, 1.0, g.size), g)
+        points = [-3.0 + 12500j, 1e5 - 2e4j, -1234.5 + 0.25j, 0.5]
+        if which == "plain_negative_rates_side":
+            points = [-kern.rates[-1] - 10.0 + 1j, -0.5 * kern.rates[-1] - 1e3j, -7.25 + 1e-3j]
+    assert kern.size > FSUM_MAX
+    for z in points:
+        shifted = z + kern._g
+        terms, slopes = kern._c / shifted, -kern._c / shifted**2
+        value, slope = _fsum_terms(terms), _fsum_terms(slopes)
+        # relative to the sum of the moduli: that is |value| or |slope|
+        # except where the terms cancel, as the slopes do 50 above the
+        # poles near -24000 (by a factor of about 900)
+        value_scale, slope_scale = np.sum(np.abs(terms)), np.sum(np.abs(slopes))
+        if kern.tail is not None:
+            value += kern.tail.value(z)
+            slope += kern.tail.deriv(z)
+            value_scale += abs(kern.tail.value(z))
+            slope_scale += abs(kern.tail.deriv(z))
+        fused_value, fused_slope = laplace_with_deriv(kern, z)
+        assert abs(fused_value - value) <= 1e-14 * value_scale
+        assert abs(fused_slope - slope) <= 1e-14 * slope_scale
+        # the scalar transforms are the blocked pass's halves
+        assert (laplace(kern, z), laplace_deriv(kern, z)) == (fused_value, fused_slope)
+
+
+def test_fused_transform_keeps_huge_arguments_in_range():
+    # x**2 + y**2 overflows past 1.3e154; the array path's complex division
+    # scales itself, and the blocked pass must agree with it
+    g = np.arange(1.0, FSUM_MAX + 2.0)
+    for kern in (ExponentialKernel(1.0 / g, g), ExponentialKernel(1.0 / g, 1e170 * g)):
+        for z in (1e76j, 1e160j, 1e200 + 1e200j, -1e300 + 1e290j):
+            value, slope = laplace_with_deriv(kern, z)
+            reference = complex(laplace(kern, np.array([z]))[0])
+            assert abs(value - reference) <= 1e-14 * abs(reference)
+            assert math.isfinite(abs(slope))
 
 
 def test_admissibility_report():
