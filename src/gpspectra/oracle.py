@@ -4,7 +4,8 @@ None of the machinery here reuses the bracketing/fixed-point solvers, so
 agreement is evidence rather than tautology:
 
 * :func:`aberth_roots` finds all roots of the cleared polynomial at once
-  (Aberth-Ehrlich simultaneous iteration from a perturbed circle);
+  (Aberth-Ehrlich simultaneous iteration started at the eigenvalues of
+  the polynomial's companion matrix);
 * :func:`build_mode_system` realises a mode as the first-order linear
   system whose eigenvalues are exactly the symbol roots, with the
   characteristic polynomial recovered by the Faddeev-LeVerrier recursion;
@@ -36,8 +37,6 @@ ABERTH_RESIDUAL = 1e-10
 #: Newton step; finer grids only make the integers longer (imaginary parts
 #: of ~1e-78 on real roots would otherwise cost hundreds of bits)
 QUANT_BITS = 60
-
-_GOLDEN = 0.6180339887498949
 
 
 def _working_value(x) -> np.clongdouble:
@@ -133,16 +132,36 @@ def _polish_roots(z: np.ndarray, exacts: list, steps: int = 4) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
+def _companion_start(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of the monic polynomial ``c``.
+
+    The matrix is formed in complex double from the ascending monic
+    coefficients (ones on the subdiagonal, -c_0..-c_{n-1} in the last
+    column) and handed to LAPACK's balanced QR, whose eigenvalues are
+    backward stable for the balanced matrix.  They start the Aberth sweeps
+    near every root, so the sweeps only polish; equal eigenvalues are
+    separated by the sweep loop's collision nudge.
+    """
+    n = c.size - 1
+    companion = np.zeros((n, n), dtype=complex)
+    companion[1:, :-1] = np.eye(n - 1)
+    companion[:, -1] = -c[:-1]
+    try:
+        return np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"companion eigenvalues failed: {exc}") from exc
+
+
 def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) -> np.ndarray:
     """All complex roots of a polynomial given by ascending coefficients.
 
-    Starts from a deterministically perturbed circle of radius
-    |c0/cn|**(1/n) (the geometric mean of the root moduli) and applies
-    Aberth-Ehrlich corrections until the steps flatline: either the
-    largest relative step is machine-size, or the steps have stopped
-    shrinking for several sweeps while every residual sits within a small
-    factor of the round-off floor of evaluating P there
-    (eps * sum (2k+1)|c_k||z|^k).  That plateau is the evaluation-noise
+    Starts from the double-precision eigenvalues of the companion matrix
+    of the monic polynomial (:func:`_companion_start`), which read only the
+    coefficients, and applies Aberth-Ehrlich corrections until the steps
+    flatline: either the largest relative step is machine-size, or the
+    steps have stopped shrinking for several sweeps while every residual
+    sits within a small factor of the round-off floor of evaluating P
+    there (eps * sum (2k+1)|c_k||z|^k).  That plateau is the evaluation-noise
     limit cycle, the accuracy ceiling of the data; stopping on small
     residuals alone would quit a sweep or two earlier, which for pinched
     roots (tiny |P'|) costs a decade of forward accuracy.  The whole
@@ -185,12 +204,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     if n == 0:
         return np.zeros(zeros_at_origin, dtype=complex)
 
-    radius = float(abs(c[0])) ** (1.0 / n)
-    radius = max(radius, 1e-12)
-    j = np.arange(n)
-    angles = 2.0 * np.pi * j / n + 0.4
-    wobble = 1.0 + 0.05 * ((j * _GOLDEN) % 1.0)
-    z = (radius * wobble * np.exp(1j * angles)).astype(np.clongdouble)
+    z = _companion_start(c).astype(np.clongdouble)
 
     eps = float(np.finfo(np.longdouble).eps)
     noise_weights = (2.0 * np.arange(c.size) + 1.0) * np.abs(c)

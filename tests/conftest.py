@@ -37,6 +37,22 @@ PINCHED_EIGHT = (
      20.73822299022735),
     523269.1795203003, 0.06570376490251909,
 )
+# Pool entry 712: nine of twelve rates packed into [16.3, 21.3], whose real
+# roots form a tight cluster.  Aberth sweeps carried in double precision
+# miss it while passing the backward-error gate (one such variant returned
+# -18.0659... twice and lost -17.6447...); the extended-precision carry
+# resolves it.
+CLUSTER_TWELVE = (
+    (0.397617587908976, 0.30558682560353945, 0.46608461725175915,
+     1.1010949959870975, 1.8745770318909083, 1.8703016116952762,
+     0.13806047910477554, 1.6976689834574605, 2.1053360112996335,
+     0.07747569556170336, 1.365448219661422, 0.07578910357741024),
+    (5.795868725051895, 7.020289660334409, 9.498502700816477,
+     16.315144582912747, 17.353823133478983, 17.51632262050904,
+     17.65215568020307, 17.9973262949408, 18.121917630580246,
+     19.714496024288568, 20.224083312406943, 21.303147208133197),
+    76074.6194480853, 0.9169323406585285,
+)
 
 
 @pytest.fixture()

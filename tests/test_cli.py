@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpspectra
@@ -291,6 +292,17 @@ def test_oracle_check_cubic(run_cli, cubic_config):
     assert (n, a, status) == ("1", "10", "pass")
     assert float(root_dev) < 1e-8
     assert float(coeff_dev) < 1e-8
+
+
+def test_oracle_check_reports_a_failed_eigensolve(run_cli, cubic_config, monkeypatch):
+    def failing_eigvals(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    code, out, err = run_cli("oracle-check", cubic_config)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: mode 1 (a_n=10): companion eigenvalues failed" in err
 
 
 # ----------------------------------------------------------------- asymptote

@@ -22,8 +22,9 @@ from gpspectra import (
     simulate_decay,
     to_polynomial,
 )
-from gpspectra.oracle import _min_cost_assignment
-from conftest import MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
+from gpspectra.errors import NumericalError
+from gpspectra.oracle import ABERTH_RESIDUAL, _min_cost_assignment
+from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
 
 
 # ------------------------------------------------------------ aberth roots
@@ -89,11 +90,16 @@ def _mp_newton(coeffs, seeds):
     return np.array(out)
 
 
-@pytest.mark.parametrize("ladder", [PINCHED_FIVE, PINCHED_EIGHT], ids=["five", "eight"])
+@pytest.mark.parametrize(
+    "ladder",
+    [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
+    ids=["five", "eight", "cluster-twelve"],
+)
 def test_pinched_roots_match_a_multiprecision_newton(ladder):
     coeffs, rates, a, xi = ladder
     poly = list(to_polynomial(ModePencil(a, xi, ExponentialKernel(coeffs, rates))))
     roots = aberth_roots(poly)
+    assert len(set(roots.tolist())) == len(rates) + 2
     reference = _mp_newton(poly, roots)
     pair = np.argsort(np.abs(roots.imag))[-2:]
     real = np.argsort(np.abs(roots.imag))[:-2]
@@ -128,6 +134,34 @@ def test_degree_guard():
         aberth_roots(np.ones((2, 2)))
     with pytest.raises(ValueError):
         aberth_roots([1.0, 2.0, 0.0])
+
+
+def _backward_errors(coeffs, roots):
+    c = np.asarray(coeffs, dtype=complex)
+    return np.abs(np.polyval(c[::-1], roots)) / np.polyval(np.abs(c[::-1]), np.abs(roots))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[2.0, 5.0, 4.0, 1.0], [1.0, 0.0, 2.0, 0.0, 1.0]],
+    ids=["(z+1)^2(z+2)", "(z^2+1)^2"],
+)
+def test_repeated_roots_pass_the_backward_error_gate(coeffs):
+    # the companion matrix has equal eigenvalues here; the sweeps must still
+    # return every root, each within the gate
+    roots = aberth_roots(coeffs)
+    assert roots.size == len(coeffs) - 1
+    assert np.all(_backward_errors(coeffs, roots) <= ABERTH_RESIDUAL)
+
+
+def _failing_eigvals(matrix):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_a_failed_companion_eigensolve_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", _failing_eigvals)
+    with pytest.raises(NumericalError, match="companion eigenvalues"):
+        aberth_roots([190.0, 100.0, 2.0, 1.0])
 
 
 def test_real_polynomials_close_under_conjugation():
