@@ -85,6 +85,7 @@ from .kernels import (
     laplace_with_deriv,
     materialize,
     materialize_within,
+    materialize_within_each,
     tail_bound,
     tail_coefficients,
 )
@@ -168,6 +169,7 @@ __all__ = [
     "match_roots",
     "materialize",
     "materialize_within",
+    "materialize_within_each",
     "newton_refine",
     "predict_finite_sum",
     "predict_power_law",

@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -35,13 +34,7 @@ from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
 from .complex_pair import solve_pair
 from .errors import ConfigError, GPSpectraError, NumericalError
-from .kernels import (
-    ExponentialKernel,
-    PowerLawFamily,
-    admissibility_report,
-    materialize,
-    materialize_within,
-)
+from .kernels import ExponentialKernel, PowerLawFamily, materialize, materialize_within_each
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
 from .pencil import POLY_MAX, ModePencil, symbol, to_polynomial
 from .solve import SpectrumResult, solve_mode
@@ -293,22 +286,20 @@ def _pencils(cfg: JobConfig, kernel: ExponentialKernel) -> list[ModePencil]:
     return [ModePencil(frequency=a, xi=cfg.xi, kernel=kernel) for a in cfg.modes]
 
 
-def _map_modes(solve, pencils: list[ModePencil], jobs: int) -> list:
-    """``solve(pencil)`` for every mode on ``jobs`` threads, in mode order.
+def _map_modes(solve, modes) -> list:
+    """``solve(pencil)`` for every ``(n, pencil)`` of ``modes``, in order.
 
-    A numerical failure is re-raised naming its mode; for several failures
-    the first mode in order is named.  Threads overlap only the work that
-    releases the interpreter lock, the numpy passes over large ladders.
+    A numerical failure is re-raised naming its mode ``n``.  The modes run
+    one after another on the calling thread: a mode's work is a chain of
+    short numpy calls, which threads did not overlap enough to gain from.
     """
-
-    def labelled(n: int, pencil: ModePencil):
+    out = []
+    for n, pencil in modes:
         try:
-            return solve(pencil)
+            out.append(solve(pencil))
         except NumericalError as exc:
             raise NumericalError(f"mode {n} (a_n={_fmt(pencil.frequency)}): {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(labelled, range(1, len(pencils) + 1), pencils))
+    return out
 
 
 def _oracle_deviations(pencil: ModePencil, residual_tol: float) -> tuple[float, float]:
@@ -331,12 +322,13 @@ def _oracle_deviations(pencil: ModePencil, residual_tol: float) -> tuple[float, 
 # job runners: each returns (output text, success flag)
 
 
-def run_spectrum(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
+def run_spectrum(cfg: JobConfig) -> tuple[str, bool]:
     """All roots of every mode: N bracketed real branches plus the pair."""
     kernel = _materialized(cfg)
     pencils = _pencils(cfg, kernel)
     results = _map_modes(
-        lambda p: solve_mode(p, residual_tol=cfg.residual_tol, certify=False), pencils, jobs
+        lambda p: solve_mode(p, residual_tol=cfg.residual_tol, certify=False),
+        enumerate(pencils, start=1),
     )
 
     lines = _header(cfg)
@@ -396,7 +388,7 @@ def _mode_checks(
     rows.append(("vieta_sum", "pass" if sum_dev <= ORACLE_TOL else "fail", sum_dev))
 
     # product identity compared in log space so huge ladders cannot overflow
-    ws = pencil.memory_weight * pencil.kernel.l1_norm
+    ws = pencil.load
     if ws < 1.0:
         lhs = math.fsum(math.log(abs(b.value)) for b in result.real_roots)
         lhs += 2.0 * math.log(abs(result.pair_plus))
@@ -431,7 +423,7 @@ def _mode_checks(
     return rows
 
 
-def run_verify(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
+def run_verify(cfg: JobConfig) -> tuple[str, bool]:
     """Structural checks with measured margins; success means zero failures.
 
     Modes are solved at the solver's own default residual target; the
@@ -442,21 +434,22 @@ def run_verify(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
     lines = _header(cfg)
     lines.append("check,scope,status,margin")
 
-    report = admissibility_report(kernel)
-    adm_margin = 1.0 - report.l1_norm
-    lines.append(
-        f"admissibility,kernel,{'pass' if report.admissible else 'fail'},{_fmt(adm_margin)}"
-    )
-    if not report.admissible:
-        print("gpspectra verify: admissibility failed, no modes solved", file=sys.stderr)
-        return "\n".join(lines) + "\n", False
-
-    pencils = _pencils(cfg, kernel)
-    results = _map_modes(solve_mode, pencils, jobs)
-
+    # the theorem's gate, per mode: an overloaded mode is reported, not solved
+    admitted = []
     failures = 0
-    total = 1
-    for n, (pencil, result) in enumerate(zip(pencils, results), start=1):
+    for n, pencil in enumerate(_pencils(cfg, kernel), start=1):
+        ok = pencil.load < 1.0
+        status = "pass" if ok else "fail"
+        lines.append(f"admissibility,mode_{n},{status},{_fmt(1.0 - pencil.load)}")
+        if ok:
+            admitted.append((n, pencil))
+        else:
+            failures += 1
+            print(f"gpspectra verify: mode {n} is overloaded, not solved", file=sys.stderr)
+    total = len(cfg.modes)
+
+    results = _map_modes(solve_mode, admitted)
+    for (n, pencil), result in zip(admitted, results):
         for check, status, margin in _mode_checks(pencil, result, cfg.residual_tol):
             lines.append(f"{check},mode_{n},{status},{_fmt(margin)}")
             total += 1
@@ -467,30 +460,33 @@ def run_verify(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", failures == 0
 
 
-def run_sweep(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
+def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     """Numeric pair against its asymptotic prediction along a ladder.
 
     Requires the geometric ladder form with at least four points; only the
     oscillatory pair is computed (no real-branch sweep), so large kernels
-    stay affordable: a family sums its ladder only up to the first rate
-    past twice the pair's reach, about 2*max(a_n), and the poles beyond
-    as a series (see ``materialize_within``). Footer rows carry the
-    fitted log-log error slopes.
+    stay affordable: on a family, mode n sums the ladder only up to the
+    first rate past twice its pair's reach, about 2*a_n, and the poles
+    beyond as a series valid out to 2*a_n (see
+    ``materialize_within_each``). Footer rows carry the fitted log-log
+    error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     if cfg.family is not None:
-        kernel = materialize_within(cfg.family, 2.0 * max(cfg.modes))
+        kernels = materialize_within_each(cfg.family, [2.0 * a for a in cfg.modes])
     else:
-        kernel = cfg.kernel
-    pencils = _pencils(cfg, kernel)
-    numeric = _map_modes(lambda p: solve_pair(p, residual_tol=cfg.residual_tol).plus, pencils, jobs)
+        kernels = [cfg.kernel] * len(cfg.modes)
+    pencils = [ModePencil(frequency=a, xi=cfg.xi, kernel=k) for a, k in zip(cfg.modes, kernels)]
+    numeric = _map_modes(
+        lambda p: solve_pair(p, residual_tol=cfg.residual_tol).plus, enumerate(pencils, start=1)
+    )
 
     if cfg.family is not None:
         predictions = [predict_power_law(a, cfg.xi, cfg.family) for a in cfg.modes]
         regime = classify_regime(cfg.xi, cfg.family.regularity)
     else:
-        predictions = [predict_finite_sum(a, cfg.xi, kernel.initial_value) for a in cfg.modes]
+        predictions = [predict_finite_sum(a, cfg.xi, cfg.kernel.initial_value) for a in cfg.modes]
         regime = "tends_to_axis"
 
     lines = _header(cfg)
@@ -530,7 +526,7 @@ def run_sweep(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", True
 
 
-def run_oracle_check(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
+def run_oracle_check(cfg: JobConfig) -> tuple[str, bool]:
     """Solver roots vs. simultaneous-iteration roots of the cleared polynomial.
 
     Also rebuilds the polynomial from the first-order companion system when
@@ -542,7 +538,9 @@ def run_oracle_check(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
             f"config.kernel: ladder size {kernel.size} exceeds polynomial oracle cap {POLY_MAX}"
         )
     pencils = _pencils(cfg, kernel)
-    rows = _map_modes(lambda p: _oracle_deviations(p, cfg.residual_tol), pencils, jobs)
+    rows = _map_modes(
+        lambda p: _oracle_deviations(p, cfg.residual_tol), enumerate(pencils, start=1)
+    )
 
     lines = _header(cfg)
     lines.append("n,a_n,root_deviation,coeff_deviation,status")
@@ -559,7 +557,7 @@ def run_oracle_check(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_ok
 
 
-def run_asymptote(cfg: JobConfig, jobs: int = 1) -> tuple[str, bool]:
+def run_asymptote(cfg: JobConfig) -> tuple[str, bool]:
     """Leading-term predictions and regime tags only — nothing is solved.
 
     Useful for mapping where a family's pair is headed before paying for a
@@ -625,7 +623,12 @@ def _parser() -> argparse.ArgumentParser:
         job = sub.add_parser(name, help=_JOB_HELP[name])
         job.add_argument("--config", required=True, help="path to the JSON job config")
         job.add_argument("--out", help="output path (overrides the config's output key)")
-        job.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+        job.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="accepted for compatibility; modes always run in order (default 1)",
+        )
     return parser
 
 
@@ -639,7 +642,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         cfg = parse_config(text, args.job)
-        output, ok = _RUNNERS[args.job](cfg, jobs=args.jobs)
+        output, ok = _RUNNERS[args.job](cfg)
     except ConfigError as exc:
         print(f"gpspectra: config error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ the effective regularity exponent in (0, 1].
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -24,14 +24,16 @@ import numpy as np
 from .errors import NumericalError, PoleProximityError
 from .quadrature import integrate, integrate_power_weighted
 
-#: relative factor applied to the largest rate when guarding pole proximity
-POLE_GUARD_FACTOR = 1e-13
+#: evaluations closer to a pole than this share of its own rate are refused
+POLE_GUARD_FACTOR = 1e-14
 
 #: transforms are only evaluated this far (radians) from the branch ray
 ARG_MARGIN = 0.1
 
-#: largest ladder whose transform at one point is summed exactly rounded
-FSUM_MAX = 20000
+#: largest ladder whose transform at one point is summed exactly rounded:
+#: about where the blocked pass becomes the faster one (both take about
+#: 20 us at 64 terms; at 256 terms math.fsum takes three times as long)
+FSUM_MAX = 64
 
 #: ladder terms per block of the scalar pass over longer ladders: each
 #: temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so blocks
@@ -88,30 +90,30 @@ class TailSeries:
         return _horner(self._slopes, self._argument(zeta)) / -self.radius
 
 
-@dataclass(frozen=True)
 class ExponentialKernel:
-    """Finite ladder of decaying exponentials.
+    """Finite ladder of decaying exponentials, immutable.
 
     Parameters
     ----------
-    coeffs : tuple of float
+    coeffs : sequence or array of float
         Positive amplitudes c_k.
-    rates : tuple of float
+    rates : sequence or array of float
         Positive, strictly increasing decay rates g_k, same length as coeffs.
     tail : TailSeries or None
         Poles beyond the ladder, summed as a series valid on |z| <= radius
         (see :func:`materialize_within`).  Only the transform and its
         derivative can use it; whatever needs every pole refuses such a
         kernel (:meth:`require_every_pole`).
+
+    The ladder is held as two read-only float arrays, ``_c`` and ``_g``,
+    which every evaluation uses; equality and hashing go by their bytes
+    and the tail.  The ``coeffs`` and ``rates`` tuples are built on first
+    use, for the Python loops that read them.
     """
 
-    coeffs: tuple[float, ...]
-    rates: tuple[float, ...]
-    tail: TailSeries | None = None
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        g = np.array(self.rates, dtype=float)
+    def __init__(self, coeffs, rates, tail: TailSeries | None = None):
+        c = np.array(coeffs, dtype=float)
+        g = np.array(rates, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("kernel needs at least one term")
         if c.shape != g.shape:
@@ -120,19 +122,58 @@ class ExponentialKernel:
             raise ValueError("coefficients must be strictly positive")
         if not np.all(g > 0):
             raise ValueError("rates must be strictly positive")
-        if not np.all(np.diff(g) > 0):
+        if not np.all(g[1:] > g[:-1]):
             raise ValueError("rates must be strictly increasing")
         c.flags.writeable = g.flags.writeable = False
-        object.__setattr__(self, "coeffs", tuple(c.tolist()))
-        object.__setattr__(self, "rates", tuple(g.tolist()))
-        # the arrays every evaluation uses; not fields, so equality and
-        # hashing still go by the tuples
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_g", g)
+        self.__dict__.update(_c=c, _g=g, tail=tail)
+
+    def head(self, size: int, tail: TailSeries | None = None) -> ExponentialKernel:
+        """The first ``size`` terms, with ``tail`` as their far-pole series.
+
+        Shares this kernel's arrays, which are already validated.
+        """
+        if not 1 <= size <= self.size:
+            raise ValueError(f"head size {size} outside 1..{self.size}")
+        out = object.__new__(ExponentialKernel)
+        out.__dict__.update(_c=self._c[:size], _g=self._g[:size], tail=tail)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExponentialKernel):
+            return NotImplemented
+        return (
+            self.tail == other.tail
+            and self._c.tobytes() == other._c.tobytes()
+            and self._g.tobytes() == other._g.tobytes()
+        )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self._c.tobytes(), self._g.tobytes(), self.tail))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"ExponentialKernel(coeffs={self._c!r}, rates={self._g!r}, tail={self.tail!r})"
+
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        return tuple(self._c.tolist())
+
+    @cached_property
+    def rates(self) -> tuple[float, ...]:
+        return tuple(self._g.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.coeffs)
+        return self._c.size
 
     def require_every_pole(self, purpose: str) -> None:
         """Refuse ``purpose`` when the ladder carries a far-pole series.
@@ -157,7 +198,7 @@ class ExponentialKernel:
     def initial_value(self) -> float:
         """K(0) = sum c_k (may be large for near-singular kernels)."""
         self.require_every_pole("the initial value")
-        return math.fsum(self.coeffs)
+        return math.fsum(self._c.tolist())
 
 
 @dataclass(frozen=True)
@@ -191,25 +232,41 @@ def admissibility_report(kernel: ExponentialKernel) -> AdmissibilityReport:
     )
 
 
-def _guard_poles(kernel: ExponentialKernel, closest: float) -> None:
-    """Refuse an evaluation whose nearest pole is ``closest`` away."""
-    guard = POLE_GUARD_FACTOR * kernel.rates[-1]
-    if closest < guard:
+def _guard_poles(distance: float, rate: float) -> None:
+    """Refuse an evaluation ``distance`` from the pole at -``rate``.
+
+    The guard is relative to that pole's own rate, so a root resolved
+    close to a small rate is not refused for the size of the largest.
+    """
+    guard = POLE_GUARD_FACTOR * rate
+    if distance < guard:
         raise PoleProximityError(
-            f"evaluation point within {closest:.3e} of a kernel pole "
-            f"(guard {guard:.3e})"
+            f"evaluation point within {distance:.3e} of the kernel pole at "
+            f"{-rate!r} (guard {guard:.3e})"
         )
 
 
-def _pole_distance(kernel: ExponentialKernel, z: complex) -> float:
-    """min_k |z + g_k| for one point.
+def _guard_scalar(kernel: ExponentialKernel, z: complex) -> None:
+    """:func:`_guard_poles` for every pole, at one point.
 
-    |z + g| grows with |Re z + g|, so the nearest pole is one of the two
-    rates either side of -Re z.
+    A pole can trip the guard only if |Re z + g| < POLE_GUARD_FACTOR * g,
+    so only the rates within twice that share of -Re z are checked;
+    there is seldom more than one, and mostly none.
     """
-    g = kernel.rates
-    i = bisect_left(g, -z.real)
-    return min(abs(z + g[j]) for j in (i - 1, i) if 0 <= j < len(g))
+    x, g = -z.real, kernel._g
+    lo = bisect_left(g, x * (1.0 - 2.0 * POLE_GUARD_FACTOR))
+    hi = bisect_right(g, x * (1.0 + 2.0 * POLE_GUARD_FACTOR), lo)
+    for rate in g[lo:hi].tolist():
+        _guard_poles(abs(z + rate), rate)
+
+
+def _guard_array(kernel: ExponentialKernel, shifted: np.ndarray) -> None:
+    """:func:`_guard_poles` for every pole, at every point of ``shifted = z[..., None] + g``."""
+    distance = np.abs(shifted)
+    near = distance < POLE_GUARD_FACTOR * kernel._g
+    if near.any():
+        i = np.flatnonzero(near)[0]
+        _guard_poles(float(distance.flat[i]), float(kernel._g[i % kernel.size]))
 
 
 def _fsum(terms: np.ndarray) -> complex:
@@ -230,7 +287,7 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
     the block sums are added in order.
     """
     g, scale = kernel._g, 1.0
-    top = max(abs(z.real), abs(z.imag), kernel.rates[-1])
+    top = max(abs(z.real), abs(z.imag), float(kernel._g[-1]))
     if top >= 2.0**511:
         scale = 2.0 ** -math.frexp(top)[1]
         g, z = g * scale, z * scale
@@ -260,17 +317,18 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
 def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
     """(Khat(zeta), Khat'(zeta)) at one point, from one pass over the ladder.
 
-    Ladders of at most FSUM_MAX terms form the same terms as
+    Ladders of at most FSUM_MAX (64) terms form the same terms as
     :func:`laplace` and :func:`laplace_deriv` and sum them exactly
-    rounded.  Longer ladders are summed in real arithmetic, SUM_BLOCK
-    terms at a time, without complex temporaries (:func:`_blocked_sums`),
-    and the scalar :func:`laplace` and :func:`laplace_deriv` return the
-    two halves of that pass; so at any one point both values equal theirs
-    bit for bit.  The far-pole series adds its share to both, and the
-    pole guard is that of :func:`laplace`.
+    rounded.  Longer ladders, where exact rounding would cost several
+    times the pass itself, are summed in real arithmetic, SUM_BLOCK terms
+    at a time, without complex temporaries (:func:`_blocked_sums`), and
+    the scalar :func:`laplace` and :func:`laplace_deriv` return the two
+    halves of that pass; so at any one point both values equal theirs bit
+    for bit.  The far-pole series adds its share to both, and the pole
+    guard is that of :func:`laplace`.
     """
     z = complex(zeta)
-    _guard_poles(kernel, _pole_distance(kernel, z))
+    _guard_scalar(kernel, z)
     if kernel.size <= FSUM_MAX:
         shifted = z + kernel._g
         out = _fsum(kernel._c / shifted)
@@ -289,9 +347,9 @@ def _transform(kernel: ExponentialKernel, zeta, deriv: bool) -> complex | np.nda
         return laplace_with_deriv(kernel, complex(z))[deriv]
     shifted = z[..., None] + kernel._g
     if z.ndim == 0:
-        _guard_poles(kernel, _pole_distance(kernel, complex(z)))
+        _guard_scalar(kernel, complex(z))
     else:
-        _guard_poles(kernel, np.min(np.abs(shifted)))
+        _guard_array(kernel, shifted)
     terms = -kernel._c / shifted**2 if deriv else kernel._c / shifted
     out = _fsum(terms) if z.ndim == 0 else np.sum(terms, axis=-1)
     if kernel.tail is not None:
@@ -304,12 +362,15 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """Khat(zeta) = sum_k c_k / (zeta + g_k).
 
     Accepts a scalar or an ndarray of points.  A scalar on a ladder of at
-    most FSUM_MAX terms is summed exactly rounded (``math.fsum``); a scalar
-    on a longer ladder takes the blocked real-arithmetic pass of
-    :func:`laplace_with_deriv`; an array of points is summed pairwise
-    along the ladder.  Either way the error stays near machine precision
-    for ladders of a few million terms.  A kernel's far-pole series adds
-    its share; beyond its radius it raises :class:`NumericalError` rather
+    most FSUM_MAX (64) terms is summed exactly rounded (``math.fsum``); a
+    scalar on a longer ladder takes the blocked real-arithmetic pass of
+    :func:`laplace_with_deriv`, within about 1e-14 of the sum of the
+    terms' moduli; an array of points is summed pairwise along the
+    ladder.  Either way the error stays near machine precision for
+    ladders of a few million terms.  An evaluation closer to a pole than
+    POLE_GUARD_FACTOR of that pole's rate raises
+    :class:`PoleProximityError`.  A kernel's far-pole series adds its
+    share; beyond its radius it raises :class:`NumericalError` rather
     than extrapolate.
     """
     return _transform(kernel, zeta, deriv=False)
@@ -366,7 +427,7 @@ def materialize(family: PowerLawFamily, tail: TailSeries | None = None) -> Expon
     k = np.arange(1, family.count + 1, dtype=float)
     coeffs = family.amplitude / k**family.alpha
     rates = family.scale * k**family.beta
-    return ExponentialKernel(coeffs, rates, tail)  # post-init normalises to tuples
+    return ExponentialKernel(coeffs, rates, tail)
 
 
 def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
@@ -473,6 +534,97 @@ def laplace_tail(family: PowerLawFamily, zeta: complex, dps: int = 30) -> comple
     return complex(series.value(zeta))
 
 
+def _head_size(family: PowerLawFamily, radius: float) -> int:
+    """Terms summed explicitly for |z| <= radius.
+
+    The smallest m with g_{m+1} >= 2*radius, or ``count`` when that m
+    reaches it or when the family has at most FSUM_MAX terms: a ladder
+    that short costs no more to sum whole than to split off a series.
+    """
+    need = 2.0 * radius
+    if family.count <= FSUM_MAX:
+        return family.count
+    if math.log(need / family.scale) / family.beta > math.log(family.count):
+        return family.count
+    m = max(1, math.ceil((need / family.scale) ** (1.0 / family.beta)) - 1)
+    while family.scale * (m + 1) ** family.beta < need:
+        m += 1
+    while m > 1 and family.scale * m**family.beta >= need:
+        m -= 1
+    return min(m, family.count)
+
+
+#: explicit poles' series terms below this share of the leading
+#: coefficient are left out of the sums (see :func:`_pole_series`)
+_SERIES_FLOOR = 2.0**-80
+
+
+def _pole_series(c: np.ndarray, g: np.ndarray, radius: float, lead: float) -> np.ndarray:
+    """sum_k c_k/g_k * (radius/g_k)**j for j < _TAIL_TERMS, over explicit poles.
+
+    The coefficients of :func:`tail_coefficients` for the poles given,
+    summed in double: each term is positive and, with every g_k >=
+    2*radius, at most half the one before.  ``lead`` is the leading
+    coefficient of the series these add to; terms below _SERIES_FLOOR of
+    the total leading coefficient are dropped.  For a family, c/g and
+    radius/g fall along the ladder, so the terms of each sum rise when
+    taken from the far end, and the dropped ones are a prefix found by
+    bisection; their sum is at most the pole count times the floor.
+    """
+    w = c[::-1] / g[::-1]
+    x = radius / g[::-1]
+    out = np.zeros(_TAIL_TERMS)
+    add = np.add.reduce  # pairwise, as ndarray.sum, without its wrapper
+    floor = _SERIES_FLOOR * (lead + add(w))
+    for j in range(_TAIL_TERMS):
+        drop = w.searchsorted(floor)
+        if drop == w.size:
+            break
+        w, x = w[drop:], x[drop:]
+        out[j] = add(w)
+        np.multiply(w, x, out=w)
+    return out
+
+
+def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKernel]:
+    """:func:`materialize_within` for every radius, built together.
+
+    Each kernel sums its own head (:func:`_head_size` of its radius) and
+    carries the series of the poles past it, valid on its own radius.
+    The largest head is materialized once and the smaller ones are its
+    prefixes.  The largest radius gets t(m) - t(count) of
+    :func:`tail_coefficients`, two mpmath passes (none when its head is
+    the whole ladder).  Going down the radii, the series at radius r
+    with head m is the one at the next larger radius r' with head m',
+    rescaled term by term by (r/r')**j, plus the explicit poles
+    m < k <= m' (:func:`_pole_series`).  So however many radii there
+    are, no more mpmath passes are made than for the largest.
+    """
+    order = sorted(set(radii), reverse=True)
+    at = order[0]
+    head = _head_size(family, at)
+    if head == family.count:
+        top, coeffs = materialize(family), None
+    else:
+        near = tail_coefficients(family, head, at)
+        far = tail_coefficients(family, family.count, at)
+        series = TailSeries(tuple(u - v for u, v in zip(near, far)), at)
+        top, coeffs = materialize(replace(family, count=head), series), np.array(series.coeffs)
+    built = {at: top}
+    for r in order[1:]:
+        m = _head_size(family, r)
+        if m == family.count:
+            built[r] = top
+            continue
+        lead = np.zeros(_TAIL_TERMS)
+        if coeffs is not None:
+            lead = coeffs * (r / at) ** np.arange(_TAIL_TERMS)
+        coeffs = lead + _pole_series(top._c[m:head], top._g[m:head], r, lead[0])
+        at, head = r, m
+        built[r] = top.head(m, TailSeries(tuple(coeffs.tolist()), r))
+    return [built[r] for r in radii]
+
+
 def materialize_within(family: PowerLawFamily, radius: float) -> ExponentialKernel:
     """A kernel with the family's transform on |z| <= radius.
 
@@ -480,23 +632,12 @@ def materialize_within(family: PowerLawFamily, radius: float) -> ExponentialKern
     and the poles m < k <= count ride along as a :class:`TailSeries`:
     t(m) - t(count) in the terms of :func:`tail_coefficients`.  Summing m
     terms instead of ``count`` is what makes pair-only work on long
-    ladders cheap.  When m reaches ``count`` the whole ladder is
-    materialized, exactly as :func:`materialize` does.
+    ladders cheap.  When m reaches ``count``, or the family has at most
+    FSUM_MAX terms, the whole ladder is materialized, exactly as
+    :func:`materialize` does.  A family sweep builds one such kernel per
+    mode, each with its own head (:func:`materialize_within_each`).
     """
-    need = 2.0 * radius
-    if math.log(need / family.scale) / family.beta > math.log(family.count):
-        return materialize(family)
-    m = max(1, math.ceil((need / family.scale) ** (1.0 / family.beta)) - 1)
-    while family.scale * (m + 1) ** family.beta < need:
-        m += 1
-    while m > 1 and family.scale * m**family.beta >= need:
-        m -= 1
-    if m >= family.count:
-        return materialize(family)
-    near = tail_coefficients(family, m, radius)
-    far = tail_coefficients(family, family.count, radius)
-    series = TailSeries(tuple(u - v for u, v in zip(near, far)), radius)
-    return materialize(replace(family, count=m), series)
+    return materialize_within_each(family, [radius])[0]
 
 
 def _check_arg(zeta: complex) -> None:

@@ -49,6 +49,15 @@ class ModePencil:
         """w = a**(-2*(1-xi)), the dimensionless weight of the memory term."""
         return self.frequency ** (-2.0 * (1.0 - self.xi))
 
+    @cached_property
+    def load(self) -> float:
+        """lambda = w * sum_k c_k/g_k = w*Khat(0), the mode's memory load.
+
+        The structure theorem needs lambda < 1, which makes L(0) > 0; a
+        mode at or above it is overloaded.  Needs every pole.
+        """
+        return self.memory_weight * self.kernel.l1_norm
+
 
 def symbol(p: ModePencil, zeta) -> complex | np.ndarray:
     """L(z) = z**2 + a**2 * (1 - w*Khat(z)).  Vectorised over z."""

@@ -133,7 +133,7 @@ def test_verify_clean_kernel(run_cli, cubic_config):
     assert code == 0
     rows = _data_rows(out)
     assert rows[0] == "check,scope,status,margin"
-    assert rows[1].startswith("admissibility,kernel,pass,")
+    assert rows[1] == "admissibility,mode_1,pass,0.94999999999999996"  # 1 - w*sum c/g
     assert len(rows) == 9  # admissibility + 7 per-mode checks
     assert ",fail," not in out
     checks = {r.split(",")[0] for r in rows[2:]}
@@ -145,13 +145,40 @@ def test_verify_clean_kernel(run_cli, cubic_config):
 
 
 def test_verify_rejects_overloaded_kernel(run_cli, cubic_config):
-    config = dict(cubic_config, kernel={"coeffs": [1.0, 1.0], "rates": [1.0, 2.0]})
+    # sum c/g = 1.5: the load w*sum c/g is 1.5 at a=1, 0.15 at a=10
+    kernel = {"coeffs": [1.0, 1.0], "rates": [1.0, 2.0]}
+    config = dict(cubic_config, kernel=kernel, modes=[1.0, 10.0])
     code, out, err = run_cli("verify", config)
     assert code == 1
     rows = _data_rows(out)
-    assert rows[1].startswith("admissibility,kernel,fail,")
-    assert len(rows) == 2  # nothing solved past the gate
-    assert "admissibility failed" in err
+    assert rows[1] == "admissibility,mode_1,fail,-0.5"
+    assert rows[2].startswith("admissibility,mode_2,pass,")
+    # only the overloaded mode goes unsolved
+    assert len(rows) == 10
+    assert {r.split(",")[1] for r in rows[3:]} == {"mode_2"}
+    assert ",fail," not in "\n".join(rows[2:])
+    assert "mode 1 is overloaded, not solved" in err
+    assert "8/9 checks passed" in err
+
+
+def test_verify_reports_an_overloaded_mode_instead_of_failing_numerically(run_cli, cubic_config):
+    # c=1, g=2 at a=0.3: w*sum c/g = 0.5/0.3; solving it raised NoSignChangeError
+    code, out, err = run_cli("verify", dict(cubic_config, modes=[0.3]))
+    assert code == 1
+    rows = _data_rows(out)
+    assert len(rows) == 2
+    assert rows[1].startswith("admissibility,mode_1,fail,-0.66666666666666")
+    assert "numerical failure" not in err
+
+
+def test_verify_passes_the_thousand_term_power_law_ladder(run_cli):
+    # sum c/g = zeta(5/2) > 1, but the mode's load w*sum c/g is 0.13
+    family = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 2.0, "count": 1000}
+    code, out, err = run_cli("verify", {"kernel": {"family": family}, "xi": 0.5, "modes": [10.0]})
+    assert code == 0, err
+    rows = _data_rows(out)
+    assert rows[1].startswith("admissibility,mode_1,pass,0.86")
+    assert [r.split(",")[2] for r in rows[1:]] == ["pass"] * 7 + ["skipped"]
 
 
 def test_verify_unreachable_tolerance_fails_cleanly(run_cli, cubic_config):
@@ -224,6 +251,37 @@ def test_family_sweep_output_does_not_depend_on_jobs(run_cli):
     code, serial, _ = run_cli("sweep", config)
     assert code == 0
     assert run_cli("sweep", config, "--jobs", "2")[1] == serial
+
+
+def test_family_sweep_pairs_are_roots_of_the_whole_ladder(run_cli):
+    # each mode sums its own head (399 to 49999 terms) plus its own series;
+    # every pair must still be a root of the symbol of all 10^6 terms
+    k = np.arange(1.0, 10**6 + 1.0)
+    c, g = 1.0 / np.sqrt(k), k
+    for xi in (0.5, 0.75, 0.8):
+        code, out, _ = run_cli("sweep", _family_sweep_config(10**6, xi=xi))
+        assert code == 0
+        for row in _data_rows(out)[1:]:
+            a, re, im = (float(x) for x in row.split(",")[:3])
+            z = complex(re, im)
+            residual = abs(z * z + a * a - a ** (2.0 * xi) * complex(np.sum(c / (z + g))))
+            assert residual <= 1e-10 * a * a
+
+
+def test_the_cli_imports_no_thread_pool():
+    src = Path(gpspectra.__file__).resolve().parents[1]
+    probe = "import sys, gpspectra.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_jobs_is_still_validated(run_cli, cubic_config):
+    code, out, err = run_cli("spectrum", cubic_config, "--jobs", "0")
+    assert code == 2 and out == ""
+    assert "--jobs must be at least 1" in err
 
 
 #: prints the head's transform and slope at the pair points of a sweep to a=12500

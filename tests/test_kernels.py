@@ -14,6 +14,7 @@ from gpspectra import (
     PoleProximityError,
     PowerLawFamily,
     RectContour,
+    TailSeries,
     admissibility_report,
     angular_integral,
     asymptotic_constant,
@@ -29,6 +30,7 @@ from gpspectra import (
     laplace_with_deriv,
     materialize,
     materialize_within,
+    materialize_within_each,
     solve_mode,
     spectrum_contour,
     stiffness_roots,
@@ -38,7 +40,9 @@ from gpspectra import (
     tail_bound,
     to_polynomial,
 )
+from gpspectra import kernels
 from gpspectra.kernels import FSUM_MAX, POLE_GUARD_FACTOR
+from conftest import PINCHED_FIVE
 
 
 # ---------------------------------------------------------------- ladders
@@ -146,19 +150,45 @@ def test_pole_guard_trips():
         assert 0 < trips < len(points)
 
 
+def test_pole_guard_is_relative_to_each_poles_own_rate():
+    # pool entry 527: five roots 5.4e-13 to 1.4e-12 from their poles, below
+    # POLE_GUARD_FACTOR of the largest rate but not of their own
+    coeffs, rates, a, xi = PINCHED_FIVE
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    roots = [b.value for b in solve_mode(p).real_roots]
+    assert min(abs(r + g) / g for r, g in zip(roots, rates)) < 1e-13
+    for root in roots:
+        symbol(p, root)
+        symbol(p, np.array([root]))
+        laplace_with_deriv(p.kernel, root)
+    # points on a pole, or one ulp off it, are still refused on both paths
+    for g in rates:
+        for z in (-g, complex(-g, 0.0), math.nextafter(-g, 0.0), complex(-g, g * 1e-16)):
+            for point in (z, np.array([1j, z])):
+                with pytest.raises(PoleProximityError):
+                    laplace(p.kernel, point)
+                with pytest.raises(PoleProximityError):
+                    laplace_deriv(p.kernel, point)
+            with pytest.raises(PoleProximityError):
+                laplace_with_deriv(p.kernel, z)
+
+
 def _fsum_terms(terms):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def _random_ladder(rng, size):
+    g = np.cumsum(rng.uniform(0.1, 3.0, size))
+    return ExponentialKernel(rng.uniform(0.01, 2.0, size), g)
+
+
 def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
     rng = np.random.default_rng(2014)
-    kernels = [materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), 100.0)]
-    for size in (1, 2, 5, 40, 300, FSUM_MAX):
-        g = np.cumsum(rng.uniform(0.1, 3.0, size))
-        kernels.append(ExponentialKernel(rng.uniform(0.01, 2.0, size), g))
+    kernels = [materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), 30.0)]
+    kernels += [_random_ladder(rng, size) for size in (1, 2, 5, 40, FSUM_MAX)]
     for kern in kernels:
         assert kern.size <= FSUM_MAX
-        reach = min(kern.rates[-1], 90.0)
+        reach = min(kern.rates[-1], 90.0, kern.tail.radius if kern.tail else math.inf)
         for _ in range(8):
             z = cmath.rect(rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi))
             fused = laplace_with_deriv(kern, z)
@@ -181,11 +211,32 @@ def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
             assert fused == (value, slope)
 
 
-@pytest.mark.parametrize("which", ["head_and_series", "plain", "plain_negative_rates_side"])
+@pytest.mark.parametrize(
+    "which",
+    [
+        "head_and_series",
+        "plain",
+        "plain_negative_rates_side",
+        "head_199_and_series",
+        "random_300",
+        "random_9999",
+    ],
+)
 def test_fused_transform_on_large_ladders_matches_exact_sums(which):
     if which == "head_and_series":
         kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), 25000.0)
         points = [-3.0 + 12500j, 12000.0 + 3000j, -24000.0 + 50j, 30.0 - 40.0j]
+    elif which == "head_199_and_series":
+        kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), 100.0)
+        assert kern.size == 199
+        points = [-3.0 + 99j, 60.0 + 70j, -99.0 + 0.5j, 30.0 - 40.0j, -37.5 + 1e-3j]
+    elif which.startswith("random_"):
+        rng = np.random.default_rng(2014)
+        kern = _random_ladder(rng, int(which.split("_")[1]))
+        reach = min(kern.rates[-1], 90.0)
+        points = [
+            cmath.rect(rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi)) for _ in range(8)
+        ]
     else:
         rng = np.random.default_rng(5)
         g = np.cumsum(rng.uniform(0.5, 1.5, 30001))
@@ -414,6 +465,74 @@ def test_kernel_arrays_are_the_validated_ones():
     assert not kern._c.flags.writeable
     assert kern == ExponentialKernel((0.5, 0.25), (1.0, 3.0), None)
     assert hash(kern) == hash(ExponentialKernel((0.5, 0.25), (1.0, 3.0)))
+
+
+def test_kernels_from_tuples_and_from_arrays_are_one_kernel():
+    c, g = (0.5, 0.25, 0.125), (1.0, 3.0, 7.5)
+    from_tuples, from_arrays = ExponentialKernel(c, g), ExponentialKernel(np.array(c), np.array(g))
+    assert from_tuples == from_arrays
+    assert hash(from_tuples) == hash(from_arrays)
+    assert len({from_tuples, from_arrays}) == 1
+    assert from_arrays.coeffs == c and from_arrays.rates == g
+    assert from_tuples != ExponentialKernel(c, (1.0, 3.0, 7.75))
+    assert from_tuples != ExponentialKernel(c, g, TailSeries((1.0,), 0.25))
+    with pytest.raises(AttributeError):
+        from_tuples.tail = None
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 500)
+    full = materialize(family)
+    assert full == ExponentialKernel(full.coeffs, full.rates)
+    short = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100))
+    assert full.head(100) == short and hash(full.head(100)) == hash(short)
+    assert np.shares_memory(full.head(100)._c, full._c)
+
+
+def test_each_radius_gets_the_head_materialize_within_gives():
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**6)
+    radii = [200.0, 1000.0, 5000.0, 25000.0]
+    each = materialize_within_each(family, radii)
+    assert [k.size for k in each] == [399, 1999, 9999, 49999]
+    for kern, radius in zip(each, radii):
+        alone = materialize_within(family, radius)
+        assert kern.size == alone.size and kern.tail.radius == radius
+        assert np.shares_memory(kern._g, each[-1]._g)
+        # the smaller heads' series differ from a separate mpmath pass only
+        # in rounding, relative to the leading coefficient: their near poles
+        # are summed in double, and terms below 2**-80 of it are dropped
+        lead = alone.tail.coeffs[0]
+        assert np.allclose(kern.tail.coeffs, alone.tail.coeffs, rtol=0.0, atol=1e-15 * lead)
+    assert each[-1] == materialize_within(family, radii[-1])
+    # a family of at most FSUM_MAX terms is summed whole at every radius
+    small = PowerLawFamily(1.0, 1.0, 0.5, 1.0, FSUM_MAX)
+    assert materialize_within_each(small, [5.0, 500.0]) == [materialize(small)] * 2
+
+
+def test_each_radius_series_matches_the_summed_terms():
+    family = PowerLawFamily(0.7, 2.0, 0.8, 1.5, 30000)
+    radii = [30.0, 300.0, 3000.0]
+    full = materialize(family)
+    for kern, radius in zip(materialize_within_each(family, radii), radii):
+        c, g = full._c[kern.size :], full._g[kern.size :]
+        for phi in np.linspace(-math.pi, math.pi, 7):
+            z = radius * complex(math.cos(phi), math.sin(phi))
+            terms = c / (z + g)
+            direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(kern.tail.value(z) - direct) <= 1e-14 * abs(direct)
+
+
+def test_radii_cost_at_most_two_mpmath_passes(monkeypatch):
+    calls = []
+    original = kernels._hurwitz_zetas
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_hurwitz_zetas", counted)
+    kernels.tail_coefficients.cache_clear()
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**6)
+    materialize_within_each(family, [100.0 * 1.5**k for k in range(12)])
+    assert len(calls) == 2
+    kernels.tail_coefficients.cache_clear()
 
 
 def _series_pencil() -> ModePencil:

@@ -87,8 +87,7 @@ def test_margin_survives_roots_that_round_together():
 
 
 def test_thousand_term_power_law_ladder_passes_the_mode_checks():
-    # the verify job stops at its admissibility row here (sum c/g = zeta(5/2)
-    # > 1, while w * sum c/g = 0.13 < 1), so its per-mode checks run directly
+    # sum c/g = zeta(5/2) > 1, while the mode's load w * sum c/g is 0.13 < 1
     p = ModePencil(10.0, 0.5, materialize(PowerLawFamily(1, 1, 0.5, 2, count=1000)))
     sol = solve_mode(p)
     assert sol.certificate.zeros_inferred == 1002
