@@ -63,6 +63,7 @@ from .errors import (
     ContourError,
     DivergenceError,
     GPSpectraError,
+    InadmissibleModeError,
     MaxIterationsError,
     NonContractionError,
     NoSignChangeError,
@@ -132,6 +133,7 @@ __all__ = [
     "ExponentialKernel",
     "FixedPointPair",
     "GPSpectraError",
+    "InadmissibleModeError",
     "MatchResult",
     "MaxIterationsError",
     "ModePencil",

@@ -32,6 +32,14 @@ class NoSignChangeError(NumericalError):
         )
 
 
+class InadmissibleModeError(NumericalError):
+    """A mode's load w*sum c_k/g_k is not below 1, outside the structure theorem."""
+
+    def __init__(self, load: float):
+        self.load = load
+        super().__init__(f"mode is overloaded: load w*sum c/g = {load!r} is not below 1")
+
+
 class NonContractionError(NumericalError):
     """Fixed-point map stopped contracting (|g'| >= 1 observed)."""
 

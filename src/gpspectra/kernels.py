@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -447,69 +447,88 @@ def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
 #: term j is below 2**-j of the first, so the 60th is below 1e-18 relative
 _TAIL_TERMS = 60
 
-#: Euler-Maclaurin corrections closing each Hurwitz zeta sum
-_EM_TERMS = 12
+#: B_2i/(2i)! for i = 1..12: the weights of the Euler-Maclaurin corrections
+#: closing each power sum
+_EM_WEIGHTS = np.array([
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+    43867 / 5109094217170944000,
+    -174611 / 802857662698291200000,
+    854513 / 155112100433309859840000,
+    -236364091 / 1693824136731743669452800000,
+])
+_EM_TERMS = _EM_WEIGHTS.size
 
 
-def _hurwitz_zetas(alpha, beta, n: int, terms: int) -> list:
-    """zeta_H(alpha + (j+1)*beta, n) for j < terms, at mpmath's working precision.
+def _power_sums(family: PowerLawFamily, lo: int, hi: float, radius: float) -> np.ndarray:
+    """sum over lo <= k < hi of F_j(k), for j < _TAIL_TERMS.
 
-    Sums k = n .. N-1 directly and closes with _EM_TERMS Euler-Maclaurin
-    corrections at N >= 2*(s + 2*_EM_TERMS), where each correction is
-    below (1/(4 pi))**2 of the one before.  (mpmath's own Hurwitz zeta
-    is not used: at 30 digits it keeps only about nine correct digits of
-    zeta_H(14.3, 209), and about twelve even at 60 digits for s = 60.8.)
+    F_j(x) = x**-(alpha+beta) * (radius/g(x))**j with g(x) = scale*x**beta.
+    ``hi`` may be ``math.inf``; every g_k of the range must be at least
+    2*radius.  Below M = max(lo, 2*(s +
+    2*_EM_TERMS)), s = alpha + _TAIL_TERMS*beta the largest exponent, the
+    terms are summed directly.  [M, hi) is closed by Euler-Maclaurin: the
+    integral of F_j and _EM_TERMS corrections at each end, each below
+    (1/(4 pi))**2 of the one before.  F_j is always formed as written,
+    never as (radius/scale)**j * x**-s_j, so nothing over- or underflows.
+    The exponents less one, s_j - 1 = alpha + beta - 1 + j*beta, are
+    formed without cancellation, and the integral over a finite range as
+    M*F_j(M) * (1 - (M/hi)**(s_j - 1)) / (s_j - 1) through expm1 and
+    log1p: so neither a range of a few poles nor alpha + beta near 1
+    loses digits.
     """
-    from mpmath import mp
+    a, b, j = family.alpha, family.beta, np.arange(_TAIL_TERMS)
+    s1 = math.fsum([a, b, -1.0]) + j * b
+    even = np.arange(2.0, 2 * _EM_TERMS, 2.0)[:, None]
 
-    s = [alpha + (j + 1) * beta for j in range(terms)]
-    big = max(n, math.ceil(2.0 * (float(s[-1]) + 2 * _EM_TERMS)))
-    sums = [mp.zero] * terms
-    for k in range(n, big):  # the powers k**-s_j share one running product
-        term, step = mp.mpf(k) ** -alpha, mp.mpf(k) ** -beta
-        for j in range(terms):
-            term *= step
-            sums[j] += term
-    top = mp.mpf(big)
-    weights = [mp.bernoulli(2 * i) / mp.factorial(2 * i) for i in range(1, _EM_TERMS + 1)]
-    out = []
-    for sj, head in zip(s, sums):
-        power = top**-sj
-        total = head + power * top / (sj - 1) + power / 2
-        rising, factor = sj, power / top  # (s)_(2i-1) and big**(1-s-2i)
-        for i, weight in enumerate(weights, start=1):
-            total += weight * rising * factor
-            rising *= (sj + 2 * i - 1) * (sj + 2 * i)
-            factor /= top * top
-        out.append(total)
-    return out
+    def power(x: float) -> np.ndarray:  # F_j(x)
+        xb = x**b  # x**-alpha/x**beta: a rounded alpha + beta would cost digits
+        return x**-a / xb * (radius / (family.scale * xb)) ** j
+
+    big = max(lo, math.ceil(2.0 * (a + _TAIL_TERMS * b + 2 * _EM_TERMS)))
+    # smallest terms first, added one row at a time, so the sums stay within an ulp or two
+    k = np.arange(min(big, hi) - 1, lo - 1, -1, dtype=float)
+    out = np.add.reduce(power(k[:, None]), axis=0)
+    if hi <= big:
+        return out
+
+    def end(x: float) -> np.ndarray:  # F_j(x) * (1/2 + sum_i w_i (s_j)_(2i-1) x**(1-2i))
+        rising = np.empty((_EM_TERMS, _TAIL_TERMS))
+        rising[0] = (s1 + 1.0) / x
+        rising[1:] = (s1 + even) * (s1 + even + 1.0) / (x * x)
+        return power(x) * (0.5 + _EM_WEIGHTS @ np.cumprod(rising, axis=0))
+
+    if hi == math.inf:
+        span = 1.0 / s1
+        far = 0.0
+    else:
+        span = -np.expm1(-s1 * math.log1p((hi - big) / big)) / s1
+        far = end(float(hi))
+    return out + big * power(float(big)) * span + end(float(big)) - far
 
 
-@lru_cache(maxsize=16)
-def tail_coefficients(
-    family: PowerLawFamily, count: int, radius: float, dps: int = 30
-) -> tuple[float, ...]:
+def tail_coefficients(family: PowerLawFamily, count: int, radius: float) -> tuple[float, ...]:
     """Series coefficients of the family's poles past ``count``.
 
     sum over k > count of c_k/(z + g_k) = sum_j t_j * (-z/radius)**j, where
 
-        t_j = amplitude * radius**j * scale**-(j+1) * zeta_H(alpha + (j+1)*beta, count + 1)
+        t_j = amplitude/scale * sum_{k > count} k**-(alpha+beta) * (radius/g_k)**j,
 
-    with the Hurwitz zeta zeta_H(s, n) = sum_{k>=n} k**-s.  The series
-    converges for |z| < g_{count+1}.  The coefficients are computed once,
-    at ``dps`` digits in mpmath, and rounded to doubles; any later
-    evaluation is a double-precision Horner sum.
+    a Hurwitz zeta sum in each j.  The series converges for |z| <
+    g_{count+1}.  The sums are closed in double precision by
+    Euler-Maclaurin (:func:`_power_sums`), each within a few ulps.
     """
-    from mpmath import mp  # imported here: slow to import, needed only here
-
-    with mp.workdps(dps):
-        zetas = _hurwitz_zetas(mp.mpf(family.alpha), mp.mpf(family.beta), count + 1, _TAIL_TERMS)
-        front = mp.mpf(family.amplitude) / mp.mpf(family.scale)
-        ratio = mp.mpf(radius) / mp.mpf(family.scale)
-        return tuple(float(front * ratio**j * z) for j, z in enumerate(zetas))
+    sums = _power_sums(family, count + 1, math.inf, radius)
+    return tuple((family.amplitude / family.scale * sums).tolist())
 
 
-def laplace_tail(family: PowerLawFamily, zeta: complex, dps: int = 30) -> complex:
+def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
     """Transform mass the truncation at ``family.count`` discarded.
 
     Evaluates sum over k > count of c_k/(zeta + g_k), so that
@@ -530,7 +549,7 @@ def laplace_tail(family: PowerLawFamily, zeta: complex, dps: int = 30) -> comple
             f"rate {first_dropped:.3e}; increase the family count"
         )
     radius = 0.5 * first_dropped
-    series = TailSeries(tail_coefficients(family, family.count, radius, dps), radius)
+    series = TailSeries(tail_coefficients(family, family.count, radius), radius)
     return complex(series.value(zeta))
 
 
@@ -554,74 +573,26 @@ def _head_size(family: PowerLawFamily, radius: float) -> int:
     return min(m, family.count)
 
 
-#: explicit poles' series terms below this share of the leading
-#: coefficient are left out of the sums (see :func:`_pole_series`)
-_SERIES_FLOOR = 2.0**-80
-
-
-def _pole_series(c: np.ndarray, g: np.ndarray, radius: float, lead: float) -> np.ndarray:
-    """sum_k c_k/g_k * (radius/g_k)**j for j < _TAIL_TERMS, over explicit poles.
-
-    The coefficients of :func:`tail_coefficients` for the poles given,
-    summed in double: each term is positive and, with every g_k >=
-    2*radius, at most half the one before.  ``lead`` is the leading
-    coefficient of the series these add to; terms below _SERIES_FLOOR of
-    the total leading coefficient are dropped.  For a family, c/g and
-    radius/g fall along the ladder, so the terms of each sum rise when
-    taken from the far end, and the dropped ones are a prefix found by
-    bisection; their sum is at most the pole count times the floor.
-    """
-    w = c[::-1] / g[::-1]
-    x = radius / g[::-1]
-    out = np.zeros(_TAIL_TERMS)
-    add = np.add.reduce  # pairwise, as ndarray.sum, without its wrapper
-    floor = _SERIES_FLOOR * (lead + add(w))
-    for j in range(_TAIL_TERMS):
-        drop = w.searchsorted(floor)
-        if drop == w.size:
-            break
-        w, x = w[drop:], x[drop:]
-        out[j] = add(w)
-        np.multiply(w, x, out=w)
-    return out
-
-
 def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKernel]:
     """:func:`materialize_within` for every radius, built together.
 
     Each kernel sums its own head (:func:`_head_size` of its radius) and
-    carries the series of the poles past it, valid on its own radius.
-    The largest head is materialized once and the smaller ones are its
-    prefixes.  The largest radius gets t(m) - t(count) of
-    :func:`tail_coefficients`, two mpmath passes (none when its head is
-    the whole ladder).  Going down the radii, the series at radius r
-    with head m is the one at the next larger radius r' with head m',
-    rescaled term by term by (r/r')**j, plus the explicit poles
-    m < k <= m' (:func:`_pole_series`).  So however many radii there
-    are, no more mpmath passes are made than for the largest.
+    carries the series of the poles past it, valid on its own radius:
+    for head m < count, amplitude/scale times the power sums over
+    m < k <= count (:func:`_power_sums`), closed in double at a cost that
+    does not grow with the number of poles.  The largest head is
+    materialized once and the heads are its prefixes.
     """
-    order = sorted(set(radii), reverse=True)
-    at = order[0]
-    head = _head_size(family, at)
-    if head == family.count:
-        top, coeffs = materialize(family), None
-    else:
-        near = tail_coefficients(family, head, at)
-        far = tail_coefficients(family, family.count, at)
-        series = TailSeries(tuple(u - v for u, v in zip(near, far)), at)
-        top, coeffs = materialize(replace(family, count=head), series), np.array(series.coeffs)
-    built = {at: top}
-    for r in order[1:]:
-        m = _head_size(family, r)
-        if m == family.count:
-            built[r] = top
-            continue
-        lead = np.zeros(_TAIL_TERMS)
-        if coeffs is not None:
-            lead = coeffs * (r / at) ** np.arange(_TAIL_TERMS)
-        coeffs = lead + _pole_series(top._c[m:head], top._g[m:head], r, lead[0])
-        at, head = r, m
-        built[r] = top.head(m, TailSeries(tuple(coeffs.tolist()), r))
+    heads = {r: _head_size(family, r) for r in radii}
+    top = materialize(replace(family, count=max(heads.values())))
+    front = family.amplitude / family.scale
+    built = {}
+    for r, m in heads.items():
+        tail = None
+        if m < family.count:
+            sums = _power_sums(family, m + 1, family.count + 1, r)
+            tail = TailSeries(tuple((front * sums).tolist()), r)
+        built[r] = top.head(m, tail)
     return [built[r] for r in radii]
 
 
@@ -629,8 +600,8 @@ def materialize_within(family: PowerLawFamily, radius: float) -> ExponentialKern
     """A kernel with the family's transform on |z| <= radius.
 
     The explicit ladder stops at the smallest m with g_{m+1} >= 2*radius,
-    and the poles m < k <= count ride along as a :class:`TailSeries`:
-    t(m) - t(count) in the terms of :func:`tail_coefficients`.  Summing m
+    and the poles m < k <= count ride along as a :class:`TailSeries`
+    whose coefficients are closed in double (:func:`_power_sums`).  Summing m
     terms instead of ``count`` is what makes pair-only work on long
     ladders cheap.  When m reaches ``count``, or the family has at most
     FSUM_MAX terms, the whole ladder is materialized, exactly as

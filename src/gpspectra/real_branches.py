@@ -113,9 +113,9 @@ def _solve(p: ModePencil, first: int, last: int, inertia: bool) -> list[BranchRo
     w, a2 = p.memory_weight, p.frequency**2
     scale, s = (a2, 1.0 / a2) if inertia else (1.0, 0.0)
     intervals = bracket_intervals(kern, last)
-    if first == 1 and not w * kern.l1_norm < 1.0:
+    if first == 1 and not p.load < 1.0:
         # F(0) = 1 - w*sum c_j/g_j: no sign change left of the origin
-        raise NoSignChangeError(*intervals[0], -math.inf, scale * (1.0 - w * kern.l1_norm))
+        raise NoSignChangeError(*intervals[0], -math.inf, scale * (1.0 - p.load))
     out = []
     block = max(1, BLOCK_CELLS // g.size)
     for start in range(first - 1, last, block):

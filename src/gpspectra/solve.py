@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complex_pair import CountCertificate, count_zeros, solve_pair, spectrum_contour
-from .errors import NumericalError
+from .errors import InadmissibleModeError, NumericalError
 from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_roots, stiffness_roots
 
@@ -70,8 +70,12 @@ def solve_mode(
     gate ``BranchRoot.relative_error <= residual_tol`` and the pair must
     satisfy |L| <= residual_tol * a**2.  With ``certify`` the rectangle
     count is attached — the certificate is stored either way, the
-    assertion belongs to the verification layer.
+    assertion belongs to the verification layer.  A mode whose load
+    ``p.load`` is not below 1 lies outside the theorem and raises
+    :class:`InadmissibleModeError` before anything is solved.
     """
+    if not p.load < 1.0:
+        raise InadmissibleModeError(p.load)
     n = p.kernel.size
     real = tuple(branch_roots(p, n))
     stiff = tuple(stiffness_roots(p, n))

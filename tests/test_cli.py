@@ -171,6 +171,15 @@ def test_verify_reports_an_overloaded_mode_instead_of_failing_numerically(run_cl
     assert "numerical failure" not in err
 
 
+def test_spectrum_names_an_overloaded_mode(run_cli, cubic_config):
+    # c=1, g=2 at a=0.3: refused with its load before any root is sought
+    code, out, err = run_cli("spectrum", dict(cubic_config, modes=[0.3]))
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: mode 1 (a_n=0.29999999999999999): mode is overloaded" in err
+    assert "no sign change" not in err
+
+
 def test_verify_passes_the_thousand_term_power_law_ladder(run_cli):
     # sum c/g = zeta(5/2) > 1, but the mode's load w*sum c/g is 0.13
     family = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 2.0, "count": 1000}

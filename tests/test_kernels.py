@@ -1,7 +1,12 @@
 """Kernel ladders, their transforms, and the power-law family plumbing."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,8 +415,15 @@ def test_laplace_tail_radius_guard():
     [
         (PowerLawFamily(1.0, 1.0, 0.5, 1.0, 20000), 1000.0),
         (PowerLawFamily(0.7, 2.0, 0.8, 1.5, 30000), 3000.0),
+        # six poles past the head: a difference of two whole-tail sums cancels
+        (PowerLawFamily(1.0, 1.0, 0.5, 1.0, 2000), 997.5),
+        # alpha + beta near 1: the tail sums dwarf the part kept
+        (PowerLawFamily(1.0, 1.0, 0.3, 0.701, 100000), 500.0),
+        (PowerLawFamily(1.0, 1.0, 0.3, 0.701, 100000), 50.0),
+        # a three-term head: the first poles past it are summed directly
+        (PowerLawFamily(0.5, 2.0, 0.9, 3.0, 3000), 32.0),
     ],
-    ids=["sqrt", "beta_1.5"],
+    ids=["sqrt", "beta_1.5", "six_poles", "near_one_500", "near_one_50", "head_3"],
 )
 def test_far_pole_series_matches_the_summed_terms(family, radius):
     kern = materialize_within(family, radius)
@@ -495,11 +507,7 @@ def test_each_radius_gets_the_head_materialize_within_gives():
         alone = materialize_within(family, radius)
         assert kern.size == alone.size and kern.tail.radius == radius
         assert np.shares_memory(kern._g, each[-1]._g)
-        # the smaller heads' series differ from a separate mpmath pass only
-        # in rounding, relative to the leading coefficient: their near poles
-        # are summed in double, and terms below 2**-80 of it are dropped
-        lead = alone.tail.coeffs[0]
-        assert np.allclose(kern.tail.coeffs, alone.tail.coeffs, rtol=0.0, atol=1e-15 * lead)
+        assert kern.tail == alone.tail
     assert each[-1] == materialize_within(family, radii[-1])
     # a family of at most FSUM_MAX terms is summed whole at every radius
     small = PowerLawFamily(1.0, 1.0, 0.5, 1.0, FSUM_MAX)
@@ -519,20 +527,37 @@ def test_each_radius_series_matches_the_summed_terms():
             assert abs(kern.tail.value(z) - direct) <= 1e-14 * abs(direct)
 
 
-def test_radii_cost_at_most_two_mpmath_passes(monkeypatch):
-    calls = []
-    original = kernels._hurwitz_zetas
-
-    def counted(*args):
-        calls.append(args[2])
-        return original(*args)
-
-    monkeypatch.setattr(kernels, "_hurwitz_zetas", counted)
-    kernels.tail_coefficients.cache_clear()
-    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**6)
-    materialize_within_each(family, [100.0 * 1.5**k for k in range(12)])
-    assert len(calls) == 2
-    kernels.tail_coefficients.cache_clear()
+def test_sweep_and_far_pole_series_run_without_mpmath(tmp_path):
+    # mpmath blocked from import: a family sweep and the tail of a
+    # million-term family still run, so the runtime needs numpy alone
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "job": "sweep",
+        "kernel": {"family": {"amplitude": 1.0, "scale": 1.0,
+                              "alpha": 0.5, "beta": 1.0, "count": 164415}},
+        "xi": 0.5,
+        "modes": {"a_min": 100.0, "factor": 2.5118864315095801, "count": 6},
+    }))
+    out_csv = tmp_path / "sweep.csv"
+    probe = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "import gpspectra, gpspectra.cli",
+        f"code = gpspectra.cli.main(['sweep', '--config', {str(config)!r}, '--out', {str(out_csv)!r}])",
+        "family = gpspectra.PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**6)",
+        "tail = gpspectra.laplace_tail(family, 3e5 + 4e5j)",
+        "print(code, sys.modules['mpmath'], tail != 0)",
+    ])
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "None", "True"]
+    rows = out_csv.read_text(encoding="utf-8").splitlines()
+    assert sum(not row.startswith("#") for row in rows) == 7
 
 
 def _series_pencil() -> ModePencil:

@@ -5,7 +5,9 @@ import pytest
 
 from gpspectra import (
     ExponentialKernel,
+    InadmissibleModeError,
     ModePencil,
+    NoSignChangeError,
     NumericalError,
     PowerLawFamily,
     aberth_roots,
@@ -75,6 +77,15 @@ def test_three_stage_kernel_solve():
 def test_unreachable_tolerance_is_reported(cubic):
     with pytest.raises(NumericalError):
         solve_mode(cubic, residual_tol=1e-30)
+
+
+def test_overloaded_mode_is_refused_before_solving():
+    # c=1, g=2 at a=0.3: the load w*sum c/g is 0.5/0.3
+    p = ModePencil(frequency=0.3, xi=0.5, kernel=ExponentialKernel((1.0,), (2.0,)))
+    with pytest.raises(InadmissibleModeError) as info:
+        solve_mode(p)
+    assert not isinstance(info.value, NoSignChangeError)
+    assert info.value.load == pytest.approx(0.5 / 0.3, rel=1e-15)
 
 
 def test_margin_survives_roots_that_round_together():
