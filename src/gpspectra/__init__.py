@@ -112,6 +112,7 @@ from .real_branches import (
     BranchRoot,
     ConvergenceRecord,
     bracket_intervals,
+    branch_and_stiffness_roots,
     branch_convergence,
     branch_roots,
     stiffness_roots,
@@ -154,6 +155,7 @@ __all__ = [
     "asymptotic_constant",
     "asymptotic_constant_quadrature",
     "bracket_intervals",
+    "branch_and_stiffness_roots",
     "branch_convergence",
     "branch_roots",
     "build_mode_system",

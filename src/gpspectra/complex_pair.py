@@ -265,31 +265,41 @@ def _winding(p: ModePencil, contour: RectContour) -> tuple[float, int]:
     and the largest number of evaluations any one side needed.  The base
     grid puts ``samples_per_side`` points on the longest side and
     proportionally fewer on the others, so spacing stays uniform on
-    elongated rectangles; ambiguous steps are then bisected locally.
+    elongated rectangles; all four sides' grids are evaluated in one call.
+    Each side then sums its phase steps and bisects its ambiguous steps
+    locally, with a refinement budget of its own.
     """
     cs = contour.corners
     longest = max(contour.x_max - contour.x_min, contour.y_max - contour.y_min)
-    total = 0.0
-    most = 0
+    sides = []
     for i in range(4):
         edge = cs[(i + 1) % 4] - cs[i]
         count = max(16, int(round(contour.samples_per_side * abs(edge) / longest)))
-        pts = cs[i] + (np.arange(count + 1) / count) * edge
-        vals = np.asarray(symbol(p, pts))
-        if np.any(vals == 0):
-            raise ContourError("symbol vanishes exactly on the contour")
-        ratios = vals[1:] / vals[:-1]
-        dphi = np.angle(ratios)
-        dmag = np.abs(np.log(np.abs(ratios)))
-        ok = (np.abs(dphi) <= _PHASE_STEP_LIMIT) & (dmag <= _MAG_STEP_LIMIT)
-        total += float(np.sum(dphi[ok]))
+        sides.append(cs[i] + (np.arange(count + 1) / count) * edge)
+    pts = np.concatenate(sides)
+    vals = np.asarray(symbol(p, pts))
+    if np.any(vals == 0):
+        raise ContourError("symbol vanishes exactly on the contour")
+    # steps across a corner join two sides and are never read
+    ratios = vals[1:] / vals[:-1]
+    dphi = np.angle(ratios)
+    dmag = np.abs(np.log(np.abs(ratios)))
+    ok = (np.abs(dphi) <= _PHASE_STEP_LIMIT) & (dmag <= _MAG_STEP_LIMIT)
+    total = 0.0
+    most = 0
+    start = 0
+    for side in sides:
+        stop = start + side.size
+        steps = slice(start, stop - 1)
+        total += float(np.sum(dphi[steps][ok[steps]]))
         budget = [MAX_SAMPLES_PER_SIDE]
-        for j in np.nonzero(~ok)[0]:
+        for j in np.nonzero(~ok[steps])[0] + start:
             total += _segment_phase(
                 p, complex(pts[j]), complex(pts[j + 1]),
                 complex(vals[j]), complex(vals[j + 1]), budget,
             )
-        most = max(most, count + 1 + MAX_SAMPLES_PER_SIDE - budget[0])
+        most = max(most, side.size + MAX_SAMPLES_PER_SIDE - budget[0])
+        start = stop
     return total / (2.0 * math.pi), most
 
 

@@ -24,8 +24,11 @@ import numpy as np
 from .errors import NumericalError, PoleProximityError
 from .quadrature import integrate, integrate_power_weighted
 
-#: evaluations closer to a pole than this share of its own rate are refused
-POLE_GUARD_FACTOR = 1e-14
+#: evaluations closer to a pole than this many ulps of its own rate are
+#: refused: -1 + 1e-14, 45 ulps off the pole at -1, is; the closest
+#: resolved root of perfbench's random_modes pool, 61 ulps off its pole,
+#: is not
+POLE_GUARD_ULPS = 50
 
 #: transforms are only evaluated this far (radians) from the branch ray
 ARG_MARGIN = 0.1
@@ -235,10 +238,10 @@ def admissibility_report(kernel: ExponentialKernel) -> AdmissibilityReport:
 def _guard_poles(distance: float, rate: float) -> None:
     """Refuse an evaluation ``distance`` from the pole at -``rate``.
 
-    The guard is relative to that pole's own rate, so a root resolved
+    The guard counts ulps of that pole's own rate, so a root resolved
     close to a small rate is not refused for the size of the largest.
     """
-    guard = POLE_GUARD_FACTOR * rate
+    guard = POLE_GUARD_ULPS * math.ulp(rate)
     if distance < guard:
         raise PoleProximityError(
             f"evaluation point within {distance:.3e} of the kernel pole at "
@@ -249,13 +252,15 @@ def _guard_poles(distance: float, rate: float) -> None:
 def _guard_scalar(kernel: ExponentialKernel, z: complex) -> None:
     """:func:`_guard_poles` for every pole, at one point.
 
-    A pole can trip the guard only if |Re z + g| < POLE_GUARD_FACTOR * g,
-    so only the rates within twice that share of -Re z are checked;
-    there is seldom more than one, and mostly none.
+    A pole can trip the guard only if |Re z + g| < POLE_GUARD_ULPS * ulp(g),
+    at most share = POLE_GUARD_ULPS * 2**-52 of g, so only the rates within
+    twice that share of -Re z are checked; there is seldom more than one,
+    and mostly none.
     """
     x, g = -z.real, kernel._g
-    lo = bisect_left(g, x * (1.0 - 2.0 * POLE_GUARD_FACTOR))
-    hi = bisect_right(g, x * (1.0 + 2.0 * POLE_GUARD_FACTOR), lo)
+    share = math.ldexp(POLE_GUARD_ULPS, -52)
+    lo = bisect_left(g, x * (1.0 - 2.0 * share))
+    hi = bisect_right(g, x * (1.0 + 2.0 * share), lo)
     for rate in g[lo:hi].tolist():
         _guard_poles(abs(z + rate), rate)
 
@@ -263,7 +268,7 @@ def _guard_scalar(kernel: ExponentialKernel, z: complex) -> None:
 def _guard_array(kernel: ExponentialKernel, shifted: np.ndarray) -> None:
     """:func:`_guard_poles` for every pole, at every point of ``shifted = z[..., None] + g``."""
     distance = np.abs(shifted)
-    near = distance < POLE_GUARD_FACTOR * kernel._g
+    near = distance < POLE_GUARD_ULPS * np.spacing(kernel._g)
     if near.any():
         i = np.flatnonzero(near)[0]
         _guard_poles(float(distance.flat[i]), float(kernel._g[i % kernel.size]))
@@ -368,7 +373,7 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     terms' moduli; an array of points is summed pairwise along the
     ladder.  Either way the error stays near machine precision for
     ladders of a few million terms.  An evaluation closer to a pole than
-    POLE_GUARD_FACTOR of that pole's rate raises
+    POLE_GUARD_ULPS ulps of that pole's rate raises
     :class:`PoleProximityError`.  A kernel's far-pole series adds its
     share; beyond its radius it raises :class:`NumericalError` rather
     than extrapolate.

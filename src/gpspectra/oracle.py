@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import MaxIterationsError, NumericalError
 from .pencil import ModePencil, common_denominator
@@ -44,13 +43,28 @@ def _working_value(x) -> np.clongdouble:
 
     numpy's own object-array casts go through ``float`` and would round
     exact rationals to 53 bits; splitting into a double head plus exact
-    remainder keeps the full 64-bit longdouble mantissa.
+    remainder keeps the full 64-bit longdouble mantissa.  Both parts are
+    correctly rounded integer true divisions: hi = n/d, and lo the
+    remainder n/d - hn/hd = (n*hd - hn*d)/(d*hd) with hi = hn/hd.
     """
     if isinstance(x, Fraction):
-        hi = float(x)
-        lo = float(x - Fraction(hi))
+        n, d = x.numerator, x.denominator
+        hi = n / d
+        hn, hd = hi.as_integer_ratio()
+        lo = (n * hd - hn * d) / (d * hd)
         return np.clongdouble(hi) + np.clongdouble(lo)
     return np.clongdouble(x)
+
+
+def _powers(z: np.ndarray, degree: int) -> np.ndarray:
+    """The power table V[:, j] = z**j, j = 0..degree, from one cumulative product.
+
+    P(z) = V @ c for ascending coefficients c, and P'(z) = V[:, :-1] @ dc.
+    """
+    v = np.empty((z.size, degree + 1), dtype=z.dtype)
+    v[:, 0] = 1.0
+    v[:, 1:] = z[:, None]
+    return np.multiply.accumulate(v, axis=1, out=v)
 
 
 def _exact(x) -> Fraction:
@@ -164,8 +178,10 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     there (eps * sum (2k+1)|c_k||z|^k).  That plateau is the evaluation-noise
     limit cycle, the accuracy ceiling of the data; stopping on small
     residuals alone would quit a sweep or two earlier, which for pinched
-    roots (tiny |P'|) costs a decade of forward accuracy.  The whole
-    iteration is carried in extended precision (clongdouble):
+    roots (tiny |P'|) costs a decade of forward accuracy.  Each sweep
+    reads P and P' off one power table of its iterates
+    (:func:`_powers`), as do the noise-floor test and the final gate.
+    The whole iteration is carried in extended precision (clongdouble):
     ill-conditioned clusters — pinched roots of cleared pencils have
     monomial-basis condition numbers around 1e10 — would otherwise limit
     forward accuracy to ~1e-6 even at full convergence.  Every returned
@@ -192,15 +208,14 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     if c[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     c = c / c[-1]
-    dc = npoly.polyder(c)
 
     zeros_at_origin = 0
     while exacts[0] == 0:
         zeros_at_origin += 1
         exacts = exacts[1:]
         c = c[1:]
-        dc = npoly.polyder(c)
     n = c.size - 1
+    dc = c[1:] * np.arange(1, n + 1)
     if n == 0:
         return np.zeros(zeros_at_origin, dtype=complex)
 
@@ -210,16 +225,17 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     noise_weights = (2.0 * np.arange(c.size) + 1.0) * np.abs(c)
 
     def at_noise_floor(factor: float) -> bool:
-        resid = np.abs(npoly.polyval(z, c))
-        floor = eps * npoly.polyval(np.abs(z), noise_weights)
-        return bool(np.all(resid <= factor * floor))
+        v = _powers(z, n)
+        floor = eps * (np.abs(v) @ noise_weights)
+        return bool(np.all(np.abs(v @ c) <= factor * floor))
 
     converged = False
     best_step = np.inf
     stale = 0
     for _ in range(max_sweeps):
-        pz = npoly.polyval(z, c)
-        dz = npoly.polyval(z, dc)
+        v = _powers(z, n)
+        pz = v @ c
+        dz = v[:, :-1] @ dc
         ratio = np.where(dz != 0, pz / np.where(dz != 0, dz, 1.0), 0.0)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
@@ -250,7 +266,8 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
         raise MaxIterationsError(f"Aberth sweeps exhausted ({max_sweeps})")
 
     z = _polish_roots(z, exacts).astype(np.clongdouble)
-    backward = np.abs(npoly.polyval(z, c)) / npoly.polyval(np.abs(z), np.abs(c))
+    v = _powers(z, n)
+    backward = np.abs(v @ c) / (np.abs(v) @ np.abs(c))
     worst = float(np.max(backward))
     if worst > ABERTH_RESIDUAL:
         raise NumericalError(

@@ -9,8 +9,10 @@ are secular equations in the offset delta = z + g_k from the left pole,
     1 + s*(delta - g_k)**2 - w * sum_j c_j/(delta + (g_j - g_k)) = 0,
 
 with s = 1/a**2 for L and s = 0 for f, so a root pinched against its pole
-keeps full relative accuracy.  All branches of a block are solved at once
-by rational interpolation: each step fits (alpha + beta*delta) /
+keeps full relative accuracy.  The solver works on (factor, k) columns,
+each with its own inertia weight s, so one block holds the symbol and the
+stiffness roots of the same branches.  All columns of a block are solved
+at once by rational interpolation: each step fits (alpha + beta*delta) /
 (delta*(1 - delta/D)), poles at both interval ends (D = g_k - g_{k-1}), to
 the value and slope at the iterate and moves to its root -- Newton on the
 pole-cleared function, started at delta = 0 and held inside a sign-change
@@ -30,7 +32,7 @@ from .errors import MaxIterationsError, NoSignChangeError
 from .kernels import ExponentialKernel
 from .pencil import ModePencil
 
-#: entries of a work array (ladder size * branches solved together)
+#: entries of a work array (ladder size * columns solved together)
 BLOCK_CELLS = 1 << 16
 
 #: iteration cap; the bracket alone converges within it
@@ -73,8 +75,8 @@ def bracket_intervals(kernel: ExponentialKernel, count: int) -> list[tuple[float
     return [(-edges[k], -edges[k - 1]) for k in range(1, count + 1)]
 
 
-def _solve_block(c, g, w: float, s: float, k: np.ndarray) -> np.ndarray:
-    """Offsets of the branches with 0-based indices ``k``, all at once."""
+def _solve_block(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Offsets of the columns (``s``, ``k``): inertia weight, 0-based branch."""
     gk, wck, first = g[k], w * c[k], k == 0
     D = np.where(first, np.inf, gk - g[k - 1])
     wcr = np.where(first, 0.0, w * c[k - 1] / D)
@@ -102,24 +104,36 @@ def _solve_block(c, g, w: float, s: float, k: np.ndarray) -> np.ndarray:
         done |= small
         if done.all():
             return d
-    raise MaxIterationsError(f"branches {(k[~done] + 1).tolist()} not settled in {MAX_ITER} steps")
+    raise MaxIterationsError(
+        f"branches {(np.unique(k[~done]) + 1).tolist()} not settled in {MAX_ITER} steps"
+    )
 
 
-def _solve(p: ModePencil, first: int, last: int, inertia: bool) -> list[BranchRoot]:
-    """Branches first..last of the symbol (``inertia``) or the stiffness factor."""
+def _solve(p: ModePencil, first: int, last: int, inertia: tuple[bool, ...]) -> list[list[BranchRoot]]:
+    """Branches first..last of each factor: the symbol (True) or the stiffness factor.
+
+    Every block holds the same branches of each factor, side by side, and
+    a work array at most BLOCK_CELLS entries.  The columns are independent:
+    each root is the one a solve of its factor alone finds, bit for bit,
+    as long as both blocks hold more than one column (numpy sums a lone
+    column along the ladder in another order).
+    """
     kern = p.kernel
     kern.require_every_pole("the real branches")
     c, g = kern._c, kern._g
     w, a2 = p.memory_weight, p.frequency**2
-    scale, s = (a2, 1.0 / a2) if inertia else (1.0, 0.0)
+    scales = [a2 if f else 1.0 for f in inertia]
+    weights = [1.0 / a2 if f else 0.0 for f in inertia]
     intervals = bracket_intervals(kern, last)
     if first == 1 and not p.load < 1.0:
         # F(0) = 1 - w*sum c_j/g_j: no sign change left of the origin
-        raise NoSignChangeError(*intervals[0], -math.inf, scale * (1.0 - p.load))
-    out = []
-    block = max(1, BLOCK_CELLS // g.size)
+        raise NoSignChangeError(*intervals[0], -math.inf, scales[0] * (1.0 - p.load))
+    out: list[list[BranchRoot]] = [[] for _ in inertia]
+    block = max(1, BLOCK_CELLS // (len(inertia) * g.size))
     for start in range(first - 1, last, block):
-        k = np.arange(start, min(start + block, last))
+        branches = np.arange(start, min(start + block, last))
+        k = np.tile(branches, len(inertia))
+        s = np.repeat(weights, branches.size)
         d = _solve_block(c, g, w, s, k)
         # F and F' at the offsets, every pole included, for residual and step
         t = d + (g[:, None] - g[k])
@@ -127,19 +141,26 @@ def _solve(p: ModePencil, first: int, last: int, inertia: bool) -> list[BranchRo
         F = 1.0 + s * x * x - w * (c[:, None] / t).sum(axis=0)
         dF = 2.0 * s * x + w * (c[:, None] / (t * t)).sum(axis=0)
         cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), dF.tolist())
-        for i, value, offset, f, df in cols:
-            out.append(BranchRoot(i + 1, value, intervals[i], scale * abs(f), offset, abs(f / df)))
+        for col, (i, value, offset, f, df) in enumerate(cols):
+            j = col // branches.size
+            out[j].append(BranchRoot(i + 1, value, intervals[i], scales[j] * abs(f), offset, abs(f / df)))
     return out
 
 
 def branch_roots(p: ModePencil, count: int) -> list[BranchRoot]:
     """Real roots of the mode symbol, one per pole interval, k = 1..count."""
-    return _solve(p, 1, count, inertia=True)
+    return _solve(p, 1, count, (True,))[0]
 
 
 def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
     """Real roots of the stiffness factor f, one per pole interval."""
-    return _solve(p, 1, count, inertia=False)
+    return _solve(p, 1, count, (False,))[0]
+
+
+def branch_and_stiffness_roots(p: ModePencil, count: int) -> tuple[list[BranchRoot], list[BranchRoot]]:
+    """(:func:`branch_roots`, :func:`stiffness_roots`) from one block pass."""
+    roots, stiff = _solve(p, 1, count, (True, False))
+    return roots, stiff
 
 
 @dataclass(frozen=True)
@@ -179,8 +200,9 @@ def branch_convergence(pencils: Sequence[ModePencil], k: int) -> ConvergenceReco
     if not 1 <= k <= kern.size:
         raise ValueError(f"branch index {k} outside 1..{kern.size}")
 
-    mu = [_solve(p, k, k, inertia=True)[0] for p in pencils]
-    x = [_solve(p, k, k, inertia=False)[0] for p in pencils]
+    solved = [_solve(p, k, k, (True, False)) for p in pencils]
+    mu = [m for (m,), _ in solved]
+    x = [f for _, (f,) in solved]
     dev = [m.offset for m in mu]
     gaps = [s.offset - m.offset for m, s in zip(mu, x)]
     if any(b > a * (1 + 1e-9) for a, b in zip(dev, dev[1:])):

@@ -46,8 +46,8 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra import kernels
-from gpspectra.kernels import FSUM_MAX, POLE_GUARD_FACTOR
-from conftest import PINCHED_FIVE
+from gpspectra.kernels import FSUM_MAX, POLE_GUARD_ULPS
+from conftest import PINCHED_EIGHT, PINCHED_FIVE
 
 
 # ---------------------------------------------------------------- ladders
@@ -135,7 +135,7 @@ def test_pole_guard_trips():
     for size in (7, FSUM_MAX + 1):
         g = np.arange(1.0, size + 1.0)
         kern = ExponentialKernel(1.0 / np.sqrt(g), g)
-        guard = POLE_GUARD_FACTOR * g[-1]
+        guard = POLE_GUARD_ULPS * math.ulp(g[-1])
         points = [0.0, -g[-1] - 2.0, -0.5 * (g[1] + g[2]) + 1e-3j]
         for pole in (g[0], g[3], g[-1]):
             for d in (0.0, 0.5, 0.99, 1.01, 2.0):
@@ -157,7 +157,7 @@ def test_pole_guard_trips():
 
 def test_pole_guard_is_relative_to_each_poles_own_rate():
     # pool entry 527: five roots 5.4e-13 to 1.4e-12 from their poles, below
-    # POLE_GUARD_FACTOR of the largest rate but not of their own
+    # 1e-13 of the largest rate
     coeffs, rates, a, xi = PINCHED_FIVE
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
     roots = [b.value for b in solve_mode(p).real_roots]
@@ -176,6 +176,20 @@ def test_pole_guard_is_relative_to_each_poles_own_rate():
                     laplace_deriv(p.kernel, point)
             with pytest.raises(PoleProximityError):
                 laplace_with_deriv(p.kernel, z)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rates, a, xi", [PINCHED_FIVE, PINCHED_EIGHT], ids=["PINCHED_FIVE", "PINCHED_EIGHT"]
+)
+def test_symbol_is_finite_at_every_resolved_root(coeffs, rates, a, xi):
+    # pool entry 619 (PINCHED_EIGHT): branch 5's root lies 61 ulps of its
+    # rate from its pole, branch 8's 83 ulps (1.474e-13 from -15.0505)
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    result = solve_mode(p, certify=False)
+    for b in result.real_roots + result.stiffness_roots:
+        for z in (b.value, np.array([b.value])):
+            assert np.all(np.isfinite(symbol(p, z)))
+        assert all(cmath.isfinite(v) for v in laplace_with_deriv(p.kernel, b.value))
 
 
 def _fsum_terms(terms):

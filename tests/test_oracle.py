@@ -23,7 +23,7 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra.errors import NumericalError
-from gpspectra.oracle import ABERTH_RESIDUAL, _min_cost_assignment
+from gpspectra.oracle import ABERTH_RESIDUAL, _min_cost_assignment, _powers, _working_value
 from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
 
 
@@ -88,6 +88,25 @@ def _mp_newton(coeffs, seeds):
                 root -= value / deriv
             out.append(complex(root))
     return np.array(out)
+
+
+def test_working_value_keeps_the_extended_mantissa():
+    # head and remainder from integer divisions equal the Fraction arithmetic
+    rng = np.random.default_rng(7)
+    values = [Fraction(1, 3), Fraction(-2, 7), Fraction(0), Fraction(10**40 + 1, 3**60)]
+    values += [Fraction(int(n), int(d)) for n, d in rng.integers(-(10**15), 10**15, (200, 2)) if d]
+    for x in values:
+        hi = float(x)
+        expected = np.clongdouble(hi) + np.clongdouble(float(x - Fraction(hi)))
+        assert _working_value(x) == expected
+
+
+def test_power_table_columns_are_the_powers():
+    z = np.array([0.5 + 2j, -3.0, 1e5j], dtype=np.clongdouble)
+    v = _powers(z, 4)
+    assert v.shape == (3, 5) and np.all(v[:, 0] == 1)
+    for j in range(1, 5):
+        assert np.all(v[:, j] == v[:, j - 1] * z)
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,15 @@ from gpspectra import (
     NoSignChangeError,
     aberth_roots,
     bracket_intervals,
+    branch_and_stiffness_roots,
     branch_convergence,
     branch_roots,
+    solve_mode,
     stiffness_roots,
     to_polynomial,
 )
-from conftest import MU_1, PINCHED_EIGHT, PINCHED_FIVE
+from gpspectra import real_branches
+from conftest import CLUSTER_TWELVE, MU_1, PINCHED_EIGHT, PINCHED_FIVE
 
 
 def test_bracket_intervals_single():
@@ -153,3 +156,49 @@ def test_roots_inside_the_pole_guard_are_resolved(coeffs, rates, a, xi):
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
     _check_branches(p)
     assert min(mu.offset for mu in branch_roots(p, len(rates))) < 1e-13 * rates[-1]
+
+
+def _check_fused_block(p: ModePencil) -> None:
+    """The (factor, k) block equals one-factor solves of the same branches, bit for bit."""
+    n = p.kernel.size
+    roots, stiff = branch_and_stiffness_roots(p, n)
+    assert roots == branch_roots(p, n)
+    assert stiff == stiffness_roots(p, n)
+    result = solve_mode(p, certify=False)
+    assert list(result.real_roots) == roots and list(result.stiffness_roots) == stiff
+    # as branch_convergence does, one branch's two columns alone
+    for k in {1, n}:
+        assert real_branches._solve(p, k, k, (True, False)) == [[roots[k - 1]], [stiff[k - 1]]]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(admissible_modes())
+def test_fused_block_matches_one_factor_solves(p):
+    _check_fused_block(p)
+
+
+@pytest.mark.parametrize(
+    "coeffs, rates, a, xi",
+    [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
+    ids=["PINCHED_FIVE", "PINCHED_EIGHT", "CLUSTER_TWELVE"],
+)
+def test_fused_block_matches_one_factor_solves_on_pinned_ladders(coeffs, rates, a, xi):
+    _check_fused_block(ModePencil(a, xi, ExponentialKernel(coeffs, rates)))
+
+
+def test_small_blocks_split_the_columns_and_keep_the_roots(monkeypatch):
+    coeffs, rates, a, xi = CLUSTER_TWELVE
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    whole = branch_and_stiffness_roots(p, 12)
+    widths = []
+    solve_block = real_branches._solve_block
+
+    def spy(c, g, w, s, k):
+        widths.append(k.size)
+        return solve_block(c, g, w, s, k)
+
+    monkeypatch.setattr(real_branches, "_solve_block", spy)
+    monkeypatch.setattr(real_branches, "BLOCK_CELLS", 12 * 6)  # three branches a block
+    assert branch_and_stiffness_roots(p, 12) == whole
+    # 24 columns: each block holds both factors of three branches
+    assert widths == [6, 6, 6, 6]
