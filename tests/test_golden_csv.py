@@ -3,8 +3,10 @@
 Each ``tests/data/<config>-<job>.csv`` was written by
 ``gpspectra <job> --config tests/data/<config>.json --out <file>``.  The
 configs are the a=10 cubic, CLUSTER_TWELVE at a = 10, at its pool frequency
-and at 3e5 (see conftest.py), and a six-mode ladder a = 3 * 10**j on
-PINCHED_FIVE.  A refactor that moves any printed digit fails here; a change
+and at 3e5 (see conftest.py), a six-mode ladder a = 3 * 10**j on
+PINCHED_FIVE, and the 164415-term square-root family c_k = k**-1/2,
+g_k = k on six modes from a = 100, whose sweep closes the far poles with
+a power series.  A refactor that moves any printed digit fails here; a change
 that means to move one regenerates the file with the command above and
 says why.
 """
@@ -25,6 +27,7 @@ GOLDEN = [
     ("cluster_twelve", "verify"),
     ("cluster_twelve", "oracle-check"),
     ("pinched_five_ladder", "sweep"),
+    ("sqrt_family_ladder", "sweep"),
 ]
 
 
