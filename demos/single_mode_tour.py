@@ -42,9 +42,13 @@ print(f"  fixed-point iterations {result.pair_iterations}, "
       f"contraction bound {result.contraction_bound:.3f}")
 
 cert = result.certificate
-print(f"\nargument-principle certificate: winding {cert.winding} "
-      f"+ {cert.poles_inside} pole(s) = {cert.zeros_inferred} zeros "
-      f"(defect {cert.max_quadrature_defect:.1e})")
+(lo, hi), = cert.brackets
+print(f"\ncounting certificate: {cert.zeros_inferred} zeros, one in each of "
+      f"{cert.zeros_inferred} disjoint enclosures")
+print(f"  mu_1 + 2 in [{lo!r}, {hi!r}], sign change proven "
+      f"(margin {cert.sign_margin:.1f} rounding bounds)")
+print(f"  lam+ within {cert.pair_radius * mode.frequency:.1e} of its disc centre "
+      f"(Kantorovich h = {cert.kantorovich_h:.1e} <= 1/2), lam- in the mirror disc")
 
 # cross-check against simultaneous iteration on the cleared polynomial
 coeffs = to_polynomial(mode)

@@ -4,8 +4,8 @@ The package answers three questions about the mode symbol
 L(z) = z**2 + a**2 - a**(2*xi) * Khat(z):
 
 * where its roots are (interlaced real branches + one oscillatory pair),
-* how confident we are (residuals, argument-principle certificates,
-  polynomial and time-domain oracles),
+* how confident we are (residuals, counting certificates, argument-principle
+  contour counts, polynomial and time-domain oracles),
 * and where the pair goes as the frequency a grows (closed-form
   asymptotics with verified remainder orders).
 
@@ -51,9 +51,11 @@ from .asymptotics import (
 from .complex_pair import (
     CountCertificate,
     FixedPointPair,
+    PairBall,
     RectContour,
     count_zeros,
     fixed_point_pair,
+    kantorovich_ball,
     newton_refine,
     solve_pair,
     spectrum_contour,
@@ -62,6 +64,7 @@ from .errors import (
     ConfigError,
     ContourError,
     DivergenceError,
+    EnclosureError,
     GPSpectraError,
     InadmissibleModeError,
     MaxIterationsError,
@@ -117,7 +120,7 @@ from .real_branches import (
     branch_roots,
     stiffness_roots,
 )
-from .solve import SpectrumResult, solve_mode
+from .solve import CountingCertificate, SpectrumResult, solve_mode
 
 __version__ = "0.1.0"
 
@@ -129,8 +132,10 @@ __all__ = [
     "ContourError",
     "ConvergenceRecord",
     "CountCertificate",
+    "CountingCertificate",
     "DecayEstimate",
     "DivergenceError",
+    "EnclosureError",
     "ExponentialKernel",
     "FixedPointPair",
     "GPSpectraError",
@@ -142,6 +147,7 @@ __all__ = [
     "NonContractionError",
     "NoSignChangeError",
     "NumericalError",
+    "PairBall",
     "PoleProximityError",
     "PowerLawFamily",
     "QuadratureError",
@@ -165,6 +171,7 @@ __all__ = [
     "empirical_order",
     "fixed_point_pair",
     "inertia",
+    "kantorovich_ball",
     "laplace",
     "laplace_asymptotic",
     "laplace_deriv",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
-from .complex_pair import solve_pair
+from .complex_pair import count_zeros, solve_pair, spectrum_contour
 from .errors import ConfigError, GPSpectraError, NumericalError
 from .kernels import ExponentialKernel, PowerLawFamily, materialize, materialize_within_each
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
@@ -406,8 +406,9 @@ def _mode_checks(
     worst = max([result.pair_residual / a**2] + [b.relative_error for b in result.real_roots])
     rows.append(("residual", "pass" if worst <= residual_tol else "fail", worst))
 
-    # count_zeros has already refused any defect of MAX_QUADRATURE_DEFECT or more
-    cert = result.certificate
+    # the contour walk, independent of the solver's own counting certificate;
+    # count_zeros refuses any defect of MAX_QUADRATURE_DEFECT or more
+    cert = count_zeros(pencil, spectrum_contour(pencil, n))
     count_ok = cert.zeros_inferred == n + 2
     rows.append(("contour_count", "pass" if count_ok else "fail", cert.max_quadrature_defect))
 
@@ -448,9 +449,10 @@ def run_verify(cfg: JobConfig) -> tuple[str, bool]:
             print(f"gpspectra verify: mode {n} is overloaded, not solved", file=sys.stderr)
     total = len(cfg.modes)
 
-    results = _map_modes(solve_mode, admitted)
-    for (n, pencil), result in zip(admitted, results):
-        for check, status, margin in _mode_checks(pencil, result, cfg.residual_tol):
+    # the checks walk each mode's contour, so a failure there names its mode too
+    checks = _map_modes(lambda p: _mode_checks(p, solve_mode(p), cfg.residual_tol), admitted)
+    for (n, pencil), rows in zip(admitted, checks):
+        for check, status, margin in rows:
             lines.append(f"{check},mode_{n},{status},{_fmt(margin)}")
             total += 1
             if status == "fail":

@@ -8,8 +8,10 @@ L(lam) = 0 into the fixed-point problem
 
 whose right-hand side is a contraction once the frequency is moderately
 large; iteration from tau = 0 plus a Newton polish pins the root to the
-working-precision floor.  Root counts inside axis-aligned rectangles are
-certified independently by argument-continuation winding counts.
+working-precision floor.  :func:`kantorovich_ball` proves a disc around
+that root by the Newton-Kantorovich theorem.  Root counts inside
+axis-aligned rectangles are certified independently by
+argument-continuation winding counts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import (
     ContourError,
     DivergenceError,
+    EnclosureError,
     MaxIterationsError,
     NonContractionError,
 )
@@ -46,6 +49,8 @@ _MAG_STEP_LIMIT = 1.5
 
 #: a segment still ambiguous after this many bisections pins a root on it
 _MAX_BISECT_DEPTH = 48
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,79 @@ def solve_pair(p: ModePencil, residual_tol: float = 1e-10) -> FixedPointPair:
     if plus.imag < 0:
         plus = plus.conjugate()
     return replace(fp, plus=plus, minus=plus.conjugate())
+
+
+@dataclass(frozen=True)
+class PairBall:
+    """A disc proven to hold the upper root, in tau = z/a - i.
+
+    The root lies in |z/a - i - center| <= radius; the lower root lies in
+    the conjugate disc.  ``h`` is the Kantorovich quantity beta*gamma*eta.
+    """
+
+    center: complex
+    radius: float
+    h: float
+
+
+def kantorovich_ball(p: ModePencil, plus: complex) -> PairBall:
+    """Prove a Newton-Kantorovich disc around the upper root ``plus``.
+
+    In tau = z/a - i the scaled symbol is
+
+        f(tau) = L/a**2 = tau*(tau + 2i) - w * sum (c_j/a) / v_j,
+        v_j = i + tau + g_j/a,
+
+    where nothing overflows or cancels at any frequency.  With eta >=
+    |f/f'| and beta >= 1/|f'| at the centre tau0 (both inflated by the
+    rounding bounds of f and f'), and gamma >= sup |f''| over the disc of
+    radius 2*eta,
+
+        |f''| <= 2 + 2w * sum (c_j/a) / (|v_j| - 2*eta)**3,
+
+    h = beta*gamma*eta <= 1/2 puts a root of f within 2*eta of tau0.  The
+    disc must also clear the real axis, Im(i + tau0) > 2*eta, so it and
+    its conjugate are disjoint from each other and from every pole.  eta
+    is floored at eps: a disc narrower than the spacing of doubles at
+    tau0 would hold the root but not the doubles that round it.  The
+    rounding bounds count each first-order u of an evaluation as eps =
+    2u, as the real brackets do.  Raises :class:`EnclosureError` when
+    either condition fails.
+    """
+    kern = p.kernel
+    kern.require_every_pole("the pair's enclosure")
+    a, w = p.frequency, p.memory_weight
+    c, g = kern._c, kern._g
+    n = g.size
+    tau = complex(plus.real / a, plus.imag / a - 1.0)
+    q, e = c / a, g / a
+    v = (tau + 1j) + e
+    mv = np.abs(v)
+    terms = q / v
+    slopes = terms / v
+    # v_j carries the rounding of g_j/a and of its two parts; each quotient
+    # carries that of q_j and of its own division
+    rel = e / mv + 8.0
+    f = tau * (tau + 2j) - w * complex(terms.sum())
+    df = 2.0 * (tau + 1j) + w * complex(slopes.sum())
+    f_bound = _EPS * (4.0 * abs(tau) * abs(tau + 2j) + w * float(((rel + n + 2) * np.abs(terms)).sum()))
+    df_bound = _EPS * (4.0 * abs(tau + 1j) + w * float(((2.0 * rel + n + 2) * np.abs(slopes)).sum()))
+    inflate = 1.0 + 16.0 * _EPS  # covers the scalar steps below
+    reach = abs(df) - df_bound
+    if not reach > 0.0:
+        raise EnclosureError(None, (tau, math.inf), f"|f'| = {abs(df):.3e} is within its bound {df_bound:.3e}")
+    beta = inflate / reach
+    eta = max(inflate * beta * (abs(f) + f_bound), _EPS)
+    radius = 2.0 * eta
+    # least distance from the disc to each pole -i - g_j/a
+    gaps = mv * (1.0 - 4.0 * _EPS) - _EPS * e - radius
+    if not ((1.0 + tau.imag) * (1.0 - 2.0 * _EPS) > radius and gaps.min() > 0.0):
+        raise EnclosureError(None, (tau, radius), f"the disc reaches the real axis, Im(i + tau0) = {1.0 + tau.imag:.3e}")
+    gamma = inflate * (2.0 + 2.0 * w * float((q * (1.0 + 2.0 * _EPS) / gaps**3).sum()))
+    h = inflate * beta * gamma * eta
+    if not h <= 0.5:
+        raise EnclosureError(None, (tau, radius), f"Kantorovich h = {h:.3e} is above 1/2")
+    return PairBall(center=tau, radius=radius, h=h)
 
 
 def _segment_phase(

@@ -58,3 +58,17 @@ class QuadratureError(NumericalError):
 
 class ContourError(NumericalError):
     """Winding-number quadrature defect failed to shrink under refinement."""
+
+
+class EnclosureError(NumericalError):
+    """A root enclosure of the counting certificate could not be proven.
+
+    ``branch`` is the 1-based real branch, or None for the oscillatory
+    pair; ``bracket`` is the branch's (lo, hi) offsets from its left pole,
+    or the pair's (center, radius) disc in tau = z/a - i.
+    """
+
+    def __init__(self, branch: int | None, bracket: tuple, reason: str):
+        self.branch, self.bracket = branch, bracket
+        where = "pair disc (center, radius)" if branch is None else f"branch {branch} bracket (lo, hi)"
+        super().__init__(f"{where} = {bracket!r} not proven: {reason}")

@@ -90,7 +90,7 @@ def _gaussian_numerators(exacts: list) -> list[tuple[int, int]]:
     return list(zip(nums[::2], nums[1::2]))
 
 
-def _newton_iterate(nums: list[tuple[int, int]], root: complex) -> complex | None:
+def _newton_iterate(nums: list[tuple[int, int]], root: complex, real: bool) -> complex | None:
     """One exact Newton step z - P(z)/P'(z), rounded once to a complex double.
 
     The point is first put on the grid 2**(e - QUANT_BITS), e the binary
@@ -98,7 +98,10 @@ def _newton_iterate(nums: list[tuple[int, int]], root: complex) -> complex | Non
     integer Z and s = 2**t.  Horner's rule on the homogenised polynomial
     Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s) carries Q and Q'
     exactly, and the iterate Z/s - Q/(s Q') = (Z Q' - Q)/(s Q') is rounded
-    by integer true division.  Returns None where Q' vanishes.
+    by integer true division.  Returns None where Q' vanishes.  With
+    ``real`` (every imaginary numerator is zero), a point whose quantised
+    imaginary part is zero takes a real-only pass: its imaginary parts
+    would all stay zero, so the step is the same, bit for bit.
     """
     _, e = math.frexp(max(abs(root.real), abs(root.imag)))
     t = QUANT_BITS - e
@@ -106,6 +109,14 @@ def _newton_iterate(nums: list[tuple[int, int]], root: complex) -> complex | Non
     if t < 0:
         x, y, t = x << -t, y << -t, 0
     deg = len(nums) - 1
+    if real and y == 0:
+        q = dq = 0
+        for k in range(deg, -1, -1):
+            dq = dq * x + q
+            q = q * x + (nums[k][0] << t * (deg - k))
+        if dq == 0:
+            return None
+        return complex((x * dq - q) / (dq << t), 0.0)
     qr = qi = er = ei = 0
     for k in range(deg, -1, -1):
         nr, ni = nums[k]
@@ -134,11 +145,12 @@ def _polish_roots(z: np.ndarray, exacts: list, steps: int = 4) -> np.ndarray:
     it, so iterates stop as soon as they repeat, or after ``steps``.
     """
     nums = _gaussian_numerators(exacts)
+    real = not any(ni for _, ni in nums)
     out = []
     for seed in z.astype(complex):
         root = complex(seed)
         for _ in range(steps):
-            step = _newton_iterate(nums, root)
+            step = _newton_iterate(nums, root, real)
             if step is None or step == root:
                 break
             root = step

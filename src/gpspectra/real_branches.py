@@ -18,6 +18,11 @@ the value and slope at the iterate and moves to its root -- Newton on the
 pole-cleared function, started at delta = 0 and held inside a sign-change
 bracket.  A missing sign change (the first interval of an overloaded
 kernel) is reported, never papered over.
+
+Every located root also gets a proven bracket: F is evaluated at offsets
+just either side of it together with a running bound on the rounding
+error of that evaluation, and the bracket counts only where the two signs
+stand clear of their bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ class BranchRoot:
 
     ``offset`` = value + g_k is what the solver computes.  ``residual`` is
     |L| (|f| for a stiffness root) and ``root_error`` the Newton step
-    |L/L'|, both evaluated at that offset.
+    |L/L'|, both evaluated at that offset.  ``bracket`` holds two offsets
+    lo < offset < hi inside the interval, and ``sign_margin`` the smaller
+    of -F(lo)/bound(lo) and F(hi)/bound(hi), F = L/a**2 (F = f for a
+    stiffness root) and bound its rounding-error bound there.  Above 1,
+    L changes sign on the bracket for certain, so a root lies inside it.
     """
 
     index: int
@@ -56,6 +65,8 @@ class BranchRoot:
     residual: float
     offset: float
     root_error: float
+    bracket: tuple[float, float]
+    sign_margin: float
 
     @property
     def relative_error(self) -> float:
@@ -109,6 +120,48 @@ def _solve_block(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
     )
 
 
+def _secular(c, g, w: float, s: np.ndarray, k: np.ndarray, d: np.ndarray):
+    """F at the offsets ``d`` of the columns (``s``, ``k``), its rounding bound, t and x.
+
+    F = 1 + s*x**2 - w*sum c_j/t_j with x = d - g_k and t_j = d + (g_j - g_k).
+    To first order its rounding error is at most u times
+    (n+2) * (1 + s*x**2 + w*sum |c_j/t_j|) for the n+2 rounded terms, plus
+    6 s*x**2 for the rounded 1/a**2 and the square, plus
+    (2 + |g_j - g_k|/|t_j|) * w|c_j/t_j| for each memory term's rounded
+    shift and quotient.  The bound counts each u as eps = 2u, which covers
+    the second-order terms and the rounding of the bound itself.
+    """
+    shift = g[:, None] - g[k]
+    t = d + shift
+    terms = c[:, None] / t
+    x = d - g[k]
+    inertia = s * x * x
+    F = 1.0 + inertia - w * terms.sum(axis=0)
+    n = g.size
+    spread = (np.abs(shift) / np.abs(t) + (n + 4)) * np.abs(terms)
+    bound = _EPS * ((n + 2) + (n + 8) * inertia + w * spread.sum(axis=0))
+    return F, bound, t, x
+
+
+def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
+    """Offsets lo < d < hi either side of each root, and their sign margins.
+
+    The half-width is h = max(4*root_error, 8*bound/|F'|), clamped to half
+    the way from the root to either end of its interval.  The margin is
+    the smaller of -F(lo)/bound(lo) and F(hi)/bound(hi); both ends are
+    evaluated in one pass.
+    """
+    right = np.where(k == 0, g[k], g[k] - g[k - 1])
+    h = np.maximum(4.0 * root_error, 8.0 * bound / np.abs(slope))
+    lo = np.maximum(d - h, 0.5 * d)
+    hi = np.minimum(d + h, d + 0.5 * (right - d))
+    F, bound, _, _ = _secular(
+        c, g, w, np.concatenate([s, s]), np.concatenate([k, k]), np.concatenate([lo, hi])
+    )
+    margin = np.minimum(-F[: d.size] / bound[: d.size], F[d.size :] / bound[d.size :])
+    return lo, hi, margin
+
+
 def _solve(p: ModePencil, first: int, last: int, inertia: tuple[bool, ...]) -> list[list[BranchRoot]]:
     """Branches first..last of each factor: the symbol (True) or the stiffness factor.
 
@@ -136,14 +189,17 @@ def _solve(p: ModePencil, first: int, last: int, inertia: tuple[bool, ...]) -> l
         s = np.repeat(weights, branches.size)
         d = _solve_block(c, g, w, s, k)
         # F and F' at the offsets, every pole included, for residual and step
-        t = d + (g[:, None] - g[k])
-        x = d - g[k]
-        F = 1.0 + s * x * x - w * (c[:, None] / t).sum(axis=0)
+        F, bound, t, x = _secular(c, g, w, s, k, d)
         dF = 2.0 * s * x + w * (c[:, None] / (t * t)).sum(axis=0)
-        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), dF.tolist())
-        for col, (i, value, offset, f, df) in enumerate(cols):
+        step = np.abs(F / dF)
+        lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
+        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(),
+                   lo.tolist(), hi.tolist(), margin.tolist())
+        for col, (i, value, offset, f, err, left, right, m) in enumerate(cols):
             j = col // branches.size
-            out[j].append(BranchRoot(i + 1, value, intervals[i], scales[j] * abs(f), offset, abs(f / df)))
+            out[j].append(
+                BranchRoot(i + 1, value, intervals[i], scales[j] * abs(f), offset, err, (left, right), m)
+            )
     return out
 
 

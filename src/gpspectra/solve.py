@@ -4,13 +4,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex_pair import CountCertificate, count_zeros, solve_pair, spectrum_contour
-from .errors import InadmissibleModeError, NumericalError
+from .complex_pair import kantorovich_ball, solve_pair
+from .errors import EnclosureError, InadmissibleModeError, NumericalError
 from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_and_stiffness_roots
 # solve_mode no longer calls these two, but perfbench/test_bench.py checks
 # that its tracer wraps them in this module too
 from .real_branches import branch_roots, stiffness_roots  # noqa: F401
+
+
+@dataclass(frozen=True)
+class CountingCertificate:
+    """n + 2 disjoint regions, each proven to hold a root of the mode symbol.
+
+    The cleared polynomial P = L * prod (z + g_k) has degree n + 2, so each
+    region holds exactly one root and there is none anywhere else.
+    ``brackets`` are the real branches' (lo, hi) offsets from their left
+    poles, the roots lying in (lo - g_k, hi - g_k); ``sign_margin`` is the
+    smallest |F|/bound over their ends (above 1 on every one).  The upper
+    root lies in |z/a - i - pair_center| <= pair_radius, with Kantorovich
+    quantity ``kantorovich_h`` <= 1/2; the lower root in the conjugate disc.
+    """
+
+    zeros_inferred: int
+    brackets: tuple[tuple[float, float], ...]
+    sign_margin: float
+    pair_center: complex
+    pair_radius: float
+    kantorovich_h: float
 
 
 @dataclass(frozen=True)
@@ -20,8 +41,8 @@ class SpectrumResult:
     ``interlacing_margin`` is the smallest of the gaps that the ordering
     -g_k < root_k < stiffness_root_k < -g_{k-1} must keep positive; a
     negative margin means the ordering failed and verification should say
-    so.  ``certificate`` is the argument-principle count over the enclosing
-    rectangle (None when not requested).
+    so.  ``certificate`` proves that the n + 2 roots found are all the
+    roots (None when not requested).
     """
 
     pencil: ModePencil
@@ -33,7 +54,7 @@ class SpectrumResult:
     pair_iterations: int
     contraction_bound: float
     interlacing_margin: float
-    certificate: CountCertificate | None
+    certificate: CountingCertificate | None
 
     @property
     def all_roots(self) -> tuple[complex, ...]:
@@ -61,6 +82,22 @@ def _interlacing_margin(
     return margin
 
 
+def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex) -> CountingCertificate:
+    """The counting certificate from the branches' brackets and the pair's disc."""
+    for r in real:
+        if not r.sign_margin > 1.0:
+            raise EnclosureError(r.index, r.bracket, f"sign margin {r.sign_margin:.3g} is not above 1")
+    ball = kantorovich_ball(p, plus)
+    return CountingCertificate(
+        zeros_inferred=len(real) + 2,
+        brackets=tuple(r.bracket for r in real),
+        sign_margin=min(r.sign_margin for r in real),
+        pair_center=ball.center,
+        pair_radius=ball.radius,
+        kantorovich_h=ball.h,
+    )
+
+
 def solve_mode(
     p: ModePencil,
     residual_tol: float = 1e-10,
@@ -71,11 +108,14 @@ def solve_mode(
     All kernel poles bracket one real branch; the conjugate pair comes from
     the fixed-point map polished by Newton.  A branch root must pass its
     gate ``BranchRoot.relative_error <= residual_tol`` and the pair must
-    satisfy |L| <= residual_tol * a**2.  With ``certify`` the rectangle
-    count is attached — the certificate is stored either way, the
-    assertion belongs to the verification layer.  A mode whose load
-    ``p.load`` is not below 1 lies outside the theorem and raises
-    :class:`InadmissibleModeError` before anything is solved.
+    satisfy |L| <= residual_tol * a**2.  With ``certify`` the result carries
+    a :class:`CountingCertificate`: every branch bracket must show a sign
+    change clear of its rounding bound, and the pair a Newton-Kantorovich
+    disc, or :class:`EnclosureError` names the branch or disc that failed.
+    No contour is walked; :func:`count_zeros` remains the independent
+    check.  A mode whose load ``p.load`` is not below 1 lies outside the
+    theorem and raises :class:`InadmissibleModeError` before anything is
+    solved.
     """
     if not p.load < 1.0:
         raise InadmissibleModeError(p.load)
@@ -90,9 +130,7 @@ def solve_mode(
 
     pair = solve_pair(p, residual_tol=residual_tol)
 
-    certificate = None
-    if certify:
-        certificate = count_zeros(p, spectrum_contour(p, n))
+    certificate = _count_roots(p, real, pair.plus) if certify else None
 
     return SpectrumResult(
         pencil=p,

@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gpspectra import ExponentialKernel, ModePencil
 from gpspectra.cli import main
@@ -53,6 +55,22 @@ CLUSTER_TWELVE = (
      19.714496024288568, 20.224083312406943, 21.303147208133197),
     76074.6194480853, 0.9169323406585285,
 )
+
+
+@st.composite
+def admissible_modes(draw):
+    """Pool-style ladders: log-uniform first rate, gaps and amplitudes over
+    [0.1, 10], memory strength sum c/g in [0.2, 0.85], a log-uniform over
+    [1, 1e6], xi in [0.05, 0.95]."""
+    n = draw(st.integers(1, 12))
+    exponent = st.floats(-1.0, 1.0)
+    rates = np.cumsum([10.0 ** draw(exponent) for _ in range(n)])
+    raw = np.array([10.0 ** draw(exponent) for _ in range(n)])
+    strength = draw(st.floats(0.2, 0.85))
+    coeffs = raw * (strength / float(np.sum(raw / rates)))
+    a = 10.0 ** draw(st.floats(0.0, 6.0))
+    xi = draw(st.floats(0.05, 0.95))
+    return ModePencil(a, xi, ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
 
 
 @pytest.fixture()

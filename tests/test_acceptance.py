@@ -20,6 +20,7 @@ from gpspectra import (
     asymptotic_constant,
     asymptotic_constant_quadrature,
     continuum_laplace,
+    count_zeros,
     empirical_order,
     laplace,
     laplace_tail,
@@ -29,6 +30,7 @@ from gpspectra import (
     simulate_decay,
     solve_mode,
     solve_pair,
+    spectrum_contour,
     tail_bound,
     to_polynomial,
 )
@@ -128,9 +130,16 @@ def test_03_corpus_vieta_identities(corpus):
 
 def test_04_corpus_contour_counts(corpus):
     for pencil, result, _ in corpus:
+        n = pencil.kernel.size
+        contour = count_zeros(pencil, spectrum_contour(pencil, n))
+        assert contour.zeros_inferred == n + 2
+        assert contour.max_quadrature_defect < 0.25
+        # the solver's own count: n brackets and one disc, each proven
         certificate = result.certificate
-        assert certificate.zeros_inferred == pencil.kernel.size + 2
-        assert certificate.max_quadrature_defect < 0.25
+        assert certificate.zeros_inferred == n + 2
+        assert len(certificate.brackets) == n
+        assert certificate.sign_margin > 1.0
+        assert certificate.kantorovich_h <= 0.5
 
 
 # ------------------------------------------------------- asymptotic regimes

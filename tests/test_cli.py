@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import gpspectra
-from gpspectra import ModePencil, PowerLawFamily, materialize, materialize_within, solve_pair
+import gpspectra.cli
+from gpspectra import (
+    ContourError,
+    ModePencil,
+    PowerLawFamily,
+    count_zeros,
+    materialize,
+    materialize_within,
+    solve_pair,
+)
 from gpspectra.kernels import FSUM_MAX
 from conftest import MU_1, PAIR
 
@@ -370,6 +379,19 @@ def test_oracle_check_reports_a_failed_eigensolve(run_cli, cubic_config, monkeyp
     assert code == 3
     assert out == ""
     assert "numerical failure: mode 1 (a_n=10): companion eigenvalues failed" in err
+
+
+def test_verify_names_the_mode_whose_contour_walk_fails(run_cli, cubic_config, monkeypatch):
+    def failing_count(pencil, contour):
+        if pencil.frequency > 10.0:
+            raise ContourError("a root sits on the contour")
+        return count_zeros(pencil, contour)
+
+    monkeypatch.setattr(gpspectra.cli, "count_zeros", failing_count)
+    code, out, err = run_cli("verify", dict(cubic_config, modes=[10.0, 20.0]))
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: mode 2 (a_n=20): a root sits on the contour" in err
 
 
 # ----------------------------------------------------------------- asymptote

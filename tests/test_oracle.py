@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,14 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra.errors import NumericalError
-from gpspectra.oracle import ABERTH_RESIDUAL, _min_cost_assignment, _powers, _working_value
+from gpspectra.oracle import (
+    ABERTH_RESIDUAL,
+    _gaussian_numerators,
+    _min_cost_assignment,
+    _newton_iterate,
+    _powers,
+    _working_value,
+)
 from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
 
 
@@ -125,6 +133,24 @@ def test_pinched_roots_match_a_multiprecision_newton(ladder):
     assert np.array_equal(roots[pair], reference[pair])
     assert np.array_equal(roots[real].real, reference[real].real)
     assert np.all(roots[real].imag == 0.0)
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
+    ids=["five", "eight", "cluster-twelve"],
+)
+def test_real_newton_pass_equals_the_gaussian_pass(ladder):
+    coeffs, rates, a, xi = ladder
+    poly = list(to_polynomial(ModePencil(a, xi, ExponentialKernel(coeffs, rates))))
+    nums = _gaussian_numerators(poly)
+    roots = aberth_roots(poly)
+    # the real roots, nudged off them, and the pair, whose y != 0 skips the real pass
+    points = [complex(r) for r in roots] + [complex(r.real * (1 + 1e-9), 0.0) for r in roots if r.imag == 0]
+    for z in points:
+        fast, full = _newton_iterate(nums, z, True), _newton_iterate(nums, z, False)
+        assert (fast.real, fast.imag) == (full.real, full.imag)
+        assert math.copysign(1.0, fast.imag) == math.copysign(1.0, full.imag)
 
 
 def test_integer_spaced_real_roots():

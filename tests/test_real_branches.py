@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from gpspectra import (
     ExponentialKernel,
@@ -20,7 +20,7 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra import real_branches
-from conftest import CLUSTER_TWELVE, MU_1, PINCHED_EIGHT, PINCHED_FIVE
+from conftest import CLUSTER_TWELVE, MU_1, PINCHED_EIGHT, PINCHED_FIVE, admissible_modes
 
 
 def test_bracket_intervals_single():
@@ -127,22 +127,6 @@ def _check_branches(p: ModePencil) -> None:
     real = np.sort(reference[np.argsort(np.abs(reference.imag))[:n]].real)[::-1]
     for mu, ref in zip(mus, real):
         assert abs(mu.value - ref) <= 1e-8 * max(1.0, abs(mu.value))
-
-
-@st.composite
-def admissible_modes(draw):
-    """Pool-style ladders: log-uniform first rate, gaps and amplitudes over
-    [0.1, 10], memory strength sum c/g in [0.2, 0.85], a log-uniform over
-    [1, 1e6], xi in [0.05, 0.95]."""
-    n = draw(st.integers(1, 12))
-    exponent = st.floats(-1.0, 1.0)
-    rates = np.cumsum([10.0 ** draw(exponent) for _ in range(n)])
-    raw = np.array([10.0 ** draw(exponent) for _ in range(n)])
-    strength = draw(st.floats(0.2, 0.85))
-    coeffs = raw * (strength / float(np.sum(raw / rates)))
-    a = 10.0 ** draw(st.floats(0.0, 6.0))
-    xi = draw(st.floats(0.05, 0.95))
-    return ModePencil(a, xi, ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

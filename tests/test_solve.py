@@ -11,9 +11,11 @@ from gpspectra import (
     NumericalError,
     PowerLawFamily,
     aberth_roots,
+    count_zeros,
     match_roots,
     materialize,
     solve_mode,
+    spectrum_contour,
     to_polynomial,
 )
 from gpspectra.cli import _mode_checks
@@ -42,12 +44,19 @@ def test_cubic_interlacing_margin(cubic):
 
 
 def test_cubic_certificate(cubic):
+    contour = count_zeros(cubic, spectrum_contour(cubic, 1))
+    assert contour.zeros_inferred == 3
+    assert contour.winding == 2
+    assert contour.poles_inside == 1
+    assert contour.max_quadrature_defect < 0.25
     cert = solve_mode(cubic).certificate
     assert cert is not None
     assert cert.zeros_inferred == 3
-    assert cert.winding == 2
-    assert cert.poles_inside == 1
-    assert cert.max_quadrature_defect < 0.25
+    (lo, hi), = cert.brackets
+    assert lo < MU_1 + 2.0 < hi
+    assert cert.sign_margin > 1.0
+    assert cert.kantorovich_h <= 0.5
+    assert abs(PAIR / 10.0 - 1j - cert.pair_center) <= cert.pair_radius
 
 
 def test_certificate_can_be_skipped(cubic):
@@ -102,6 +111,7 @@ def test_thousand_term_power_law_ladder_passes_the_mode_checks():
     p = ModePencil(10.0, 0.5, materialize(PowerLawFamily(1, 1, 0.5, 2, count=1000)))
     sol = solve_mode(p)
     assert sol.certificate.zeros_inferred == 1002
+    assert len(sol.certificate.brackets) == 1000
     rows = _mode_checks(p, sol, 1e-10)
     assert [status for _, status, _ in rows] == ["pass"] * 6 + ["skipped"]
 
