@@ -51,7 +51,6 @@ from .asymptotics import (
 from .complex_pair import (
     CountCertificate,
     FixedPointPair,
-    PairBall,
     RectContour,
     count_zeros,
     fixed_point_pair,
@@ -147,7 +146,6 @@ __all__ = [
     "NonContractionError",
     "NoSignChangeError",
     "NumericalError",
-    "PairBall",
     "PoleProximityError",
     "PowerLawFamily",
     "QuadratureError",

@@ -215,21 +215,12 @@ def solve_pair(p: ModePencil, residual_tol: float = 1e-10) -> FixedPointPair:
     return replace(fp, plus=plus, minus=plus.conjugate())
 
 
-@dataclass(frozen=True)
-class PairBall:
-    """A disc proven to hold the upper root, in tau = z/a - i.
-
-    The root lies in |z/a - i - center| <= radius; the lower root lies in
-    the conjugate disc.  ``h`` is the Kantorovich quantity beta*gamma*eta.
-    """
-
-    center: complex
-    radius: float
-    h: float
-
-
-def kantorovich_ball(p: ModePencil, plus: complex) -> PairBall:
+def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, float]:
     """Prove a Newton-Kantorovich disc around the upper root ``plus``.
+
+    Returns (center, radius, h): the upper root lies in
+    |z/a - i - center| <= radius and the lower root in the conjugate disc;
+    h is the Kantorovich quantity beta*gamma*eta.
 
     In tau = z/a - i the scaled symbol is
 
@@ -285,7 +276,7 @@ def kantorovich_ball(p: ModePencil, plus: complex) -> PairBall:
     h = inflate * beta * gamma * eta
     if not h <= 0.5:
         raise EnclosureError(None, (tau, radius), f"Kantorovich h = {h:.3e} is above 1/2")
-    return PairBall(center=tau, radius=radius, h=h)
+    return tau, radius, h
 
 
 def _segment_phase(

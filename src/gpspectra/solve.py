@@ -87,14 +87,14 @@ def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex) -> 
     for r in real:
         if not r.sign_margin > 1.0:
             raise EnclosureError(r.index, r.bracket, f"sign margin {r.sign_margin:.3g} is not above 1")
-    ball = kantorovich_ball(p, plus)
+    center, radius, h = kantorovich_ball(p, plus)
     return CountingCertificate(
         zeros_inferred=len(real) + 2,
         brackets=tuple(r.bracket for r in real),
         sign_margin=min(r.sign_margin for r in real),
-        pair_center=ball.center,
-        pair_radius=ball.radius,
-        kantorovich_h=ball.h,
+        pair_center=center,
+        pair_radius=radius,
+        kantorovich_h=h,
     )
 
 
