@@ -190,7 +190,7 @@ def _solve(p: ModePencil, first: int, last: int, inertia: tuple[bool, ...]) -> l
         d = _solve_block(c, g, w, s, k)
         # F and F' at the offsets, every pole included, for residual and step
         F, bound, t, x = _secular(c, g, w, s, k, d)
-        dF = 2.0 * s * x + w * (c[:, None] / (t * t)).sum(axis=0)
+        dF = 2.0 * s * x + (c[:, None] / t * w / t).sum(axis=0)
         step = np.abs(F / dF)
         lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
         cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(),

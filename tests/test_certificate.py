@@ -100,7 +100,9 @@ def test_pair_disc_holds_the_oracle_pair(p):
     _check_pair_disc(p)
 
 
-LARGE = [(a, xi) for a in (1e18, 1e30) for xi in (0.05, 0.5, 0.95)] + [(1e100, 0.5), (1e100, 0.95)]
+# at a = 1e100 and xi = 0.05 the real roots sit about 1e-190 from their
+# poles, where c/t**2 underflows before w scales it
+LARGE = [(a, xi) for a in (1e18, 1e30) for xi in (0.05, 0.5, 0.95)] + [(1e100, xi) for xi in (0.05, 0.5, 0.95)]
 
 
 @pytest.mark.parametrize("a, xi", LARGE)
