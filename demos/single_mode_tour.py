@@ -38,7 +38,7 @@ print(f"interlacing margin: {result.interlacing_margin:.6f}")
 print("\noscillatory pair:")
 print(f"  lam+ = {result.pair_plus:.15f}")
 print(f"  lam- = {result.pair_minus:.15f}")
-print(f"  fixed-point iterations {result.pair_iterations}, "
+print(f"  Newton passes on the fixed-point map {result.pair_iterations}, "
       f"contraction bound {result.contraction_bound:.3f}")
 
 cert = result.certificate

@@ -6,10 +6,12 @@ L(lam) = 0 into the fixed-point problem
 
     tau = Khat(i*a + tau*a) / (a**(2*(1-xi)) * (tau + 2*i)),
 
-whose right-hand side is a contraction once the frequency is moderately
-large; iteration from tau = 0 plus a Newton polish pins the root to the
-working-precision floor.  :func:`kantorovich_ball` proves a disc around
-that root by the Newton-Kantorovich theorem.  Root counts inside
+whose right-hand side g is a contraction once the frequency is moderately
+large.  Newton's method on tau - g(tau), from tau = 0, pins the root to
+the working-precision floor in a few passes over the ladder, each of
+which gives g and g' together; :func:`newton_refine` polishes any other
+seed on L itself.  :func:`kantorovich_ball` proves a disc around that
+root by the Newton-Kantorovich theorem.  Root counts inside
 axis-aligned rectangles are certified independently by
 argument-continuation winding counts.
 """
@@ -55,18 +57,19 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class FixedPointPair:
-    """Conjugate pair located by the fixed-point map, plus convergence data.
+    """Conjugate pair located by Newton's method on the fixed-point map.
 
-    :func:`fixed_point_pair` returns the map's own iterate;
-    :func:`solve_pair` returns it Newton-polished, with ``plus`` in the upper
-    half plane and ``minus`` its conjugate.  ``iterations`` and
-    ``derivative_bound`` always describe the fixed-point map.
+    ``plus`` is the upper root and ``minus`` its conjugate (see
+    :func:`solve_pair`).  ``iterations`` counts passes over the ladder,
+    ``derivative_bound`` is the map's |g'| at the last iterate, and
+    ``residual`` is |L|/a**2 there, one Newton step before ``plus``.
     """
 
     plus: complex
     minus: complex
     iterations: int
     derivative_bound: float  # |g'| at the final iterate; < 1 when trusted
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -118,36 +121,43 @@ class CountCertificate:
 
 
 def fixed_point_pair(
-    p: ModePencil, tol: float = 1e-14, max_iter: int = 200
+    p: ModePencil, tol: float = 4.0 * _EPS, max_iter: int = 50
 ) -> FixedPointPair:
-    """Iterate the contraction for the upper root; the lower is its conjugate.
+    """Newton's method on the fixed-point form of the upper root; the lower is its conjugate.
 
-    Raises :class:`NonContractionError` the moment the local derivative of
-    the map reaches modulus one — the result would not be trustworthy — and
-    :class:`MaxIterationsError` if the tolerance is not met within the cap.
+    Each pass over the ladder gives Khat and Khat' at z = i*a + tau*a, so
+    the map g(tau) = w*Khat/(tau + 2i) and its derivative g' together;
+    from tau = 0 the step tau <- tau - (tau - g)/(1 - g') converges
+    quadratically.  It stops once the step is within tol*(1 + |tau|),
+    applies that last step and returns; ``residual`` is |L|/a**2 =
+    |tau*(tau + 2i) - w*Khat| at the last evaluated iterate, one step
+    short of ``plus``.  Raises :class:`NonContractionError` the moment
+    |g'| reaches one at an iterate — the map is then no contraction there,
+    and 1 - g' is no longer kept from zero — and
+    :class:`MaxIterationsError` if the step does not settle within the cap.
     """
-    a = p.frequency
-    weight = a ** (2.0 * (1.0 - p.xi))  # a**(2(1-xi)) divides the map
+    a, w = p.frequency, p.memory_weight
     tau = 0.0 + 0.0j
     for it in range(1, max_iter + 1):
-        z = 1j * a + tau * a
-        khat, dkhat = laplace_with_deriv(p.kernel, z)
-        denom = weight * (tau + 2j)
-        tau_next = khat / denom
-        deriv = (dkhat * a * (tau + 2j) - khat) / (weight * (tau + 2j) ** 2)
+        khat, dkhat = laplace_with_deriv(p.kernel, 1j * a + tau * a)
+        shift = tau + 2j
+        image = w * khat / shift
+        deriv = w * (dkhat * a * shift - khat) / (shift * shift)
         if abs(deriv) >= 1.0:
             raise NonContractionError(
                 f"fixed-point map has |g'| = {abs(deriv):.3f} at iterate {it}"
             )
-        if abs(tau_next - tau) < tol * (1.0 + abs(tau_next)):
-            plus = 1j * a + tau_next * a
+        step = (tau - image) / (1.0 - deriv)
+        if abs(step) <= tol * (1.0 + abs(tau)):
+            plus = 1j * a + (tau - step) * a
             return FixedPointPair(
                 plus=plus,
                 minus=plus.conjugate(),
                 iterations=it,
                 derivative_bound=abs(deriv),
+                residual=abs(tau * shift - w * khat),
             )
-        tau = tau_next
+        tau = tau - step
     raise MaxIterationsError(f"pair iteration did not settle in {max_iter} steps")
 
 
@@ -202,17 +212,21 @@ def newton_refine(
 
 
 def solve_pair(p: ModePencil, residual_tol: float = 1e-10) -> FixedPointPair:
-    """The oscillatory pair: the fixed-point map's root polished by Newton.
+    """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual.
 
-    The polished upper root must satisfy |L| <= residual_tol * a**2 (see
-    :func:`newton_refine`); a polish that lands in the lower half plane is
+    The last evaluated iterate must satisfy |L| <= residual_tol * a**2, or
+    :class:`DivergenceError` is raised; the gate reads the residual that
+    pass already holds.  A root that lands in the lower half plane is
     flipped to its conjugate, so ``plus`` is always the upper root.
     """
     fp = fixed_point_pair(p)
-    plus = newton_refine(p, fp.plus, residual_tol=residual_tol)
-    if plus.imag < 0:
-        plus = plus.conjugate()
-    return replace(fp, plus=plus, minus=plus.conjugate())
+    if not fp.residual <= residual_tol:
+        raise DivergenceError(
+            f"pair residual {fp.residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
+        )
+    if fp.plus.imag < 0:
+        return replace(fp, plus=fp.minus, minus=fp.plus)
+    return fp
 
 
 def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, float]:

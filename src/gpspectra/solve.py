@@ -41,8 +41,10 @@ class SpectrumResult:
     ``interlacing_margin`` is the smallest of the gaps that the ordering
     -g_k < root_k < stiffness_root_k < -g_{k-1} must keep positive; a
     negative margin means the ordering failed and verification should say
-    so.  ``certificate`` proves that the n + 2 roots found are all the
-    roots (None when not requested).
+    so.  ``pair_iterations`` counts the pair's passes over the ladder and
+    ``contraction_bound`` is the fixed-point map's |g'| at its last iterate
+    (see :func:`fixed_point_pair`).  ``certificate`` proves that the n + 2
+    roots found are all the roots (None when not requested).
     """
 
     pencil: ModePencil
@@ -106,16 +108,16 @@ def solve_mode(
     """Locate every root of the mode symbol and bundle the evidence.
 
     All kernel poles bracket one real branch; the conjugate pair comes from
-    the fixed-point map polished by Newton.  A branch root must pass its
-    gate ``BranchRoot.relative_error <= residual_tol`` and the pair must
-    satisfy |L| <= residual_tol * a**2.  With ``certify`` the result carries
-    a :class:`CountingCertificate`: every branch bracket must show a sign
-    change clear of its rounding bound, and the pair a Newton-Kantorovich
-    disc, or :class:`EnclosureError` names the branch or disc that failed.
-    No contour is walked; :func:`count_zeros` remains the independent
-    check.  A mode whose load ``p.load`` is not below 1 lies outside the
-    theorem and raises :class:`InadmissibleModeError` before anything is
-    solved.
+    Newton's method on the fixed-point map (:func:`solve_pair`).  A branch
+    root must pass its gate ``BranchRoot.relative_error <= residual_tol``
+    and the pair must satisfy |L| <= residual_tol * a**2.  With
+    ``certify`` the result carries a :class:`CountingCertificate`: every
+    branch bracket must show a sign change clear of its rounding bound,
+    and the pair a Newton-Kantorovich disc, or :class:`EnclosureError`
+    names the branch or disc that failed.  No contour is walked;
+    :func:`count_zeros` remains the independent check.  A mode whose load
+    ``p.load`` is not below 1 lies outside the theorem and raises
+    :class:`InadmissibleModeError` before anything is solved.
     """
     if not p.load < 1.0:
         raise InadmissibleModeError(p.load)

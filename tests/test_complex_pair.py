@@ -1,8 +1,9 @@
-"""Oscillatory pair: fixed point, Newton polish, winding certificates."""
+"""Oscillatory pair: Newton on the fixed-point map, Newton polish, winding certificates."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from gpspectra import (
     ContourError,
@@ -10,15 +11,21 @@ from gpspectra import (
     ExponentialKernel,
     ModePencil,
     NonContractionError,
+    PowerLawFamily,
     RectContour,
     count_zeros,
     fixed_point_pair,
+    materialize,
+    materialize_within_each,
     newton_refine,
     solve_pair,
     spectrum_contour,
     symbol,
 )
-from conftest import MU_1, PAIR
+from conftest import MU_1, PAIR, admissible_modes
+
+#: the square-root family c_k = k**-1/2, g_k = k
+SQRT_FAMILY = PowerLawFamily(1.0, 1.0, 0.5, 1.0, count=10**6)
 
 
 # ------------------------------------------------------------ fixed point
@@ -42,6 +49,52 @@ def test_strong_kernel_breaks_contraction():
     p = ModePencil(0.5, 0.5, ExponentialKernel((5.0,), (2.0,)))
     with pytest.raises(NonContractionError):
         fixed_point_pair(p)
+
+
+def _counted_passes(monkeypatch) -> list:
+    """Record every ladder pass the pair solve makes; a pass over L fails."""
+    import gpspectra.complex_pair as cp
+
+    fused = cp.laplace_with_deriv
+    points = []
+
+    def counted(kernel, z):
+        points.append(z)
+        return fused(kernel, z)
+
+    def separate(*args):
+        raise AssertionError("the pair took a pass over the symbol")
+
+    monkeypatch.setattr(cp, "laplace_with_deriv", counted)
+    monkeypatch.setattr(cp, "symbol_with_deriv", separate)
+    monkeypatch.setattr(cp, "symbol", separate)
+    return points
+
+
+def test_fixed_point_pair_takes_newton_steps_on_the_map(cubic, monkeypatch):
+    # each pass gives g and g'; the iterates close in quadratically on the
+    # root, and the last step is applied without another pass
+    points = _counted_passes(monkeypatch)
+    fp = fixed_point_pair(cubic)
+    assert fp.iterations == len(points) <= 4
+    errors = [abs(z - PAIR) / abs(PAIR) for z in points]
+    assert errors[0] < 1e-2
+    for before, after in zip(errors, errors[1:]):
+        assert after <= 10.0 * before**2
+    assert abs(fp.plus - PAIR) < 1e-15 * abs(PAIR)
+    # the residual is read off the last pass: |L|/a**2 at its point
+    assert fp.residual == pytest.approx(abs(symbol(cubic, points[-1])) / 100.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("xi", (0.5, 0.75, 0.8))
+def test_pair_takes_at_most_four_passes_on_power_ladder_heads(xi, monkeypatch):
+    frequencies = [100.0 * 5.0**j for j in range(4)]
+    heads = materialize_within_each(SQRT_FAMILY, [2.0 * a for a in frequencies])
+    points = _counted_passes(monkeypatch)
+    for a, kernel in zip(frequencies, heads):
+        points.clear()
+        pair = solve_pair(ModePencil(a, xi, kernel))
+        assert pair.iterations == len(points) <= 4, (a, xi, kernel.size)
 
 
 # ----------------------------------------------------------------- newton
@@ -189,3 +242,52 @@ def test_full_count_on_wider_ladders():
 
     partial = count_zeros(p, spectrum_contour(p, 2))
     assert partial.zeros_inferred == 4  # two branches plus the pair
+
+
+# --------------------------------------------------------------- accuracy
+
+
+def _assert_within_an_ulp(p: ModePencil) -> None:
+    """solve_pair's upper root lies within 2**-52 |ref| of a 50-digit root.
+
+    The reference polishes the double root by Newton's method on the
+    symbol z**2 + a**2 - a**(2 xi) sum c_k/(z + g_k), every input taken as
+    the double it is.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    plus = solve_pair(p).plus
+    with mpmath.workdps(50):
+        a, xi = mpmath.mpf(p.frequency), mpmath.mpf(p.xi)
+        weight = a ** (2 * xi)
+        ladder = [(mpmath.mpf(c), mpmath.mpf(g)) for c, g in zip(p.kernel.coeffs, p.kernel.rates)]
+        z = mpmath.mpc(plus)
+        for _ in range(20):
+            value = z * z + a * a - weight * mpmath.fsum(c / (z + g) for c, g in ladder)
+            slope = 2 * z + weight * mpmath.fsum(c / (z + g) ** 2 for c, g in ladder)
+            step = value / slope
+            z -= step
+            if abs(step) < mpmath.mpf(10) ** -45 * abs(z):
+                break
+        assert abs(mpmath.mpc(plus) - z) <= mpmath.mpf(2) ** -52 * abs(z)
+
+
+def test_cubic_pair_is_accurate(cubic):
+    _assert_within_an_ulp(cubic)
+
+
+@pytest.mark.parametrize("a", (10.0, 100.0, 1e3, 1e4))
+def test_sqrt_family_pair_is_accurate(a):
+    kernel = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, count=64))
+    _assert_within_an_ulp(ModePencil(a, 0.5, kernel))
+
+
+@pytest.mark.parametrize("xi", (0.2, 0.5, 0.9))
+@pytest.mark.parametrize("a", (3.0, 30.0, 3e3, 3e5))
+def test_three_term_pair_is_accurate(a, xi):
+    _assert_within_an_ulp(ModePencil(a, xi, ExponentialKernel((1.0, 0.5, 0.25), (2.0, 5.0, 11.0))))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(admissible_modes())
+def test_pool_style_pair_is_accurate(p):
+    _assert_within_an_ulp(p)
