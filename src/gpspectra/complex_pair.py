@@ -123,7 +123,7 @@ class CountCertificate:
 def fixed_point_pair(
     p: ModePencil, tol: float = 4.0 * _EPS, max_iter: int = 50
 ) -> FixedPointPair:
-    """Newton's method on the fixed-point form of the upper root; the lower is its conjugate.
+    """The upper root by Newton's method on the fixed-point map; the lower is its conjugate.
 
     Each pass over the ladder gives Khat and Khat' at z = i*a + tau*a, so
     the map g(tau) = w*Khat/(tau + 2i) and its derivative g' together;
