@@ -35,14 +35,14 @@ ARG_MARGIN = 0.1
 
 #: largest ladder whose transform at one point is summed exactly rounded:
 #: about where the blocked pass becomes the faster one (both take about
-#: 20 us at 64 terms; at 256 terms math.fsum takes three times as long)
+#: 18 us at 64 terms; at 256 terms math.fsum takes 2.7 times as long)
 FSUM_MAX = 64
 
-#: ladder terms per block of the scalar pass over longer ladders: each
-#: temporary is 64 KiB, under glibc's 128 KiB mmap threshold, so blocks
-#: reuse heap memory and stay in cache; and OpenBLAS runs a dot product
-#: on one thread up to 10000 terms, so the sums do not depend on its
-#: thread count
+#: ladder terms per block of the scalar pass over longer ladders: each of
+#: its four temporaries is 64 KiB, under glibc's 128 KiB mmap threshold, so
+#: blocks reuse heap memory and stay in cache; and OpenBLAS runs a dot
+#: product on one thread up to 10000 terms, so the sums do not depend on
+#: its thread count
 SUM_BLOCK = 8192
 
 
@@ -93,6 +93,30 @@ class TailSeries:
         return _horner(self._slopes, self._argument(zeta)) / -self.radius
 
 
+def _check_ladder(c: np.ndarray, g: np.ndarray) -> None:
+    """Raise ValueError unless ``c`` and ``g`` make a ladder.
+
+    That is: two 1-d float arrays of one nonzero length, every c_k
+    finite and positive, the g_k finite, positive and strictly
+    increasing.  ``max`` carries a NaN through, so a NaN reads as not
+    finite.
+    """
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("kernel needs at least one term")
+    if c.shape != g.shape:
+        raise ValueError(f"{c.size} coefficients vs {g.size} rates")
+    if not math.isfinite(c.max()):
+        raise ValueError("coefficients must be finite")
+    if not c.min() > 0:
+        raise ValueError("coefficients must be strictly positive")
+    if not math.isfinite(g.max()):
+        raise ValueError("rates must be finite")
+    if not g.min() > 0:
+        raise ValueError("rates must be strictly positive")
+    if not np.all(g[1:] > g[:-1]):
+        raise ValueError("rates must be strictly increasing")
+
+
 class ExponentialKernel:
     """Finite ladder of decaying exponentials, immutable.
 
@@ -115,18 +139,22 @@ class ExponentialKernel:
     """
 
     def __init__(self, coeffs, rates, tail: TailSeries | None = None):
-        c = np.array(coeffs, dtype=float)
-        g = np.array(rates, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("kernel needs at least one term")
-        if c.shape != g.shape:
-            raise ValueError(f"{c.size} coefficients vs {g.size} rates")
-        if not np.all(c > 0):
-            raise ValueError("coefficients must be strictly positive")
-        if not np.all(g > 0):
-            raise ValueError("rates must be strictly positive")
-        if not np.all(g[1:] > g[:-1]):
-            raise ValueError("rates must be strictly increasing")
+        self._hold(np.array(coeffs, dtype=float), np.array(rates, dtype=float), tail)
+
+    @classmethod
+    def _adopt(cls, c: np.ndarray, g: np.ndarray, tail: TailSeries | None = None) -> ExponentialKernel:
+        """A kernel on the float arrays ``c`` and ``g`` themselves, not copies.
+
+        For builders that made both arrays and keep no other reference:
+        they are validated as the constructor validates its copies, then
+        made read-only.
+        """
+        out = object.__new__(cls)
+        out._hold(c, g, tail)
+        return out
+
+    def _hold(self, c: np.ndarray, g: np.ndarray, tail: TailSeries | None) -> None:
+        _check_ladder(c, g)
         c.flags.writeable = g.flags.writeable = False
         self.__dict__.update(_c=c, _g=g, tail=tail)
 
@@ -282,40 +310,45 @@ def _fsum(terms: np.ndarray) -> complex:
 def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, complex]:
     """Khat and Khat' of the explicit ladder at one point, in real arithmetic.
 
-    With x = g + Re z, y = Im z, q = 1/(x**2 + y**2), p = x*q and v = y*q,
-    each term is c/(z + g) = c*(p - i*v) and -c/(z + g)**2 =
-    -c*(p - v)*(p + v) + 2i*c*p*v.  Every factor stays near 1/|z + g|, so
-    nothing underflows before x**2 + y**2 overflows, and p**2 - v**2 is
+    With x = g + Re z, y = Im z and u = c/(x**2 + y**2) = c/|z + g|**2,
+    each term is c/(z + g) = u*x - i*u*y and -c/(z + g)**2 =
+    -u*(x**2 - y**2)/|z + g|**2 + 2i*u*x*y/|z + g|**2.  So u is formed
+    once per block and the four sums sum(u*x), sum(u),
+    sum(u*(x**2 - y**2)/|z + g|**2) and sum(u*(x*y)/|z + g|**2) are read
+    off it, three of them as dot products.  Both ratios lie in [-1, 1], so
+    every product summed stays within c/|z + g|**2 (or c/|z + g| for u*x),
+    nothing underflows before x**2 + y**2 overflows, and x**2 - y**2 is
     formed per term, not as a difference of two sums.  Where x**2 + y**2
     could overflow, z and the rates are first scaled by a power of two,
-    which is exact.  The ladder is summed SUM_BLOCK terms at a time, and
-    the block sums are added in order.
+    which is exact.  The ladder is summed SUM_BLOCK terms at a time, 13
+    numpy calls per block, and the block sums are added in order.
     """
     g, scale = kernel._g, 1.0
     top = max(abs(z.real), abs(z.imag), float(kernel._g[-1]))
-    if top >= 2.0**511:
+    if top >= 2.0**256:
         scale = 2.0 ** -math.frexp(top)[1]
         g, z = g * scale, z * scale
     x0, y = z.real, z.imag
     y2 = y * y
-    s_p = s_v = s_re = s_pv = 0.0
+    s_x = s_u = s_t = s_d = 0.0
     for lo in range(0, kernel.size, SUM_BLOCK):
         c = kernel._c[lo : lo + SUM_BLOCK]
         x = g[lo : lo + SUM_BLOCK] + x0
-        q = x * x
-        q += y2
-        np.reciprocal(q, out=q)
-        p = x * q
-        v = q * y
-        cp = c * p
-        cv = c * v
-        s_p += cp.sum()
-        s_v += cv.sum()
-        s_re += np.dot(cp - cv, p + v)
-        s_pv += np.dot(cp, v)
+        t = x * x
+        q = t + y2
+        np.reciprocal(q, out=q)  # 1/|z + g|**2
+        u = c * q
+        s_x += np.dot(u, x)
+        s_u += u.sum()
+        t -= y2
+        t *= q  # (x**2 - y**2)/|z + g|**2
+        s_t += np.dot(u, t)
+        x *= y
+        x *= q  # x*y/|z + g|**2
+        s_d += np.dot(u, x)
     return (
-        complex(s_p * scale, -s_v * scale),
-        complex(-s_re * scale * scale, 2.0 * s_pv * scale * scale),
+        complex(s_x * scale, -y * s_u * scale),
+        complex(-s_t * scale * scale, 2.0 * s_d * scale * scale),
     )
 
 
@@ -369,7 +402,7 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     Accepts a scalar or an ndarray of points.  A scalar on a ladder of at
     most FSUM_MAX (64) terms is summed exactly rounded (``math.fsum``); a
     scalar on a longer ladder takes the blocked real-arithmetic pass of
-    :func:`laplace_with_deriv`, within about 1e-14 of the sum of the
+    :func:`laplace_with_deriv`, within a few eps times the sum of the
     terms' moduli; an array of points is summed pairwise along the
     ladder.  Either way the error stays near machine precision for
     ladders of a few million terms.  An evaluation closer to a pole than
@@ -393,7 +426,8 @@ def laplace_deriv(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
 class PowerLawFamily:
     """Kernel family c_k = amplitude/k**alpha, g_k = scale*k**beta.
 
-    Constraints: amplitude, scale, beta > 0; 0 < alpha <= 1; alpha + beta > 1.
+    Constraints: amplitude, scale, beta > 0 and finite; 0 < alpha <= 1;
+    alpha + beta > 1.
     ``count`` is the explicit truncation length used by :func:`materialize`.
     """
 
@@ -406,10 +440,12 @@ class PowerLawFamily:
     def __post_init__(self):
         if not (self.amplitude > 0 and self.scale > 0):
             raise ValueError("amplitude and scale must be positive")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.scale)):
+            raise ValueError("amplitude and scale must be finite")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
+        if not (0 < self.beta < math.inf):
+            raise ValueError("beta must be positive and finite")
         if not (self.alpha + self.beta > 1):
             raise ValueError("alpha + beta must exceed 1")
         if not (isinstance(self.count, int) and self.count >= 1):
@@ -426,13 +462,20 @@ class PowerLawFamily:
 def materialize(family: PowerLawFamily, tail: TailSeries | None = None) -> ExponentialKernel:
     """Build the explicit truncated ladder for a power-law family.
 
+    Only the two result arrays are allocated: the coefficients are
+    amplitude/k**alpha, divided in place, and the rates are k = 1..count
+    raised to beta and scaled in place, so each equals the plain
+    expression bit for bit.  The kernel holds these arrays themselves,
+    read-only, without the copy the constructor makes of its inputs.
     ``tail`` is attached as the kernel's far-pole series (see
     :func:`materialize_within`).
     """
-    k = np.arange(1, family.count + 1, dtype=float)
-    coeffs = family.amplitude / k**family.alpha
-    rates = family.scale * k**family.beta
-    return ExponentialKernel(coeffs, rates, tail)
+    rates = np.arange(1, family.count + 1, dtype=float)  # k, until scaled below
+    coeffs = rates**family.alpha
+    np.divide(family.amplitude, coeffs, out=coeffs)
+    rates **= family.beta
+    rates *= family.scale
+    return ExponentialKernel._adopt(coeffs, rates, tail)
 
 
 def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:

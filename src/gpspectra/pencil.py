@@ -32,7 +32,7 @@ POLY_MAX = 64
 
 @dataclass(frozen=True)
 class ModePencil:
-    """One mode: frequency a > 0, coupling grade xi in (0, 1), and a kernel."""
+    """One mode: finite frequency a > 0, coupling grade xi in (0, 1), and a kernel."""
 
     frequency: float
     xi: float
@@ -41,6 +41,8 @@ class ModePencil:
     def __post_init__(self):
         if not self.frequency > 0:
             raise ValueError("frequency must be positive")
+        if not math.isfinite(self.frequency):
+            raise ValueError("frequency must be finite")
         if not 0.0 < self.xi < 1.0:
             raise ValueError("xi must lie strictly inside (0, 1)")
 

@@ -1,11 +1,14 @@
 """Kernel ladders, their transforms, and the power-law family plumbing."""
 
 import cmath
+import decimal
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +297,115 @@ def test_fused_transform_keeps_huge_arguments_in_range():
             reference = complex(laplace(kern, np.array([z]))[0])
             assert abs(value - reference) <= 1e-14 * abs(reference)
             assert math.isfinite(abs(slope))
+
+
+def _sums_to_40_digits(kern, z):
+    """Khat and Khat' of the explicit ladder at z, every term and sum to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x0, y = Decimal(z.real), Decimal(z.imag)
+        y2 = y * y
+        s_x = s_u = s_t = s_d = Decimal(0)
+        for c, g in zip(map(Decimal, kern.coeffs), map(Decimal, kern.rates)):
+            x = g + x0
+            xx = x * x
+            d = xx + y2
+            u = c / d  # c/|z + g|**2
+            s_x += u * x
+            s_u += u
+            s_t += u * (xx - y2) / d
+            s_d += u * x / d
+        value = complex(float(s_x), float(-y * s_u))
+        slope = complex(float(-s_t), float(2 * y * s_d))
+    return value, slope
+
+
+#: the pair of each mode of the 10**6-term square-root family swept at
+#: xi = 0.5 over a = 100, 500, 2500 and 12500
+SWEPT_PAIRS = [
+    -0.10399568696788436 + 99.88992093349718j,
+    -0.04822178559332315 + 499.9513272676238j,
+    -0.021921885662118588 + 2499.978785607135j,
+    -0.009872022191745454 + 12499.991065381937j,
+]
+
+
+def test_blocked_pass_matches_a_40_digit_sum_on_the_longest_head():
+    # the 49999-term head of the a = 12500 mode, summed to 40 digits (stdlib
+    # decimal: the same digits as mpmath in a fifth of the time)
+    kern = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 49999))
+    eps = np.finfo(float).eps
+    for z in SWEPT_PAIRS:
+        value, slope = laplace_with_deriv(kern, z)
+        exact_value, exact_slope = _sums_to_40_digits(kern, z)
+        moduli = kern._c / np.abs(z + kern._g)  # |c/(z + g)|
+        assert abs(value - exact_value) <= 4 * eps * np.sum(moduli)
+        assert abs(slope - exact_slope) <= 4 * eps * np.sum(moduli / np.abs(z + kern._g))
+
+
+@pytest.mark.parametrize("z", [-0.375 + 96.5j, 1e4 + 2e4j])
+def test_blocked_pass_scales_exactly_with_the_ladder(z):
+    # z and every rate times 2**e, from |z + g| near 2**-400 to far past the
+    # rescale at 2**256: Khat/2**e and Khat'/4**e bit for bit, wherever that
+    # is a normal double, and never a warning
+    base = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 1000))
+    value, slope = laplace_with_deriv(base, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-400, 921):
+            kern = ExponentialKernel(base._c, np.ldexp(base._g, e))
+            got = laplace_with_deriv(kern, complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)))
+            for part, whole, power in (
+                (got[0].real, value.real, e),
+                (got[0].imag, value.imag, e),
+                (got[1].real, slope.real, 2 * e),
+                (got[1].imag, slope.imag, 2 * e),
+            ):
+                exact = math.ldexp(whole, -power)
+                if abs(exact) >= sys.float_info.min:
+                    assert part == exact, (e, part, exact)
+                else:
+                    assert abs(part) < 2.0 * sys.float_info.min, (e, part, exact)
+
+
+def test_materialize_builds_its_ladder_in_place_and_keeps_it():
+    for family in (
+        PowerLawFamily(1.0, 1.0, 0.5, 1.0, 50000),
+        PowerLawFamily(0.7, 2.5, 0.3, 1.7, 1000),
+        PowerLawFamily(3.0, 0.25, 1.0, 1.0, 100),
+    ):
+        kern = materialize(family)
+        k = np.arange(1, family.count + 1, dtype=float)
+        assert kern._c.tobytes() == (family.amplitude / k**family.alpha).tobytes()
+        assert kern._g.tobytes() == (family.scale * k**family.beta).tobytes()
+        assert not kern._c.flags.writeable and not kern._g.flags.writeable
+        with pytest.raises(ValueError):
+            kern._g[0] = 0.5
+    # the constructor still copies what it is given
+    c, g = np.array([0.5, 0.25]), np.array([1.0, 3.0])
+    kern = ExponentialKernel(c, g)
+    assert c.flags.writeable and g.flags.writeable
+    assert not np.shares_memory(kern._c, c) and not np.shares_memory(kern._g, g)
+    c[0] = 2.0
+    assert kern.coeffs == (0.5, 0.25)
+
+
+def test_non_finite_ladders_and_families_are_refused():
+    inf, nan = math.inf, math.nan
+    for coeffs, rates in (
+        ([1.0, 1.0], [1.0, inf]),
+        ([1.0] * 100, list(range(1, 100)) + [inf]),
+        ([1.0, 1.0], [1.0, nan]),
+        ([1.0, inf], [1.0, 2.0]),
+        ([nan, 1.0], [1.0, 2.0]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            ExponentialKernel(coeffs, rates)
+    with pytest.raises(ValueError, match="finite"):
+        kernels.ExponentialKernel._adopt(np.ones(2), np.array([1.0, inf]))
+    for amplitude, scale, beta in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PowerLawFamily(amplitude, scale, 0.5, beta, 10)
 
 
 def test_admissibility_report():

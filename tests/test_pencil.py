@@ -14,6 +14,8 @@ def test_pencil_validation():
     kern = ExponentialKernel((1.0,), (2.0,))
     with pytest.raises(ValueError):
         ModePencil(frequency=0.0, xi=0.5, kernel=kern)
+    with pytest.raises(ValueError, match="finite"):
+        ModePencil(frequency=math.inf, xi=0.5, kernel=kern)
     with pytest.raises(ValueError):
         ModePencil(frequency=10.0, xi=0.0, kernel=kern)
     with pytest.raises(ValueError):
