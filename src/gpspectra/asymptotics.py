@@ -214,11 +214,11 @@ def empirical_order(points: Sequence[tuple[float, float]]) -> SlopeFit:
         return SlopeFit(slope=math.nan, half_width=math.nan, below_floor=True)
     x = np.log(scales)
     y = np.log(errors)
-    n = len(x)
-    xbar = x.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    variance = float(np.sum(resid**2)) / (n - 2)
+    x -= x.mean()
+    y -= y.mean()
+    sxx = float(x @ x)
+    slope = float(x @ y) / sxx  # sxy/sxx: the least-squares slope
+    resid = y - slope * x
+    variance = float(resid @ resid) / (len(x) - 2)
     half_width = 2.0 * math.sqrt(variance / sxx)
-    return SlopeFit(slope=float(slope), half_width=half_width)
+    return SlopeFit(slope=slope, half_width=half_width)
