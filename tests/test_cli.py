@@ -237,8 +237,8 @@ a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime
 100,-0.067569775896797926,99.985252159175957,-0.11107207345395916,99.888927926546046,0.043502297557161229,0.096324232629910966,tends_to_axis
 1000,-0.0072943703844333494,999.99982782133907,-0.035124073655203626,999.9648759263448,0.027829703270770279,0.034951894994264876,tends_to_axis
 10000,-0.00073009652418227166,9999.9999982744575,-0.011107207345395916,9999.988892792655,0.010377110821213644,0.011105481802587747,tends_to_axis
-# fit err_re slope -0.25925521127698736 half_width 0.08522874340457802 below_floor 0
-# fit err_im slope -0.36032815880767144 half_width 0.1264773776143614 below_floor 0
+# fit err_re slope -0.25925521127698742 half_width 0.085228743404577936 below_floor 0
+# fit err_im slope -0.36032815880767144 half_width 0.12647737761436145 below_floor 0
 """
 
 
