@@ -317,11 +317,13 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
     sum(u*(x**2 - y**2)/|z + g|**2) and sum(u*(x*y)/|z + g|**2) are read
     off it, three of them as dot products.  Both ratios lie in [-1, 1], so
     every product summed stays within c/|z + g|**2 (or c/|z + g| for u*x),
-    nothing underflows before x**2 + y**2 overflows, and x**2 - y**2 is
-    formed per term, not as a difference of two sums.  Where x**2 + y**2
-    could overflow, z and the rates are first scaled by a power of two,
-    which is exact.  The ladder is summed SUM_BLOCK terms at a time, 13
-    numpy calls per block, and the block sums are added in order.
+    and x**2 - y**2 is formed per term, not as a difference of two sums.
+    Where the largest of |Re z|, |Im z| and the last rate reaches 2**256,
+    z and the rates are first scaled by a power of two, which is exact, to
+    bring it below 1.  So x**2 + y**2 stays below 2**515 and u stays a
+    normal double for every c above 2**-507, while 1/|z + g|**2 stays
+    finite until |z + g| nears 2**-512.  The ladder is summed SUM_BLOCK terms at a time,
+    13 numpy calls per block, and the block sums are added in order.
     """
     g, scale = kernel._g, 1.0
     top = max(abs(z.real), abs(z.imag), float(kernel._g[-1]))

@@ -67,6 +67,15 @@ def test_kernel_validation():
         ExponentialKernel((1.0,), (-1.0,))
     with pytest.raises(ValueError):
         ExponentialKernel((1.0, 1.0), (2.0, 2.0))  # rates must increase
+    for coeffs, rates in (
+        ((1.0, 1.0), (1.0, math.inf)),
+        ((1.0,) * 100, tuple(range(1, 100)) + (math.inf,)),
+        ((1.0, 1.0), (1.0, math.nan)),
+        ((1.0, math.inf), (1.0, 2.0)),
+        ((math.nan, 1.0), (1.0, 2.0)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            ExponentialKernel(coeffs, rates)
 
 
 def test_kernel_norms_harmonic_ladder():
@@ -390,24 +399,6 @@ def test_materialize_builds_its_ladder_in_place_and_keeps_it():
     assert kern.coeffs == (0.5, 0.25)
 
 
-def test_non_finite_ladders_and_families_are_refused():
-    inf, nan = math.inf, math.nan
-    for coeffs, rates in (
-        ([1.0, 1.0], [1.0, inf]),
-        ([1.0] * 100, list(range(1, 100)) + [inf]),
-        ([1.0, 1.0], [1.0, nan]),
-        ([1.0, inf], [1.0, 2.0]),
-        ([nan, 1.0], [1.0, 2.0]),
-    ):
-        with pytest.raises(ValueError, match="finite"):
-            ExponentialKernel(coeffs, rates)
-    with pytest.raises(ValueError, match="finite"):
-        kernels.ExponentialKernel._adopt(np.ones(2), np.array([1.0, inf]))
-    for amplitude, scale, beta in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf)):
-        with pytest.raises(ValueError, match="finite"):
-            PowerLawFamily(amplitude, scale, 0.5, beta, 10)
-
-
 def test_admissibility_report():
     good = admissibility_report(ExponentialKernel((1.0,), (2.0,)))
     assert good.admissible and good.l1_norm == 0.5 and good.initial_value == 1.0
@@ -431,6 +422,9 @@ def test_family_validation():
         PowerLawFamily(0.0, 1.0, 0.5, 1.0, 10)
     with pytest.raises(ValueError):
         PowerLawFamily(1.0, 1.0, 0.5, 1.0, 0)
+    for amplitude, scale, beta in ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PowerLawFamily(amplitude, scale, 0.5, beta, 10)
 
 
 def test_regularity_exponent():
