@@ -429,7 +429,8 @@ class PowerLawFamily:
     """Kernel family c_k = amplitude/k**alpha, g_k = scale*k**beta.
 
     Constraints: amplitude, scale, beta > 0 and finite; 0 < alpha <= 1;
-    alpha + beta > 1.
+    alpha + beta > 1; the largest rate scale*count**beta and the first
+    memory term amplitude/scale finite.
     ``count`` is the explicit truncation length used by :func:`materialize`.
     """
 
@@ -452,6 +453,16 @@ class PowerLawFamily:
             raise ValueError("alpha + beta must exceed 1")
         if not (isinstance(self.count, int) and self.count >= 1):
             raise ValueError("count must be a positive integer")
+        # the largest rate as materialize forms it; Python's float power
+        # raises OverflowError where numpy's would warn and give inf
+        try:
+            largest = float(self.count) ** self.beta * self.scale
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ValueError("the largest rate scale * count**beta must be finite")
+        if not math.isfinite(self.amplitude / self.scale):
+            raise ValueError("the first memory term amplitude/scale must be finite")
 
     @property
     def regularity(self) -> float:

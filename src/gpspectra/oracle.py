@@ -5,7 +5,8 @@ agreement is evidence rather than tautology:
 
 * :func:`aberth_roots` finds all roots of the cleared polynomial at once
   (Aberth-Ehrlich simultaneous iteration started at the eigenvalues of
-  the polynomial's companion matrix);
+  the polynomial's companion matrix, swept until the iterates lie deep in
+  their Newton basins, then polished by exact Newton steps in integers);
 * :func:`build_mode_system` realises a mode as the first-order linear
   system whose eigenvalues are exactly the symbol roots, with the
   characteristic polynomial recovered by the Faddeev-LeVerrier recursion;
@@ -36,6 +37,12 @@ ABERTH_RESIDUAL = 1e-10
 #: Newton step; finer grids only make the integers longer (imaginary parts
 #: of ~1e-78 on real roots would otherwise cost hundreds of bits)
 QUANT_BITS = 60
+
+#: largest relative Aberth step at which the sweeps stop and the exact polish
+#: takes over: the polish ends at the nearest double to the root from
+#: anywhere this deep in its basin, and with cubic convergence the next
+#: sweep's step would already fall below longdouble precision
+ABERTH_STOP = 2.0**-32
 
 
 def _working_value(x) -> np.clongdouble:
@@ -78,8 +85,12 @@ def _gaussian_numerators(exacts: list) -> list[tuple[int, int]]:
     """Coefficients as Gaussian-integer numerators over one common denominator.
 
     The denominator itself is dropped: it scales P and P' alike, so Newton
-    steps do not see it.
+    steps do not see it.  Real coefficients are put over one denominator
+    directly, each paired with a zero imaginary numerator.
     """
+    if not any(isinstance(x, (complex, np.complexfloating)) for x in exacts):
+        nums, _ = common_denominator([_exact(x) for x in exacts])
+        return [(v, 0) for v in nums]
     parts = []
     for x in exacts:
         if isinstance(x, (complex, np.complexfloating)):
@@ -183,16 +194,21 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
 
     Starts from the double-precision eigenvalues of the companion matrix
     of the monic polynomial (:func:`_companion_start`), which read only the
-    coefficients, and applies Aberth-Ehrlich corrections until the steps
-    flatline: either the largest relative step is machine-size, or the
-    steps have stopped shrinking for several sweeps while every residual
-    sits within a small factor of the round-off floor of evaluating P
-    there (eps * sum (2k+1)|c_k||z|^k).  That plateau is the evaluation-noise
-    limit cycle, the accuracy ceiling of the data; stopping on small
-    residuals alone would quit a sweep or two earlier, which for pinched
-    roots (tiny |P'|) costs a decade of forward accuracy.  Each sweep
-    reads P and P' off one power table of its iterates
-    (:func:`_powers`), as do the noise-floor test and the final gate.
+    coefficients, and applies Aberth-Ehrlich corrections until the exact
+    polish below can take over: either the largest relative step falls
+    below ABERTH_STOP (2**-32), or the steps have stopped shrinking for
+    several sweeps while every residual sits within a small factor of the
+    round-off floor of evaluating P there (eps * sum (2k+1)|c_k||z|^k).
+    Near simple roots the sweeps converge cubically, so after a step
+    below 2**-32 the next would fall below longdouble precision, and the
+    polish ends at the nearest double to the root from anywhere that deep
+    in its basin: more sweeps would not change a bit of the result.  The
+    plateau is the evaluation-noise limit cycle of clusters, the accuracy
+    ceiling of the data; stopping on small residuals alone would quit a
+    sweep or two earlier, which for pinched roots (tiny |P'|) costs a
+    decade of forward accuracy.  Each sweep reads P and P' off one power
+    table of its iterates (:func:`_powers`), as do the noise-floor test
+    and the final gate.
     The whole iteration is carried in extended precision (clongdouble):
     ill-conditioned clusters — pinched roots of cleared pencils have
     monomial-basis condition numbers around 1e10 — would otherwise limit
@@ -259,7 +275,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
         w = np.where(denom != 0, ratio / np.where(denom != 0, denom, 1.0), ratio)
         z = z - w
         relstep = float(np.max(np.abs(w) / (1.0 + np.abs(z))))
-        if relstep < 1e-16:
+        if relstep < ABERTH_STOP:
             converged = True
             break
         if relstep < 0.5 * best_step:

@@ -123,6 +123,12 @@ def _poly_div_linear(b: list[int], root: int) -> list[int]:
     return q
 
 
+def _dyadic(x: float) -> tuple[int, int]:
+    """(m, t) with x = m / 2**t exactly: the binary rational of a double."""
+    m, d = x.as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
 def to_polynomial(p: ModePencil) -> np.ndarray:
     """Clear the poles of L: P(z) = L(z) * prod_k (z + g_k).
 
@@ -140,20 +146,29 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     work.  Ladders larger than POLY_MAX are refused: the coefficient
     range becomes meaningless long before that.
 
-    The expansion runs in integers: with a common rate denominator S and
-    integer rates R_k = S*g_k, the products are formed in y = S*z, and
-    each coefficient becomes one Fraction at the end.
+    The expansion runs in integers.  Each double is m / 2**t, so the rates
+    share one denominator S and a**2, a**2*w*c_k another, U, both powers
+    of two reached by shifting the numerators.  With integer rates
+    R_k = S*g_k the products are formed in y = S*z; coefficient i is then
+    an integer over U * S**(n+2-i), a power of two, and each coefficient
+    becomes one Fraction at the end, once the factors of two common to
+    both are shifted out.
     """
     p.kernel.require_every_pole("the cleared polynomial")
     n = p.kernel.size
     if n > POLY_MAX:
         raise ValueError(f"ladder size {n} exceeds polynomial cap {POLY_MAX}")
-    a2 = Fraction(p.frequency) ** 2
-    w = Fraction(p.memory_weight)
-    ints, scale = common_denominator([Fraction(g) for g in p.kernel.rates])
-    (a2_int, *weight_ints), unit = common_denominator(
-        [a2] + [a2 * w * Fraction(c) for c in p.kernel.coeffs]
-    )
+    ma, ta = _dyadic(p.frequency)
+    mw, tw = _dyadic(p.memory_weight)
+    rates = [_dyadic(g) for g in p.kernel.rates]
+    rate_bits = max(t for _, t in rates)
+    ints = [m << (rate_bits - t) for m, t in rates]
+    a2 = ma * ma
+    weights = [(a2 * mw * m, 2 * ta + tw + t) for m, t in map(_dyadic, p.kernel.coeffs)]
+    unit_bits = max(t for _, t in weights)
+    a2_int = a2 << (unit_bits - 2 * ta)
+    weight_ints = [m << (unit_bits - t) for m, t in weights]
+    scale, unit = 1 << rate_bits, 1 << unit_bits
 
     # prod_k (y + R_k) = S**n prod_k (z + g_k): coefficient i carries S**(n-i)
     base = [1]
@@ -171,7 +186,9 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
         for i, v in enumerate(_poly_div_linear(base, r)):
             main[i] -= s3 * u * v
 
-    return np.array(
-        [Fraction(v, unit * scale ** (n + 2 - i)) for i, v in enumerate(main)],
-        dtype=object,
-    )
+    out = []
+    for i, v in enumerate(main):
+        bits = unit_bits + rate_bits * (n + 2 - i)
+        common = min(bits, (v & -v).bit_length() - 1) if v else bits
+        out.append(Fraction(v >> common, 1 << (bits - common)))
+    return np.array(out, dtype=object)

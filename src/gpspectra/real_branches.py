@@ -57,6 +57,8 @@ class BranchRoot:
     of -F(lo)/bound(lo) and F(hi)/bound(hi), F = L/a**2 (F = f for a
     stiffness root) and bound its rounding-error bound there.  Above 1,
     L changes sign on the bracket for certain, so a root lies inside it.
+    A root solved without brackets (``brackets=False``) holds None and
+    NaN there.
     """
 
     index: int
@@ -65,7 +67,7 @@ class BranchRoot:
     residual: float
     offset: float
     root_error: float
-    bracket: tuple[float, float]
+    bracket: tuple[float, float] | None
     sign_margin: float
 
     @property
@@ -162,14 +164,17 @@ def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
     return lo, hi, margin
 
 
-def _solve(p: ModePencil, first: int, last: int, inertia: tuple[bool, ...]) -> list[list[BranchRoot]]:
+def _solve(
+    p: ModePencil, first: int, last: int, inertia: tuple[bool, ...], brackets: bool = True
+) -> list[list[BranchRoot]]:
     """Branches first..last of each factor: the symbol (True) or the stiffness factor.
 
     Every block holds the same branches of each factor, side by side, and
     a work array at most BLOCK_CELLS entries.  The columns are independent:
     each root is the one a solve of its factor alone finds, bit for bit,
     as long as both blocks hold more than one column (numpy sums a lone
-    column along the ladder in another order).
+    column along the ladder in another order).  Without ``brackets`` the
+    bracket pass is skipped; the roots are the same.
     """
     kern = p.kernel
     kern.require_every_pole("the real branches")
@@ -192,13 +197,16 @@ def _solve(p: ModePencil, first: int, last: int, inertia: tuple[bool, ...]) -> l
         F, bound, t, x = _secular(c, g, w, s, k, d)
         dF = 2.0 * s * x + (c[:, None] / t * w / t).sum(axis=0)
         step = np.abs(F / dF)
-        lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
-        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(),
-                   lo.tolist(), hi.tolist(), margin.tolist())
-        for col, (i, value, offset, f, err, left, right, m) in enumerate(cols):
+        if brackets:
+            lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
+            enclosures = zip(zip(lo.tolist(), hi.tolist()), margin.tolist())
+        else:
+            enclosures = [(None, math.nan)] * k.size
+        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), enclosures)
+        for col, (i, value, offset, f, err, (bracket, m)) in enumerate(cols):
             j = col // branches.size
             out[j].append(
-                BranchRoot(i + 1, value, intervals[i], scales[j] * abs(f), offset, err, (left, right), m)
+                BranchRoot(i + 1, value, intervals[i], scales[j] * abs(f), offset, err, bracket, m)
             )
     return out
 
@@ -213,9 +221,14 @@ def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
     return _solve(p, 1, count, (False,))[0]
 
 
-def branch_and_stiffness_roots(p: ModePencil, count: int) -> tuple[list[BranchRoot], list[BranchRoot]]:
-    """(:func:`branch_roots`, :func:`stiffness_roots`) from one block pass."""
-    roots, stiff = _solve(p, 1, count, (True, False))
+def branch_and_stiffness_roots(
+    p: ModePencil, count: int, brackets: bool = True
+) -> tuple[list[BranchRoot], list[BranchRoot]]:
+    """(:func:`branch_roots`, :func:`stiffness_roots`) from one block pass.
+
+    ``brackets=False`` skips the bracket pass (see :class:`BranchRoot`).
+    """
+    roots, stiff = _solve(p, 1, count, (True, False), brackets)
     return roots, stiff
 
 

@@ -117,12 +117,14 @@ def solve_mode(
     names the branch or disc that failed.  No contour is walked;
     :func:`count_zeros` remains the independent check.  A mode whose load
     ``p.load`` is not below 1 lies outside the theorem and raises
-    :class:`InadmissibleModeError` before anything is solved.
+    :class:`InadmissibleModeError` before anything is solved.  Without
+    ``certify`` the branch brackets are not evaluated: each root's
+    ``bracket`` is None and its ``sign_margin`` NaN.
     """
     if not p.load < 1.0:
         raise InadmissibleModeError(p.load)
     n = p.kernel.size
-    real, stiff = map(tuple, branch_and_stiffness_roots(p, n))
+    real, stiff = map(tuple, branch_and_stiffness_roots(p, n, brackets=certify))
     for r in real:
         if r.relative_error > residual_tol:
             raise NumericalError(

@@ -119,7 +119,7 @@ def test_large_frequencies_are_counted(a, xi):
 
 
 def test_an_unproven_bracket_names_its_branch(cubic):
-    result = solve_mode(cubic, certify=False)
+    result = solve_mode(cubic)
     weak = dataclasses.replace(result.real_roots[0], sign_margin=0.5)
     with pytest.raises(EnclosureError) as info:
         solve._count_roots(cubic, (weak,), result.pair_plus)

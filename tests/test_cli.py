@@ -125,6 +125,17 @@ def test_invalid_json_and_missing_file(run_cli, cubic_config, tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_overflowing_family_is_a_config_error(run_cli):
+    family = {"amplitude": 1, "scale": 1, "alpha": 0.5, "beta": 200, "count": 100}
+    code, out, err = run_cli("spectrum", {"kernel": {"family": family}, "xi": 0.5, "modes": [10.0]})
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "gpspectra: config error: config.kernel.family: "
+        "the largest rate scale * count**beta must be finite\n"
+    )
+
+
 def test_embedded_job_key_must_agree(run_cli, cubic_config):
     code, _, err = run_cli("spectrum", dict(cubic_config, job="verify"))
     assert code == 2

@@ -427,6 +427,22 @@ def test_family_validation():
             PowerLawFamily(amplitude, scale, 0.5, beta, 10)
 
 
+def test_family_refuses_overflowing_terms():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="largest rate"):
+            PowerLawFamily(1.0, 1.0, 0.5, 200.0, 100)  # 100**200 overflows
+        with pytest.raises(ValueError, match="largest rate"):
+            PowerLawFamily(1.0, 1e-10, 0.5, 160.0, 100)  # k**beta overflows before the scale
+        with pytest.raises(ValueError, match="largest rate"):
+            PowerLawFamily(1.0, 1e300, 0.5, 2.0, 10**5)  # the scale tips 1e10 over
+        with pytest.raises(ValueError, match="amplitude/scale"):
+            PowerLawFamily(1e300, 1e-300, 0.5, 2.0, 10)
+        # just inside the range: 10**300 * 1e8 is finite and materializes
+        kern = materialize(PowerLawFamily(1.0, 1e8, 0.5, 150.0, 100))
+    assert kern.rates[-1] == 1e8 * 100.0**150.0
+
+
 def test_regularity_exponent():
     assert PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5).regularity == 0.5
     assert PowerLawFamily(1.0, 1.0, 1.0, 7.0, 5).regularity == 1.0  # exact

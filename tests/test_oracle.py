@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,6 +34,35 @@ from gpspectra.oracle import (
     _working_value,
 )
 from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
+
+
+def _recipe_sample(seed: int, per_size: int) -> list[ModePencil]:
+    """Admissible ladders of sizes 1..12 as the benchmark pool draws them:
+    log-uniform first rate, gaps and amplitudes over [0.1, 10], memory
+    strength sum c/g in [0.2, 0.85], a log-uniform over [1, 1e6], xi
+    uniform over [0.05, 0.95]."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 13):
+        for _ in range(per_size):
+            rates = [10.0 ** rng.uniform(-1.0, 1.0)]
+            for _ in range(n - 1):
+                rates.append(rates[-1] + 10.0 ** rng.uniform(-1.0, 1.0))
+            raw = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+            scale = rng.uniform(0.2, 0.85) / math.fsum(r / g for r, g in zip(raw, rates))
+            a = 10.0 ** rng.uniform(0.0, 6.0)
+            xi = rng.uniform(0.05, 0.95)
+            kernel = ExponentialKernel(tuple(r * scale for r in raw), tuple(rates))
+            out.append(ModePencil(a, xi, kernel))
+    return out
+
+
+#: the pinned ladders and a seeded sample of the pool recipe
+STOP_POINT_PENCILS = [
+    ModePencil(10.0, 0.5, ExponentialKernel((1.0,), (2.0,))),
+    *(ModePencil(a, xi, ExponentialKernel(c, g)) for c, g, a, xi in (PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE)),
+    *_recipe_sample(seed=2718, per_size=4),
+]
 
 
 # ------------------------------------------------------------ aberth roots
@@ -115,6 +145,39 @@ def test_power_table_columns_are_the_powers():
     assert v.shape == (3, 5) and np.all(v[:, 0] == 1)
     for j in range(1, 5):
         assert np.all(v[:, j] == v[:, j - 1] * z)
+
+
+def test_sweeps_stop_where_the_polish_takes_over(monkeypatch):
+    # the exact polish ends at the nearest double from anywhere deep in
+    # the basin, so sweeping on to machine-size steps changes no bit
+    polys = [to_polynomial(p) for p in STOP_POINT_PENCILS]
+    early = [aberth_roots(q) for q in polys]
+    monkeypatch.setattr(gpspectra.oracle, "ABERTH_STOP", 1e-16)
+    late = [aberth_roots(q) for q in polys]
+    for p, x, y in zip(STOP_POINT_PENCILS, early, late):
+        assert x.tobytes() == y.tobytes(), p
+
+
+def test_sweeps_per_mode_stay_few(monkeypatch):
+    calls = []
+
+    def counting(z, degree):
+        calls.append(degree)
+        return _powers(z, degree)
+
+    monkeypatch.setattr(gpspectra.oracle, "_powers", counting)
+    sample = STOP_POINT_PENCILS[4:]
+    for p in sample:
+        aberth_roots(to_polynomial(p))
+    # power tables per mode: the sweeps plus the final backward-error gate
+    assert len(calls) / len(sample) <= 3.5
+
+
+def test_real_numerators_skip_the_imaginary_parts():
+    values = [0.375, -2.0, 1e-300, 3.0, 2.0**600]
+    real = _gaussian_numerators([np.float64(v) for v in values])
+    assert real == _gaussian_numerators([np.complex128(v) for v in values])
+    assert all(ni == 0 for _, ni in real)
 
 
 @pytest.mark.parametrize(

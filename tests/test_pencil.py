@@ -1,6 +1,7 @@
 """Mode symbols: values, the stiffness/inertia split, exact clearing."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,77 @@ def test_cleared_polynomial_matches_symbol_pointwise():
         cleared = np.polyval(coeffs[::-1], z)
         direct = symbol(p, z) * np.prod([z + g for g in kern.rates])
         assert abs(cleared - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def _fraction_polynomial(p: ModePencil) -> list[Fraction]:
+    """The cleared coefficients by plain Fraction arithmetic on the inputs."""
+    a2 = Fraction(p.frequency) ** 2
+    aw = a2 * Fraction(p.memory_weight)
+    rates = [Fraction(g) for g in p.kernel.rates]
+
+    def product(roots):  # ascending coefficients of prod (z + r)
+        out = [Fraction(1)]
+        for r in roots:
+            out = [r * out[0]] + [out[i - 1] + r * out[i] for i in range(1, len(out))] + [out[-1]]
+        return out
+
+    poly = [Fraction(0)] * (len(rates) + 3)
+    for i, v in enumerate(product(rates)):
+        poly[i] += a2 * v
+        poly[i + 2] += v
+    for k, c in enumerate(p.kernel.coeffs):
+        for i, v in enumerate(product(rates[:k] + rates[k + 1 :])):
+            poly[i] -= aw * Fraction(c) * v
+    return poly
+
+
+#: (coeffs, rates, a, xi) at the ends of the double range
+EXTREME_PENCILS = {
+    # rates and coefficients at binary exponents -1000..1000
+    "wide-exponents": (
+        tuple(math.ldexp(0.1, e) for e in (1000, -1000, 3, 500, -500)),
+        tuple(math.ldexp(1.0 + k / 7.0, e) for k, e in enumerate((-1000, -500, 0, 500, 1000))),
+        3.7, 0.3,
+    ),
+    # w = 1e300**-1.9 underflows to zero
+    "zero-weight": ((0.5, 2.0**-1000), (0.75, 2.0**1000), 1e300, 0.05),
+    # w = 1e300**-1.05 is subnormal
+    "subnormal-weight": ((0.5, 0.1), (0.75, 1.5), 1e300, 0.475),
+    "tiny-frequency": ((0.3, 0.7), (0.1, 3.0), 1e-300, 0.9),
+    "huge-frequency": ((0.3, 0.7), (0.1, 3.0), 1e300, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_PENCILS))
+def test_dyadic_clearing_is_exact_at_the_extremes(name):
+    coeffs, rates, a, xi = EXTREME_PENCILS[name]
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    if name == "zero-weight":
+        assert p.memory_weight == 0.0
+    if name == "subnormal-weight":
+        assert 0.0 < p.memory_weight < sys.float_info.min
+    got = list(to_polynomial(p))
+    want = _fraction_polynomial(p)
+    assert all(type(c) is Fraction for c in got)
+    assert got == want
+    assert [c.denominator for c in got] == [c.denominator for c in want]
+
+
+def test_clearing_builds_one_fraction_per_coefficient(monkeypatch):
+    p = ModePencil(637280.0617993774, 0.09467011703938635, ExponentialKernel((0.1, 0.2, 0.3), (1.5, 2.25, 7.0)))
+    want = _fraction_polynomial(p)
+    built = []
+    plain_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return plain_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    got = list(to_polynomial(p))
+    monkeypatch.undo()
+    assert got == want
+    assert len(built) == p.kernel.size + 3
 
 
 def test_polynomial_cap():

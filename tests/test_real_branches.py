@@ -1,5 +1,6 @@
 """Real branches: bracketing, interlaced roots, pole-approach rates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -148,8 +149,13 @@ def _check_fused_block(p: ModePencil) -> None:
     roots, stiff = branch_and_stiffness_roots(p, n)
     assert roots == branch_roots(p, n)
     assert stiff == stiffness_roots(p, n)
+    full = solve_mode(p)
+    assert list(full.real_roots) == roots and list(full.stiffness_roots) == stiff
+    # without the certificate the bracket pass is skipped, and only it
     result = solve_mode(p, certify=False)
-    assert list(result.real_roots) == roots and list(result.stiffness_roots) == stiff
+    for bare, root in zip(result.real_roots + result.stiffness_roots, roots + stiff):
+        assert bare.bracket is None and math.isnan(bare.sign_margin)
+        assert dataclasses.replace(bare, bracket=root.bracket, sign_margin=root.sign_margin) == root
     # as branch_convergence does, one branch's two columns alone
     for k in {1, n}:
         assert real_branches._solve(p, k, k, (True, False)) == [[roots[k - 1]], [stiff[k - 1]]]
