@@ -38,10 +38,11 @@ ABERTH_RESIDUAL = 1e-10
 #: of ~1e-78 on real roots would otherwise cost hundreds of bits)
 QUANT_BITS = 60
 
-#: largest relative Aberth step at which the sweeps stop and the exact polish
-#: takes over: the polish ends at the nearest double to the root from
-#: anywhere this deep in its basin, and with cubic convergence the next
-#: sweep's step would already fall below longdouble precision
+#: Aberth step, relative to its own iterate, below which (for every iterate)
+#: the sweeps stop and the exact polish takes over: the polish ends at the
+#: nearest double to the root from anywhere this deep in its basin, and
+#: with cubic convergence the next sweep's step would already fall below
+#: longdouble precision
 ABERTH_STOP = 2.0**-32
 
 
@@ -85,18 +86,15 @@ def _gaussian_numerators(exacts: list) -> list[tuple[int, int]]:
     """Coefficients as Gaussian-integer numerators over one common denominator.
 
     The denominator itself is dropped: it scales P and P' alike, so Newton
-    steps do not see it.  Real coefficients are put over one denominator
-    directly, each paired with a zero imaginary numerator.
+    steps do not see it.  A real coefficient's imaginary part is the int 0,
+    which has a numerator and a denominator of its own.
     """
-    if not any(isinstance(x, (complex, np.complexfloating)) for x in exacts):
-        nums, _ = common_denominator([_exact(x) for x in exacts])
-        return [(v, 0) for v in nums]
     parts = []
     for x in exacts:
         if isinstance(x, (complex, np.complexfloating)):
             parts += [_exact(x.real), _exact(x.imag)]
         else:
-            parts += [_exact(x), Fraction(0)]
+            parts += [_exact(x), 0]
     nums, _ = common_denominator(parts)
     return list(zip(nums[::2], nums[1::2]))
 
@@ -195,14 +193,17 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     Starts from the double-precision eigenvalues of the companion matrix
     of the monic polynomial (:func:`_companion_start`), which read only the
     coefficients, and applies Aberth-Ehrlich corrections until the exact
-    polish below can take over: either the largest relative step falls
-    below ABERTH_STOP (2**-32), or the steps have stopped shrinking for
-    several sweeps while every residual sits within a small factor of the
-    round-off floor of evaluating P there (eps * sum (2k+1)|c_k||z|^k).
-    Near simple roots the sweeps converge cubically, so after a step
-    below 2**-32 the next would fall below longdouble precision, and the
-    polish ends at the nearest double to the root from anywhere that deep
-    in its basin: more sweeps would not change a bit of the result.  The
+    polish below can take over: either every step is below ABERTH_STOP
+    (2**-32) times the modulus of its iterate, or the steps have stopped
+    shrinking for several sweeps while every residual sits within a small
+    factor of the round-off floor of evaluating P there
+    (eps * sum (2k+1)|c_k||z|^k).  Near simple roots the sweeps converge
+    cubically, so after a step below 2**-32 |z| the next would fall below
+    longdouble precision, and the polish ends at the nearest double to the
+    root from anywhere that deep in its basin: more sweeps would not
+    change a bit of the result.  Measuring the step against |z| itself
+    keeps that true for roots far below one, where a step of 2**-32 could
+    be most of the root.  The
     plateau is the evaluation-noise limit cycle of clusters, the accuracy
     ceiling of the data; stopping on small residuals alone would quit a
     sweep or two earlier, which for pinched roots (tiny |P'|) costs a
@@ -274,10 +275,11 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
         denom = 1.0 - ratio * repulsion
         w = np.where(denom != 0, ratio / np.where(denom != 0, denom, 1.0), ratio)
         z = z - w
-        relstep = float(np.max(np.abs(w) / (1.0 + np.abs(z))))
-        if relstep < ABERTH_STOP:
+        step, size = np.abs(w), np.abs(z)
+        if np.all(step <= ABERTH_STOP * size):
             converged = True
             break
+        relstep = float(np.max(step / (1.0 + size)))
         if relstep < 0.5 * best_step:
             best_step = relstep
             stale = 0

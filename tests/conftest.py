@@ -1,6 +1,7 @@
 """Shared fixtures: the N=1 workhorse pencil and a CLI harness."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -57,20 +58,32 @@ CLUSTER_TWELVE = (
 )
 
 
+def recipe_pencil(n: int, uniform) -> ModePencil:
+    """One pool-style ladder of size n, each number drawn by uniform(lo, hi):
+    log-uniform first rate, gaps and amplitudes over [0.1, 10], memory
+    strength sum c/g in [0.2, 0.85], a log-uniform over [1, 1e6], xi in
+    [0.05, 0.95]."""
+    rates = np.cumsum([10.0 ** uniform(-1.0, 1.0) for _ in range(n)])
+    raw = np.array([10.0 ** uniform(-1.0, 1.0) for _ in range(n)])
+    strength = uniform(0.2, 0.85)
+    coeffs = raw * (strength / float(np.sum(raw / rates)))
+    a = 10.0 ** uniform(0.0, 6.0)
+    xi = uniform(0.05, 0.95)
+    return ModePencil(a, xi, ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
+
+
 @st.composite
 def admissible_modes(draw):
-    """Pool-style ladders: log-uniform first rate, gaps and amplitudes over
-    [0.1, 10], memory strength sum c/g in [0.2, 0.85], a log-uniform over
-    [1, 1e6], xi in [0.05, 0.95]."""
+    """Pool-style ladders of sizes 1..12 (:func:`recipe_pencil`)."""
     n = draw(st.integers(1, 12))
-    exponent = st.floats(-1.0, 1.0)
-    rates = np.cumsum([10.0 ** draw(exponent) for _ in range(n)])
-    raw = np.array([10.0 ** draw(exponent) for _ in range(n)])
-    strength = draw(st.floats(0.2, 0.85))
-    coeffs = raw * (strength / float(np.sum(raw / rates)))
-    a = 10.0 ** draw(st.floats(0.0, 6.0))
-    xi = draw(st.floats(0.05, 0.95))
-    return ModePencil(a, xi, ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
+    return recipe_pencil(n, lambda lo, hi: draw(st.floats(lo, hi)))
+
+
+def recipe_sample(seed: int, per_size: int) -> list[ModePencil]:
+    """``per_size`` pool-style ladders of each size 1..12, drawn from one
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [recipe_pencil(n, rng.uniform) for n in range(1, 13) for _ in range(per_size)]
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ import ast
 import itertools
 import math
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,35 +32,31 @@ from gpspectra.oracle import (
     _powers,
     _working_value,
 )
-from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE
-
-
-def _recipe_sample(seed: int, per_size: int) -> list[ModePencil]:
-    """Admissible ladders of sizes 1..12 as the benchmark pool draws them:
-    log-uniform first rate, gaps and amplitudes over [0.1, 10], memory
-    strength sum c/g in [0.2, 0.85], a log-uniform over [1, 1e6], xi
-    uniform over [0.05, 0.95]."""
-    rng = random.Random(seed)
-    out = []
-    for n in range(1, 13):
-        for _ in range(per_size):
-            rates = [10.0 ** rng.uniform(-1.0, 1.0)]
-            for _ in range(n - 1):
-                rates.append(rates[-1] + 10.0 ** rng.uniform(-1.0, 1.0))
-            raw = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
-            scale = rng.uniform(0.2, 0.85) / math.fsum(r / g for r, g in zip(raw, rates))
-            a = 10.0 ** rng.uniform(0.0, 6.0)
-            xi = rng.uniform(0.05, 0.95)
-            kernel = ExponentialKernel(tuple(r * scale for r in raw), tuple(rates))
-            out.append(ModePencil(a, xi, kernel))
-    return out
+from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE, recipe_sample
 
 
 #: the pinned ladders and a seeded sample of the pool recipe
 STOP_POINT_PENCILS = [
     ModePencil(10.0, 0.5, ExponentialKernel((1.0,), (2.0,))),
     *(ModePencil(a, xi, ExponentialKernel(c, g)) for c, g, a, xi in (PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE)),
-    *_recipe_sample(seed=2718, per_size=4),
+    *recipe_sample(seed=2718, per_size=4),
+]
+
+
+def _scaled(q: np.ndarray, e: int) -> np.ndarray:
+    """The exact coefficients of 2**(e*deg) q(z / 2**e), whose roots are 2**e
+    times those of q."""
+    s = Fraction(2) ** e
+    deg = len(q) - 1
+    return np.array([c * s ** (deg - k) for k, c in enumerate(q)], dtype=object)
+
+
+#: the pinned ladders with their roots moved by powers of two, down to
+#: where a step of 2**-32 is larger than a root
+SCALED_LADDERS = [
+    pytest.param(ladder, e, id=f"{name}*2^{e}")
+    for name, ladder in (("PINCHED_FIVE", PINCHED_FIVE), ("PINCHED_EIGHT", PINCHED_EIGHT), ("CLUSTER_TWELVE", CLUSTER_TWELVE))
+    for e in (-60, -30, 30)
 ]
 
 
@@ -156,6 +151,19 @@ def test_sweeps_stop_where_the_polish_takes_over(monkeypatch):
     late = [aberth_roots(q) for q in polys]
     for p, x, y in zip(STOP_POINT_PENCILS, early, late):
         assert x.tobytes() == y.tobytes(), p
+
+
+@pytest.mark.parametrize("ladder,e", SCALED_LADDERS)
+def test_sweeps_stop_relative_to_each_root(monkeypatch, ladder, e):
+    # the stop compares each step with its own iterate, so roots far below
+    # one are swept as deep into their basins as roots of order one
+    c, g, a, xi = ladder
+    q = to_polynomial(ModePencil(a, xi, ExponentialKernel(c, g)))
+    scaled = _scaled(q, e)
+    roots = aberth_roots(scaled)
+    assert np.sort_complex(roots).tobytes() == np.sort_complex(aberth_roots(q) * 2.0**e).tobytes()
+    monkeypatch.setattr(gpspectra.oracle, "ABERTH_STOP", 1e-16)
+    assert aberth_roots(scaled).tobytes() == roots.tobytes()
 
 
 def test_sweeps_per_mode_stay_few(monkeypatch):
