@@ -63,7 +63,6 @@ class JobConfig:
     modes: tuple[float, ...]
     ladder: dict | None
     residual_tol: float
-    quadrature_tol: float
     output: str | None
 
 
@@ -215,14 +214,14 @@ def parse_config(text: str, job: str) -> JobConfig:
     modes, ladder = _parse_modes(obj["modes"], "config.modes")
 
     residual_tol = 1e-10
-    quadrature_tol = 1e-10
     if "tolerances" in obj:
         tol = _as_object(obj["tolerances"], "config.tolerances")
         _check_keys(tol, "config.tolerances", set(), {"residual", "quadrature"})
         if "residual" in tol:
             residual_tol = _as_positive(tol["residual"], "config.tolerances.residual")
         if "quadrature" in tol:
-            quadrature_tol = _as_positive(tol["quadrature"], "config.tolerances.quadrature")
+            # read by no job: still accepted and validated, so configs that set it keep running
+            _as_positive(tol["quadrature"], "config.tolerances.quadrature")
 
     output = _as_string(obj["output"], "config.output") if "output" in obj else None
 
@@ -234,7 +233,6 @@ def parse_config(text: str, job: str) -> JobConfig:
         modes=modes,
         ladder=ladder,
         residual_tol=residual_tol,
-        quadrature_tol=quadrature_tol,
         output=output,
     )
 
@@ -268,7 +266,7 @@ def _effective_config(cfg: JobConfig) -> str:
         "job": cfg.job,
         "kernel": kernel_spec,
         "modes": modes_spec,
-        "tolerances": {"quadrature": cfg.quadrature_tol, "residual": cfg.residual_tol},
+        "tolerances": {"residual": cfg.residual_tol},
         "xi": cfg.xi,
     }
     return json.dumps(effective, sort_keys=True, separators=(", ", ": "))
@@ -278,8 +276,20 @@ def _header(cfg: JobConfig) -> list[str]:
     return [f"# gpspectra {__version__}", f"# config {_effective_config(cfg)}"]
 
 
+def _family_ladder(build, family: PowerLawFamily, *args):
+    """``build(family, *args)``, with a ladder the kernel refuses reported as a config error.
+
+    A family can pass its own checks and still have neighbouring rates
+    scale*k**beta round to one double (a subnormal scale, or beta near 0).
+    """
+    try:
+        return build(family, *args)
+    except ValueError as exc:
+        raise ConfigError(f"config.kernel.family: the materialized ladder is refused: {exc}") from exc
+
+
 def _materialized(cfg: JobConfig) -> ExponentialKernel:
-    return cfg.kernel if cfg.kernel is not None else materialize(cfg.family)
+    return cfg.kernel if cfg.kernel is not None else _family_ladder(materialize, cfg.family)
 
 
 def _pencils(cfg: JobConfig, kernel: ExponentialKernel) -> list[ModePencil]:
@@ -476,7 +486,8 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     if cfg.family is not None:
-        kernels = materialize_within_each(cfg.family, [2.0 * a for a in cfg.modes])
+        radii = [2.0 * a for a in cfg.modes]
+        kernels = _family_ladder(materialize_within_each, cfg.family, radii)
     else:
         kernels = [cfg.kernel] * len(cfg.modes)
     pencils = [ModePencil(frequency=a, xi=cfg.xi, kernel=k) for a, k in zip(cfg.modes, kernels)]

@@ -54,6 +54,29 @@ _MAX_BISECT_DEPTH = 48
 
 _EPS = float(np.finfo(float).eps)
 
+#: base grid points on the longest side of a contour: ambiguous steps are
+#: bisected on the spot, so this sets the cost of the first pass (one symbol
+#: call on at most 4 * 257 points), not whether the walk resolves
+CONTOUR_SAMPLES = 256
+
+#: the pair's Newton steps stop below this, relative to 1 + |tau|: a few
+#: ulps is the noise of evaluating the map g, so a tighter stop would chase
+#: that noise, and with quadratic convergence a further step changes nothing
+PAIR_STEP_TOL = 4.0 * _EPS
+
+#: passes over the ladder allowed to the pair's Newton loop: from tau = 0 it
+#: settles in at most 6 on pool ladders and power-law sweeps, so the cap only
+#: ends a loop that has stopped converging
+PAIR_MAX_PASSES = 50
+
+#: |L| <= REFINE_RESIDUAL_TOL * a**2 gates :func:`newton_refine`'s root: the
+#: default gate of :func:`solve_pair`, so a refined root passes it
+REFINE_RESIDUAL_TOL = 1e-10
+
+#: Newton steps allowed to :func:`newton_refine`: from inside its basin a
+#: seed settles in well under ten, and one outside is refused on divergence
+REFINE_MAX_STEPS = 50
+
 
 @dataclass(frozen=True)
 class FixedPointPair:
@@ -80,7 +103,7 @@ class RectContour:
     x_max: float
     y_min: float
     y_max: float
-    samples_per_side: int = 256
+    samples_per_side: int = CONTOUR_SAMPLES
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -120,15 +143,13 @@ class CountCertificate:
     samples_per_side: int
 
 
-def fixed_point_pair(
-    p: ModePencil, tol: float = 4.0 * _EPS, max_iter: int = 50
-) -> FixedPointPair:
+def fixed_point_pair(p: ModePencil) -> FixedPointPair:
     """The upper root by Newton's method on the fixed-point map; the lower is its conjugate.
 
     Each pass over the ladder gives Khat and Khat' at z = i*a + tau*a, so
     the map g(tau) = w*Khat/(tau + 2i) and its derivative g' together;
     from tau = 0 the step tau <- tau - (tau - g)/(1 - g') converges
-    quadratically.  It stops once the step is within tol*(1 + |tau|),
+    quadratically.  It stops once the step is within PAIR_STEP_TOL*(1 + |tau|),
     applies that last step and returns; ``residual`` is |L|/a**2 =
     |tau*(tau + 2i) - w*Khat| at the last evaluated iterate, one step
     short of ``plus``.  Raises :class:`NonContractionError` the moment
@@ -138,7 +159,7 @@ def fixed_point_pair(
     """
     a, w = p.frequency, p.memory_weight
     tau = 0.0 + 0.0j
-    for it in range(1, max_iter + 1):
+    for it in range(1, PAIR_MAX_PASSES + 1):
         khat, dkhat = laplace_with_deriv(p.kernel, 1j * a + tau * a)
         shift = tau + 2j
         image = w * khat / shift
@@ -148,7 +169,7 @@ def fixed_point_pair(
                 f"fixed-point map has |g'| = {abs(deriv):.3f} at iterate {it}"
             )
         step = (tau - image) / (1.0 - deriv)
-        if abs(step) <= tol * (1.0 + abs(tau)):
+        if abs(step) <= PAIR_STEP_TOL * (1.0 + abs(tau)):
             plus = 1j * a + (tau - step) * a
             return FixedPointPair(
                 plus=plus,
@@ -158,15 +179,10 @@ def fixed_point_pair(
                 residual=abs(tau * shift - w * khat),
             )
         tau = tau - step
-    raise MaxIterationsError(f"pair iteration did not settle in {max_iter} steps")
+    raise MaxIterationsError(f"pair iteration did not settle in {PAIR_MAX_PASSES} steps")
 
 
-def newton_refine(
-    p: ModePencil,
-    seed: complex,
-    residual_tol: float = 1e-10,
-    max_steps: int = 50,
-) -> complex:
+def newton_refine(p: ModePencil, seed: complex) -> complex:
     """Polish a root seed by Newton's method on the mode symbol.
 
     Each iterate costs one pass over the ladder, which gives L and L'
@@ -174,15 +190,15 @@ def newton_refine(
     stops on a machine-size step, or once the residual grows after the
     best iterate has met the target.  Two consecutive increases before
     that are treated as divergence (the seed was outside the basin), and
-    the returned root must satisfy |L(root)| <= residual_tol * a**2.
+    the returned root must satisfy |L(root)| <= REFINE_RESIDUAL_TOL * a**2.
     """
-    scale = residual_tol * p.frequency**2
+    scale = REFINE_RESIDUAL_TOL * p.frequency**2
     z = complex(seed)
     value, d = symbol_with_deriv(p, z)
     res = abs(value)
     best, best_res = z, res
     increases = 0
-    for _ in range(max_steps):
+    for _ in range(REFINE_MAX_STEPS):
         if d == 0:
             break
         step = value / d
@@ -428,7 +444,7 @@ def count_zeros(p: ModePencil, contour: RectContour) -> CountCertificate:
     )
 
 
-def spectrum_contour(p: ModePencil, window: int, samples_per_side: int = 256) -> RectContour:
+def spectrum_contour(p: ModePencil, window: int) -> RectContour:
     """Rectangle expected to enclose the first ``window`` real branches plus the pair.
 
     The right/left edges sit at the midpoint between rates number ``window``
@@ -456,5 +472,4 @@ def spectrum_contour(p: ModePencil, window: int, samples_per_side: int = 256) ->
         x_max=x_edge,
         y_min=-float(y_edge),
         y_max=float(y_edge),
-        samples_per_side=samples_per_side,
     )

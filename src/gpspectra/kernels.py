@@ -33,6 +33,11 @@ POLE_GUARD_ULPS = 50
 #: transforms are only evaluated this far (radians) from the branch ray
 ARG_MARGIN = 0.1
 
+#: absolute tolerance of the continuum integrals, whose values are of order
+#: one: a decade below the 1e-9 to which their closed forms (log 2, pi) are
+#: checked, and far below the O(1/|z|) gap to the ladder they are held against
+QUAD_TOL = 1e-10
+
 #: largest ladder whose transform at one point is summed exactly rounded:
 #: about where the blocked pass becomes the faster one (both take about
 #: 18 us at 64 terms; at 256 terms math.fsum takes 2.7 times as long)
@@ -357,15 +362,15 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
 def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
     """(Khat(zeta), Khat'(zeta)) at one point, from one pass over the ladder.
 
-    Ladders of at most FSUM_MAX (64) terms form the same terms as
-    :func:`laplace` and :func:`laplace_deriv` and sum them exactly
-    rounded.  Longer ladders, where exact rounding would cost several
-    times the pass itself, are summed in real arithmetic, SUM_BLOCK terms
-    at a time, without complex temporaries (:func:`_blocked_sums`), and
-    the scalar :func:`laplace` and :func:`laplace_deriv` return the two
-    halves of that pass; so at any one point both values equal theirs bit
-    for bit.  The far-pole series adds its share to both, and the pole
-    guard is that of :func:`laplace`.
+    Ladders of at most FSUM_MAX (64) terms form the terms c/(z + g) and
+    -c/(z + g)**2 and sum them exactly rounded.  Longer ladders, where
+    exact rounding would cost several times the pass itself, are summed in
+    real arithmetic, SUM_BLOCK terms at a time, without complex
+    temporaries (:func:`_blocked_sums`).  The far-pole series adds its
+    share to both.  An evaluation closer to a pole than POLE_GUARD_ULPS
+    ulps of that pole's rate raises :class:`PoleProximityError`.  At a
+    scalar point :func:`laplace` and :func:`laplace_deriv` return the two
+    halves of this pass.
     """
     z = complex(zeta)
     _guard_scalar(kernel, z)
@@ -383,32 +388,27 @@ def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[comple
 
 def _transform(kernel: ExponentialKernel, zeta, deriv: bool) -> complex | np.ndarray:
     z = np.asarray(zeta, dtype=complex)
-    if z.ndim == 0 and kernel.size > FSUM_MAX:
+    if z.ndim == 0:
         return laplace_with_deriv(kernel, complex(z))[deriv]
     shifted = z[..., None] + kernel._g
-    if z.ndim == 0:
-        _guard_scalar(kernel, complex(z))
-    else:
-        _guard_array(kernel, shifted)
+    _guard_array(kernel, shifted)
     terms = -kernel._c / shifted**2 if deriv else kernel._c / shifted
-    out = _fsum(terms) if z.ndim == 0 else np.sum(terms, axis=-1)
+    out = np.sum(terms, axis=-1)
     if kernel.tail is not None:
-        at = complex(z) if z.ndim == 0 else z
-        out = out + (kernel.tail.deriv(at) if deriv else kernel.tail.value(at))
-    return complex(out) if z.ndim == 0 else out
+        out = out + (kernel.tail.deriv(z) if deriv else kernel.tail.value(z))
+    return out
 
 
 def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """Khat(zeta) = sum_k c_k / (zeta + g_k).
 
-    Accepts a scalar or an ndarray of points.  A scalar on a ladder of at
-    most FSUM_MAX (64) terms is summed exactly rounded (``math.fsum``); a
-    scalar on a longer ladder takes the blocked real-arithmetic pass of
-    :func:`laplace_with_deriv`, within a few eps times the sum of the
-    terms' moduli; an array of points is summed pairwise along the
-    ladder.  Either way the error stays near machine precision for
-    ladders of a few million terms.  An evaluation closer to a pole than
-    POLE_GUARD_ULPS ulps of that pole's rate raises
+    Accepts a scalar or an ndarray of points.  A scalar point is the
+    first half of the :func:`laplace_with_deriv` pass: exactly rounded on
+    a ladder of at most FSUM_MAX (64) terms, within a few eps times the
+    sum of the terms' moduli on a longer one.  An array of points is
+    summed pairwise along the ladder.  Either way the error stays near
+    machine precision for ladders of a few million terms.  An evaluation
+    closer to a pole than POLE_GUARD_ULPS ulps of that pole's rate raises
     :class:`PoleProximityError`.  A kernel's far-pole series adds its
     share; beyond its radius it raises :class:`NumericalError` rather
     than extrapolate.
@@ -419,7 +419,8 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
 def laplace_deriv(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2, far-pole series included.
 
-    Summed as :func:`laplace` sums.
+    A scalar point is the second half of the :func:`laplace_with_deriv`
+    pass; an array of points is summed as :func:`laplace` sums it.
     """
     return _transform(kernel, zeta, deriv=True)
 
@@ -686,7 +687,6 @@ def continuum_laplace(
     family: PowerLawFamily,
     zeta: complex,
     t_max: float | None = None,
-    tol: float = 1e-10,
 ) -> complex:
     """Continuum companion of the ladder transform.
 
@@ -711,11 +711,11 @@ def continuum_laplace(
     def integrand(s: np.ndarray) -> np.ndarray:
         return 1.0 / (family.scale + zeta * s ** (1.0 / r))
 
-    value = integrate(integrand, s_lo, 1.0, tol=tol)
+    value = integrate(integrand, s_lo, 1.0, tol=QUAD_TOL)
     return family.amplitude / (family.beta * r) * value
 
 
-def angular_integral(r: float, phi: float, tol: float = 1e-10) -> complex:
+def angular_integral(r: float, phi: float) -> complex:
     """integral over t in (0, inf) of dt / (t**r * (e^{i*phi} + t)), 0 < r < 1.
 
     Split at t = 1; the head carries the t**(-r) endpoint weight and the
@@ -727,12 +727,12 @@ def angular_integral(r: float, phi: float, tol: float = 1e-10) -> complex:
     if abs(phi) >= np.pi - ARG_MARGIN:
         raise ValueError("phi too close to the branch ray at pi")
     w = complex(np.cos(phi), np.sin(phi))
-    head = integrate_power_weighted(lambda t: 1.0 / (w + t), -r, tol=tol)
-    tail = integrate_power_weighted(lambda v: 1.0 / (1.0 + w * v), r - 1.0, tol=tol)
+    head = integrate_power_weighted(lambda t: 1.0 / (w + t), -r, tol=QUAD_TOL)
+    tail = integrate_power_weighted(lambda v: 1.0 / (1.0 + w * v), r - 1.0, tol=QUAD_TOL)
     return head + tail
 
 
-def laplace_asymptotic(family: PowerLawFamily, zeta: complex, tol: float = 1e-10) -> complex:
+def laplace_asymptotic(family: PowerLawFamily, zeta: complex) -> complex:
     """Leading large-|z| behaviour of the family transform.
 
     For regularity r < 1:
@@ -750,4 +750,4 @@ def laplace_asymptotic(family: PowerLawFamily, zeta: complex, tol: float = 1e-10
             abs(zeta / family.scale + 1.0)
         ) / zeta
     front = family.amplitude * family.scale ** (r - 1.0) / (family.beta * abs(zeta) ** r)
-    return front * angular_integral(r, float(np.angle(zeta)), tol=tol)
+    return front * angular_integral(r, float(np.angle(zeta)))

@@ -45,6 +45,15 @@ QUANT_BITS = 60
 #: longdouble precision
 ABERTH_STOP = 2.0**-32
 
+#: cap on Aberth sweeps: from the companion start a mode takes about five,
+#: so the cap only ends a run that neither converges nor plateaus
+ABERTH_MAX_SWEEPS = 500
+
+#: exact Newton steps per root in the polish: on pool ladders nearly every
+#: iterate repeats after one or two, so the cap only bounds the integer work
+#: on the few that do not settle
+POLISH_STEPS = 4
+
 
 def _working_value(x) -> np.clongdouble:
     """Convert one coefficient to extended precision without losing bits.
@@ -140,7 +149,7 @@ def _newton_iterate(nums: list[tuple[int, int]], root: complex, real: bool) -> c
     return complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
 
 
-def _polish_roots(z: np.ndarray, exacts: list, steps: int = 4) -> np.ndarray:
+def _polish_roots(z: np.ndarray, exacts: list) -> np.ndarray:
     """Newton-polish converged iterates with P and P' evaluated exactly.
 
     The simultaneous iteration leaves every iterate deep inside its own
@@ -151,14 +160,14 @@ def _polish_roots(z: np.ndarray, exacts: list, steps: int = 4) -> np.ndarray:
     binary rational, so each Newton step is formed exactly in Python
     integers (:func:`_newton_iterate`) and rounded once.  From a point
     within about 2**-60 of a root the exact step lands within round-off of
-    it, so iterates stop as soon as they repeat, or after ``steps``.
+    it, so iterates stop as soon as they repeat, or after POLISH_STEPS.
     """
     nums = _gaussian_numerators(exacts)
     real = not any(ni for _, ni in nums)
     out = []
     for seed in z.astype(complex):
         root = complex(seed)
-        for _ in range(steps):
+        for _ in range(POLISH_STEPS):
             step = _newton_iterate(nums, root, real)
             if step is None or step == root:
                 break
@@ -187,7 +196,7 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
         raise NumericalError(f"companion eigenvalues failed: {exc}") from exc
 
 
-def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) -> np.ndarray:
+def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial given by ascending coefficients.
 
     Starts from the double-precision eigenvalues of the companion matrix
@@ -261,7 +270,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
     converged = False
     best_step = np.inf
     stale = 0
-    for _ in range(max_sweeps):
+    for _ in range(ABERTH_MAX_SWEEPS):
         v = _powers(z, n)
         pz = v @ c
         dz = v[:, :-1] @ dc
@@ -293,7 +302,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray, max_sweeps: int = 500) ->
                 break
             stale = 0
     if not converged and not at_noise_floor(8.0):
-        raise MaxIterationsError(f"Aberth sweeps exhausted ({max_sweeps})")
+        raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
     z = _polish_roots(z, exacts).astype(np.clongdouble)
     v = _powers(z, n)

@@ -9,14 +9,14 @@ are secular equations in the offset delta = z + g_k from the left pole,
     1 + s*(delta - g_k)**2 - w * sum_j c_j/(delta + (g_j - g_k)) = 0,
 
 with s = 1/a**2 for L and s = 0 for f, so a root pinched against its pole
-keeps full relative accuracy.  The solver works on (factor, k) columns,
-each with its own inertia weight s, so one block holds the symbol and the
-stiffness roots of the same branches.  All columns of a block are solved
-at once by rational interpolation: each step fits (alpha + beta*delta) /
-(delta*(1 - delta/D)), poles at both interval ends (D = g_k - g_{k-1}), to
-the value and slope at the iterate and moves to its root -- Newton on the
-pole-cleared function, started at delta = 0 and held inside a sign-change
-bracket.  A missing sign change (the first interval of an overloaded
+keeps full relative accuracy.  Every solve finds the symbol and the
+stiffness roots of the same branches together: a block holds one
+(factor, k) column per root, each with its own inertia weight s, and all
+its columns are solved at once by rational interpolation.  Each step fits
+(alpha + beta*delta) / (delta*(1 - delta/D)), poles at both interval ends
+(D = g_k - g_{k-1}), to the value and slope at the iterate and moves to
+its root -- Newton on the pole-cleared function, started at delta = 0 and
+held inside a sign-change bracket.  A missing sign change (the first interval of an overloaded
 kernel) is reported, never papered over.
 
 Every located root also gets a proven bracket: F is evaluated at offsets
@@ -165,33 +165,32 @@ def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
 
 
 def _solve(
-    p: ModePencil, first: int, last: int, inertia: tuple[bool, ...], brackets: bool = True
-) -> list[list[BranchRoot]]:
-    """Branches first..last of each factor: the symbol (True) or the stiffness factor.
+    p: ModePencil, first: int, last: int, brackets: bool = True
+) -> tuple[list[BranchRoot], list[BranchRoot]]:
+    """Branches first..last of the symbol and of the stiffness factor, solved together.
 
-    Every block holds the same branches of each factor, side by side, and
-    a work array at most BLOCK_CELLS entries.  The columns are independent:
-    each root is the one a solve of its factor alone finds, bit for bit,
-    as long as both blocks hold more than one column (numpy sums a lone
-    column along the ladder in another order).  Without ``brackets`` the
-    bracket pass is skipped; the roots are the same.
+    Every block holds the same branches of both factors, side by side, and
+    a work array at most BLOCK_CELLS entries.  The columns are independent,
+    so each root does not depend on which other branches share its block.
+    Without ``brackets`` the bracket pass is skipped; the roots are the
+    same.
     """
     kern = p.kernel
     kern.require_every_pole("the real branches")
     c, g = kern._c, kern._g
     w, a2 = p.memory_weight, p.frequency**2
-    scales = [a2 if f else 1.0 for f in inertia]
-    weights = [1.0 / a2 if f else 0.0 for f in inertia]
     intervals = bracket_intervals(kern, last)
     if first == 1 and not p.load < 1.0:
         # F(0) = 1 - w*sum c_j/g_j: no sign change left of the origin
-        raise NoSignChangeError(*intervals[0], -math.inf, scales[0] * (1.0 - p.load))
-    out: list[list[BranchRoot]] = [[] for _ in inertia]
-    block = max(1, BLOCK_CELLS // (len(inertia) * g.size))
+        raise NoSignChangeError(*intervals[0], -math.inf, a2 * (1.0 - p.load))
+    roots: list[BranchRoot] = []
+    stiff: list[BranchRoot] = []
+    block = max(1, BLOCK_CELLS // (2 * g.size))
     for start in range(first - 1, last, block):
         branches = np.arange(start, min(start + block, last))
-        k = np.tile(branches, len(inertia))
-        s = np.repeat(weights, branches.size)
+        k = np.tile(branches, 2)
+        # inertia weight 1/a**2 for the symbol's columns, 0 for the stiffness factor's
+        s = np.repeat([1.0 / a2, 0.0], branches.size)
         d = _solve_block(c, g, w, s, k)
         # F and F' at the offsets, every pole included, for residual and step
         F, bound, t, x = _secular(c, g, w, s, k, d)
@@ -204,32 +203,38 @@ def _solve(
             enclosures = [(None, math.nan)] * k.size
         cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), enclosures)
         for col, (i, value, offset, f, err, (bracket, m)) in enumerate(cols):
-            j = col // branches.size
-            out[j].append(
-                BranchRoot(i + 1, value, intervals[i], scales[j] * abs(f), offset, err, bracket, m)
-            )
-    return out
+            symbol_col = col < branches.size
+            # L = a**2 * F on the symbol's columns, f = F on the stiffness factor's
+            residual = (a2 if symbol_col else 1.0) * abs(f)
+            root = BranchRoot(i + 1, value, intervals[i], residual, offset, err, bracket, m)
+            (roots if symbol_col else stiff).append(root)
+    return roots, stiff
 
 
 def branch_roots(p: ModePencil, count: int) -> list[BranchRoot]:
-    """Real roots of the mode symbol, one per pole interval, k = 1..count."""
-    return _solve(p, 1, count, (True,))[0]
+    """Real roots of the mode symbol, one per pole interval, k = 1..count.
+
+    The symbol half of :func:`branch_and_stiffness_roots`.
+    """
+    return _solve(p, 1, count)[0]
 
 
 def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
-    """Real roots of the stiffness factor f, one per pole interval."""
-    return _solve(p, 1, count, (False,))[0]
+    """Real roots of the stiffness factor f, one per pole interval.
+
+    The stiffness half of :func:`branch_and_stiffness_roots`.
+    """
+    return _solve(p, 1, count)[1]
 
 
 def branch_and_stiffness_roots(
     p: ModePencil, count: int, brackets: bool = True
 ) -> tuple[list[BranchRoot], list[BranchRoot]]:
-    """(:func:`branch_roots`, :func:`stiffness_roots`) from one block pass.
+    """The real roots of the symbol and of the stiffness factor, k = 1..count, from one block pass.
 
     ``brackets=False`` skips the bracket pass (see :class:`BranchRoot`).
     """
-    roots, stiff = _solve(p, 1, count, (True, False), brackets)
-    return roots, stiff
+    return _solve(p, 1, count, brackets)
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,7 @@ def branch_convergence(pencils: Sequence[ModePencil], k: int) -> ConvergenceReco
     if not 1 <= k <= kern.size:
         raise ValueError(f"branch index {k} outside 1..{kern.size}")
 
-    solved = [_solve(p, k, k, (True, False)) for p in pencils]
+    solved = [_solve(p, k, k) for p in pencils]
     mu = [m for (m,), _ in solved]
     x = [f for _, (f,) in solved]
     dev = [m.offset for m in mu]

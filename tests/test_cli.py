@@ -136,6 +136,42 @@ def test_overflowing_family_is_a_config_error(run_cli):
     )
 
 
+#: families that pass their own checks but whose materialized rates collide:
+#: a subnormal scale rounds neighbouring rates to one double, and so does
+#: beta = 1e-12 from about k = 4500 on
+COLLIDING_FAMILIES = {
+    "subnormal_scale": {
+        "amplitude": 1e-300, "scale": 5e-324, "alpha": 0.5, "beta": 0.75, "count": 10
+    },
+    "tiny_beta": {"amplitude": 1, "scale": 1, "alpha": 1, "beta": 1e-12, "count": 100000},
+}
+
+
+@pytest.mark.parametrize("family", COLLIDING_FAMILIES.values(), ids=COLLIDING_FAMILIES.keys())
+@pytest.mark.parametrize(
+    ("job", "modes"), [("spectrum", [10.0]), ("sweep", {"a_min": 10.0, "factor": 10.0, "count": 4})]
+)
+def test_colliding_family_rates_are_a_config_error(run_cli, family, job, modes):
+    code, out, err = run_cli(job, {"kernel": {"family": family}, "xi": 0.5, "modes": modes})
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "gpspectra: config error: config.kernel.family: "
+        "the materialized ladder is refused: rates must be strictly increasing\n"
+    )
+
+
+def test_quadrature_tolerance_is_validated_and_changes_nothing(run_cli, cubic_config):
+    _, plain, _ = run_cli("spectrum", cubic_config)
+    code, out, _ = run_cli("spectrum", dict(cubic_config, tolerances={"quadrature": 1e-3}))
+    assert code == 0 and out == plain
+    assert '"quadrature"' not in out
+    for bad in (0.0, -1e-10):
+        code, out, err = run_cli("spectrum", dict(cubic_config, tolerances={"quadrature": bad}))
+        assert code == 2 and out == ""
+        assert err == "gpspectra: config error: config.tolerances.quadrature: must be positive\n"
+
+
 def test_embedded_job_key_must_agree(run_cli, cubic_config):
     code, _, err = run_cli("spectrum", dict(cubic_config, job="verify"))
     assert code == 2

@@ -143,12 +143,27 @@ def test_roots_inside_the_pole_guard_are_resolved(coeffs, rates, a, xi):
     assert min(mu.offset for mu in branch_roots(p, len(rates))) < 1e-13 * rates[-1]
 
 
+# recipe_sample(11, 20)[151]: summing this ladder in another order along
+# the ladder moves the first symbol root's offset by an ulp, so a solve of
+# fewer branches that summed it differently would show here
+ORDER_SENSITIVE_EIGHT = (
+    (0.1928609044156368, 0.9921223386695047, 0.5158347768385911,
+     0.25515415701397626, 0.04348770117300937, 0.22293706551692952,
+     0.11818688168132498, 0.24647972753992345),
+    (1.440579830670115, 1.8119008389537852, 7.374569404314937,
+     7.748662123510909, 12.864825228118175, 15.120952669569323,
+     15.933516831500917, 23.301937505008024),
+    57.244487641812455, 0.6754167512910065,
+)
+
+
 def _check_fused_block(p: ModePencil) -> None:
-    """The (factor, k) block equals one-factor solves of the same branches, bit for bit."""
+    """Every entry point reads the one joint (factor, k) solve, bit for bit."""
     n = p.kernel.size
     roots, stiff = branch_and_stiffness_roots(p, n)
-    assert roots == branch_roots(p, n)
-    assert stiff == stiffness_roots(p, n)
+    for c in {1, n}:
+        assert branch_roots(p, c) == roots[:c]
+        assert stiffness_roots(p, c) == stiff[:c]
     full = solve_mode(p)
     assert list(full.real_roots) == roots and list(full.stiffness_roots) == stiff
     # without the certificate the bracket pass is skipped, and only it
@@ -156,9 +171,9 @@ def _check_fused_block(p: ModePencil) -> None:
     for bare, root in zip(result.real_roots + result.stiffness_roots, roots + stiff):
         assert bare.bracket is None and math.isnan(bare.sign_margin)
         assert dataclasses.replace(bare, bracket=root.bracket, sign_margin=root.sign_margin) == root
-    # as branch_convergence does, one branch's two columns alone
+    # as branch_convergence does, one branch of both factors alone
     for k in {1, n}:
-        assert real_branches._solve(p, k, k, (True, False)) == [[roots[k - 1]], [stiff[k - 1]]]
+        assert real_branches._solve(p, k, k) == ([roots[k - 1]], [stiff[k - 1]])
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -169,8 +184,8 @@ def test_fused_block_matches_one_factor_solves(p):
 
 @pytest.mark.parametrize(
     "coeffs, rates, a, xi",
-    [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
-    ids=["PINCHED_FIVE", "PINCHED_EIGHT", "CLUSTER_TWELVE"],
+    [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE, ORDER_SENSITIVE_EIGHT],
+    ids=["PINCHED_FIVE", "PINCHED_EIGHT", "CLUSTER_TWELVE", "ORDER_SENSITIVE_EIGHT"],
 )
 def test_fused_block_matches_one_factor_solves_on_pinned_ladders(coeffs, rates, a, xi):
     _check_fused_block(ModePencil(a, xi, ExponentialKernel(coeffs, rates)))
