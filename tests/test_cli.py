@@ -278,7 +278,7 @@ SQRT_FAMILY = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 1.0}
 #: whole family, so no far-pole series enters it
 FAMILY_64_SWEEP = """\
 # gpspectra 0.1.0
-# config {"job": "sweep", "kernel": {"family": {"alpha": 0.5, "amplitude": 1.0, "beta": 1.0, "count": 64, "scale": 1.0}}, "modes": {"a_min": 10.0, "count": 4, "factor": 10.0}, "tolerances": {"quadrature": 1e-10, "residual": 1e-10}, "xi": 0.5}
+# config {"job": "sweep", "kernel": {"family": {"alpha": 0.5, "amplitude": 1.0, "beta": 1.0, "count": 64, "scale": 1.0}}, "modes": {"a_min": 10.0, "count": 4, "factor": 10.0}, "tolerances": {"residual": 1e-10}, "xi": 0.5}
 a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime
 10,-0.28583849709424175,9.7746159587064252,-0.3512407365520363,9.648759263447964,0.065402239457794553,0.12585669525846122,tends_to_axis
 100,-0.067569775896797926,99.985252159175957,-0.11107207345395916,99.888927926546046,0.043502297557161229,0.096324232629910966,tends_to_axis
