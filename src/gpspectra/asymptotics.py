@@ -39,9 +39,8 @@ REGIME_TAGS = (
 
 DECAY_REGIMES = ("tends_to_axis", "constant_offset", "unbounded_decay")
 
-#: absolute tolerance of each of the four integrals that give C(r), none
-#: above about ten for r in [0.1, 0.9]: still some four decades below the
-#: 1e-8 to which the closed form is checked against them
+#: tolerance of each integral giving C(r), none above about ten for r in
+#: [0.1, 0.9]: four decades below the 1e-8 the closed form is checked to
 CONSTANT_QUAD_TOL = 1e-12
 
 

@@ -277,15 +277,11 @@ def _header(cfg: JobConfig) -> list[str]:
 
 
 def _family_ladder(build, family: PowerLawFamily, *args):
-    """``build(family, *args)``, with a ladder the kernel refuses reported as a config error.
-
-    A family can pass its own checks and still have neighbouring rates
-    scale*k**beta round to one double (a subnormal scale, or beta near 0).
-    """
+    """``build(family, *args)``; a ladder whose rates round together is a config error."""
     try:
         return build(family, *args)
     except ValueError as exc:
-        raise ConfigError(f"config.kernel.family: the materialized ladder is refused: {exc}") from exc
+        raise ConfigError(f"config.kernel.family: materialized ladder refused: {exc}") from exc
 
 
 def _materialized(cfg: JobConfig) -> ExponentialKernel:
@@ -486,8 +482,7 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     if cfg.family is not None:
-        radii = [2.0 * a for a in cfg.modes]
-        kernels = _family_ladder(materialize_within_each, cfg.family, radii)
+        kernels = _family_ladder(materialize_within_each, cfg.family, [2.0 * a for a in cfg.modes])
     else:
         kernels = [cfg.kernel] * len(cfg.modes)
     pencils = [ModePencil(frequency=a, xi=cfg.xi, kernel=k) for a, k in zip(cfg.modes, kernels)]

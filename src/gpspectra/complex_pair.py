@@ -54,27 +54,15 @@ _MAX_BISECT_DEPTH = 48
 
 _EPS = float(np.finfo(float).eps)
 
-#: base grid points on the longest side of a contour: ambiguous steps are
-#: bisected on the spot, so this sets the cost of the first pass (one symbol
-#: call on at most 4 * 257 points), not whether the walk resolves
-CONTOUR_SAMPLES = 256
-
-#: the pair's Newton steps stop below this, relative to 1 + |tau|: a few
-#: ulps is the noise of evaluating the map g, so a tighter stop would chase
-#: that noise, and with quadratic convergence a further step changes nothing
+#: the pair's Newton loop stops on a step below PAIR_STEP_TOL * (1 + |tau|),
+#: the noise of evaluating its map, and gives up after PAIR_MAX_PASSES passes
+#: (it takes at most 6 on pool ladders and power-law sweeps)
 PAIR_STEP_TOL = 4.0 * _EPS
-
-#: passes over the ladder allowed to the pair's Newton loop: from tau = 0 it
-#: settles in at most 6 on pool ladders and power-law sweeps, so the cap only
-#: ends a loop that has stopped converging
 PAIR_MAX_PASSES = 50
 
-#: |L| <= REFINE_RESIDUAL_TOL * a**2 gates :func:`newton_refine`'s root: the
-#: default gate of :func:`solve_pair`, so a refined root passes it
+#: newton_refine's gate |L| <= REFINE_RESIDUAL_TOL * a**2 is solve_pair's
+#: default; a seed inside its basin settles in well under REFINE_MAX_STEPS
 REFINE_RESIDUAL_TOL = 1e-10
-
-#: Newton steps allowed to :func:`newton_refine`: from inside its basin a
-#: seed settles in well under ten, and one outside is refused on divergence
 REFINE_MAX_STEPS = 50
 
 
@@ -103,7 +91,7 @@ class RectContour:
     x_max: float
     y_min: float
     y_max: float
-    samples_per_side: int = CONTOUR_SAMPLES
+    samples_per_side: int = 256
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):

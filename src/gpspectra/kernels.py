@@ -33,9 +33,8 @@ POLE_GUARD_ULPS = 50
 #: transforms are only evaluated this far (radians) from the branch ray
 ARG_MARGIN = 0.1
 
-#: absolute tolerance of the continuum integrals, whose values are of order
-#: one: a decade below the 1e-9 to which their closed forms (log 2, pi) are
-#: checked, and far below the O(1/|z|) gap to the ladder they are held against
+#: tolerance of the order-one continuum integrals: a decade below the 1e-9
+#: their closed forms are checked to, far below their O(1/|z|) gap to a ladder
 QUAD_TOL = 1e-10
 
 #: largest ladder whose transform at one point is summed exactly rounded:
@@ -147,7 +146,7 @@ class ExponentialKernel:
         self._hold(np.array(coeffs, dtype=float), np.array(rates, dtype=float), tail)
 
     @classmethod
-    def _adopt(cls, c: np.ndarray, g: np.ndarray, tail: TailSeries | None = None) -> ExponentialKernel:
+    def _adopt(cls, c: np.ndarray, g: np.ndarray) -> ExponentialKernel:
         """A kernel on the float arrays ``c`` and ``g`` themselves, not copies.
 
         For builders that made both arrays and keep no other reference:
@@ -155,7 +154,7 @@ class ExponentialKernel:
         made read-only.
         """
         out = object.__new__(cls)
-        out._hold(c, g, tail)
+        out._hold(c, g, None)
         return out
 
     def _hold(self, c: np.ndarray, g: np.ndarray, tail: TailSeries | None) -> None:
@@ -367,10 +366,8 @@ def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[comple
     exact rounding would cost several times the pass itself, are summed in
     real arithmetic, SUM_BLOCK terms at a time, without complex
     temporaries (:func:`_blocked_sums`).  The far-pole series adds its
-    share to both.  An evaluation closer to a pole than POLE_GUARD_ULPS
-    ulps of that pole's rate raises :class:`PoleProximityError`.  At a
-    scalar point :func:`laplace` and :func:`laplace_deriv` return the two
-    halves of this pass.
+    share to both.  A scalar :func:`laplace` and :func:`laplace_deriv`
+    are the two halves of this pass, pole guard included.
     """
     z = complex(zeta)
     _guard_scalar(kernel, z)
@@ -419,8 +416,7 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
 def laplace_deriv(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2, far-pole series included.
 
-    A scalar point is the second half of the :func:`laplace_with_deriv`
-    pass; an array of points is summed as :func:`laplace` sums it.
+    Summed as :func:`laplace` sums: a scalar point is the other half of its pass.
     """
     return _transform(kernel, zeta, deriv=True)
 
@@ -473,7 +469,7 @@ class PowerLawFamily:
         return (self.alpha + self.beta - 1.0) / self.beta
 
 
-def materialize(family: PowerLawFamily, tail: TailSeries | None = None) -> ExponentialKernel:
+def materialize(family: PowerLawFamily) -> ExponentialKernel:
     """Build the explicit truncated ladder for a power-law family.
 
     Only the two result arrays are allocated: the coefficients are
@@ -481,15 +477,13 @@ def materialize(family: PowerLawFamily, tail: TailSeries | None = None) -> Expon
     raised to beta and scaled in place, so each equals the plain
     expression bit for bit.  The kernel holds these arrays themselves,
     read-only, without the copy the constructor makes of its inputs.
-    ``tail`` is attached as the kernel's far-pole series (see
-    :func:`materialize_within`).
     """
     rates = np.arange(1, family.count + 1, dtype=float)  # k, until scaled below
     coeffs = rates**family.alpha
     np.divide(family.amplitude, coeffs, out=coeffs)
     rates **= family.beta
     rates *= family.scale
-    return ExponentialKernel._adopt(coeffs, rates, tail)
+    return ExponentialKernel._adopt(coeffs, rates)
 
 
 def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:

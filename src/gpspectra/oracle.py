@@ -45,13 +45,9 @@ QUANT_BITS = 60
 #: longdouble precision
 ABERTH_STOP = 2.0**-32
 
-#: cap on Aberth sweeps: from the companion start a mode takes about five,
-#: so the cap only ends a run that neither converges nor plateaus
+#: caps on the Aberth sweeps (a mode takes about five from the companion start)
+#: and on the polish's exact Newton steps per root (pool ladders take one or two)
 ABERTH_MAX_SWEEPS = 500
-
-#: exact Newton steps per root in the polish: on pool ladders nearly every
-#: iterate repeats after one or two, so the cap only bounds the integer work
-#: on the few that do not settle
 POLISH_STEPS = 4
 
 

@@ -170,10 +170,8 @@ def _solve(
     """Branches first..last of the symbol and of the stiffness factor, solved together.
 
     Every block holds the same branches of both factors, side by side, and
-    a work array at most BLOCK_CELLS entries.  The columns are independent,
-    so each root does not depend on which other branches share its block.
-    Without ``brackets`` the bracket pass is skipped; the roots are the
-    same.
+    a work array at most BLOCK_CELLS entries.  No column's root depends on
+    the others in its block.  ``brackets=False`` skips the bracket pass.
     """
     kern = p.kernel
     kern.require_every_pole("the real branches")
@@ -183,14 +181,12 @@ def _solve(
     if first == 1 and not p.load < 1.0:
         # F(0) = 1 - w*sum c_j/g_j: no sign change left of the origin
         raise NoSignChangeError(*intervals[0], -math.inf, a2 * (1.0 - p.load))
-    roots: list[BranchRoot] = []
-    stiff: list[BranchRoot] = []
+    out: tuple[list[BranchRoot], list[BranchRoot]] = ([], [])  # the symbol's roots, then f's
     block = max(1, BLOCK_CELLS // (2 * g.size))
     for start in range(first - 1, last, block):
         branches = np.arange(start, min(start + block, last))
         k = np.tile(branches, 2)
-        # inertia weight 1/a**2 for the symbol's columns, 0 for the stiffness factor's
-        s = np.repeat([1.0 / a2, 0.0], branches.size)
+        s = np.repeat([1.0 / a2, 0.0], branches.size)  # inertia weights: L/a**2, then f
         d = _solve_block(c, g, w, s, k)
         # F and F' at the offsets, every pole included, for residual and step
         F, bound, t, x = _secular(c, g, w, s, k, d)
@@ -203,27 +199,19 @@ def _solve(
             enclosures = [(None, math.nan)] * k.size
         cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), enclosures)
         for col, (i, value, offset, f, err, (bracket, m)) in enumerate(cols):
-            symbol_col = col < branches.size
-            # L = a**2 * F on the symbol's columns, f = F on the stiffness factor's
-            residual = (a2 if symbol_col else 1.0) * abs(f)
-            root = BranchRoot(i + 1, value, intervals[i], residual, offset, err, bracket, m)
-            (roots if symbol_col else stiff).append(root)
-    return roots, stiff
+            j = col // branches.size
+            residual = (a2, 1.0)[j] * abs(f)  # |L| = a**2 |F|, |f| = |F|
+            out[j].append(BranchRoot(i + 1, value, intervals[i], residual, offset, err, bracket, m))
+    return out
 
 
 def branch_roots(p: ModePencil, count: int) -> list[BranchRoot]:
-    """Real roots of the mode symbol, one per pole interval, k = 1..count.
-
-    The symbol half of :func:`branch_and_stiffness_roots`.
-    """
+    """Real roots of the mode symbol, k = 1..count: half of :func:`branch_and_stiffness_roots`."""
     return _solve(p, 1, count)[0]
 
 
 def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
-    """Real roots of the stiffness factor f, one per pole interval.
-
-    The stiffness half of :func:`branch_and_stiffness_roots`.
-    """
+    """Real roots of the stiffness factor f, k = 1..count: the other half."""
     return _solve(p, 1, count)[1]
 
 

@@ -157,7 +157,7 @@ def test_colliding_family_rates_are_a_config_error(run_cli, family, job, modes):
     assert out == ""
     assert err == (
         "gpspectra: config error: config.kernel.family: "
-        "the materialized ladder is refused: rates must be strictly increasing\n"
+        "materialized ladder refused: rates must be strictly increasing\n"
     )
 
 
