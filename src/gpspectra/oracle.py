@@ -45,7 +45,7 @@ QUANT_BITS = 60
 #: longdouble precision
 ABERTH_STOP = 2.0**-32
 
-#: caps on the Aberth sweeps (a mode takes about five from the companion start)
+#: caps on the Aberth sweeps (pool ladders take 1 to 12 from the companion start)
 #: and on the polish's exact Newton steps per root (pool ladders take one or two)
 ABERTH_MAX_SWEEPS = 500
 POLISH_STEPS = 4
