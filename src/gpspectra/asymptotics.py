@@ -28,17 +28,6 @@ import numpy as np
 from .kernels import PowerLawFamily
 from .quadrature import integrate_power_weighted
 
-REGIME_TAGS = (
-    "finite_sum_xi_lt_half",
-    "finite_sum_xi_eq_half",
-    "finite_sum_xi_gt_half",
-    "power_r_lt_half",
-    "power_r_in_half_one",
-    "power_r_eq_one",
-)
-
-DECAY_REGIMES = ("tends_to_axis", "constant_offset", "unbounded_decay")
-
 #: tolerance of each integral giving C(r), none above about ten for r in
 #: [0.1, 0.9]: four decades below the 1e-8 the closed form is checked to
 CONSTANT_QUAD_TOL = 1e-12
