@@ -16,8 +16,8 @@ its columns are solved at once by rational interpolation.  Each step fits
 (alpha + beta*delta) / (delta*(1 - delta/D)), poles at both interval ends
 (D = g_k - g_{k-1}), to the value and slope at the iterate and moves to
 its root -- Newton on the pole-cleared function, started at delta = 0 and
-held inside a sign-change bracket.  A missing sign change (the first interval of an overloaded
-kernel) is reported, never papered over.
+held inside a sign-change bracket.  A missing sign change (the first
+interval of an overloaded kernel) is reported, never papered over.
 
 Every located root also gets a proven bracket: F is evaluated at offsets
 just either side of it together with a running bound on the rounding
