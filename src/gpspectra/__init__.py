@@ -87,10 +87,8 @@ from .kernels import (
     laplace_tail,
     laplace_with_deriv,
     materialize,
-    materialize_within,
     materialize_within_each,
     tail_bound,
-    tail_coefficients,
 )
 from .oracle import (
     DecayEstimate,
@@ -106,7 +104,6 @@ from .pencil import (
     inertia,
     stiffness,
     symbol,
-    symbol_deriv,
     symbol_with_deriv,
     to_polynomial,
 )
@@ -177,7 +174,6 @@ __all__ = [
     "laplace_with_deriv",
     "match_roots",
     "materialize",
-    "materialize_within",
     "materialize_within_each",
     "newton_refine",
     "predict_finite_sum",
@@ -189,9 +185,7 @@ __all__ = [
     "stiffness",
     "stiffness_roots",
     "symbol",
-    "symbol_deriv",
     "symbol_with_deriv",
     "tail_bound",
-    "tail_coefficients",
     "to_polynomial",
 ]

@@ -49,24 +49,6 @@ class AsymptoticPrediction:
     imag_remainder_order: float | None = None
 
 
-def _real_remainder(tag: str, xi: float, r: float | None) -> float:
-    if tag.startswith("finite_sum"):
-        return 2.0 * (1.0 - xi)
-    if tag == "power_r_lt_half":
-        return 2.0 * (r - xi) + 1.0
-    return 2.0 * (1.0 - xi)  # both power tags with r >= 1/2
-
-
-def _imag_remainder(tag: str, xi: float) -> float | None:
-    if not tag.startswith("finite_sum"):
-        return None
-    if xi < 0.5:
-        return 1.0 - 2.0 * xi
-    if xi > 0.5:
-        return 2.0 * xi - 1.0
-    return 0.0
-
-
 def asymptotic_constant(r: float) -> complex:
     """C(r) = (pi/2) * exp(i*pi*(1-r)/2) / sin(pi*r) for 0 < r < 1."""
     if not 0.0 < r < 1.0:
@@ -117,9 +99,9 @@ def predict_finite_sum(frequency: float, xi: float, initial_value: float) -> Asy
     value = complex(-0.5 * initial_value * weight, frequency)
     return AsymptoticPrediction(
         value=value,
-        remainder_order=_real_remainder(tag, xi, None),
+        remainder_order=2.0 * (1.0 - xi),
         regime_tag=tag,
-        imag_remainder_order=_imag_remainder(tag, xi),
+        imag_remainder_order=abs(1.0 - 2.0 * xi),
     )
 
 
@@ -136,6 +118,7 @@ def predict_power_law(frequency: float, xi: float, family: PowerLawFamily) -> As
         raise ValueError("xi must lie strictly inside (0, 1)")
     a = float(frequency)
     r = family.regularity
+    order = 2.0 * (r - xi) + 1.0 if r < 0.5 else 2.0 * (1.0 - xi)
     if r == 1.0:
         tag = "power_r_eq_one"
         corr = (family.amplitude / (2.0 * family.beta)) * math.log(a) * a ** (
@@ -149,7 +132,7 @@ def predict_power_law(frequency: float, xi: float, family: PowerLawFamily) -> As
         value = 1j * a - corr
     return AsymptoticPrediction(
         value=value,
-        remainder_order=_real_remainder(tag, xi, r),
+        remainder_order=order,
         regime_tag=tag,
         imag_remainder_order=None,
     )

@@ -182,7 +182,12 @@ def _parse_modes(node, path: str) -> tuple[tuple[float, ...], dict | None]:
     count = _as_int(node["count"], f"{path}.count")
     if count < 1:
         _fail(f"{path}.count", "must be at least 1")
-    modes = tuple(a_min * factor**k for k in range(count))
+    try:
+        modes = tuple(a_min * factor**k for k in range(count))
+    except OverflowError:  # factor**k past the double range
+        modes = (math.inf,)
+    if not math.isfinite(modes[-1]):
+        _fail(path, "the largest frequency a_min * factor**(count-1) must be finite")
     return modes, {"a_min": a_min, "factor": factor, "count": count}
 
 
@@ -216,12 +221,9 @@ def parse_config(text: str, job: str) -> JobConfig:
     residual_tol = 1e-10
     if "tolerances" in obj:
         tol = _as_object(obj["tolerances"], "config.tolerances")
-        _check_keys(tol, "config.tolerances", set(), {"residual", "quadrature"})
+        _check_keys(tol, "config.tolerances", set(), {"residual"})
         if "residual" in tol:
             residual_tol = _as_positive(tol["residual"], "config.tolerances.residual")
-        if "quadrature" in tol:
-            # read by no job: still accepted and validated, so configs that set it keep running
-            _as_positive(tol["quadrature"], "config.tolerances.quadrature")
 
     output = _as_string(obj["output"], "config.output") if "output" in obj else None
 
@@ -308,12 +310,16 @@ def _map_modes(solve, modes) -> list:
     return out
 
 
-def _oracle_deviations(pencil: ModePencil, residual_tol: float) -> tuple[float, float]:
+def _oracle_deviation(pencil: ModePencil, roots) -> tuple[float, np.ndarray]:
+    """Largest relative deviation of ``roots`` from the polynomial oracle's, and the polynomial."""
+    coeffs = to_polynomial(pencil)
+    return match_roots(roots, aberth_roots(coeffs)).max_relative_deviation, coeffs
+
+
+def _oracle_check_mode(pencil: ModePencil, residual_tol: float) -> tuple[float, float]:
     """Root deviation from the polynomial oracle and companion coefficient deviation."""
     result = solve_mode(pencil, residual_tol=residual_tol, certify=False)
-    coeffs = to_polynomial(pencil)
-    reference = aberth_roots(coeffs)
-    matched = match_roots(result.all_roots, reference)
+    root_dev, coeffs = _oracle_deviation(pencil, result.all_roots)
     if pencil.kernel.size + 2 <= ODE_MAX:
         companion = build_mode_system(pencil).char_coefficients()
         numeric = np.array([float(x) for x in coeffs])
@@ -321,7 +327,16 @@ def _oracle_deviations(pencil: ModePencil, residual_tol: float) -> tuple[float, 
         coeff_dev = float(np.max(np.abs(companion - numeric) / scale))
     else:
         coeff_dev = float("nan")
-    return matched.max_relative_deviation, coeff_dev
+    return root_dev, coeff_dev
+
+
+def _predictions(cfg: JobConfig) -> tuple[list, str]:
+    """The pair's leading-term prediction at every mode, and the decay class of its kernel."""
+    if cfg.family is not None:
+        regime = classify_regime(cfg.xi, cfg.family.regularity)
+        return [predict_power_law(a, cfg.xi, cfg.family) for a in cfg.modes], regime
+    initial = cfg.kernel.initial_value
+    return [predict_finite_sum(a, cfg.xi, initial) for a in cfg.modes], "tends_to_axis"
 
 
 # --------------------------------------------------------------------------
@@ -393,17 +408,14 @@ def _mode_checks(
     sum_dev = abs(root_sum + rate_sum) / max(1.0, rate_sum)
     rows.append(("vieta_sum", "pass" if sum_dev <= ORACLE_TOL else "fail", sum_dev))
 
-    # product identity compared in log space so huge ladders cannot overflow
-    ws = pencil.load
-    if ws < 1.0:
-        lhs = math.fsum(math.log(abs(b.value)) for b in result.real_roots)
-        lhs += 2.0 * math.log(abs(result.pair_plus))
-        rhs = 2.0 * math.log(a) + math.fsum(math.log(g) for g in pencil.kernel.rates)
-        rhs += math.log1p(-ws)
-        prod_dev = abs(lhs - rhs) / max(1.0, abs(rhs))
-        rows.append(("vieta_product", "pass" if prod_dev <= ORACLE_TOL else "fail", prod_dev))
-    else:
-        rows.append(("vieta_product", "fail", float("inf")))
+    # product identity compared in log space so huge ladders cannot overflow;
+    # only admitted modes get here, so log1p(-load) is finite
+    lhs = math.fsum(math.log(abs(b.value)) for b in result.real_roots)
+    lhs += 2.0 * math.log(abs(result.pair_plus))
+    rhs = 2.0 * math.log(a) + math.fsum(math.log(g) for g in pencil.kernel.rates)
+    rhs += math.log1p(-pencil.load)
+    prod_dev = abs(lhs - rhs) / max(1.0, abs(rhs))
+    rows.append(("vieta_product", "pass" if prod_dev <= ORACLE_TOL else "fail", prod_dev))
 
     conj_res = abs(symbol(pencil, result.pair_minus)) / a**2
     rows.append(("conjugacy", "pass" if conj_res <= residual_tol else "fail", conj_res))
@@ -420,8 +432,7 @@ def _mode_checks(
 
     if n <= POLY_MAX:
         try:
-            reference = aberth_roots(to_polynomial(pencil))
-            deviation = match_roots(result.all_roots, reference).max_relative_deviation
+            deviation, _ = _oracle_deviation(pencil, result.all_roots)
             rows.append(("oracle_match", "pass" if deviation <= ORACLE_TOL else "fail", deviation))
         except (GPSpectraError, ValueError):
             rows.append(("oracle_match", "fail", float("inf")))
@@ -490,12 +501,7 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
         lambda p: solve_pair(p, residual_tol=cfg.residual_tol).plus, enumerate(pencils, start=1)
     )
 
-    if cfg.family is not None:
-        predictions = [predict_power_law(a, cfg.xi, cfg.family) for a in cfg.modes]
-        regime = classify_regime(cfg.xi, cfg.family.regularity)
-    else:
-        predictions = [predict_finite_sum(a, cfg.xi, cfg.kernel.initial_value) for a in cfg.modes]
-        regime = "tends_to_axis"
+    predictions, regime = _predictions(cfg)
 
     lines = _header(cfg)
     lines.append("a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime")
@@ -547,7 +553,7 @@ def run_oracle_check(cfg: JobConfig) -> tuple[str, bool]:
         )
     pencils = _pencils(cfg, kernel)
     rows = _map_modes(
-        lambda p: _oracle_deviations(p, cfg.residual_tol), enumerate(pencils, start=1)
+        lambda p: _oracle_check_mode(p, cfg.residual_tol), enumerate(pencils, start=1)
     )
 
     lines = _header(cfg)
@@ -571,13 +577,7 @@ def run_asymptote(cfg: JobConfig) -> tuple[str, bool]:
     Useful for mapping where a family's pair is headed before paying for a
     numeric sweep; remainder columns state the declared error exponents.
     """
-    if cfg.family is not None:
-        regime = classify_regime(cfg.xi, cfg.family.regularity)
-        predictions = [predict_power_law(a, cfg.xi, cfg.family) for a in cfg.modes]
-    else:
-        regime = "tends_to_axis"
-        initial = cfg.kernel.initial_value
-        predictions = [predict_finite_sum(a, cfg.xi, initial) for a in cfg.modes]
+    predictions, regime = _predictions(cfg)
 
     lines = _header(cfg)
     lines.append("n,a_n,xi,regime_tag,decay_class,predicted_re,predicted_im,order_re,order_im")

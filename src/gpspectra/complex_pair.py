@@ -40,6 +40,9 @@ MAX_QUADRATURE_DEFECT = 0.25
 #: poles/roots may not sit closer to the contour than this fraction of a side
 EDGE_GUARD_FACTOR = 1e-3
 
+#: base grid points on a contour's longest side, before refinement
+SAMPLES_PER_SIDE = 256
+
 #: hard cap on symbol evaluations per contour side during refinement
 MAX_SAMPLES_PER_SIDE = 1 << 17
 
@@ -91,13 +94,10 @@ class RectContour:
     x_max: float
     y_min: float
     y_max: float
-    samples_per_side: int = 256
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate rectangle")
-        if self.samples_per_side < 8:
-            raise ValueError("need at least 8 samples per side")
 
     @property
     def corners(self) -> tuple[complex, complex, complex, complex]:
@@ -350,7 +350,7 @@ def _winding(p: ModePencil, contour: RectContour) -> tuple[float, int]:
 
     Returns the accumulated phase change over 2*pi (a near-exact integer)
     and the largest number of evaluations any one side needed.  The base
-    grid puts ``samples_per_side`` points on the longest side and
+    grid puts SAMPLES_PER_SIDE points on the longest side and
     proportionally fewer on the others, so spacing stays uniform on
     elongated rectangles; all four sides' grids are evaluated in one call.
     Each side then sums its phase steps and bisects its ambiguous steps
@@ -361,7 +361,7 @@ def _winding(p: ModePencil, contour: RectContour) -> tuple[float, int]:
     sides = []
     for i in range(4):
         edge = cs[(i + 1) % 4] - cs[i]
-        count = max(16, int(round(contour.samples_per_side * abs(edge) / longest)))
+        count = max(16, int(round(SAMPLES_PER_SIDE * abs(edge) / longest)))
         sides.append(cs[i] + (np.arange(count + 1) / count) * edge)
     pts = np.concatenate(sides)
     vals = np.asarray(symbol(p, pts))

@@ -130,11 +130,13 @@ class ExponentialKernel:
         Positive amplitudes c_k.
     rates : sequence or array of float
         Positive, strictly increasing decay rates g_k, same length as coeffs.
-    tail : TailSeries or None
-        Poles beyond the ladder, summed as a series valid on |z| <= radius
-        (see :func:`materialize_within`).  Only the transform and its
-        derivative can use it; whatever needs every pole refuses such a
-        kernel (:meth:`require_every_pole`).
+
+    ``tail`` is None, except on a head of a family ladder
+    (:meth:`head`, :func:`materialize_within_each`): there it is a
+    :class:`TailSeries` that sums the poles beyond the ladder on
+    |z| <= radius.  Only the transform and its derivative can use it;
+    whatever needs every pole refuses such a kernel
+    (:meth:`require_every_pole`).
 
     The ladder is held as two read-only float arrays, ``_c`` and ``_g``,
     which every evaluation uses; equality and hashing go by their bytes
@@ -142,8 +144,8 @@ class ExponentialKernel:
     use, for the Python loops that read them.
     """
 
-    def __init__(self, coeffs, rates, tail: TailSeries | None = None):
-        self._hold(np.array(coeffs, dtype=float), np.array(rates, dtype=float), tail)
+    def __init__(self, coeffs, rates):
+        self._hold(np.array(coeffs, dtype=float), np.array(rates, dtype=float))
 
     @classmethod
     def _adopt(cls, c: np.ndarray, g: np.ndarray) -> ExponentialKernel:
@@ -154,13 +156,13 @@ class ExponentialKernel:
         made read-only.
         """
         out = object.__new__(cls)
-        out._hold(c, g, None)
+        out._hold(c, g)
         return out
 
-    def _hold(self, c: np.ndarray, g: np.ndarray, tail: TailSeries | None) -> None:
+    def _hold(self, c: np.ndarray, g: np.ndarray) -> None:
         _check_ladder(c, g)
         c.flags.writeable = g.flags.writeable = False
-        self.__dict__.update(_c=c, _g=g, tail=tail)
+        self.__dict__.update(_c=c, _g=g, tail=None)
 
     def head(self, size: int, tail: TailSeries | None = None) -> ExponentialKernel:
         """The first ``size`` terms, with ``tail`` as their far-pole series.
@@ -569,30 +571,21 @@ def _power_sums(family: PowerLawFamily, lo: int, hi: float, radius: float) -> np
     return out + big * power(float(big)) * span + end(float(big)) - far
 
 
-def tail_coefficients(family: PowerLawFamily, count: int, radius: float) -> tuple[float, ...]:
-    """Series coefficients of the family's poles past ``count``.
-
-    sum over k > count of c_k/(z + g_k) = sum_j t_j * (-z/radius)**j, where
-
-        t_j = amplitude/scale * sum_{k > count} k**-(alpha+beta) * (radius/g_k)**j,
-
-    a Hurwitz zeta sum in each j.  The series converges for |z| <
-    g_{count+1}.  The sums are closed in double precision by
-    Euler-Maclaurin (:func:`_power_sums`), each within a few ulps.
-    """
-    sums = _power_sums(family, count + 1, math.inf, radius)
-    return tuple((family.amplitude / family.scale * sums).tolist())
-
-
 def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
     """Transform mass the truncation at ``family.count`` discarded.
 
     Evaluates sum over k > count of c_k/(zeta + g_k), so that
     ``laplace(materialize(family), z) + laplace_tail(family, z)`` is the
     transform of the *infinite* ladder.  Expanding each term geometrically
-    in zeta/g_k turns the sum into the power series of
-    :func:`tail_coefficients`; it converges for |zeta| < g_{count+1} and we
-    require a factor-two margin so sixty terms reach full double
+    in zeta/g_k turns the sum into the power series
+    sum_j t_j * (-zeta/radius)**j, where
+
+        t_j = amplitude/scale * sum_{k > count} k**-(alpha+beta) * (radius/g_k)**j,
+
+    a Hurwitz zeta sum in each j, closed in double precision by
+    Euler-Maclaurin (:func:`_power_sums`), each within a few ulps.  The
+    series converges for |zeta| < g_{count+1}, and radius = g_{count+1}/2
+    leaves a factor-two margin, so sixty terms reach full double
     precision.  This is how a finite machine answers questions about the
     infinite kernel: materialize rates past the window of interest and
     close the remainder analytically.
@@ -605,7 +598,8 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
             f"rate {first_dropped:.3e}; increase the family count"
         )
     radius = 0.5 * first_dropped
-    series = TailSeries(tail_coefficients(family, family.count, radius), radius)
+    sums = _power_sums(family, family.count + 1, math.inf, radius)
+    series = TailSeries(tuple((family.amplitude / family.scale * sums).tolist()), radius)
     return complex(series.value(zeta))
 
 
@@ -630,14 +624,19 @@ def _head_size(family: PowerLawFamily, radius: float) -> int:
 
 
 def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKernel]:
-    """:func:`materialize_within` for every radius, built together.
+    """For each radius, a kernel with the family's transform on |z| <= radius.
 
-    Each kernel sums its own head (:func:`_head_size` of its radius) and
-    carries the series of the poles past it, valid on its own radius:
-    for head m < count, amplitude/scale times the power sums over
-    m < k <= count (:func:`_power_sums`), closed in double at a cost that
-    does not grow with the number of poles.  The largest head is
-    materialized once and the heads are its prefixes.
+    Each kernel's explicit ladder, its head, stops at the smallest m with
+    g_{m+1} >= 2*radius (:func:`_head_size`), and the poles
+    m < k <= count ride along as a :class:`TailSeries` valid on that
+    radius: amplitude/scale times the power sums over those poles
+    (:func:`_power_sums`), closed in double at a cost that does not grow
+    with their number.  Summing m terms instead of ``count`` is what makes
+    pair-only work on long ladders cheap.  When m reaches ``count``, or
+    the family has at most FSUM_MAX terms, the whole ladder is
+    materialized, exactly as :func:`materialize` does.  The largest head
+    is materialized once and the heads are its prefixes.  For one radius
+    r, take ``materialize_within_each(family, [r])[0]``.
     """
     heads = {r: _head_size(family, r) for r in radii}
     top = materialize(replace(family, count=max(heads.values())))
@@ -650,21 +649,6 @@ def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKe
             tail = TailSeries(tuple((front * sums).tolist()), r)
         built[r] = top.head(m, tail)
     return [built[r] for r in radii]
-
-
-def materialize_within(family: PowerLawFamily, radius: float) -> ExponentialKernel:
-    """A kernel with the family's transform on |z| <= radius.
-
-    The explicit ladder stops at the smallest m with g_{m+1} >= 2*radius,
-    and the poles m < k <= count ride along as a :class:`TailSeries`
-    whose coefficients are closed in double (:func:`_power_sums`).  Summing m
-    terms instead of ``count`` is what makes pair-only work on long
-    ladders cheap.  When m reaches ``count``, or the family has at most
-    FSUM_MAX terms, the whole ladder is materialized, exactly as
-    :func:`materialize` does.  A family sweep builds one such kernel per
-    mode, each with its own head (:func:`materialize_within_each`).
-    """
-    return materialize_within_each(family, [radius])[0]
 
 
 def _check_arg(zeta: complex) -> None:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import ExponentialKernel, laplace, laplace_deriv, laplace_with_deriv
+from .kernels import ExponentialKernel, laplace, laplace_with_deriv
 
 #: largest ladder for which the cleared polynomial is formed explicitly
 POLY_MAX = 64
@@ -67,16 +67,10 @@ def symbol(p: ModePencil, zeta) -> complex | np.ndarray:
     return zeta * zeta + a2 * (1.0 - p.memory_weight * laplace(p.kernel, zeta))
 
 
-def symbol_deriv(p: ModePencil, zeta) -> complex | np.ndarray:
-    """L'(z) = 2z - a**2 * w * Khat'(z)."""
-    a2 = p.frequency**2
-    return 2.0 * zeta - a2 * p.memory_weight * laplace_deriv(p.kernel, zeta)
-
-
 def symbol_with_deriv(p: ModePencil, zeta: complex) -> tuple[complex, complex]:
     """(L(z), L'(z)) at one point, from one pass over the ladder.
 
-    Equal bit for bit to (symbol(p, z), symbol_deriv(p, z)).
+    L'(z) = 2z - a**2 * w * Khat'(z); L(z) equals symbol(p, z) bit for bit.
     """
     z = complex(zeta)
     a2 = p.frequency**2

@@ -18,6 +18,9 @@ from .errors import QuadratureError
 
 _NODES, _WEIGHTS = leggauss(12)
 
+#: bisection depth at which a panel that still disagrees is an error
+MAX_DEPTH = 48
+
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> complex:
     mid = 0.5 * (lo + hi)
@@ -30,13 +33,12 @@ def integrate(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_depth: int = 48,
 ) -> complex:
     """Integrate ``f`` over [lo, hi] to absolute tolerance ``tol``.
 
     ``f`` must accept a float ndarray of sample points and return values of
     matching shape (real or complex).  Raises :class:`QuadratureError` when
-    the bisection depth cap is reached with panels still disagreeing.
+    a panel still disagrees at bisection depth MAX_DEPTH.
     """
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
@@ -52,7 +54,7 @@ def integrate(
         if abs(fine - coarse) <= ltol:
             total += fine
             continue
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureError(
                 f"panel [{a}, {b}] still disagrees by {abs(fine - coarse):.3e} "
                 f"at depth {depth}"

@@ -16,8 +16,9 @@ its columns are solved at once by rational interpolation.  Each step fits
 (alpha + beta*delta) / (delta*(1 - delta/D)), poles at both interval ends
 (D = g_k - g_{k-1}), to the value and slope at the iterate and moves to
 its root -- Newton on the pole-cleared function, started at delta = 0 and
-held inside a sign-change bracket.  A missing sign change (the first
-interval of an overloaded kernel) is reported, never papered over.
+held inside a sign-change bracket.  An overloaded mode, whose first
+interval holds no sign change, raises InadmissibleModeError before any
+branch is solved.
 
 Every located root also gets a proven bracket: F is evaluated at offsets
 just either side of it together with a running bound on the rounding
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MaxIterationsError, NoSignChangeError
+from .errors import InadmissibleModeError, MaxIterationsError
 from .kernels import ExponentialKernel
 from .pencil import ModePencil
 
@@ -172,6 +173,8 @@ def _solve(
     Every block holds the same branches of both factors, side by side, and
     a work array at most BLOCK_CELLS entries.  No column's root depends on
     the others in its block.  ``brackets=False`` skips the bracket pass.
+    From the first branch on, a mode whose load ``p.load`` is not below 1
+    raises :class:`InadmissibleModeError`.
     """
     kern = p.kernel
     kern.require_every_pole("the real branches")
@@ -179,8 +182,8 @@ def _solve(
     w, a2 = p.memory_weight, p.frequency**2
     intervals = bracket_intervals(kern, last)
     if first == 1 and not p.load < 1.0:
-        # F(0) = 1 - w*sum c_j/g_j: no sign change left of the origin
-        raise NoSignChangeError(*intervals[0], -math.inf, a2 * (1.0 - p.load))
+        # F(0) = 1 - w*sum c_j/g_j <= 0: no sign change left of the origin
+        raise InadmissibleModeError(p.load)
     out: tuple[list[BranchRoot], list[BranchRoot]] = ([], [])  # the symbol's roots, then f's
     block = max(1, BLOCK_CELLS // (2 * g.size))
     for start in range(first - 1, last, block):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complex_pair import kantorovich_ball, solve_pair
-from .errors import EnclosureError, InadmissibleModeError, NumericalError
+from .errors import EnclosureError, NumericalError
 from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_and_stiffness_roots
 # solve_mode no longer calls these two, but perfbench/test_bench.py checks
@@ -116,13 +116,11 @@ def solve_mode(
     and the pair a Newton-Kantorovich disc, or :class:`EnclosureError`
     names the branch or disc that failed.  No contour is walked;
     :func:`count_zeros` remains the independent check.  A mode whose load
-    ``p.load`` is not below 1 lies outside the theorem and raises
-    :class:`InadmissibleModeError` before anything is solved.  Without
+    ``p.load`` is not below 1 lies outside the theorem: the branch solve
+    raises :class:`InadmissibleModeError` before anything is solved.  Without
     ``certify`` the branch brackets are not evaluated: each root's
     ``bracket`` is None and its ``sign_margin`` NaN.
     """
-    if not p.load < 1.0:
-        raise InadmissibleModeError(p.load)
     n = p.kernel.size
     real, stiff = map(tuple, branch_and_stiffness_roots(p, n, brackets=certify))
     for r in real:

@@ -18,7 +18,7 @@ from gpspectra import (
     PowerLawFamily,
     count_zeros,
     materialize,
-    materialize_within,
+    materialize_within_each,
     solve_pair,
 )
 from gpspectra.kernels import FSUM_MAX
@@ -161,15 +161,28 @@ def test_colliding_family_rates_are_a_config_error(run_cli, family, job, modes):
     )
 
 
-def test_quadrature_tolerance_is_validated_and_changes_nothing(run_cli, cubic_config):
-    _, plain, _ = run_cli("spectrum", cubic_config)
-    code, out, _ = run_cli("spectrum", dict(cubic_config, tolerances={"quadrature": 1e-3}))
-    assert code == 0 and out == plain
-    assert '"quadrature"' not in out
-    for bad in (0.0, -1e-10):
-        code, out, err = run_cli("spectrum", dict(cubic_config, tolerances={"quadrature": bad}))
+def test_quadrature_tolerance_is_an_unknown_key(run_cli, cubic_config):
+    # no job reads a quadrature tolerance, so a config that sets one is refused
+    for value in (1e-3, 0.0):
+        tolerances = {"residual": 1e-10, "quadrature": value}
+        code, out, err = run_cli("spectrum", dict(cubic_config, tolerances=tolerances))
         assert code == 2 and out == ""
-        assert err == "gpspectra: config error: config.tolerances.quadrature: must be positive\n"
+        assert err == "gpspectra: config error: config.tolerances: unknown key 'quadrature'\n"
+
+
+@pytest.mark.parametrize("job", ["spectrum", "asymptote"])
+@pytest.mark.parametrize(
+    "ladder",
+    [{"a_min": 1, "factor": 2, "count": 2000}, {"a_min": 1e300, "factor": 1e10, "count": 2}],
+    ids=["power_overflows", "product_overflows"],
+)
+def test_overflowing_mode_ladder_is_a_config_error(run_cli, cubic_config, job, ladder):
+    code, out, err = run_cli(job, dict(cubic_config, modes=ladder))
+    assert code == 2 and out == ""
+    assert err == (
+        "gpspectra: config error: config.modes: "
+        "the largest frequency a_min * factor**(count-1) must be finite\n"
+    )
 
 
 def test_embedded_job_key_must_agree(run_cli, cubic_config):
@@ -218,7 +231,7 @@ def test_verify_rejects_overloaded_kernel(run_cli, cubic_config):
 
 
 def test_verify_reports_an_overloaded_mode_instead_of_failing_numerically(run_cli, cubic_config):
-    # c=1, g=2 at a=0.3: w*sum c/g = 0.5/0.3; solving it raised NoSignChangeError
+    # c=1, g=2 at a=0.3: w*sum c/g = 0.5/0.3, so the mode is reported, not solved
     code, out, err = run_cli("verify", dict(cubic_config, modes=[0.3]))
     assert code == 1
     rows = _data_rows(out)
@@ -351,8 +364,8 @@ def test_jobs_is_still_validated(run_cli, cubic_config):
 
 #: prints the head's transform and slope at the pair points of a sweep to a=12500
 _HEAD_PROBE = """
-from gpspectra import PowerLawFamily, laplace_with_deriv, materialize_within
-kern = materialize_within(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), 25000.0)
+from gpspectra import PowerLawFamily, laplace_with_deriv, materialize_within_each
+kern = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), [25000.0])[0]
 for z in (-3.0 + 12500j, -0.2 + 100j, 1e4 - 1e4j):
     print(*(v.hex() for w in laplace_with_deriv(kern, z) for v in (w.real, w.imag)))
 """
@@ -362,7 +375,8 @@ def test_family_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the head is summed in blocks with BLAS dot products, which must not
     # split across threads; the package loads OpenBLAS with one thread
     # only when the variable is unset, so the second run really has two
-    assert materialize_within(PowerLawFamily(**SQRT_FAMILY, count=10**5), 25000.0).size > FSUM_MAX
+    family = PowerLawFamily(**SQRT_FAMILY, count=10**5)
+    assert materialize_within_each(family, [25000.0])[0].size > FSUM_MAX
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(_family_sweep_config(10**5, xi=0.8)), encoding="utf-8")
     src = Path(gpspectra.__file__).resolve().parents[1]

@@ -115,7 +115,7 @@ def test_newton_is_a_noop_at_the_root(cubic):
 
 def test_newton_evaluates_the_symbol_once_per_step(cubic, monkeypatch):
     # one fused pass gives L and L' at each iterate: once at the seed, then
-    # once per step, with no separate symbol or symbol_deriv pass
+    # once per step, with no separate pass for the symbol or its slope
     import gpspectra.complex_pair as cp
     import gpspectra.pencil as pencil
 
@@ -131,7 +131,7 @@ def test_newton_evaluates_the_symbol_once_per_step(cubic, monkeypatch):
 
     monkeypatch.setattr(cp, "symbol_with_deriv", counted)
     monkeypatch.setattr(cp, "symbol", separate)
-    for name in ("symbol", "symbol_deriv", "laplace", "laplace_deriv"):
+    for name in ("symbol", "laplace"):
         monkeypatch.setattr(pencil, name, separate)
     seed = PAIR + 1e-3 * (1.0 + 1.0j)
     refined = newton_refine(cubic, seed)
@@ -164,8 +164,6 @@ def test_solve_pair_polishes_the_upper_root(cubic):
 def test_rectangle_validation():
     with pytest.raises(ValueError):
         RectContour(1.0, 1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        RectContour(0.0, 1.0, 0.0, 2.0, samples_per_side=4)
 
 
 def test_rectangle_geometry():
@@ -221,8 +219,7 @@ def test_default_window_counts_all_roots(cubic):
 
 def test_count_invariant_under_taller_window(cubic):
     rect = spectrum_contour(cubic, 1)
-    tall = RectContour(rect.x_min, rect.x_max, 2.0 * rect.y_min, 2.0 * rect.y_max,
-                       rect.samples_per_side)
+    tall = RectContour(rect.x_min, rect.x_max, 2.0 * rect.y_min, 2.0 * rect.y_max)
     assert count_zeros(cubic, tall).zeros_inferred == 3
 
 

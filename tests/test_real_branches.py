@@ -9,8 +9,8 @@ from hypothesis import given, settings
 
 from gpspectra import (
     ExponentialKernel,
+    InadmissibleModeError,
     ModePencil,
-    NoSignChangeError,
     aberth_roots,
     bracket_intervals,
     branch_and_stiffness_roots,
@@ -72,8 +72,10 @@ def test_overloaded_kernel_has_no_first_branch():
     # w*S = 1.5 pushes L(0) negative: no sign change left of the origin
     kern = ExponentialKernel((1.0, 1.0), (1.0, 2.0))
     p = ModePencil(frequency=1.0, xi=0.5, kernel=kern)  # weight is 1 at a=1
-    with pytest.raises(NoSignChangeError):
-        branch_roots(p, 1)
+    for solve in (branch_roots, stiffness_roots, branch_and_stiffness_roots):
+        with pytest.raises(InadmissibleModeError) as info:
+            solve(p, 1)
+        assert info.value.load == 1.5
 
 
 def test_branch_chases_its_pole():
