@@ -173,7 +173,7 @@ def _solve(
     Every block holds the same branches of both factors, side by side, and
     a work array at most BLOCK_CELLS entries.  No column's root depends on
     the others in its block.  ``brackets=False`` skips the bracket pass.
-    From the first branch on, a mode whose load ``p.load`` is not below 1
+    When ``first`` is 1, a mode whose load ``p.load`` is not below 1
     raises :class:`InadmissibleModeError`.
     """
     kern = p.kernel

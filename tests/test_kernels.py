@@ -223,8 +223,8 @@ def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
             fused = laplace_with_deriv(kern, z)
             assert fused == (laplace(kern, z), laplace_deriv(kern, z))
             mode = ModePencil(10.0, 0.5, kern)
-            slope = 2.0 * z - mode.frequency**2 * mode.memory_weight * laplace_deriv(kern, z)
-            assert symbol_with_deriv(mode, z) == (symbol(mode, z), slope)
+            symbol_slope = 2.0 * z - mode.frequency**2 * mode.memory_weight * laplace_deriv(kern, z)
+            assert symbol_with_deriv(mode, z) == (symbol(mode, z), symbol_slope)
             shifted = z + kern._g
             value = _fsum_terms(kern._c / shifted)
             slope = _fsum_terms(-kern._c / shifted**2)

@@ -7,15 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gpspectra import (
-    ExponentialKernel,
-    ModePencil,
-    inertia,
-    stiffness,
-    symbol,
-    symbol_with_deriv,
-    to_polynomial,
-)
+from gpspectra import ExponentialKernel, ModePencil, inertia, stiffness, symbol, symbol_with_deriv, to_polynomial
 from gpspectra.pencil import POLY_MAX
 
 
