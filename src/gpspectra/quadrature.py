@@ -9,23 +9,34 @@ before any panel sees them.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
-
-_NODES, _WEIGHTS = leggauss(12)
 
 #: bisection depth at which a panel that still disagrees is an error
 MAX_DEPTH = 48
 
 
+@cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss-Legendre nodes and weights.
+
+    Built on the first panel, not at import, so that only a process that
+    integrates pays for importing numpy.polynomial.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(12)
+
+
 def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> complex:
+    nodes, weights = _rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * complex(np.sum(_WEIGHTS * f(mid + half * _NODES)))
+    return half * complex(np.sum(weights * f(mid + half * nodes)))
 
 
 def integrate(

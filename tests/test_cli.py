@@ -346,14 +346,23 @@ def test_family_sweep_pairs_are_roots_of_the_whole_ladder(run_cli):
             assert residual <= 1e-10 * a * a
 
 
-def test_the_cli_imports_no_thread_pool():
+def _imported_by_the_cli(module: str) -> bool:
     src = Path(gpspectra.__file__).resolve().parents[1]
-    probe = "import sys, gpspectra.cli; print('concurrent.futures' in sys.modules)"
+    probe = f"import sys, gpspectra.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_the_cli_imports_no_thread_pool():
+    assert not _imported_by_the_cli("concurrent.futures")
+
+
+def test_the_cli_imports_no_polynomial_module():
+    # the quadrature rule is built on first use, so start-up skips numpy.polynomial
+    assert not _imported_by_the_cli("numpy.polynomial")
 
 
 def test_jobs_is_still_validated(run_cli, cubic_config):
