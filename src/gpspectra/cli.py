@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -43,6 +43,14 @@ JOB_KINDS = ("spectrum", "verify", "sweep", "oracle-check", "asymptote")
 
 #: Cross-validation threshold shared by verify and oracle-check rows.
 ORACLE_TOL = 1e-8
+
+#: Series radius of a family-sweep mode, in units of its frequency a_n.
+#: The pair's Newton iterates start at i*a_n; on the square-root family
+#: c_k = k**-1/2, g_k = k (10**6 terms, a_n = 100 to 12500, xi = 0.5,
+#: 0.75 and 0.8) they end at |z|/a_n between 0.983 and 0.999999 and
+#: never leave |z| <= a_n.  Strong memory or xi near 1 can carry an
+#: iterate past this reach; run_sweep then solves on the 2*a_n head.
+SERIES_REACH = 1.125
 
 
 @dataclass(frozen=True)
@@ -485,21 +493,32 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     Requires the geometric ladder form with at least four points; only the
     oscillatory pair is computed (no real-branch sweep), so large kernels
     stay affordable: on a family, mode n sums the ladder only up to the
-    first rate past twice its pair's reach, about 2*a_n, and the poles
-    beyond as a series valid out to 2*a_n (see
-    ``materialize_within_each``). Footer rows carry the fitted log-log
-    error slopes.
+    first rate past 2*SERIES_REACH*a_n, and the poles beyond as a series
+    valid out to SERIES_REACH*a_n (see ``materialize_within_each``).  A
+    mode whose pair solve fails on that head, for instance because an
+    iterate leaves the series disc, is solved again on the head for
+    2*a_n, and that solve's answer or error is the mode's.  Footer rows
+    carry the fitted log-log error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     if cfg.family is not None:
-        kernels = _family_ladder(materialize_within_each, cfg.family, [2.0 * a for a in cfg.modes])
+        radii = [SERIES_REACH * a for a in cfg.modes]
+        kernels = _family_ladder(materialize_within_each, cfg.family, radii)
     else:
         kernels = [cfg.kernel] * len(cfg.modes)
     pencils = [ModePencil(frequency=a, xi=cfg.xi, kernel=k) for a, k in zip(cfg.modes, kernels)]
-    numeric = _map_modes(
-        lambda p: solve_pair(p, residual_tol=cfg.residual_tol).plus, enumerate(pencils, start=1)
-    )
+
+    def pair(p: ModePencil) -> complex:
+        try:
+            return solve_pair(p, residual_tol=cfg.residual_tol).plus
+        except NumericalError:
+            if p.kernel.tail is None:  # the whole ladder: a wider head is this one
+                raise
+        wide = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
+        return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol).plus
+
+    numeric = _map_modes(pair, enumerate(pencils, start=1))
 
     predictions, regime = _predictions(cfg)
 

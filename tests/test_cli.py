@@ -12,9 +12,11 @@ import pytest
 
 import gpspectra
 import gpspectra.cli
+import gpspectra.kernels
 from gpspectra import (
     ContourError,
     ModePencil,
+    NumericalError,
     PowerLawFamily,
     count_zeros,
     materialize,
@@ -311,7 +313,7 @@ def _family_sweep_config(count: int, xi: float = 0.5) -> dict:
 
 
 def test_family_sweep_matches_the_full_ladder(run_cli):
-    # the head stops at g_m < 4 * 12500 <= g_(m+1); the other 50001 poles are the series
+    # the head stops at g_m < 2.25 * 12500 <= g_(m+1); the other 71876 poles are the series
     code, out, _ = run_cli("sweep", _family_sweep_config(10**5))
     assert code == 0
     full = materialize(PowerLawFamily(**SQRT_FAMILY, count=10**5))
@@ -332,7 +334,7 @@ def test_family_sweep_output_does_not_depend_on_jobs(run_cli):
 
 
 def test_family_sweep_pairs_are_roots_of_the_whole_ladder(run_cli):
-    # each mode sums its own head (399 to 49999 terms) plus its own series;
+    # each mode sums its own head (224 to 28124 terms) plus its own series;
     # every pair must still be a root of the symbol of all 10^6 terms
     k = np.arange(1.0, 10**6 + 1.0)
     c, g = 1.0 / np.sqrt(k), k
@@ -344,6 +346,66 @@ def test_family_sweep_pairs_are_roots_of_the_whole_ladder(run_cli):
             z = complex(re, im)
             residual = abs(z * z + a * a - a ** (2.0 * xi) * complex(np.sum(c / (z + g))))
             assert residual <= 1e-10 * a * a
+
+
+def test_family_sweep_heads_reach_just_past_each_pair(run_cli, monkeypatch):
+    # mode n sums up to g_m < 2 * SERIES_REACH * a_n <= g_(m+1), where the
+    # 2*a_n reach summed 399, 1999, 9999 and 49999 terms
+    materialized, solved = [], []
+    materialize = gpspectra.kernels.materialize
+    solve = gpspectra.cli.solve_pair
+
+    def materialize_spy(family):
+        materialized.append(family.count)
+        return materialize(family)
+
+    def solve_spy(pencil, **kwargs):
+        solved.append(pencil.kernel.size)
+        return solve(pencil, **kwargs)
+
+    monkeypatch.setattr(gpspectra.kernels, "materialize", materialize_spy)
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    for xi in (0.5, 0.75, 0.8):
+        materialized.clear()
+        solved.clear()
+        assert run_cli("sweep", _family_sweep_config(10**6, xi=xi))[0] == 0
+        # one materialized ladder, one solve per mode: no mode fell back
+        assert materialized == [28124]
+        assert solved == [224, 1124, 5624, 28124]
+
+
+#: a family whose mode 1 at xi = 0.95 carries a pair iterate to |z| = 1.46 * a_1
+STRONG_FAMILY = {"amplitude": 3.0, "scale": 1.0, "alpha": 0.5, "beta": 0.75, "count": 20000}
+
+
+def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, monkeypatch):
+    family = PowerLawFamily(**STRONG_FAMILY)
+    tight = materialize_within_each(family, [gpspectra.cli.SERIES_REACH * 100.0])[0]
+    with pytest.raises(NumericalError, match="outside the far-pole series radius 1.125000e"):
+        solve_pair(ModePencil(100.0, 0.95, tight))
+
+    wide_radii = []
+    build = gpspectra.cli.materialize_within_each
+
+    def build_spy(fam, radii):
+        if len(radii) == 1:
+            wide_radii.extend(radii)
+        return build(fam, radii)
+
+    monkeypatch.setattr(gpspectra.cli, "materialize_within_each", build_spy)
+    config = {
+        "kernel": {"family": STRONG_FAMILY},
+        "xi": 0.95,
+        "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
+    }
+    code, out, _ = run_cli("sweep", config)
+    assert code == 0
+    assert wide_radii == [200.0]  # modes 2 to 4 finish on their tight heads
+    wide = materialize_within_each(family, [200.0])[0]
+    reference = solve_pair(ModePencil(100.0, 0.95, wide)).plus
+    a, re, im = (float(x) for x in _data_rows(out)[1].split(",")[:3])
+    assert a == 100.0
+    assert complex(re, im) == reference
 
 
 def _imported_by_the_cli(module: str) -> bool:
