@@ -513,7 +513,7 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
         try:
             return solve_pair(p, residual_tol=cfg.residual_tol).plus
         except NumericalError:
-            if p.kernel.tail is None:  # the whole ladder: a wider head is this one
+            if p.kernel.tail is None:  # an explicit kernel or a whole ladder: none wider
                 raise
         wide = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
         return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol).plus
