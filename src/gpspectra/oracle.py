@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import MaxIterationsError, NumericalError
-from .pencil import ModePencil, common_denominator
+from .pencil import ModePencil
 
 #: largest mode system materialised as a dense matrix
 ODE_MAX = 32
@@ -51,22 +50,38 @@ ABERTH_MAX_SWEEPS = 500
 POLISH_STEPS = 4
 
 
-def _working_value(x) -> np.clongdouble:
-    """Convert one coefficient to extended precision without losing bits.
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Real coefficients as integer numerators over their least common denominator.
 
-    numpy's own object-array casts go through ``float`` and would round
-    exact rationals to 53 bits; splitting into a double head plus exact
-    remainder keeps the full 64-bit longdouble mantissa.  Both parts are
-    correctly rounded integer true divisions: hi = n/d, and lo the
-    remainder n/d - hn/hd = (n*hd - hn*d)/(d*hd) with hi = hn/hd.
+    Each entry is read at its exact binary or rational value: int, float,
+    numpy longdouble (iterate the array's own scalars; ``tolist`` would
+    round them to double), Fraction, or a complex-typed entry whose
+    imaginary part is zero.  A nonzero imaginary part raises ValueError.
     """
-    if isinstance(x, Fraction):
-        n, d = x.numerator, x.denominator
-        hi = n / d
-        hn, hd = hi.as_integer_ratio()
-        lo = (n * hd - hn * d) / (d * hd)
-        return np.clongdouble(hi) + np.clongdouble(lo)
-    return np.clongdouble(x)
+    ratios = []
+    for x in coeffs:
+        if isinstance(x, (complex, np.complexfloating)):
+            if x.imag != 0:
+                raise ValueError(f"coefficient {x!r} is not real")
+            x = x.real
+        ratios.append((int(x), 1) if isinstance(x, (int, np.integer)) else x.as_integer_ratio())
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _working_value(n: int, d: int) -> np.clongdouble:
+    """The rational n/d in extended precision without losing bits.
+
+    numpy's own casts go through ``float`` and would round exact rationals
+    to 53 bits; splitting into a double head plus exact remainder keeps
+    the full 64-bit longdouble mantissa.  Both parts are correctly rounded
+    integer true divisions: hi = n/d, and lo the remainder
+    n/d - hn/hd = (n*hd - hn*d)/(d*hd) with hi = hn/hd.
+    """
+    hi = n / d
+    hn, hd = hi.as_integer_ratio()
+    lo = (n * hd - hn * d) / (d * hd)
+    return np.clongdouble(hi) + np.clongdouble(lo)
 
 
 def _powers(z: np.ndarray, degree: int) -> np.ndarray:
@@ -80,42 +95,19 @@ def _powers(z: np.ndarray, degree: int) -> np.ndarray:
     return np.multiply.accumulate(v, axis=1, out=v)
 
 
-def _exact(x) -> Fraction:
-    """The exact rational value of one real int, float, longdouble or Fraction."""
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    return x if isinstance(x, Fraction) else Fraction(*x.as_integer_ratio())
-
-
-def _gaussian_numerators(exacts: list) -> list[tuple[int, int]]:
-    """Coefficients as Gaussian-integer numerators over one common denominator.
-
-    The denominator itself is dropped: it scales P and P' alike, so Newton
-    steps do not see it.  A real coefficient's imaginary part is the int 0,
-    which has a numerator and a denominator of its own.
-    """
-    parts = []
-    for x in exacts:
-        if isinstance(x, (complex, np.complexfloating)):
-            parts += [_exact(x.real), _exact(x.imag)]
-        else:
-            parts += [_exact(x), 0]
-    nums, _ = common_denominator(parts)
-    return list(zip(nums[::2], nums[1::2]))
-
-
-def _newton_iterate(nums: list[tuple[int, int]], root: complex, real: bool) -> complex | None:
+def _newton_iterate(nums: list[int], root: complex) -> complex | None:
     """One exact Newton step z - P(z)/P'(z), rounded once to a complex double.
 
+    ``nums`` are the integer numerators N_k of :func:`_numerators`; their
+    common denominator scales P and P' alike, so the step does not see it.
     The point is first put on the grid 2**(e - QUANT_BITS), e the binary
     exponent of its larger component, and written as Z/s with Gaussian
     integer Z and s = 2**t.  Horner's rule on the homogenised polynomial
     Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s) carries Q and Q'
     exactly, and the iterate Z/s - Q/(s Q') = (Z Q' - Q)/(s Q') is rounded
-    by integer true division.  Returns None where Q' vanishes.  With
-    ``real`` (every imaginary numerator is zero), a point whose quantised
-    imaginary part is zero takes a real-only pass: its imaginary parts
-    would all stay zero, so the step is the same, bit for bit.
+    by integer true division.  Returns None where Q' vanishes.  A point
+    whose quantised imaginary part is zero takes a real-only pass: the
+    coefficients are real, so its imaginary parts would all stay zero.
     """
     _, e = math.frexp(max(abs(root.real), abs(root.imag)))
     t = QUANT_BITS - e
@@ -123,20 +115,18 @@ def _newton_iterate(nums: list[tuple[int, int]], root: complex, real: bool) -> c
     if t < 0:
         x, y, t = x << -t, y << -t, 0
     deg = len(nums) - 1
-    if real and y == 0:
+    if y == 0:
         q = dq = 0
         for k in range(deg, -1, -1):
             dq = dq * x + q
-            q = q * x + (nums[k][0] << t * (deg - k))
+            q = q * x + (nums[k] << t * (deg - k))
         if dq == 0:
             return None
         return complex((x * dq - q) / (dq << t), 0.0)
     qr = qi = er = ei = 0
     for k in range(deg, -1, -1):
-        nr, ni = nums[k]
-        shift = t * (deg - k)
         er, ei = er * x - ei * y + qr, er * y + ei * x + qi
-        qr, qi = qr * x - qi * y + (nr << shift), qr * y + qi * x + (ni << shift)
+        qr, qi = qr * x - qi * y + (nums[k] << t * (deg - k)), qr * y + qi * x
     dr, di = er << t, ei << t
     norm = dr * dr + di * di
     if norm == 0:
@@ -145,26 +135,24 @@ def _newton_iterate(nums: list[tuple[int, int]], root: complex, real: bool) -> c
     return complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
 
 
-def _polish_roots(z: np.ndarray, exacts: list) -> np.ndarray:
+def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
     """Newton-polish converged iterates with P and P' evaluated exactly.
 
     The simultaneous iteration leaves every iterate deep inside its own
     Newton basin; what still limits it is evaluation noise at working
     precision, which for badly conditioned monomial bases (condition
     numbers around 1e10 for pinched roots) costs ~1e-9 of forward
-    accuracy.  Every coefficient is an exact rational and every iterate a
-    binary rational, so each Newton step is formed exactly in Python
+    accuracy.  Every coefficient is an integer numerator and every iterate
+    a binary rational, so each Newton step is formed exactly in Python
     integers (:func:`_newton_iterate`) and rounded once.  From a point
     within about 2**-60 of a root the exact step lands within round-off of
     it, so iterates stop as soon as they repeat, or after POLISH_STEPS.
     """
-    nums = _gaussian_numerators(exacts)
-    real = not any(ni for _, ni in nums)
     out = []
     for seed in z.astype(complex):
         root = complex(seed)
         for _ in range(POLISH_STEPS):
-            step = _newton_iterate(nums, root, real)
+            step = _newton_iterate(nums, root)
             if step is None or step == root:
                 break
             root = step
@@ -223,31 +211,30 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e. be an exact
     root of a polynomial whose coefficients differ relatively by at most
     ABERTH_RESIDUAL; anything worse is reported as non-convergence rather
-    than returned.  Exact coefficient values (Fraction values, as the
-    cleared-pencil expansion produces, or the exact binary values of int,
-    float, longdouble and complex entries) are honoured end to end: the
-    converged iterates get a final Newton polish with P and P' evaluated
-    exactly in integers, so the returned roots are correct to double
-    precision regardless of monomial-basis conditioning, and real roots of
-    real polynomials come back with an imaginary part of exactly zero.
+    than returned.
+
+    The coefficients must be real.  Each is read once at its exact value
+    (:func:`_numerators`): int, float and numpy longdouble entries at
+    their binary value, Fraction entries (as the cleared-pencil expansion
+    produces) as the rational they are, and complex-typed entries whose
+    imaginary part is zero as their real part; a nonzero imaginary part
+    raises ValueError.  That one integer form gives both the
+    extended-precision working values and a final Newton polish with P
+    and P' evaluated exactly in integers, so the returned roots are
+    correct to double precision regardless of monomial-basis
+    conditioning, and real roots come back with an imaginary part of
+    exactly zero.
     """
     raw = np.asarray(coeffs)
     if raw.ndim != 1 or raw.size < 2:
         raise ValueError("need a polynomial of degree >= 1")
-    exacts = list(raw)
-    if raw.dtype == object:
-        c = np.array([_working_value(x) for x in raw], dtype=np.clongdouble)
-    else:
-        c = raw.astype(np.clongdouble)
-    if c[-1] == 0:
+    nums, den = _numerators(raw)
+    if nums[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
+    zeros_at_origin = next(k for k, v in enumerate(nums) if v)
+    nums = nums[zeros_at_origin:]
+    c = np.array([_working_value(v, den) for v in nums], dtype=np.clongdouble)
     c = c / c[-1]
-
-    zeros_at_origin = 0
-    while exacts[0] == 0:
-        zeros_at_origin += 1
-        exacts = exacts[1:]
-        c = c[1:]
     n = c.size - 1
     dc = c[1:] * np.arange(1, n + 1)
     if n == 0:
@@ -300,7 +287,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     if not converged and not at_noise_floor(8.0):
         raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
-    z = _polish_roots(z, exacts).astype(np.clongdouble)
+    z = _polish_roots(z, nums).astype(np.clongdouble)
     v = _powers(z, n)
     backward = np.abs(v @ c) / (np.abs(v) @ np.abs(c))
     worst = float(np.max(backward))
@@ -343,7 +330,7 @@ class ModeSystem:
         its nonzero entries; the arrow layout has about 3n of them.
         """
         n = self.dimension
-        ints, d = common_denominator([Fraction(x) for x in self.matrix.flat])
+        ints, d = _numerators(self.matrix.flat)
         rows = [
             [(j, v) for j, v in enumerate(ints[i * n : (i + 1) * n]) if v]
             for i in range(n)

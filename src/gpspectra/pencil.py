@@ -88,12 +88,6 @@ def inertia(p: ModePencil, zeta) -> complex | np.ndarray:
     return zeta * zeta / p.frequency**2
 
 
-def common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of exact rationals over their least common denominator."""
-    den = math.lcm(*(f.denominator for f in values))
-    return [f.numerator * (den // f.denominator) for f in values], den
-
-
 def _poly_mul(acc: list[int], root: int) -> list[int]:
     """Multiply ascending integer coefficients by (y + root)."""
     out = [0] * (len(acc) + 1)

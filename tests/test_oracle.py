@@ -26,9 +26,10 @@ from gpspectra import (
 from gpspectra.errors import NumericalError
 from gpspectra.oracle import (
     ABERTH_RESIDUAL,
-    _gaussian_numerators,
+    QUANT_BITS,
     _min_cost_assignment,
     _newton_iterate,
+    _numerators,
     _powers,
     _working_value,
 )
@@ -102,11 +103,19 @@ def test_every_coefficient_type_is_polished_exactly(coeffs):
 
 
 def test_polish_is_exact_for_non_binary_rationals():
-    # (3z - 1)(3z - 2) and (z - i)(z - 2i): roots are the rounded 1/3, 2/3
+    # (3z - 1)(3z - 2): roots are the rounded 1/3, 2/3
     roots = aberth_roots([Fraction(2), Fraction(-9), Fraction(9)])
     assert sorted(roots.tolist(), key=lambda z: z.real) == [1 / 3, 2 / 3]
-    roots = aberth_roots([-2.0 + 0j, -3j, 1.0 + 0j])
-    assert sorted(roots.tolist(), key=lambda z: z.imag) == [1j, 2j]
+    # (z - i)(z - 2i) has a coefficient that is not real
+    with pytest.raises(ValueError, match="not real"):
+        aberth_roots([-2.0 + 0j, -3j, 1.0 + 0j])
+
+
+def test_numerators_keep_every_bit_of_a_longdouble():
+    third = np.longdouble(1) / 3
+    read = _numerators(np.array([third, 1], dtype=np.longdouble))
+    assert read == _numerators([Fraction(*third.as_integer_ratio()), 1])
+    assert read != _numerators([float(third), 1])
 
 
 def _mp_newton(coeffs, seeds):
@@ -124,14 +133,16 @@ def _mp_newton(coeffs, seeds):
 
 
 def test_working_value_keeps_the_extended_mantissa():
-    # head and remainder from integer divisions equal the Fraction arithmetic
+    # head and remainder from integer divisions equal the Fraction arithmetic,
+    # also over an unreduced common denominator
     rng = np.random.default_rng(7)
     values = [Fraction(1, 3), Fraction(-2, 7), Fraction(0), Fraction(10**40 + 1, 3**60)]
     values += [Fraction(int(n), int(d)) for n, d in rng.integers(-(10**15), 10**15, (200, 2)) if d]
     for x in values:
         hi = float(x)
         expected = np.clongdouble(hi) + np.clongdouble(float(x - Fraction(hi)))
-        assert _working_value(x) == expected
+        for m in (1, 3 * 2**70):
+            assert _working_value(x.numerator * m, x.denominator * m) == expected
 
 
 def test_power_table_columns_are_the_powers():
@@ -181,13 +192,6 @@ def test_sweeps_per_mode_stay_few(monkeypatch):
     assert len(calls) / len(sample) <= 3.5
 
 
-def test_real_numerators_skip_the_imaginary_parts():
-    values = [0.375, -2.0, 1e-300, 3.0, 2.0**600]
-    real = _gaussian_numerators([np.float64(v) for v in values])
-    assert real == _gaussian_numerators([np.complex128(v) for v in values])
-    assert all(ni == 0 for _, ni in real)
-
-
 @pytest.mark.parametrize(
     "ladder",
     [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
@@ -211,17 +215,26 @@ def test_pinched_roots_match_a_multiprecision_newton(ladder):
     [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
     ids=["five", "eight", "cluster-twelve"],
 )
-def test_real_newton_pass_equals_the_gaussian_pass(ladder):
+def test_newton_iterate_is_one_rounded_exact_step(ladder):
     coeffs, rates, a, xi = ladder
     poly = list(to_polynomial(ModePencil(a, xi, ExponentialKernel(coeffs, rates))))
-    nums = _gaussian_numerators(poly)
+    nums, _ = _numerators(poly)
     roots = aberth_roots(poly)
-    # the real roots, nudged off them, and the pair, whose y != 0 skips the real pass
+    # the roots (the pair takes the complex pass), and the real roots nudged off them
     points = [complex(r) for r in roots] + [complex(r.real * (1 + 1e-9), 0.0) for r in roots if r.imag == 0]
     for z in points:
-        fast, full = _newton_iterate(nums, z, True), _newton_iterate(nums, z, False)
-        assert (fast.real, fast.imag) == (full.real, full.imag)
-        assert math.copysign(1.0, fast.imag) == math.copysign(1.0, full.imag)
+        # the point on the grid 2**(e - QUANT_BITS), then z - P(z)/P'(z) in Fractions
+        grid = Fraction(2) ** (math.frexp(max(abs(z.real), abs(z.imag)))[1] - QUANT_BITS)
+        x, y = (round(Fraction(v) / grid) * grid for v in (z.real, z.imag))
+        pr = pi = dr = di = Fraction(0)
+        for c in reversed(poly):
+            dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        norm = dr * dr + di * di
+        exact = complex(float(x - (pr * dr + pi * di) / norm), float(y - (pi * dr - pr * di) / norm))
+        step = _newton_iterate(nums, z)
+        assert (step.real, step.imag) == (exact.real, exact.imag)
+        assert math.copysign(1.0, step.imag) == math.copysign(1.0, exact.imag)
 
 
 def test_integer_spaced_real_roots():
