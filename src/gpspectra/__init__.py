@@ -68,7 +68,6 @@ from .errors import (
     InadmissibleModeError,
     MaxIterationsError,
     NonContractionError,
-    NoSignChangeError,
     NumericalError,
     PoleProximityError,
     QuadratureError,
@@ -141,7 +140,6 @@ __all__ = [
     "ModePencil",
     "ModeSystem",
     "NonContractionError",
-    "NoSignChangeError",
     "NumericalError",
     "PoleProximityError",
     "PowerLawFamily",

@@ -21,17 +21,6 @@ class PoleProximityError(NumericalError):
     """Evaluation point too close to a kernel pole for a trustworthy value."""
 
 
-class NoSignChangeError(NumericalError):
-    """A bracketing interval did not change sign where a root was expected."""
-
-    def __init__(self, lo: float, hi: float, value_lo: float, value_hi: float):
-        self.lo, self.hi = lo, hi
-        self.value_lo, self.value_hi = value_lo, value_hi
-        super().__init__(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={value_lo!r}, f(hi)={value_hi!r}"
-        )
-
-
 class InadmissibleModeError(NumericalError):
     """A mode's load w*sum c_k/g_k is not below 1, outside the structure theorem."""
 
