@@ -54,9 +54,9 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     """Real coefficients as integer numerators over their least common denominator.
 
     Each entry is read at its exact binary or rational value: int, float,
-    numpy longdouble (iterate the array's own scalars; ``tolist`` would
-    round them to double), Fraction, or a complex-typed entry whose
-    imaginary part is zero.  A nonzero imaginary part raises ValueError.
+    numpy longdouble (all 64 mantissa bits, never through ``float``),
+    Fraction, or a complex-typed entry whose imaginary part is zero.  A
+    nonzero imaginary part or a non-finite entry raises ValueError.
     """
     ratios = []
     for x in coeffs:
@@ -64,7 +64,10 @@ def _numerators(coeffs) -> tuple[list[int], int]:
             if x.imag != 0:
                 raise ValueError(f"coefficient {x!r} is not real")
             x = x.real
-        ratios.append((int(x), 1) if isinstance(x, (int, np.integer)) else x.as_integer_ratio())
+        try:
+            ratios.append((int(x), 1) if isinstance(x, (int, np.integer)) else x.as_integer_ratio())
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"coefficient {x!r} is not finite") from exc
     den = math.lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
 
@@ -218,7 +221,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     their binary value, Fraction entries (as the cleared-pencil expansion
     produces) as the rational they are, and complex-typed entries whose
     imaginary part is zero as their real part; a nonzero imaginary part
-    raises ValueError.  That one integer form gives both the
+    or a non-finite entry raises ValueError.  That one integer form gives both the
     extended-precision working values and a final Newton polish with P
     and P' evaluated exactly in integers, so the returned roots are
     correct to double precision regardless of monomial-basis

@@ -263,6 +263,9 @@ def test_degree_guard():
         aberth_roots(np.ones((2, 2)))
     with pytest.raises(ValueError):
         aberth_roots([1.0, 2.0, 0.0])
+    for bad in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="not finite"):
+            aberth_roots(bad)
 
 
 def _backward_errors(coeffs, roots):
