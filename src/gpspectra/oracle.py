@@ -221,10 +221,10 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     their binary value, Fraction entries (as the cleared-pencil expansion
     produces) as the rational they are, and complex-typed entries whose
     imaginary part is zero as their real part; a nonzero imaginary part
-    or a non-finite entry raises ValueError.  That one integer form gives both the
-    extended-precision working values and a final Newton polish with P
-    and P' evaluated exactly in integers, so the returned roots are
-    correct to double precision regardless of monomial-basis
+    or a non-finite entry raises ValueError.  That one integer form gives
+    both the extended-precision working values and a final Newton polish
+    with P and P' evaluated exactly in integers, so the returned roots
+    are correct to double precision regardless of monomial-basis
     conditioning, and real roots come back with an imaginary part of
     exactly zero.
     """
