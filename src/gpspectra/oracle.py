@@ -260,7 +260,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         v = _powers(z, n)
         pz = v @ c
         dz = v[:, :-1] @ dc
-        ratio = np.where(dz != 0, pz / np.where(dz != 0, dz, 1.0), 0.0)
+        ratio = np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         if np.any(diff == 0):  # collided iterates: nudge apart
@@ -268,7 +268,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
             continue
         repulsion = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - ratio * repulsion
-        w = np.where(denom != 0, ratio / np.where(denom != 0, denom, 1.0), ratio)
+        w = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
         z = z - w
         step, size = np.abs(w), np.abs(z)
         if np.all(step <= ABERTH_STOP * size):
@@ -527,8 +527,6 @@ def match_roots(
                     taken[j] = True
                     pairing[i] = j
                     break
-        if np.any(pairing < 0):
-            ambiguous = True
     if ambiguous:
         pairing = _min_cost_assignment(dist)
 

@@ -97,20 +97,6 @@ def _poly_mul(acc: list[int], root: int) -> list[int]:
     return out
 
 
-def _poly_div_linear(b: list[int], root: int) -> list[int]:
-    """Exact synthetic division of ascending integer coefficients by (y + root).
-
-    Only valid when the division is exact, which holds by construction
-    here: ``b`` is always a product that contains the factor being
-    removed.
-    """
-    q = [0] * (len(b) - 1)
-    q[-1] = b[-1]
-    for i in range(len(b) - 2, 0, -1):
-        q[i - 1] = b[i] - root * q[i]
-    return q
-
-
 def _dyadic(x: float) -> tuple[int, int]:
     """(m, t) with x = m / 2**t exactly: the binary rational of a double."""
     m, d = x.as_integer_ratio()
@@ -137,10 +123,12 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     The expansion runs in integers.  Each double is m / 2**t, so the rates
     share one denominator S and a**2, a**2*w*c_k another, U, both powers
     of two reached by shifting the numerators.  With integer rates
-    R_k = S*g_k the products are formed in y = S*z; coefficient i is then
-    an integer over U * S**(n+2-i), a power of two, and each coefficient
-    becomes one Fraction at the end, once the factors of two common to
-    both are shifted out.
+    R_k = S*g_k and weights u_k = U*a**2*w*c_k, one pass over the ladder
+    grows B = prod_k (y + R_k) in y = S*z together with its weighted
+    partials N = sum_k u_k prod_{j != k} (y + R_j), as N <- N*(y + R) + u*B
+    and then B <- B*(y + R).  Coefficient i is then the integer
+    S**2 a**2 U B_i + U B_(i-2) - S**3 N_i over U * S**(n+2-i), a power of
+    two, and becomes one Fraction, which reduces it to lowest terms.
     """
     p.kernel.require_every_pole("the cleared polynomial")
     n = p.kernel.size
@@ -158,25 +146,17 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     weight_ints = [m << (unit_bits - t) for m, t in weights]
     scale, unit = 1 << rate_bits, 1 << unit_bits
 
-    # prod_k (y + R_k) = S**n prod_k (z + g_k): coefficient i carries S**(n-i)
-    base = [1]
-    for r in ints:
-        base = _poly_mul(base, r)
-    # unit * S**(n+2-i) * P_i, from (y**2 + S**2 a**2) * base and the partials
-    # prod_{j != k} (y + R_j), whose coefficient i carries S**(n-1-i)
-    main = [0] * (n + 3)
-    s2 = scale * scale
-    for i, v in enumerate(base):
-        main[i] += s2 * a2_int * v
-        main[i + 2] += unit * v
-    s3 = s2 * scale
+    # B = prod_k (y + R_k) and N = sum_k u_k prod_{j != k} (y + R_j), grown
+    # together: coefficient i of B carries S**(n-i), of N S**(n-1-i)
+    base, partial = [1], []
     for r, u in zip(ints, weight_ints):
-        for i, v in enumerate(_poly_div_linear(base, r)):
-            main[i] -= s3 * u * v
-
+        partial = [v + u * b for v, b in zip(_poly_mul(partial, r), base)]
+        base = _poly_mul(base, r)
+    # unit * S**(n+2-i) * P_i from (y**2 + S**2 a**2) * B - S**3 * N
+    s2 = scale * scale
+    s3 = s2 * scale
     out = []
-    for i, v in enumerate(main):
+    for i, (b, lifted, v) in enumerate(zip(base + [0, 0], [0, 0] + base, partial + [0, 0, 0])):
         bits = unit_bits + rate_bits * (n + 2 - i)
-        common = min(bits, (v & -v).bit_length() - 1) if v else bits
-        out.append(Fraction(v >> common, 1 << (bits - common)))
+        out.append(Fraction(s2 * a2_int * b + unit * lifted - s3 * v, 1 << bits))
     return np.array(out, dtype=object)

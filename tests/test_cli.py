@@ -408,6 +408,28 @@ def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, m
     assert complex(re, im) == reference
 
 
+def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeypatch):
+    # at a = 0.1 the fixed-point map is no contraction; an explicit kernel
+    # has no wider head, so the mode's first error is the job's
+    solved = []
+    solve = gpspectra.cli.solve_pair
+
+    def solve_spy(pencil, **kwargs):
+        solved.append(pencil)
+        return solve(pencil, **kwargs)
+
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    config = {
+        "kernel": {"coeffs": [0.5], "rates": [0.1]},
+        "xi": 0.5,
+        "modes": {"a_min": 0.1, "factor": 10.0, "count": 4},
+    }
+    code, out, err = run_cli("sweep", config)
+    assert code == 3 and out == ""
+    assert "numerical failure: mode 1 (a_n=0.10000000000000001): fixed-point map has |g'|" in err
+    assert [p.frequency for p in solved] == [0.1]
+
+
 def _imported_by_the_cli(module: str) -> bool:
     src = Path(gpspectra.__file__).resolve().parents[1]
     probe = f"import sys, gpspectra.cli; print({module!r} in sys.modules)"

@@ -585,6 +585,14 @@ def test_head_and_series_reproduce_the_whole_ladder():
     for z in points:
         assert abs(laplace(kern, z) / laplace(full, z) - 1) < 1e-14
         assert abs(laplace_deriv(kern, z) / laplace_deriv(full, z) - 1) < 1e-13
+    # a 9-term head whose 91 far poles all lie below the Euler-Maclaurin
+    # start, so the series comes from their direct sums alone
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100)
+    kern, full = materialize_within_each(family, [5.0])[0], materialize(family)
+    assert kern.size == 9 and kern.tail is not None
+    for z in (2.0 + 3.0j, -1.5 + 0.5j, 4.0j):
+        for got, want in zip(laplace_with_deriv(kern, z), laplace_with_deriv(full, z)):
+            assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_head_reaching_count_materializes_the_whole_ladder():

@@ -242,12 +242,19 @@ def test_integer_spaced_real_roots():
     match = match_roots(roots, [-1.0, -2.0, -3.0])
     assert match.max_relative_deviation < 1e-13
     assert np.max(np.abs(roots.imag)) < 1e-13
+    # (z + 2)(z - 2**70): near 2**70 the polish grid 2**(e - QUANT_BITS) is
+    # coarser than one, so the point is taken as an integer over s = 1
+    roots = aberth_roots([-(2**71), 2 - 2**70, 1])
+    assert sorted(roots.tolist(), key=lambda z: z.real) == [-2.0, 2.0**70]
+    assert np.all(roots.imag == 0.0)
 
 
 def test_zero_roots_are_deflated():
     roots = aberth_roots([0.0, 0.0, 6.0, 5.0, 1.0])
     match = match_roots(roots, [0.0, 0.0, -2.0, -3.0])
     assert match.max_relative_deviation < 1e-13
+    # nothing is left after deflation
+    assert aberth_roots([0, 0, 5]).tolist() == [0j, 0j]
 
 
 def test_non_monic_input():

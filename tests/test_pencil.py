@@ -1,6 +1,7 @@
 """Mode symbols: values, the stiffness/inertia split, exact clearing."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from gpspectra import ExponentialKernel, ModePencil, inertia, stiffness, symbol, symbol_with_deriv, to_polynomial
 from gpspectra.pencil import POLY_MAX
+from conftest import CLUSTER_TWELVE, recipe_pencil
 
 
 def test_pencil_validation():
@@ -130,11 +132,17 @@ EXTREME_PENCILS = {
     "huge-frequency": ((0.3, 0.7), (0.1, 3.0), 1e300, 0.5),
 }
 
+#: the extremes above, a 12-term pool ladder and a pool-style draw of POLY_MAX terms
+CLEARING_CASES = {
+    **{name: ModePencil(a, xi, ExponentialKernel(c, g)) for name, (c, g, a, xi) in EXTREME_PENCILS.items()},
+    "pool-twelve": ModePencil(CLUSTER_TWELVE[2], CLUSTER_TWELVE[3], ExponentialKernel(*CLUSTER_TWELVE[:2])),
+    "poly-max-draw": recipe_pencil(POLY_MAX, random.Random(5).uniform),
+}
 
-@pytest.mark.parametrize("name", sorted(EXTREME_PENCILS))
+
+@pytest.mark.parametrize("name", sorted(CLEARING_CASES))
 def test_dyadic_clearing_is_exact_at_the_extremes(name):
-    coeffs, rates, a, xi = EXTREME_PENCILS[name]
-    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    p = CLEARING_CASES[name]
     if name == "zero-weight":
         assert p.memory_weight == 0.0
     if name == "subnormal-weight":
