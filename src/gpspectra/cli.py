@@ -9,10 +9,14 @@ Five job kinds share one config schema (see docs/config.md):
 * ``oracle-check`` — solver roots against the polynomial companion oracle.
 * ``asymptote``    — predictions alone (no solving), for quick regime maps.
 
-Every output starts with the tool version and the effective config echoed
-as canonical JSON, so a result file is reproducible from its own header.
-Numbers are printed with 17 significant digits and rows are assembled in a
-fixed order: reruns of the same config are byte-identical.
+Each runner builds its rows as plain tuples of values and one writer,
+``_table``, prints them.  Every output starts with the tool version and the
+effective config echoed as canonical JSON, so a result file is reproducible
+from its own header; then come the column line, one comma-joined line per
+row and any '#' footer lines.  The writer's cell rule: strings and ints print
+as they are, every other number with 17 significant digits and never a
+negative zero.  Rows come in a fixed order: reruns of the same config are
+byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -282,8 +286,13 @@ def _effective_config(cfg: JobConfig) -> str:
     return json.dumps(effective, sort_keys=True, separators=(", ", ": "))
 
 
-def _header(cfg: JobConfig) -> list[str]:
-    return [f"# gpspectra {__version__}", f"# config {_effective_config(cfg)}"]
+def _table(cfg: JobConfig, columns: str, rows, footer=()) -> str:
+    """The job's output: version and config header, ``columns``, ``rows``, ``footer`` lines."""
+    lines = [f"# gpspectra {__version__}", f"# config {_effective_config(cfg)}", columns]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
+    lines.extend(footer)
+    return "\n".join(lines) + "\n"
 
 
 def _family_ladder(build, family: PowerLawFamily, *args):
@@ -348,7 +357,7 @@ def _predictions(cfg: JobConfig) -> tuple[list, str]:
 
 
 # --------------------------------------------------------------------------
-# job runners: each returns (output text, success flag)
+# job runners: each returns (output text from _table, success flag)
 
 
 def run_spectrum(cfg: JobConfig) -> tuple[str, bool]:
@@ -360,44 +369,17 @@ def run_spectrum(cfg: JobConfig) -> tuple[str, bool]:
         enumerate(pencils, start=1),
     )
 
-    lines = _header(cfg)
-    lines.append("n,a_n,xi,kind,k,re,im,residual,interval_lo,interval_hi")
+    rows = []
     for n, (a, result) in enumerate(zip(cfg.modes, results), start=1):
         for branch in result.real_roots:
-            lines.append(
-                ",".join(
-                    (
-                        str(n),
-                        _fmt(a),
-                        _fmt(cfg.xi),
-                        f"real_{branch.index}",
-                        str(branch.index),
-                        _fmt(branch.value),
-                        _fmt(0.0),
-                        _fmt(branch.residual),
-                        _fmt(branch.interval[0]),
-                        _fmt(branch.interval[1]),
-                    )
-                )
-            )
-        lines.append(
-            ",".join(
-                (
-                    str(n),
-                    _fmt(a),
-                    _fmt(cfg.xi),
-                    "pair",
-                    "0",
-                    _fmt(result.pair_plus.real),
-                    _fmt(result.pair_plus.imag),
-                    _fmt(result.pair_residual),
-                    "",
-                    "",
-                )
-            )
-        )
+            lo, hi = branch.interval
+            k = branch.index
+            rows.append((n, a, cfg.xi, f"real_{k}", k, branch.value, 0.0, branch.residual, lo, hi))
+        pair = result.pair_plus
+        rows.append((n, a, cfg.xi, "pair", 0, pair.real, pair.imag, result.pair_residual, "", ""))
     print(f"gpspectra spectrum: {len(pencils)} mode(s) solved", file=sys.stderr)
-    return "\n".join(lines) + "\n", True
+    columns = "n,a_n,xi,kind,k,re,im,residual,interval_lo,interval_hi"
+    return _table(cfg, columns, rows), True
 
 
 def _mode_checks(
@@ -457,34 +439,28 @@ def run_verify(cfg: JobConfig) -> tuple[str, bool]:
     tightened tolerance shows up as a failed check rather than a crash.
     """
     kernel = _materialized(cfg)
-    lines = _header(cfg)
-    lines.append("check,scope,status,margin")
 
     # the theorem's gate, per mode: an overloaded mode is reported, not solved
+    rows = []
     admitted = []
-    failures = 0
     for n, pencil in enumerate(_pencils(cfg, kernel), start=1):
         ok = pencil.load < 1.0
-        status = "pass" if ok else "fail"
-        lines.append(f"admissibility,mode_{n},{status},{_fmt(1.0 - pencil.load)}")
+        rows.append(("admissibility", f"mode_{n}", "pass" if ok else "fail", 1.0 - pencil.load))
         if ok:
             admitted.append((n, pencil))
         else:
-            failures += 1
             print(f"gpspectra verify: mode {n} is overloaded, not solved", file=sys.stderr)
-    total = len(cfg.modes)
 
     # the checks walk each mode's contour, so a failure there names its mode too
     checks = _map_modes(lambda p: _mode_checks(p, solve_mode(p), cfg.residual_tol), admitted)
-    for (n, pencil), rows in zip(admitted, checks):
-        for check, status, margin in rows:
-            lines.append(f"{check},mode_{n},{status},{_fmt(margin)}")
-            total += 1
+    for (n, _), mode_rows in zip(admitted, checks):
+        for check, status, margin in mode_rows:
+            rows.append((check, f"mode_{n}", status, margin))
             if status == "fail":
-                failures += 1
                 print(f"gpspectra verify: {check} failed for mode {n}", file=sys.stderr)
-    print(f"gpspectra verify: {total - failures}/{total} checks passed", file=sys.stderr)
-    return "\n".join(lines) + "\n", failures == 0
+    failures = sum(status == "fail" for _, _, status, _ in rows)
+    print(f"gpspectra verify: {len(rows) - failures}/{len(rows)} checks passed", file=sys.stderr)
+    return _table(cfg, "check,scope,status,margin", rows), failures == 0
 
 
 def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
@@ -522,41 +498,25 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
 
     predictions, regime = _predictions(cfg)
 
-    lines = _header(cfg)
-    lines.append("a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime")
-    err_re_points = []
-    err_im_points = []
+    rows = []
     for a, z, pred in zip(cfg.modes, numeric, predictions):
-        err_re = abs(z.real - pred.value.real)
-        err_im = abs(z.imag - pred.value.imag)
-        err_re_points.append((a, err_re))
-        err_im_points.append((a, err_im))
-        lines.append(
-            ",".join(
-                (
-                    _fmt(a),
-                    _fmt(z.real),
-                    _fmt(z.imag),
-                    _fmt(pred.value.real),
-                    _fmt(pred.value.imag),
-                    _fmt(err_re),
-                    _fmt(err_im),
-                    regime,
-                )
-            )
-        )
-    try:
-        fit_re = empirical_order(err_re_points)
-        fit_im = empirical_order(err_im_points)
-    except ValueError as exc:
-        raise ConfigError(f"config.modes: {exc}") from exc
-    for name, fit in (("err_re", fit_re), ("err_im", fit_im)):
-        lines.append(
+        w = pred.value
+        err = z - w
+        rows.append((a, z.real, z.imag, w.real, w.imag, abs(err.real), abs(err.imag), regime))
+    a_n, *_, err_re, err_im, _ = zip(*rows)
+    footer = []
+    for name, errors in (("err_re", err_re), ("err_im", err_im)):
+        try:
+            fit = empirical_order(list(zip(a_n, errors)))
+        except ValueError as exc:
+            raise ConfigError(f"config.modes: {exc}") from exc
+        footer.append(
             f"# fit {name} slope {_fmt(fit.slope)} half_width {_fmt(fit.half_width)}"
             f" below_floor {int(fit.below_floor)}"
         )
     print(f"gpspectra sweep: {len(pencils)} mode(s) swept", file=sys.stderr)
-    return "\n".join(lines) + "\n", True
+    columns = "a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime"
+    return _table(cfg, columns, rows, footer), True
 
 
 def run_oracle_check(cfg: JobConfig) -> tuple[str, bool]:
@@ -571,23 +531,19 @@ def run_oracle_check(cfg: JobConfig) -> tuple[str, bool]:
             f"config.kernel: ladder size {kernel.size} exceeds polynomial oracle cap {POLY_MAX}"
         )
     pencils = _pencils(cfg, kernel)
-    rows = _map_modes(
+    deviations = _map_modes(
         lambda p: _oracle_check_mode(p, cfg.residual_tol), enumerate(pencils, start=1)
     )
 
-    lines = _header(cfg)
-    lines.append("n,a_n,root_deviation,coeff_deviation,status")
-    all_ok = True
-    for n, (a, (root_dev, coeff_dev)) in enumerate(zip(cfg.modes, rows), start=1):
+    rows = []
+    for n, (a, (root_dev, coeff_dev)) in enumerate(zip(cfg.modes, deviations), start=1):
         ok = root_dev <= ORACLE_TOL and not coeff_dev > ORACLE_TOL
-        all_ok = all_ok and ok
-        lines.append(
-            f"{n},{_fmt(a)},{_fmt(root_dev)},{_fmt(coeff_dev)},{'pass' if ok else 'fail'}"
-        )
+        rows.append((n, a, root_dev, coeff_dev, "pass" if ok else "fail"))
         if not ok:
             print(f"gpspectra oracle-check: mode {n} deviates", file=sys.stderr)
     print(f"gpspectra oracle-check: {len(rows)} mode(s) compared", file=sys.stderr)
-    return "\n".join(lines) + "\n", all_ok
+    columns = "n,a_n,root_deviation,coeff_deviation,status"
+    return _table(cfg, columns, rows), all(row[-1] == "pass" for row in rows)
 
 
 def run_asymptote(cfg: JobConfig) -> tuple[str, bool]:
@@ -598,27 +554,16 @@ def run_asymptote(cfg: JobConfig) -> tuple[str, bool]:
     """
     predictions, regime = _predictions(cfg)
 
-    lines = _header(cfg)
-    lines.append("n,a_n,xi,regime_tag,decay_class,predicted_re,predicted_im,order_re,order_im")
-    for n, (a, pred) in enumerate(zip(cfg.modes, predictions), start=1):
-        order_im = float("nan") if pred.imag_remainder_order is None else pred.imag_remainder_order
-        lines.append(
-            ",".join(
-                (
-                    str(n),
-                    _fmt(a),
-                    _fmt(cfg.xi),
-                    pred.regime_tag,
-                    regime,
-                    _fmt(pred.value.real),
-                    _fmt(pred.value.imag),
-                    _fmt(pred.remainder_order),
-                    _fmt(order_im),
-                )
-            )
+    rows = []
+    for n, (a, p) in enumerate(zip(cfg.modes, predictions), start=1):
+        w = p.value
+        order_im = math.nan if p.imag_remainder_order is None else p.imag_remainder_order
+        rows.append(
+            (n, a, cfg.xi, p.regime_tag, regime, w.real, w.imag, p.remainder_order, order_im)
         )
-    print(f"gpspectra asymptote: {len(predictions)} prediction(s)", file=sys.stderr)
-    return "\n".join(lines) + "\n", True
+    print(f"gpspectra asymptote: {len(rows)} prediction(s)", file=sys.stderr)
+    columns = "n,a_n,xi,regime_tag,decay_class,predicted_re,predicted_im,order_re,order_im"
+    return _table(cfg, columns, rows), True
 
 
 _RUNNERS = {

@@ -72,6 +72,17 @@ def test_out_flag_writes_the_same_bytes(run_cli, cubic_config, tmp_path):
     assert target.read_text(encoding="utf-8") == streamed
 
 
+def test_table_cell_rule(cubic_config):
+    # strings and ints print as they are; other numbers at 17 digits, a negative zero unsigned
+    cfg = gpspectra.cli.parse_config(json.dumps(cubic_config), "spectrum")
+    row = (12, "real_12", "", 0.1, -0.0, math.nan)
+    text = gpspectra.cli._table(cfg, "a,b,c,d,e,f", [row], ["# end"])
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert lines[0] == "# gpspectra 0.1.0" and lines[1].startswith("# config {")
+    assert lines[2:] == ["a,b,c,d,e,f", "12,real_12,,0.10000000000000001,0,nan", "# end"]
+
+
 @pytest.mark.parametrize("job", ["spectrum", "verify", "oracle-check", "sweep"])
 def test_parallel_output_matches_serial(run_cli, cubic_config, job):
     config = dict(cubic_config, modes={"a_min": 10.0, "factor": 10.0, "count": 4})
