@@ -661,35 +661,25 @@ def _check_arg(zeta: complex) -> None:
         )
 
 
-def continuum_laplace(
-    family: PowerLawFamily,
-    zeta: complex,
-    t_max: float | None = None,
-) -> complex:
+def continuum_laplace(family: PowerLawFamily, zeta: complex) -> complex:
     """Continuum companion of the ladder transform.
 
-    Computes h(z) = integral over t in [1, t_max] of
-    amplitude * dt / (t**alpha * (z + scale*t**beta)), with t_max = inf by
-    default.  After the substitutions u = t**beta and s = u**(-r) this is
+    Computes h(z) = integral over t in [1, inf) of
+    amplitude * dt / (t**alpha * (z + scale*t**beta)).  After the
+    substitutions u = t**beta and s = u**(-r) this is
 
-        (amplitude/(beta*r)) * integral_{s0}^{1} ds / (scale + z*s**(1/r)),
+        (amplitude/(beta*r)) * integral_{0}^{1} ds / (scale + z*s**(1/r)),
 
-    s0 = t_max**(-beta*r), which the adaptive panels handle uniformly in z.
-    A finite ``t_max`` matches the comparison to a truncated ladder; without
-    it the discarded ladder tail dominates the difference once |z| grows
-    past the reciprocal tail mass.
+    which the adaptive panels handle uniformly in z.
     """
     zeta = complex(zeta)
     _check_arg(zeta)
     r = family.regularity
-    s_lo = 0.0 if t_max is None else float(t_max) ** (-family.beta * r)
-    if s_lo >= 1.0:
-        raise ValueError("t_max must exceed the lower integration limit 1")
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return 1.0 / (family.scale + zeta * s ** (1.0 / r))
 
-    value = integrate(integrand, s_lo, 1.0, tol=QUAD_TOL)
+    value = integrate(integrand, 0.0, 1.0, tol=QUAD_TOL)
     return family.amplitude / (family.beta * r) * value
 
 

@@ -488,13 +488,6 @@ def test_continuum_laplace_log_value():
     assert abs(continuum_laplace(fam, 1.0) - math.log(2.0)) < 1e-9
 
 
-def test_continuum_laplace_finite_cutoff():
-    # truncating at t_max=2 gives log(4/3) instead
-    fam = PowerLawFamily(1.0, 1.0, 1.0, 1.0, 10)
-    value = continuum_laplace(fam, 1.0, t_max=2.0)
-    assert abs(value - math.log(4.0 / 3.0)) < 1e-9
-
-
 def test_continuum_laplace_real_on_real_axis():
     fam = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10)
     assert abs(continuum_laplace(fam, 3.0).imag) < 1e-12
