@@ -446,7 +446,7 @@ def _imported_by_the_cli(module: str) -> bool:
     probe = f"import sys, gpspectra.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe], capture_output=True, encoding="utf-8", env=env, check=True
     )
     return out.stdout.strip() == "True"
 
@@ -492,7 +492,7 @@ def test_family_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
             env["OPENBLAS_NUM_THREADS"] = threads
         runs = [
             subprocess.run(
-                [sys.executable, *argv], capture_output=True, text=True, env=env, check=True
+                [sys.executable, *argv], capture_output=True, encoding="utf-8", env=env, check=True
             ).stdout
             for argv in (
                 ["-m", "gpspectra", "sweep", "--config", str(config)],

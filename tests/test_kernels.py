@@ -672,7 +672,7 @@ def test_sweep_and_far_pole_series_run_without_mpmath(tmp_path):
                               "alpha": 0.5, "beta": 1.0, "count": 164415}},
         "xi": 0.5,
         "modes": {"a_min": 100.0, "factor": 2.5118864315095801, "count": 6},
-    }))
+    }), encoding="utf-8")
     out_csv = tmp_path / "sweep.csv"
     probe = "\n".join([
         "import sys",
@@ -686,7 +686,7 @@ def test_sweep_and_far_pole_series_run_without_mpmath(tmp_path):
     src = str(Path(kernels.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.returncode == 0, out.stderr

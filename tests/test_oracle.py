@@ -496,7 +496,7 @@ def test_import_loads_neither_scipy_nor_mpmath():
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        capture_output=True, text=True, check=True, timeout=60,
+        capture_output=True, encoding="utf-8", check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.strip() == "[]"
@@ -509,8 +509,8 @@ def test_import_loads_openblas_with_one_thread():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     runs = [
         subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
-            env=dict(env, PYTHONPATH=src, **extra),
+            [sys.executable, "-c", probe], capture_output=True, encoding="utf-8", check=True,
+            timeout=60, env=dict(env, PYTHONPATH=src, **extra),
         ).stdout.split()
         for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})
     ]
