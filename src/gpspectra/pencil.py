@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InadmissibleModeError
 from .kernels import ExponentialKernel, laplace, laplace_with_deriv
 
 #: largest ladder for which the cleared polynomial is formed explicitly
@@ -59,6 +60,16 @@ class ModePencil:
         mode at or above it is overloaded.  Needs every pole.
         """
         return self.memory_weight * self.kernel.l1_norm
+
+    def check_load(self) -> None:
+        """Raise :class:`InadmissibleModeError` when the load is not below 1.
+
+        A head whose far poles ride along as a series (``kernel.tail``)
+        passes unchecked: its load would take a pass over every pole.
+        """
+        if self.kernel.tail is None and not self.load < 1.0:
+            # L(0) = a**2 * (1 - load) <= 0: no sign change left of the origin
+            raise InadmissibleModeError(self.load)
 
 
 def symbol(p: ModePencil, zeta) -> complex | np.ndarray:

@@ -385,8 +385,10 @@ def test_family_sweep_heads_reach_just_past_each_pair(run_cli, monkeypatch):
         assert solved == [224, 1124, 5624, 28124]
 
 
-#: a family whose mode 1 at xi = 0.95 carries a pair iterate to |z| = 1.46 * a_1
-STRONG_FAMILY = {"amplitude": 3.0, "scale": 1.0, "alpha": 0.5, "beta": 0.75, "count": 20000}
+#: a family whose mode 1 at xi = 0.95 carries a pair iterate to |z| = 1.46 * a_1;
+#: its load is above 1, but with 10**6 terms every head of the ladder
+#: a = 100 .. 12500 carries a far-pole series, which the overload gate skips
+STRONG_FAMILY = {"amplitude": 3.0, "scale": 1.0, "alpha": 0.5, "beta": 0.75, "count": 10**6}
 
 
 def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, monkeypatch):
@@ -419,9 +421,22 @@ def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, m
     assert complex(re, im) == reference
 
 
+def test_sweep_refuses_an_overloaded_mode_whose_head_holds_every_pole(run_cli):
+    # with 20000 terms the heads for a = 2500 and 12500 are the whole ladder
+    config = {
+        "kernel": {"family": dict(STRONG_FAMILY, count=20000)},
+        "xi": 0.95,
+        "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
+    }
+    code, out, err = run_cli("sweep", config)
+    assert code == 3 and out == ""
+    assert "numerical failure: mode 3 (a_n=2500): mode is overloaded" in err
+
+
 def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeypatch):
-    # at a = 0.1 the fixed-point map is no contraction; an explicit kernel
-    # has no wider head, so the mode's first error is the job's
+    # at a = 0.1 the load w*sum c/g is 50: the overload gate refuses the
+    # mode before its pair is solved; an explicit kernel has no wider
+    # head, so the mode's first error is the job's
     solved = []
     solve = gpspectra.cli.solve_pair
 
@@ -437,8 +452,24 @@ def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeyp
     }
     code, out, err = run_cli("sweep", config)
     assert code == 3 and out == ""
-    assert "numerical failure: mode 1 (a_n=0.10000000000000001): fixed-point map has |g'|" in err
-    assert [p.frequency for p in solved] == [0.1]
+    assert "numerical failure: mode 1 (a_n=0.10000000000000001): mode is overloaded" in err
+    assert solved == []
+
+
+def test_sweep_names_an_overloaded_mode_as_spectrum_does(run_cli):
+    # the whole 30-term ladder is the head, with no far-pole series, so
+    # the overload gate applies; its load at a = 1 is 1.86
+    family = {"amplitude": 1, "scale": 1, "alpha": 0.75, "beta": 1, "count": 30}
+    config = {"kernel": {"family": family}, "xi": 0.25, "modes": {"a_min": 1, "factor": 10, "count": 5}}
+    errors = []
+    for job in ("spectrum", "sweep"):
+        code, out, err = run_cli(job, config)
+        assert code == 3 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == (
+        "gpspectra: numerical failure: mode 1 (a_n=1): mode is overloaded: "
+        "load w*sum c/g = 1.8595922176397173 is not below 1\n"
+    )
 
 
 def _imported_by_the_cli(module: str) -> bool:

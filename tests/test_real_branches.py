@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from gpspectra import (
     ExponentialKernel,
     InadmissibleModeError,
+    MaxIterationsError,
     ModePencil,
     aberth_roots,
     bracket_intervals,
@@ -21,7 +23,9 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra import real_branches
-from conftest import CLUSTER_TWELVE, MU_1, PINCHED_EIGHT, PINCHED_FIVE, admissible_modes
+from conftest import (
+    CLUSTER_TWELVE, MU_1, PINCHED_EIGHT, PINCHED_FIVE, admissible_modes, recipe_pencil,
+)
 
 
 def test_bracket_intervals_single():
@@ -176,6 +180,18 @@ def _check_fused_block(p: ModePencil) -> None:
     # as branch_convergence does, one branch of both factors alone
     for k in {1, n}:
         assert real_branches._solve(p, k, k) == ([roots[k - 1]], [stiff[k - 1]])
+    # the numpy block pass and the column-by-column pass, bit for bit
+    assert _block_and_columns(p) == ((roots, stiff), (roots, stiff))
+
+
+def _block_and_columns(p: ModePencil):
+    """The roots from the numpy block pass and from the column-by-column pass."""
+    n = p.kernel.size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(real_branches, "SCALAR_MAX", 0)
+        block = branch_and_stiffness_roots(p, n)
+        patch.setattr(real_branches, "SCALAR_MAX", n)
+        return block, branch_and_stiffness_roots(p, n)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -205,7 +221,52 @@ def test_small_blocks_split_the_columns_and_keep_the_roots(monkeypatch):
         return solve_block(c, g, w, s, k)
 
     monkeypatch.setattr(real_branches, "_solve_block", spy)
+    monkeypatch.setattr(real_branches, "SCALAR_MAX", 0)  # the numpy block pass, not columns
     monkeypatch.setattr(real_branches, "BLOCK_CELLS", 12 * 6)  # three branches a block
     assert branch_and_stiffness_roots(p, 12) == whole
     # 24 columns: each block holds both factors of three branches
     assert widths == [6, 6, 6, 6]
+
+
+def test_columns_match_the_block_either_side_of_the_crossover(monkeypatch):
+    n = real_branches.SCALAR_MAX
+    used = []
+    for name in ("_solve_block", "_solve_columns"):
+        solve = getattr(real_branches, name)
+        monkeypatch.setattr(real_branches, name, lambda *a, f=solve: used.append(f.__name__) or f(*a))
+    rng = random.Random(21)
+    for size in (n, n + 1):
+        for _ in range(3):
+            p = recipe_pencil(size, rng.uniform)
+            used.clear()
+            default = branch_and_stiffness_roots(p, size)
+            # columns up to the crossover, the block above it
+            assert used == ["_solve_columns" if size <= n else "_solve_block"]
+            assert _block_and_columns(p) == (default, default)
+
+
+@pytest.mark.parametrize(
+    "max_iter, unsettled",
+    [(1, list(range(1, 13))), (4, [2, 3, 4, 5, 6, 8, 9, 11]), (5, [4, 5, 8, 9, 11])],
+)
+def test_both_paths_name_the_same_unsettled_branches(max_iter, unsettled, monkeypatch):
+    coeffs, rates, a, xi = CLUSTER_TWELVE
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    monkeypatch.setattr(real_branches, "MAX_ITER", max_iter)
+    for crossover in (0, 12):
+        monkeypatch.setattr(real_branches, "SCALAR_MAX", crossover)
+        with pytest.raises(MaxIterationsError) as info:
+            branch_and_stiffness_roots(p, 12)
+        assert str(info.value) == f"branches {unsettled} not settled in {max_iter} steps"
+
+
+def test_a_column_that_divides_by_zero_is_left_to_the_block(monkeypatch):
+    coeffs, rates, a, xi = PINCHED_EIGHT
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    whole = branch_and_stiffness_roots(p, 8)
+
+    def divide_by_zero(*args):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(real_branches, "_solve_column", divide_by_zero)
+    assert branch_and_stiffness_roots(p, 8) == whole
