@@ -473,10 +473,10 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     valid out to SERIES_REACH*a_n (see ``materialize_within_each``).  A
     mode whose pair solve fails on that head, for instance because an
     iterate leaves the series disc, is solved again on the head for
-    2*a_n, and that solve's answer or error is the mode's.  A mode whose
-    kernel holds every pole is first refused if overloaded, by the gate of
-    the branch solve (:meth:`ModePencil.check_load`).  Footer rows carry
-    the fitted log-log error slopes.
+    2*a_n, and that solve's answer or error is the mode's.  An overloaded
+    mode is refused before either solve, by the gate of the branch solve
+    (:meth:`ModePencil.check_load`).  Footer rows carry the fitted log-log
+    error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
@@ -487,18 +487,15 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
         kernels = [cfg.kernel] * len(cfg.modes)
     pencils = [ModePencil(frequency=a, xi=cfg.xi, kernel=k) for a, k in zip(cfg.modes, kernels)]
 
-    def solve(p: ModePencil) -> complex:
-        p.check_load()
-        return solve_pair(p, residual_tol=cfg.residual_tol).plus
-
     def pair(p: ModePencil) -> complex:
+        p.check_load()  # the wider head below carries the same load
         try:
-            return solve(p)
+            return solve_pair(p, residual_tol=cfg.residual_tol).plus
         except NumericalError:
             if p.kernel.tail is None:  # an explicit kernel or a whole ladder: none wider
                 raise
         wide = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
-        return solve(replace(p, kernel=wide))
+        return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol).plus
 
     numeric = _map_modes(pair, enumerate(pencils, start=1))
 

@@ -57,17 +57,24 @@ class ModePencil:
         """lambda = w * sum_k c_k/g_k = w*Khat(0), the mode's memory load.
 
         The structure theorem needs lambda < 1, which makes L(0) > 0; a
-        mode at or above it is overloaded.  Needs every pole.
+        mode at or above it is overloaded.  A head whose far poles ride
+        along as a series (``kernel.tail``) adds the series at z = 0, its
+        first coefficient, to a numpy sum over its own terms, which keeps
+        the gate at a fraction of one transform pass on heads of tens of
+        thousands of terms; a whole ladder sums exactly (``l1_norm``).
         """
-        return self.memory_weight * self.kernel.l1_norm
+        kern = self.kernel
+        if kern.tail is None:
+            return self.memory_weight * kern.l1_norm
+        return self.memory_weight * (float(np.sum(kern._c / kern._g)) + kern.tail.coeffs[0])
 
     def check_load(self) -> None:
         """Raise :class:`InadmissibleModeError` when the load is not below 1.
 
-        A head whose far poles ride along as a series (``kernel.tail``)
-        passes unchecked: its load would take a pass over every pole.
+        The package's one overload gate: the branch solve and ``sweep``'s
+        pair solves run it.
         """
-        if self.kernel.tail is None and not self.load < 1.0:
+        if not self.load < 1.0:
             # L(0) = a**2 * (1 - load) <= 0: no sign change left of the origin
             raise InadmissibleModeError(self.load)
 

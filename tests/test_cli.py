@@ -385,58 +385,78 @@ def test_family_sweep_heads_reach_just_past_each_pair(run_cli, monkeypatch):
         assert solved == [224, 1124, 5624, 28124]
 
 
-#: a family whose mode 1 at xi = 0.95 carries a pair iterate to |z| = 1.46 * a_1;
-#: its load is above 1, but with 10**6 terms every head of the ladder
-#: a = 100 .. 12500 carries a far-pole series, which the overload gate skips
-STRONG_FAMILY = {"amplitude": 3.0, "scale": 1.0, "alpha": 0.5, "beta": 0.75, "count": 10**6}
-
-
 def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, monkeypatch):
-    family = PowerLawFamily(**STRONG_FAMILY)
-    tight = materialize_within_each(family, [gpspectra.cli.SERIES_REACH * 100.0])[0]
-    with pytest.raises(NumericalError, match="outside the far-pole series radius 1.125000e"):
-        solve_pair(ModePencil(100.0, 0.95, tight))
+    # mode 1's pair solve fails on its head for SERIES_REACH * a_1, as when
+    # an iterate leaves the series disc; it is solved again on the head for
+    # 2 * a_1, and modes 2 to 4 finish on their tight heads
+    radii, wide_radii = [], []
+    solve, build = gpspectra.cli.solve_pair, gpspectra.cli.materialize_within_each
+    tight = gpspectra.cli.SERIES_REACH * 100.0
 
-    wide_radii = []
-    build = gpspectra.cli.materialize_within_each
+    def solve_spy(pencil, **kwargs):
+        radii.append(pencil.kernel.tail.radius)
+        if pencil.kernel.tail.radius == tight:
+            raise NumericalError(f"|z| lies outside the far-pole series radius {tight}")
+        return solve(pencil, **kwargs)
 
     def build_spy(fam, radii):
         if len(radii) == 1:
             wide_radii.extend(radii)
         return build(fam, radii)
 
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
     monkeypatch.setattr(gpspectra.cli, "materialize_within_each", build_spy)
-    config = {
-        "kernel": {"family": STRONG_FAMILY},
-        "xi": 0.95,
-        "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
-    }
-    code, out, _ = run_cli("sweep", config)
+    code, out, _ = run_cli("sweep", _family_sweep_config(10**6, xi=0.8))
     assert code == 0
-    assert wide_radii == [200.0]  # modes 2 to 4 finish on their tight heads
-    wide = materialize_within_each(family, [200.0])[0]
-    reference = solve_pair(ModePencil(100.0, 0.95, wide)).plus
+    assert wide_radii == [200.0]
+    assert radii == [tight, 200.0, 562.5, 2812.5, 14062.5]
+    wide = materialize_within_each(PowerLawFamily(**SQRT_FAMILY, count=10**6), [200.0])[0]
+    reference = solve(ModePencil(100.0, 0.8, wide)).plus
     a, re, im = (float(x) for x in _data_rows(out)[1].split(",")[:3])
     assert a == 100.0
     assert complex(re, im) == reference
 
 
-def test_sweep_refuses_an_overloaded_mode_whose_head_holds_every_pole(run_cli):
-    # with 20000 terms the heads for a = 2500 and 12500 are the whole ladder
+#: a family overloaded at every mode of a = 100 .. 12500 at xi = 0.95, with
+#: loads 8.1, 6.9, 5.8 and 5.0; the heads for a = 100 and 500 carry a
+#: far-pole series, those for 2500 and 12500 are the whole ladder
+STRONG_FAMILY = {"amplitude": 3.0, "scale": 1.0, "alpha": 0.5, "beta": 0.75, "count": 20000}
+
+
+def test_sweep_refuses_an_overloaded_family_at_its_first_mode(run_cli, monkeypatch):
+    # the first head's load, its own terms plus the series at z = 0, is
+    # the whole ladder's: sweep refuses mode 1 as spectrum does, before
+    # any pair solve
+    solved = []
+    solve = gpspectra.cli.solve_pair
+
+    def solve_spy(pencil, **kwargs):
+        solved.append(pencil)
+        return solve(pencil, **kwargs)
+
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
     config = {
-        "kernel": {"family": dict(STRONG_FAMILY, count=20000)},
+        "kernel": {"family": STRONG_FAMILY},
         "xi": 0.95,
         "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
     }
-    code, out, err = run_cli("sweep", config)
-    assert code == 3 and out == ""
-    assert "numerical failure: mode 3 (a_n=2500): mode is overloaded" in err
+    errors = []
+    for job in ("spectrum", "sweep"):
+        code, out, err = run_cli(job, config)
+        assert code == 3 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == (
+        "gpspectra: numerical failure: mode 1 (a_n=100): mode is overloaded: "
+        "load w*sum c/g = 8.061278921920325 is not below 1\n"
+    )
+    assert solved == []
 
 
 def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeypatch):
-    # at a = 0.1 the load w*sum c/g is 50: the overload gate refuses the
-    # mode before its pair is solved; an explicit kernel has no wider
-    # head, so the mode's first error is the job's
+    # an explicit kernel has no wider head, so the mode's first error is
+    # the job's: at a = 0.1 the load w*sum c/g is 50 and the overload gate
+    # refuses the mode before its pair is solved; at a = 1 the load is 0.5,
+    # and a failing pair solve is raised as it is, not run again
     solved = []
     solve = gpspectra.cli.solve_pair
 
@@ -454,6 +474,21 @@ def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeyp
     assert code == 3 and out == ""
     assert "numerical failure: mode 1 (a_n=0.10000000000000001): mode is overloaded" in err
     assert solved == []
+
+    def failing_solve(pencil, **kwargs):
+        solved.append(pencil)
+        raise NumericalError("the pair solve failed")
+
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", failing_solve)
+    config = {
+        "kernel": {"coeffs": [0.5], "rates": [1.0]},
+        "xi": 0.5,
+        "modes": {"a_min": 1.0, "factor": 10.0, "count": 4},
+    }
+    code, out, err = run_cli("sweep", config)
+    assert code == 3 and out == ""
+    assert err == "gpspectra: numerical failure: mode 1 (a_n=1): the pair solve failed\n"
+    assert [p.frequency for p in solved] == [1.0]
 
 
 def test_sweep_names_an_overloaded_mode_as_spectrum_does(run_cli):

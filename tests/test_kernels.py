@@ -588,6 +588,17 @@ def test_head_and_series_reproduce_the_whole_ladder():
             assert abs(got - want) <= 1e-15 * abs(want)
 
 
+def test_a_series_head_carries_the_load_of_its_whole_ladder():
+    # the head's own terms plus the series at z = 0, the far poles' share
+    # of sum c/g; the 9-term head's series comes from direct sums alone
+    for family, radius in ((PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100000), 2000.0),
+                           (PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100), 5.0)):
+        head, full = materialize_within_each(family, [radius])[0], materialize(family)
+        assert head.tail is not None
+        load = ModePencil(100.0, 0.8, head).load
+        assert abs(load / ModePencil(100.0, 0.8, full).load - 1) < 1e-14
+
+
 def test_head_reaching_count_materializes_the_whole_ladder():
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 64)
     kern = materialize_within_each(family, [20000.0])[0]
