@@ -190,13 +190,15 @@ def empirical_order(points: Sequence[tuple[float, float]]) -> SlopeFit:
         raise ValueError("errors must be nonnegative")
     if any(e == 0 for e in errors):
         return SlopeFit(slope=math.nan, half_width=math.nan, below_floor=True)
-    x = np.log(np.array(scales))
-    y = np.log(np.array(errors))
-    x -= x.mean()
-    y -= y.mean()
+    return fit_slope(np.log(np.array(scales)), np.log(np.array(errors)))
+
+
+def fit_slope(x: np.ndarray, y: np.ndarray) -> SlopeFit:
+    """Least-squares slope of y on x; the half width is twice its standard error."""
+    x = x - x.mean()
+    y = y - y.mean()
     sxx = float(x @ x)
     slope = float(x @ y) / sxx  # sxy/sxx: the least-squares slope
     resid = y - slope * x
     variance = float(resid @ resid) / (len(x) - 2)
-    half_width = 2.0 * math.sqrt(variance / sxx)
-    return SlopeFit(slope=slope, half_width=half_width)
+    return SlopeFit(slope=slope, half_width=2.0 * math.sqrt(variance / sxx))

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
-from .complex_pair import count_zeros, solve_pair, spectrum_contour
+from .complex_pair import RESIDUAL_TOL, count_zeros, solve_pair, spectrum_contour
 from .errors import ConfigError, GPSpectraError, NumericalError
 from .kernels import ExponentialKernel, PowerLawFamily, materialize, materialize_within_each
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
@@ -109,7 +109,10 @@ def _as_object(value, path: str) -> dict:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected number, got {_kind_name(value)}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the double range
+        out = math.inf
     if not math.isfinite(out):
         _fail(path, "must be finite")
     return out
@@ -230,7 +233,7 @@ def parse_config(text: str, job: str) -> JobConfig:
     kernel, family = _parse_kernel(obj["kernel"], "config.kernel")
     modes, ladder = _parse_modes(obj["modes"], "config.modes")
 
-    residual_tol = 1e-10
+    residual_tol = RESIDUAL_TOL
     if "tolerances" in obj:
         tol = _as_object(obj["tolerances"], "config.tolerances")
         _check_keys(tol, "config.tolerances", set(), {"residual"})
@@ -444,7 +447,7 @@ def run_verify(cfg: JobConfig) -> tuple[str, bool]:
     rows = []
     admitted = []
     for n, pencil in enumerate(_pencils(cfg, kernel), start=1):
-        ok = pencil.load < 1.0
+        ok = not pencil.overloaded
         rows.append(("admissibility", f"mode_{n}", "pass" if ok else "fail", 1.0 - pencil.load))
         if ok:
             admitted.append((n, pencil))
@@ -618,19 +621,21 @@ def main(argv=None) -> int:
             raise ConfigError("--jobs must be at least 1")
         cfg = parse_config(text, args.job)
         output, ok = _RUNNERS[args.job](cfg)
+        destination = args.out or cfg.output
+        if destination:
+            try:
+                Path(destination).write_text(output, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {destination} ({exc})") from exc
+            print(f"gpspectra: wrote {destination}", file=sys.stderr)
+        else:
+            sys.stdout.write(output)
     except ConfigError as exc:
         print(f"gpspectra: config error: {exc}", file=sys.stderr)
         return 2
     except GPSpectraError as exc:
         print(f"gpspectra: numerical failure: {exc}", file=sys.stderr)
         return 3
-
-    destination = args.out or cfg.output
-    if destination:
-        Path(destination).write_text(output, encoding="utf-8")
-        print(f"gpspectra: wrote {destination}", file=sys.stderr)
-    else:
-        sys.stdout.write(output)
     return 0 if ok else 1
 
 

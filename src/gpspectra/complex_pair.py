@@ -63,9 +63,10 @@ _EPS = float(np.finfo(float).eps)
 PAIR_STEP_TOL = 4.0 * _EPS
 PAIR_MAX_PASSES = 50
 
-#: newton_refine's gate |L| <= REFINE_RESIDUAL_TOL * a**2 is solve_pair's
-#: default; a seed inside its basin settles in well under REFINE_MAX_STEPS
-REFINE_RESIDUAL_TOL = 1e-10
+#: the residual target: the default of solve_pair, solve_mode and a job
+#: config's tolerances.residual, and newton_refine's gate |L| <= RESIDUAL_TOL
+#: * a**2, which a seed inside its basin meets in well under REFINE_MAX_STEPS
+RESIDUAL_TOL = 1e-10
 REFINE_MAX_STEPS = 50
 
 
@@ -178,9 +179,9 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
     stops on a machine-size step, or once the residual grows after the
     best iterate has met the target.  Two consecutive increases before
     that are treated as divergence (the seed was outside the basin), and
-    the returned root must satisfy |L(root)| <= REFINE_RESIDUAL_TOL * a**2.
+    the returned root must satisfy |L(root)| <= RESIDUAL_TOL * a**2.
     """
-    scale = REFINE_RESIDUAL_TOL * p.frequency**2
+    scale = RESIDUAL_TOL * p.frequency**2
     z = complex(seed)
     value, d = symbol_with_deriv(p, z)
     res = abs(value)
@@ -215,7 +216,7 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
     return best
 
 
-def solve_pair(p: ModePencil, residual_tol: float = 1e-10) -> FixedPointPair:
+def solve_pair(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> FixedPointPair:
     """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual.
 
     The last evaluated iterate must satisfy |L| <= residual_tol * a**2, or

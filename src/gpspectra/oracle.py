@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .asymptotics import fit_slope
 from .errors import MaxIterationsError, NumericalError
 from .pencil import ModePencil
 
@@ -386,8 +387,8 @@ def simulate_decay(p: ModePencil, horizon: float, dt: float) -> DecayEstimate:
     explicit scheme needs dt <= 0.05 / max(frequency, largest rate), which
     is enforced.  The envelope |u| + |u'|/a is sampled roughly 24 times per
     oscillation period, its local maxima over [horizon/2, horizon] are
-    collected, and log-peaks are fitted linearly; the slope estimates the
-    slowest decay rate among the excited roots.
+    collected, and log-peaks are fitted linearly (:func:`fit_slope`); the
+    slope estimates the slowest decay rate among the excited roots.
     """
     system = build_mode_system(p)
     a = p.frequency
@@ -431,15 +432,10 @@ def simulate_decay(p: ModePencil, horizon: float, dt: float) -> DecayEstimate:
         raise ValueError(
             f"degenerate fit window: only {peak_t.size} envelope peaks"
         )
-    x = peak_t - peak_t[0]
-    y = np.log(peak_e)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    variance = float(np.sum(resid**2)) / max(1, len(x) - 2)
+    fit = fit_slope(peak_t, np.log(peak_e))
     return DecayEstimate(
-        rate=float(slope),
-        half_width=2.0 * math.sqrt(variance / sxx),
+        rate=fit.slope,
+        half_width=fit.half_width,
         peak_count=int(peak_t.size),
         window=(float(t[0]), float(t[-1])),
     )
@@ -498,12 +494,12 @@ def match_roots(
     computed: Sequence[complex] | np.ndarray,
     reference: Sequence[complex] | np.ndarray,
 ) -> MatchResult:
-    """Pair each computed root with a distinct reference root.
+    """Pair each computed root with a distinct reference root at the least total distance.
 
-    Greedy nearest-neighbour matching is used when unambiguous; if any
-    root's second-best candidate comes within a factor two of its best,
-    the pairing is redone as an optimal assignment.  A cardinality mismatch
-    is an error, never a silent truncation.
+    Each computed root takes its nearest reference root when those are all
+    distinct, which is then the minimum, since every pair sits at its own
+    smallest distance; otherwise :func:`_min_cost_assignment` pairs them.
+    A cardinality mismatch is an error, never a silent truncation.
     """
     a = np.asarray(computed, dtype=complex)
     b = np.asarray(reference, dtype=complex)
@@ -511,23 +507,8 @@ def match_roots(
         raise ValueError(f"multiset sizes differ: {a.shape} vs {b.shape}")
     n = a.size
     dist = np.abs(a[:, None] - b[None, :])
-
-    ambiguous = False
-    order = np.argsort(dist, axis=1)
-    if n > 1:
-        best = dist[np.arange(n), order[:, 0]]
-        second = dist[np.arange(n), order[:, 1]]
-        ambiguous = bool(np.any(second < 2.0 * best))
-    taken = np.zeros(n, dtype=bool)
-    pairing = np.full(n, -1)
-    if not ambiguous:
-        for i in range(n):
-            for j in order[i]:
-                if not taken[j]:
-                    taken[j] = True
-                    pairing[i] = j
-                    break
-    if ambiguous:
+    pairing = np.argmin(dist, axis=1)
+    if len(set(pairing.tolist())) < n:
         pairing = _min_cost_assignment(dist)
 
     pairs = tuple((complex(a[i]), complex(b[pairing[i]])) for i in range(n))

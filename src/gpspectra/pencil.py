@@ -68,13 +68,18 @@ class ModePencil:
             return self.memory_weight * kern.l1_norm
         return self.memory_weight * (float(np.sum(kern._c / kern._g)) + kern.tail.coeffs[0])
 
+    @property
+    def overloaded(self) -> bool:
+        """Whether the load is not below 1: the predicate of :meth:`check_load`."""
+        return not self.load < 1.0
+
     def check_load(self) -> None:
-        """Raise :class:`InadmissibleModeError` when the load is not below 1.
+        """Raise :class:`InadmissibleModeError` when the mode is :attr:`overloaded`.
 
         The package's one overload gate: the branch solve and ``sweep``'s
-        pair solves run it.
+        pair solves run it, and ``verify`` reports its predicate.
         """
-        if not self.load < 1.0:
+        if self.overloaded:
             # L(0) = a**2 * (1 - load) <= 0: no sign change left of the origin
             raise InadmissibleModeError(self.load)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex_pair import kantorovich_ball, solve_pair
+from .complex_pair import RESIDUAL_TOL, kantorovich_ball, solve_pair
 from .errors import EnclosureError, NumericalError
 from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_and_stiffness_roots
@@ -102,7 +102,7 @@ def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex) -> 
 
 def solve_mode(
     p: ModePencil,
-    residual_tol: float = 1e-10,
+    residual_tol: float = RESIDUAL_TOL,
     certify: bool = True,
 ) -> SpectrumResult:
     """Locate every root of the mode symbol and bundle the evidence.

@@ -72,6 +72,19 @@ def test_out_flag_writes_the_same_bytes(run_cli, cubic_config, tmp_path):
     assert target.read_text(encoding="utf-8") == streamed
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_an_unwritable_output_path_is_a_config_error(run_cli, cubic_config, tmp_path, route):
+    target = tmp_path / "absent" / "result.csv"
+    if route == "flag":
+        code, out, err = run_cli("spectrum", cubic_config, "--out", str(target))
+    else:
+        code, out, err = run_cli("spectrum", dict(cubic_config, output=str(target)))
+    assert code == 2
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 2  # the progress line, then the error
+    assert err.splitlines()[-1].startswith(f"gpspectra: config error: cannot write {target} (")
+
+
 def test_table_cell_rule(cubic_config):
     # strings and ints print as they are; other numbers at 17 digits, a negative zero unsigned
     cfg = gpspectra.cli.parse_config(json.dumps(cubic_config), "spectrum")
@@ -196,6 +209,13 @@ def test_overflowing_mode_ladder_is_a_config_error(run_cli, cubic_config, job, l
         "gpspectra: config error: config.modes: "
         "the largest frequency a_min * factor**(count-1) must be finite\n"
     )
+
+
+def test_an_integer_past_the_double_range_is_a_config_error(run_cli, cubic_config):
+    # json reads it as an exact int, which float() refuses with OverflowError
+    code, out, err = run_cli("spectrum", dict(cubic_config, modes=[10**400]))
+    assert code == 2 and out == ""
+    assert err == "gpspectra: config error: config.modes[0]: must be finite\n"
 
 
 def test_embedded_job_key_must_agree(run_cli, cubic_config):

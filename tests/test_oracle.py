@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import gpspectra.oracle
@@ -471,6 +473,44 @@ def test_match_roots_resolves_near_ties_optimally():
     # greedy pairing in row order would give 0 -> 0.9 and leave 1 -> -0.95
     match = match_roots([0.0, 1.0], [0.9, -0.95])
     assert match.pairs == ((0.0, -0.95), (1.0, 0.9))
+
+
+def test_match_roots_keeps_distinct_nearest_roots():
+    # 3.0's second candidate (1.0, at 2) lies within a factor two of its
+    # nearest (4.5, at 1.5), but the nearest roots are distinct, so they are
+    # the pairing
+    match = match_roots([0.0, 3.0], [1.0, 4.5])
+    assert match.pairs == ((0.0, 1.0), (3.0, 4.5))
+
+
+#: points on a small grid, some nudged by far less than the grid spacing:
+#: repeated points and near ties are common draws
+GRID_POINTS = st.builds(
+    lambda re, im, nudge: complex(re + nudge, im),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.sampled_from([0.0, 0.0, 1e-12, -1e-9, 1e-6]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*(st.lists(GRID_POINTS, min_size=n, max_size=n) for _ in range(2)))
+    )
+)
+def test_match_roots_total_distance_is_the_minimum(roots):
+    computed, reference = roots
+    match = match_roots(computed, reference)
+    assert [x for x, _ in match.pairs] == computed
+    assert np.array_equal(np.sort([y for _, y in match.pairs]), np.sort(reference))
+    n = len(computed)
+    best = min(
+        sum(abs(computed[i] - reference[p[i]]) for i in range(n))
+        for p in itertools.permutations(range(n))
+    )
+    total = sum(abs(x - y) for x, y in match.pairs)
+    assert total == pytest.approx(best, rel=1e-13, abs=1e-15)
 
 
 # ------------------------------------------------------------- independence
