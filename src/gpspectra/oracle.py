@@ -3,10 +3,16 @@
 None of the machinery here reuses the bracketing/fixed-point solvers, so
 agreement is evidence rather than tautology:
 
-* :func:`aberth_roots` finds all roots of the cleared polynomial at once
-  (Aberth-Ehrlich simultaneous iteration started at the eigenvalues of
-  the polynomial's companion matrix, swept until the iterates lie deep in
-  their Newton basins, then polished by exact Newton steps in integers);
+* :func:`aberth_roots` finds all roots of the cleared polynomial at once.
+  The polynomial is real, and the root finder uses that at both ends: it
+  starts from the eigenvalues of the real companion matrix, with each
+  conjugate pair that lies near the real line pushed off its symmetry, and
+  sweeps Aberth-Ehrlich corrections until the iterates lie deep in their
+  Newton basins.  It then
+  polishes them by exact Newton steps in integers: on the real line first
+  for iterates that are real to within the sweeps' stop, and for each
+  non-real root once, its conjugate standing in for the lower-half iterate
+  nearest to it;
 * :func:`build_mode_system` realises a mode as the first-order linear
   system whose eigenvalues are exactly the symbol roots, with the
   characteristic polynomial recovered by the Faddeev-LeVerrier recursion;
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -42,13 +49,27 @@ QUANT_BITS = 60
 #: the sweeps stop and the exact polish takes over: the polish ends at the
 #: nearest double to the root from anywhere this deep in its basin, and
 #: with cubic convergence the next sweep's step would already fall below
-#: longdouble precision
+#: longdouble precision.  An iterate whose imaginary part is this small
+#: against its real part is polished on the real line first.
 ABERTH_STOP = 2.0**-32
 
 #: caps on the Aberth sweeps (pool ladders take 1 to 12 from the companion start)
 #: and on the polish's exact Newton steps per root (pool ladders take one or two)
 ABERTH_MAX_SWEEPS = 500
 POLISH_STEPS = 4
+
+#: a conjugate pair of companion eigenvalues with |Im| below this share of
+#: |Re| is pushed apart along the real line by its own imaginary part before
+#: the sweeps (see :func:`_companion_start`); on the pool ladders such pairs
+#: reach a share of 0.02 and true pairs start above 2
+NEAR_REAL = 0.1
+
+#: binary exponents of the double range: a nonzero coefficient ratio must
+#: lie in [2**EXP_MIN, 2**EXP_MAX) to be carried as a normal double
+EXP_MIN, EXP_MAX = -1022, 1024
+
+_DOUBLE_MAX = np.finfo(float).max
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
@@ -61,6 +82,9 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     """
     ratios = []
     for x in coeffs:
+        if isinstance(x, Fraction):
+            ratios.append((x.numerator, x.denominator))
+            continue
         if isinstance(x, (complex, np.complexfloating)):
             if x.imag != 0:
                 raise ValueError(f"coefficient {x!r} is not real")
@@ -69,23 +93,57 @@ def _numerators(coeffs) -> tuple[list[int], int]:
             ratios.append((int(x), 1) if isinstance(x, (int, np.integer)) else x.as_integer_ratio())
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"coefficient {x!r} is not finite") from exc
-    den = math.lcm(*(d for _, d in ratios))
+    dens = [d for _, d in ratios]
+    if all(d & (d - 1) == 0 for d in dens):  # binary fractions: shifts, not divisions
+        den = max(dens)
+        return [n << (den.bit_length() - d.bit_length()) for n, d in ratios], den
+    den = math.lcm(*dens)
     return [n * (den // d) for n, d in ratios], den
 
 
-def _working_value(n: int, d: int) -> np.clongdouble:
-    """The rational n/d in extended precision without losing bits.
+def _outside_double_range(nums: list[int], den: int) -> int | None:
+    """Index of the first nonzero N_k whose N_k/den or N_k/N_deg may leave
+    the normal doubles, or None.
+
+    The bit lengths bound each ratio within a factor of two either way, so
+    this is read off the integers without dividing.
+    """
+    scales = (den.bit_length(), abs(nums[-1]).bit_length())
+    low, high = max(scales) + EXP_MIN, min(scales) + EXP_MAX - 1
+    return next((k for k, v in enumerate(nums) if v and not low < abs(v).bit_length() < high), None)
+
+
+def _balanced(nums: list[int]) -> tuple[int, list[int]]:
+    """A shift s and the integer numerators of P(2**s w), up to a power of two.
+
+    s is the binary exponent of the root bound max_k |N_k/N_deg|**(1/(deg-k)),
+    so the roots w of the returned polynomial are of order one at most, and
+    2**s w are those of P.  The substitution is exact.
+    """
+    deg = len(nums) - 1
+    top = abs(nums[-1]).bit_length()
+    s = max((abs(v).bit_length() - top) // (deg - k) for k, v in enumerate(nums[:-1]) if v)
+    if s >= 0:
+        return s, [v << s * k for k, v in enumerate(nums)]
+    return s, [v << -s * (deg - k) for k, v in enumerate(nums)]
+
+
+def _working_values(nums: list[int], den: int) -> np.ndarray:
+    """The rationals N_k/den in extended precision without losing bits.
 
     numpy's own casts go through ``float`` and would round exact rationals
-    to 53 bits; splitting into a double head plus exact remainder keeps
-    the full 64-bit longdouble mantissa.  Both parts are correctly rounded
-    integer true divisions: hi = n/d, and lo the remainder
-    n/d - hn/hd = (n*hd - hn*d)/(d*hd) with hi = hn/hd.
+    to 53 bits; a double head plus its exact remainder keeps the full
+    64-bit longdouble mantissa.  Both parts are correctly rounded integer
+    true divisions: hi = N/den, and lo the remainder
+    N/den - hn/hd = (N*hd - hn*den)/(den*hd) with hi = hn/hd.  The heads
+    and the remainders each take one array cast.
     """
-    hi = n / d
-    hn, hd = hi.as_integer_ratio()
-    lo = (n * hd - hn * d) / (d * hd)
-    return np.clongdouble(hi) + np.clongdouble(lo)
+    heads = [v / den for v in nums]
+    rest = []
+    for v, hi in zip(nums, heads):
+        hn, hd = hi.as_integer_ratio()
+        rest.append((v * hd - hn * den) / (den * hd))
+    return np.array(heads, dtype=np.longdouble) + np.array(rest, dtype=np.longdouble)
 
 
 def _powers(z: np.ndarray, degree: int) -> np.ndarray:
@@ -106,37 +164,79 @@ def _newton_iterate(nums: list[int], root: complex) -> complex | None:
     common denominator scales P and P' alike, so the step does not see it.
     The point is first put on the grid 2**(e - QUANT_BITS), e the binary
     exponent of its larger component, and written as Z/s with Gaussian
-    integer Z and s = 2**t.  Horner's rule on the homogenised polynomial
-    Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s) carries Q and Q'
-    exactly, and the iterate Z/s - Q/(s Q') = (Z Q' - Q)/(s Q') is rounded
-    by integer true division.  Returns None where Q' vanishes.  A point
-    whose quantised imaginary part is zero takes a real-only pass: the
-    coefficients are real, so its imaginary parts would all stay zero.
+    integer Z = x + iy and s = 2**t.  Horner's rule on the homogenised
+    polynomial Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s) carries Q and
+    Q' exactly, and the iterate Z/s - Q/(s Q') = (Z Q' - Q)/(s Q') is
+    rounded by integer true division.  Returns None where Q' vanishes.  A
+    point whose quantised imaginary part is zero takes a real-only pass.
+    Otherwise Q, whose coefficients are real, is divided by the real
+    quadratic D = (Z' - Z)(Z' - conj Z) = Z'**2 - 2x Z' + x**2 + y**2, which
+    vanishes at Z: Q = D B + b_1 Z' + b_0 gives Q(Z) = b_1 Z + b_0 and
+    Q'(Z) = D'(Z) B(Z) + b_1 = 2iy B(Z) + b_1, with B(Z) from a second such
+    division, so each coefficient costs four integer products rather than
+    the eight of complex Horner.
     """
     _, e = math.frexp(max(abs(root.real), abs(root.imag)))
     t = QUANT_BITS - e
     x, y = round(math.ldexp(root.real, t)), round(math.ldexp(root.imag, t))
     if t < 0:
         x, y, t = x << -t, y << -t, 0
-    deg = len(nums) - 1
+    shift = 0
     if y == 0:
         q = dq = 0
-        for k in range(deg, -1, -1):
+        for v in reversed(nums):
             dq = dq * x + q
-            q = q * x + (nums[k] << t * (deg - k))
+            q = q * x + (v << shift)
+            shift += t
         if dq == 0:
             return None
         return complex((x * dq - q) / (dq << t), 0.0)
-    qr = qi = er = ei = 0
-    for k in range(deg, -1, -1):
-        er, ei = er * x - ei * y + qr, er * y + ei * x + qi
-        qr, qi = qr * x - qi * y + (nums[k] << t * (deg - k)), qr * y + qi * x
-    dr, di = er << t, ei << t
-    norm = dr * dr + di * di
+    # D = Z'**2 - p Z' - r; b_m = a_m + p b_(m+1) + r b_(m+2) for m = deg..1,
+    # and the same recursion over b_deg..b_3 gives c_1, c_2 of B
+    p, r = 2 * x, -(x * x + y * y)
+    b1 = b2 = c1 = c2 = 0
+    for m in range(len(nums) - 1, 0, -1):
+        b1, b2 = (nums[m] << shift) + p * b1 + r * b2, b1
+        if m >= 3:
+            c1, c2 = b1 + p * c1 + r * c2, c1
+        shift += t
+    qr, qi = b1 * x + (nums[0] << shift) + r * b2, b1 * y
+    br, bi = c1 * x + b2 + r * c2, c1 * y
+    er, ei = b1 - 2 * y * bi, 2 * y * br
+    norm = (er * er + ei * ei) << t
     if norm == 0:
         return None
+    # (Z Q' - Q) conj(Q') with three products
     pr, pi = x * er - y * ei - qr, x * ei + y * er - qi
-    return complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
+    k = er * (pr + pi)
+    return complex((k - pi * (er - ei)) / norm, (k - pr * (er + ei)) / norm)
+
+
+def _settle(nums: list[int], root: complex) -> tuple[complex, bool]:
+    """Exact Newton steps from ``root`` until an iterate repeats.
+
+    Returns the last iterate and whether it repeated; a step that cannot
+    be formed (P' vanishes) or POLISH_STEPS steps without a repeat end the
+    walk unsettled.
+    """
+    for _ in range(POLISH_STEPS):
+        step = _newton_iterate(nums, root)
+        if step is None:
+            return root, False
+        if step == root:
+            return root, True
+        root = step
+    return root, False
+
+
+def _polish_one(nums: list[int], seed: complex) -> complex:
+    """The exact polish of one iterate, on the real line first when it is
+    real to within ABERTH_STOP of its real part."""
+    if abs(seed.imag) <= ABERTH_STOP * abs(seed.real):
+        root, settled = _settle(nums, complex(seed.real, 0.0))
+        if settled:
+            return root
+    return _settle(nums, seed)[0]
 
 
 def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
@@ -151,71 +251,103 @@ def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
     integers (:func:`_newton_iterate`) and rounded once.  From a point
     within about 2**-60 of a root the exact step lands within round-off of
     it, so iterates stop as soon as they repeat, or after POLISH_STEPS.
+
+    The polynomial is real, and the polish uses that twice.  An iterate
+    within ABERTH_STOP of the real line takes the cheaper real pass from
+    its real part, and only if that does not settle the complex one.  The
+    iterates in the upper half plane (the real line included) are polished
+    first, and the conjugate of each root that comes out in the upper half
+    plane takes the place of the lower-half iterate nearest to it, which
+    the exact step would have carried to the rounded conjugate anyway;
+    the lower-half iterates left over are polished themselves.  Each
+    iterate yields exactly one root, in the iterates' order.
     """
-    out = []
-    for seed in z.astype(complex):
-        root = complex(seed)
-        for _ in range(POLISH_STEPS):
-            step = _newton_iterate(nums, root)
-            if step is None or step == root:
-                break
-            root = step
-        out.append(root)
-    return np.array(out, dtype=complex)
+    seeds = z.astype(complex).tolist()
+    roots: list[complex | None] = [None] * len(seeds)
+    lower = [i for i, s in enumerate(seeds) if s.imag < 0]
+    for i, seed in enumerate(seeds):
+        if seed.imag < 0:
+            continue
+        roots[i] = root = _polish_one(nums, seed)
+        if root.imag > 0 and lower:
+            mirror = root.conjugate()
+            j = min(lower, key=lambda j: abs(seeds[j] - mirror))
+            lower.remove(j)
+            roots[j] = mirror
+    for j in lower:
+        roots[j] = _polish_one(nums, seeds[j])
+    return np.array(roots, dtype=complex)
 
 
 def _companion_start(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix of the monic polynomial ``c``.
+    """Eigenvalues of the companion matrix of the monic polynomial ``c``,
+    with near-real conjugate pairs pushed apart.
 
-    The matrix is formed in complex double from the ascending monic
-    coefficients (ones on the subdiagonal, -c_0..-c_{n-1} in the last
-    column) and handed to LAPACK's balanced QR, whose eigenvalues are
-    backward stable for the balanced matrix.  They start the Aberth sweeps
-    near every root, so the sweeps only polish; equal eigenvalues are
-    separated by the sweep loop's collision nudge.
+    The coefficients are real, so the matrix is formed in double from the
+    ascending monic coefficients (ones on the subdiagonal, -c_0..-c_{n-1}
+    in the last column) and handed to LAPACK's real balanced QR, whose
+    eigenvalues are backward stable for the balanced matrix; real ones come
+    out exactly real and complex ones in exact conjugate pairs.  They start
+    the Aberth sweeps near every root, so the sweeps only polish.
+    A pair x +- iy close to the real line (|y| < NEAR_REAL |x|) may stand
+    for two close real roots x -+ d, which rounding has turned into a
+    complex pair.  The sweeps keep an exact conjugate pair conjugate, and
+    a pair slightly off that symmetry moves like the angle of y/d under
+    tripling: a tilt of 1e-12 takes some 25 sweeps to grow into a split.
+    So the symmetry is broken on the pair's own scale: each member moves
+    along the real line by its imaginary part, to x + y + iy and
+    x - y - iy, from where a true close pair is reached in a few sweeps as
+    well.  Equal eigenvalues are separated by the sweep loop's collision
+    nudge.
     """
     n = c.size - 1
-    companion = np.zeros((n, n), dtype=complex)
+    companion = np.zeros((n, n))
     companion[1:, :-1] = np.eye(n - 1)
     companion[:, -1] = -c[:-1]
     try:
-        return np.linalg.eigvals(companion)
+        eigenvalues = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"companion eigenvalues failed: {exc}") from exc
+    y = eigenvalues.imag
+    return eigenvalues + np.where(np.abs(y) < NEAR_REAL * np.abs(eigenvalues.real), y, 0.0)
 
 
 def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial given by ascending coefficients.
 
-    Starts from the double-precision eigenvalues of the companion matrix
-    of the monic polynomial (:func:`_companion_start`), which read only the
-    coefficients, and applies Aberth-Ehrlich corrections until the exact
-    polish below can take over: either every step is below ABERTH_STOP
-    (2**-32) times the modulus of its iterate, or the steps have stopped
-    shrinking for several sweeps while every residual sits within a small
-    factor of the round-off floor of evaluating P there
-    (eps * sum (2k+1)|c_k||z|^k).  Near simple roots the sweeps converge
-    cubically, so after a step below 2**-32 |z| the next would fall below
-    longdouble precision, and the polish ends at the nearest double to the
-    root from anywhere that deep in its basin: more sweeps would not
-    change a bit of the result.  Measuring the step against |z| itself
-    keeps that true for roots far below one, where a step of 2**-32 could
-    be most of the root.  The
+    Starts from the double-precision eigenvalues of the real companion
+    matrix of the monic polynomial, near-real conjugate pairs pushed apart
+    (:func:`_companion_start`), which read only the coefficients, and
+    applies Aberth-Ehrlich corrections until the exact polish below can
+    take over: either every step is below ABERTH_STOP (2**-32) times the
+    modulus of its iterate, or the steps have stopped shrinking for several
+    sweeps while every residual sits within a small factor of the
+    round-off floor of evaluating P there (eps * sum (2k+1)|c_k||z|^k).
+    Near simple roots the sweeps converge cubically, so after a step below
+    2**-32 |z| the next would fall below longdouble precision, and the
+    polish ends at the nearest double to the root from anywhere that deep
+    in its basin: more sweeps would not change a bit of the result.
+    Measuring the step against |z| itself keeps that true for roots far
+    below one, where a step of 2**-32 could be most of the root.  The
     plateau is the evaluation-noise limit cycle of clusters, the accuracy
     ceiling of the data; stopping on small residuals alone would quit a
     sweep or two earlier, which for pinched roots (tiny |P'|) costs a
     decade of forward accuracy.  Each sweep reads P and P' off one power
     table of its iterates (:func:`_powers`), as do the noise-floor test
     and the final gate.
-    The whole iteration is carried in extended precision (clongdouble):
-    ill-conditioned clusters — pinched roots of cleared pencils have
-    monomial-basis condition numbers around 1e10 — would otherwise limit
-    forward accuracy to ~1e-6 even at full convergence.  Every returned
-    root must have backward error
-    |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e. be an exact
-    root of a polynomial whose coefficients differ relatively by at most
-    ABERTH_RESIDUAL; anything worse is reported as non-convergence rather
-    than returned.
+    The whole iteration is carried in extended precision (longdouble
+    coefficients, clongdouble iterates): ill-conditioned clusters — pinched
+    roots of cleared pencils have monomial-basis condition numbers around
+    1e10 — would otherwise limit forward accuracy to ~1e-6 even at full
+    convergence.  The polish (:func:`_polish_roots`) takes real roots on
+    the real line and each conjugate pair from one exact walk.  Exactly
+    one root is returned per degree, and every returned root must have
+    backward error |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e.
+    be an exact root of a polynomial whose coefficients differ relatively
+    by at most ABERTH_RESIDUAL; anything worse, NaN included, is reported
+    as non-convergence rather than returned.  The order of the roots is
+    not part of the contract; compare them as multisets
+    (:func:`match_roots`, or after sorting).
 
     The coefficients must be real.  Each is read once at its exact value
     (:func:`_numerators`): int, float and numpy longdouble entries at
@@ -227,7 +359,11 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     with P and P' evaluated exactly in integers, so the returned roots
     are correct to double precision regardless of monomial-basis
     conditioning, and real roots come back with an imaginary part of
-    exactly zero.
+    exactly zero.  Coefficients whose ratios leave the double range are
+    read in the variable w = z / 2**s, an exact power-of-two substitution
+    that brings the roots to order one (:func:`_balanced`); if the ratios
+    still leave the range, or a root lies outside the doubles, ValueError
+    names the coefficient or says so.
     """
     raw = np.asarray(coeffs)
     if raw.ndim != 1 or raw.size < 2:
@@ -237,22 +373,28 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         raise ValueError("leading coefficient must be nonzero")
     zeros_at_origin = next(k for k, v in enumerate(nums) if v)
     nums = nums[zeros_at_origin:]
-    c = np.array([_working_value(v, den) for v in nums], dtype=np.clongdouble)
-    c = c / c[-1]
-    n = c.size - 1
-    dc = c[1:] * np.arange(1, n + 1)
+    n = len(nums) - 1
     if n == 0:
         return np.zeros(zeros_at_origin, dtype=complex)
+    shift, work = 0, nums
+    if _outside_double_range(nums, den) is not None:
+        shift, work = _balanced(nums)
+        den = work[-1]
+        bad = _outside_double_range(work, den)
+        if bad is not None:
+            raise ValueError(
+                f"coefficient {bad + zeros_at_origin} is too far out of the others' double range"
+            )
+    c = _working_values(work, den)
+    c = c / c[-1]
+    dc = c[1:] * np.arange(1, n + 1)
 
     z = _companion_start(c).astype(np.clongdouble)
 
-    eps = float(np.finfo(np.longdouble).eps)
-    noise_weights = (2.0 * np.arange(c.size) + 1.0) * np.abs(c)
-
     def at_noise_floor(factor: float) -> bool:
         v = _powers(z, n)
-        floor = eps * (np.abs(v) @ noise_weights)
-        return bool(np.all(np.abs(v @ c) <= factor * floor))
+        floor = _LONG_EPS * (np.abs(v) @ ((2.0 * np.arange(c.size) + 1.0) * np.abs(c)))
+        return bool((np.abs(v @ c) <= factor * floor).all())
 
     converged = False
     best_step = np.inf
@@ -261,21 +403,21 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         v = _powers(z, n)
         pz = v @ c
         dz = v[:, :-1] @ dc
-        ratio = np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
+        ratio = pz / dz if dz.all() else np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
-        if np.any(diff == 0):  # collided iterates: nudge apart
+        if not diff.all():  # collided iterates: nudge apart
             z = z * (1.0 + 1e-12 * np.arange(1, n + 1))
             continue
-        repulsion = np.sum(1.0 / diff, axis=1)
+        repulsion = (1.0 / diff).sum(axis=1)
         denom = 1.0 - ratio * repulsion
-        w = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
+        w = ratio / denom if denom.all() else np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
         z = z - w
         step, size = np.abs(w), np.abs(z)
-        if np.all(step <= ABERTH_STOP * size):
+        if (step <= ABERTH_STOP * size).all():
             converged = True
             break
-        relstep = float(np.max(step / (1.0 + size)))
+        relstep = float((step / (1.0 + size)).max())
         if relstep < 0.5 * best_step:
             best_step = relstep
             stale = 0
@@ -291,18 +433,24 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     if not converged and not at_noise_floor(8.0):
         raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
-    z = _polish_roots(z, nums).astype(np.clongdouble)
-    v = _powers(z, n)
+    scale = np.longdouble(2.0) ** shift
+    if shift:
+        z = z * scale
+    if not (np.abs(z) <= _DOUBLE_MAX).all():
+        raise ValueError("a root lies outside the double range")
+    z = _polish_roots(z, nums)
+    if z.size != n:
+        raise NumericalError(f"the polish returned {z.size} roots for degree {n}")
+    v = _powers(z.astype(np.clongdouble) / scale, n)
     backward = np.abs(v @ c) / (np.abs(v) @ np.abs(c))
-    worst = float(np.max(backward))
-    if worst > ABERTH_RESIDUAL:
+    worst = float(backward.max())
+    if not worst <= ABERTH_RESIDUAL:
         raise NumericalError(
             f"root backward error {worst:.3e} exceeds {ABERTH_RESIDUAL:.1e}"
         )
-    out = z.astype(complex)
     if zeros_at_origin:
-        out = np.concatenate([out, np.zeros(zeros_at_origin, dtype=complex)])
-    return out
+        z = np.concatenate([z, np.zeros(zeros_at_origin, dtype=complex)])
+    return z
 
 
 @dataclass(frozen=True)
@@ -499,12 +647,16 @@ def match_roots(
     Each computed root takes its nearest reference root when those are all
     distinct, which is then the minimum, since every pair sits at its own
     smallest distance; otherwise :func:`_min_cost_assignment` pairs them.
-    A cardinality mismatch is an error, never a silent truncation.
+    A cardinality mismatch is an error, never a silent truncation, and so
+    is a non-finite root, whose distances would compare false with every
+    bound and read as agreement.
     """
     a = np.asarray(computed, dtype=complex)
     b = np.asarray(reference, dtype=complex)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"multiset sizes differ: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("roots must be finite")
     n = a.size
     dist = np.abs(a[:, None] - b[None, :])
     pairing = np.argmin(dist, axis=1)

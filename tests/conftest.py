@@ -58,6 +58,61 @@ CLUSTER_TWELVE = (
 )
 
 
+# Pool entries whose double-precision companion eigenvalues (real matrix,
+# real QR) hold conjugate pairs beside clusters of real roots, where the
+# polynomial has only real roots: 615 (10 poles), 656 (11), 725, 732 and
+# 749 (12 each); entry 712, the sixth, is CLUSTER_TWELVE above.
+POOL_615 = (
+    (0.1482714563314723, 1.3501700851319165, 2.5041760894816005, 1.2341986790152824,
+     1.6447448451023354, 0.06929041911265392, 0.9646370130987623, 2.090212669408968,
+     3.7621560553231053, 0.3236620366979928),
+    (7.034911207068375, 11.633909401722146, 18.606769711495605, 23.3154995392288,
+     23.4159155516731, 31.754490029604458, 31.878266034423504, 31.995939836969537,
+     32.333023561116114, 32.848798212954094),
+    241052.88941679694, 0.08529297680292813,
+)
+POOL_656 = (
+    (0.07847777106718118, 0.3943930357745294, 1.2916768496343116, 0.07298463374214656,
+     0.3799332088727592, 0.20012256714181273, 3.880919240491701, 0.5200927479540264,
+     0.07322441973115944, 4.289112210321771, 0.9710108918554173),
+    (9.459092715845353, 9.75949223697356, 12.496562489915203, 12.85843689091618,
+     16.197201553858353, 16.372783342610035, 16.50721175011187, 17.557459570868815,
+     18.159243734911566, 19.272849806964935, 21.19208314171713),
+    15601.183098182131, 0.13133973627275705,
+)
+POOL_725 = (
+    (1.0878924997982435, 0.018945497481484268, 0.5957357339684207, 0.20791800408611044,
+     0.09325907530613498, 0.04873371367120947, 0.012526067156130513, 0.02044958166279482,
+     0.019901781440063913, 0.3911563653794776, 0.012239818367460777, 0.17468719917683465),
+    (2.19741423374256, 6.00509058057418, 6.8530706022916235, 7.128715842155208,
+     10.283121331528585, 10.532693103498875, 11.130848072221912, 11.245872623451323,
+     11.480092393830905, 11.651443490466468, 15.276538732534531, 15.74908699818934),
+    817274.9271520326, 0.5597998399165537,
+)
+POOL_732 = (
+    (0.22445362268250416, 2.459660401486954, 0.3858740588401765, 0.4858954782375674,
+     0.24303012029142917, 0.4609005302082833, 0.43132788503885017, 0.3607765883469143,
+     0.8708368981150241, 0.050932489277208254, 2.475357383408102, 0.6925082163743203),
+    (7.386694101564899, 7.658820692978631, 16.12843584337424, 18.442830981704223,
+     19.105959854854746, 20.888243379904008, 21.579659950379465, 21.700789212806516,
+     26.87099561584863, 27.03588957462844, 27.13717266147415, 28.32029497189577),
+    877.1131798459734, 0.2606306447774337,
+)
+POOL_749 = (
+    (0.5323250651494505, 0.9344768230780969, 1.2036162337994358, 0.06416337572195309,
+     0.1625426374491605, 0.06344315115943173, 0.13750271342816398, 0.5767170434597119,
+     0.14448373627393904, 0.06870997529951545, 0.2413046134346642, 0.4733564575819491),
+    (6.76565720695514, 7.202367492897068, 7.613809022265642, 8.697060014804565,
+     9.677803098661085, 11.59446174244297, 11.840687558623051, 11.971508420145765,
+     12.089190487674024, 13.266474693742879, 13.633954534946692, 13.968412598449532),
+    43582.54929853637, 0.6446138838310076,
+)
+SPURIOUS_PAIR_LADDERS = {
+    "615": POOL_615, "656": POOL_656, "712": CLUSTER_TWELVE,
+    "725": POOL_725, "732": POOL_732, "749": POOL_749,
+}
+
+
 def recipe_pencil(n: int, uniform) -> ModePencil:
     """One pool-style ladder of size n, each number drawn by uniform(lo, hi):
     log-uniform first rate, gaps and amplitudes over [0.1, 10], memory

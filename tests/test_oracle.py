@@ -29,13 +29,22 @@ from gpspectra.errors import NumericalError
 from gpspectra.oracle import (
     ABERTH_RESIDUAL,
     QUANT_BITS,
+    _companion_start,
     _min_cost_assignment,
     _newton_iterate,
     _numerators,
     _powers,
-    _working_value,
+    _working_values,
 )
-from conftest import CLUSTER_TWELVE, MU_1, PAIR, PINCHED_EIGHT, PINCHED_FIVE, recipe_sample
+from conftest import (
+    CLUSTER_TWELVE,
+    MU_1,
+    PAIR,
+    PINCHED_EIGHT,
+    PINCHED_FIVE,
+    SPURIOUS_PAIR_LADDERS,
+    recipe_sample,
+)
 
 
 #: the pinned ladders and a seeded sample of the pool recipe
@@ -142,9 +151,13 @@ def test_working_value_keeps_the_extended_mantissa():
     values += [Fraction(int(n), int(d)) for n, d in rng.integers(-(10**15), 10**15, (200, 2)) if d]
     for x in values:
         hi = float(x)
-        expected = np.clongdouble(hi) + np.clongdouble(float(x - Fraction(hi)))
+        expected = np.longdouble(hi) + np.longdouble(float(x - Fraction(hi)))
         for m in (1, 3 * 2**70):
-            assert _working_value(x.numerator * m, x.denominator * m) == expected
+            assert _working_values([x.numerator * m], x.denominator * m) == [expected]
+    # one call over many values gives each its own head and remainder
+    den = math.lcm(*(x.denominator for x in values))
+    together = _working_values([x.numerator * (den // x.denominator) for x in values], den)
+    assert together.tolist() == [_working_values([x.numerator], x.denominator)[0] for x in values]
 
 
 def test_power_table_columns_are_the_powers():
@@ -194,6 +207,24 @@ def test_sweeps_per_mode_stay_few(monkeypatch):
     assert len(calls) / len(sample) <= 3.5
 
 
+def test_polish_steps_stay_few(monkeypatch):
+    # the real-first polish and the mirrored pair: 584 exact steps for the
+    # 408 roots, 75 of them complex passes (774 and 155 when every iterate
+    # took the complex pass from its own seed)
+    passes = []
+
+    def counting(nums, root):
+        _, e = math.frexp(max(abs(root.real), abs(root.imag)))
+        passes.append(round(math.ldexp(root.imag, QUANT_BITS - e)) != 0)
+        return _newton_iterate(nums, root)
+
+    monkeypatch.setattr(gpspectra.oracle, "_newton_iterate", counting)
+    roots = sum(aberth_roots(to_polynomial(p)).size for p in STOP_POINT_PENCILS[4:])
+    assert roots == 408
+    assert len(passes) / roots <= 1.45
+    assert sum(passes) / len(passes) <= 0.13
+
+
 @pytest.mark.parametrize(
     "ladder",
     [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE],
@@ -210,6 +241,47 @@ def test_pinched_roots_match_a_multiprecision_newton(ladder):
     assert np.array_equal(roots[pair], reference[pair])
     assert np.array_equal(roots[real].real, reference[real].real)
     assert np.all(roots[real].imag == 0.0)
+
+
+def _companion(poly):
+    """The double companion matrix of the monic cleared polynomial."""
+    c = np.array([float(Fraction(x) / poly[-1]) for x in poly])
+    n = c.size - 1
+    m = np.zeros((n, n))
+    m[1:, :-1] = np.eye(n - 1)
+    m[:, -1] = -c[:-1]
+    return m
+
+
+@pytest.mark.parametrize("ladder", SPURIOUS_PAIR_LADDERS.values(), ids=SPURIOUS_PAIR_LADDERS.keys())
+def test_spurious_companion_pairs_split_onto_real_roots(ladder):
+    coeffs, rates, a, xi = ladder
+    poly = list(to_polynomial(ModePencil(a, xi, ExponentialKernel(coeffs, rates))))
+    n = len(rates)
+    # the real companion's eigenvalues hold a pair beside the true one
+    assert np.sum(np.linalg.eigvals(_companion(poly)).imag != 0) > 2
+    roots = aberth_roots(poly)
+    assert roots.size == n + 2
+    assert np.sum(roots.imag == 0.0) == n
+    upper, lower = roots[roots.imag > 0], roots[roots.imag < 0]
+    assert upper.size == lower.size == 1
+    assert upper.conjugate().tobytes() == lower.tobytes()
+    assert np.array_equal(roots, _mp_newton(poly, roots))
+
+
+def test_near_real_companion_pairs_start_apart():
+    # a pair within NEAR_REAL of the real line moves along it by its
+    # imaginary part; the real eigenvalues and the true pair stay put
+    coeffs, rates, a, xi = SPURIOUS_PAIR_LADDERS["725"]
+    poly = list(to_polynomial(ModePencil(a, xi, ExponentialKernel(coeffs, rates))))
+    c = np.array([float(Fraction(x) / poly[-1]) for x in poly])
+    seeds = np.linalg.eigvals(_companion(poly))
+    near = (seeds.imag != 0) & (np.abs(seeds.imag) < 0.1 * np.abs(seeds.real))
+    assert np.sum(near) >= 2 and np.sum(seeds.imag != 0) == np.sum(near) + 2
+    assert np.array_equal(_companion_start(c), np.where(near, seeds + seeds.imag, seeds))
+    # a true pair that close to the real line is still found: (z + 46)**2 + 1e-4
+    roots = aberth_roots([2116 + Fraction(1, 10**4), 92, 1])
+    assert sorted(roots.tolist(), key=lambda z: z.imag) == [-46 - 0.01j, -46 + 0.01j]
 
 
 @pytest.mark.parametrize(
@@ -277,6 +349,27 @@ def test_degree_guard():
             aberth_roots(bad)
 
 
+def test_coefficients_past_the_double_range_are_rescaled():
+    # the roots are doubles though a coefficient ratio is not: the sweeps run
+    # in w = z / 2**s, and the polish on the exact coefficients
+    for poly in ([10**400, 0, 1], [1, 0, Fraction(1, 10**400)]):
+        roots = aberth_roots(poly)
+        assert sorted(roots.tolist(), key=lambda z: z.imag) == [-1e200j, 1e200j]
+    # an exact power-of-two scaling of the roots gives the same roots, scaled
+    q = [Fraction(v) for v in (190, 100, 2, 1)]
+    for e in (-1000, 1000):
+        scaled = aberth_roots(_scaled(q, e))
+        assert np.sort_complex(scaled).tobytes() == np.sort_complex(aberth_roots(q) * 2.0**e).tobytes()
+
+
+def test_coefficients_that_cannot_be_read_are_refused():
+    # roots near 1e-700 and 1e700 cannot share one working scale
+    with pytest.raises(ValueError, match="coefficient 0 "):
+        aberth_roots([1, 10**700, 1])
+    with pytest.raises(ValueError, match="outside the double range"):
+        aberth_roots([10**320, 1])
+
+
 def _backward_errors(coeffs, roots):
     c = np.asarray(coeffs, dtype=complex)
     return np.abs(np.polyval(c[::-1], roots)) / np.polyval(np.abs(c[::-1]), np.abs(roots))
@@ -302,6 +395,12 @@ def _failing_eigvals(matrix):
 def test_a_failed_companion_eigensolve_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", _failing_eigvals)
     with pytest.raises(NumericalError, match="companion eigenvalues"):
+        aberth_roots([190.0, 100.0, 2.0, 1.0])
+
+
+def test_a_nan_backward_error_fails_the_gate(monkeypatch):
+    monkeypatch.setattr(gpspectra.oracle, "_polish_roots", lambda z, nums: np.full(z.size, np.nan + 0j))
+    with pytest.raises(NumericalError, match="backward error nan"):
         aberth_roots([190.0, 100.0, 2.0, 1.0])
 
 
@@ -448,6 +547,12 @@ def test_match_roots_identity_and_shift():
 def test_match_roots_cardinality():
     with pytest.raises(ValueError):
         match_roots([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("computed,reference", [([1.0, np.nan], [1.0, 2.0]), ([1.0, 2.0], [1.0, np.nan]), ([1.0, np.inf], [1.0, 2.0])])
+def test_match_roots_refuses_non_finite_roots(computed, reference):
+    with pytest.raises(ValueError, match="finite"):
+        match_roots(computed, reference)
 
 
 def test_min_cost_assignment_matches_brute_force():
