@@ -8,11 +8,10 @@ agreement is evidence rather than tautology:
   starts from the eigenvalues of the real companion matrix, with each
   conjugate pair that lies near the real line pushed off its symmetry, and
   sweeps Aberth-Ehrlich corrections until the iterates lie deep in their
-  Newton basins.  It then
-  polishes them by exact Newton steps in integers: on the real line first
-  for iterates that are real to within the sweeps' stop, and for each
-  non-real root once, its conjugate standing in for the lower-half iterate
-  nearest to it;
+  Newton basins.  It then polishes them by exact Newton steps in integers:
+  on the real line first for iterates that are real to within the sweeps'
+  stop, and for each non-real root once, its conjugate standing in for the
+  lower-half iterate nearest to it;
 * :func:`build_mode_system` realises a mode as the first-order linear
   system whose eigenvalues are exactly the symbol roots, with the
   characteristic polynomial recovered by the Faddeev-LeVerrier recursion;
@@ -257,10 +256,11 @@ def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
     its real part, and only if that does not settle the complex one.  The
     iterates in the upper half plane (the real line included) are polished
     first, and the conjugate of each root that comes out in the upper half
-    plane takes the place of the lower-half iterate nearest to it, which
-    the exact step would have carried to the rounded conjugate anyway;
-    the lower-half iterates left over are polished themselves.  Each
-    iterate yields exactly one root, in the iterates' order.
+    plane takes the place of the lower-half iterate nearest to it: the
+    exact step commutes with conjugation, and from that deep in the basin
+    every walk ends at the rounded root.  The lower-half iterates left over
+    are polished themselves.  Each iterate yields exactly one root, in the
+    iterates' order.
     """
     seeds = z.astype(complex).tolist()
     roots: list[complex | None] = [None] * len(seeds)
@@ -293,7 +293,7 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
     for two close real roots x -+ d, which rounding has turned into a
     complex pair.  The sweeps keep an exact conjugate pair conjugate, and
     a pair slightly off that symmetry moves like the angle of y/d under
-    tripling: a tilt of 1e-12 takes some 25 sweeps to grow into a split.
+    tripling: a tilt of 1e-12 takes some 30 sweeps to grow into a split.
     So the symmetry is broken on the pair's own scale: each member moves
     along the real line by its imaginary part, to x + y + iy and
     x - y - iy, from where a true close pair is reached in a few sweeps as
