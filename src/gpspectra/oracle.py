@@ -6,12 +6,11 @@ agreement is evidence rather than tautology:
 * :func:`aberth_roots` finds all roots of the cleared polynomial at once.
   The polynomial is real, and the root finder uses that at both ends: it
   starts from the eigenvalues of the real companion matrix, with each
-  conjugate pair that lies near the real line pushed off its symmetry, and
-  sweeps Aberth-Ehrlich corrections until the iterates lie deep in their
-  Newton basins.  It then polishes them by exact Newton steps in integers:
-  on the real line first for iterates that are real to within the sweeps'
-  stop, and for each non-real root once, its conjugate standing in for the
-  lower-half iterate nearest to it;
+  conjugate pair near the real line and each pair of nearly equal real
+  eigenvalues pushed off its symmetry, and sweeps Aberth-Ehrlich
+  corrections until the iterates lie deep in their Newton basins.  It then
+  polishes them by exact Newton steps in integers, each non-real root once,
+  its conjugate standing in for the lower-half iterate next to it;
 * :func:`build_mode_system` realises a mode as the first-order linear
   system whose eigenvalues are exactly the symbol roots, with the
   characteristic polynomial recovered by the Faddeev-LeVerrier recursion;
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +46,8 @@ QUANT_BITS = 60
 #: the sweeps stop and the exact polish takes over: the polish ends at the
 #: nearest double to the root from anywhere this deep in its basin, and
 #: with cubic convergence the next sweep's step would already fall below
-#: longdouble precision.  An iterate whose imaginary part is this small
-#: against its real part is polished on the real line first.
+#: longdouble precision.  A lower-half iterate this close to the conjugate
+#: of a polished root takes that conjugate unpolished.
 ABERTH_STOP = 2.0**-32
 
 #: caps on the Aberth sweeps (pool ladders take 1 to 12 from the companion start)
@@ -63,11 +61,17 @@ POLISH_STEPS = 4
 #: reach a share of 0.02 and true pairs start above 2
 NEAR_REAL = 0.1
 
+#: relative distance below which two real companion eigenvalues cannot be
+#: told from a double root or a close conjugate pair: the square root of
+#: the double epsilon, as an eigenvalue of multiplicity two moves by the
+#: square root of a backward error; such real eigenvalues start the sweeps
+#: off the real line (see :func:`_companion_start`)
+COMPANION_RESOLUTION = 2.0**-26
+
 #: binary exponents of the double range: a nonzero coefficient ratio must
 #: lie in [2**EXP_MIN, 2**EXP_MAX) to be carried as a normal double
 EXP_MIN, EXP_MAX = -1022, 1024
 
-_DOUBLE_MAX = np.finfo(float).max
 _LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
@@ -81,9 +85,6 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     """
     ratios = []
     for x in coeffs:
-        if isinstance(x, Fraction):
-            ratios.append((x.numerator, x.denominator))
-            continue
         if isinstance(x, (complex, np.complexfloating)):
             if x.imag != 0:
                 raise ValueError(f"coefficient {x!r} is not real")
@@ -92,11 +93,7 @@ def _numerators(coeffs) -> tuple[list[int], int]:
             ratios.append((int(x), 1) if isinstance(x, (int, np.integer)) else x.as_integer_ratio())
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"coefficient {x!r} is not finite") from exc
-    dens = [d for _, d in ratios]
-    if all(d & (d - 1) == 0 for d in dens):  # binary fractions: shifts, not divisions
-        den = max(dens)
-        return [n << (den.bit_length() - d.bit_length()) for n, d in ratios], den
-    den = math.lcm(*dens)
+    den = math.lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
 
 
@@ -110,21 +107,6 @@ def _outside_double_range(nums: list[int], den: int) -> int | None:
     scales = (den.bit_length(), abs(nums[-1]).bit_length())
     low, high = max(scales) + EXP_MIN, min(scales) + EXP_MAX - 1
     return next((k for k, v in enumerate(nums) if v and not low < abs(v).bit_length() < high), None)
-
-
-def _balanced(nums: list[int]) -> tuple[int, list[int]]:
-    """A shift s and the integer numerators of P(2**s w), up to a power of two.
-
-    s is the binary exponent of the root bound max_k |N_k/N_deg|**(1/(deg-k)),
-    so the roots w of the returned polynomial are of order one at most, and
-    2**s w are those of P.  The substitution is exact.
-    """
-    deg = len(nums) - 1
-    top = abs(nums[-1]).bit_length()
-    s = max((abs(v).bit_length() - top) // (deg - k) for k, v in enumerate(nums[:-1]) if v)
-    if s >= 0:
-        return s, [v << s * k for k, v in enumerate(nums)]
-    return s, [v << -s * (deg - k) for k, v in enumerate(nums)]
 
 
 def _working_values(nums: list[int], den: int) -> np.ndarray:
@@ -228,16 +210,6 @@ def _settle(nums: list[int], root: complex) -> tuple[complex, bool]:
     return root, False
 
 
-def _polish_one(nums: list[int], seed: complex) -> complex:
-    """The exact polish of one iterate, on the real line first when it is
-    real to within ABERTH_STOP of its real part."""
-    if abs(seed.imag) <= ABERTH_STOP * abs(seed.real):
-        root, settled = _settle(nums, complex(seed.real, 0.0))
-        if settled:
-            return root
-    return _settle(nums, seed)[0]
-
-
 def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
     """Newton-polish converged iterates with P and P' evaluated exactly.
 
@@ -251,16 +223,16 @@ def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
     within about 2**-60 of a root the exact step lands within round-off of
     it, so iterates stop as soon as they repeat, or after POLISH_STEPS.
 
-    The polynomial is real, and the polish uses that twice.  An iterate
-    within ABERTH_STOP of the real line takes the cheaper real pass from
-    its real part, and only if that does not settle the complex one.  The
+    The polynomial is real, so each conjugate pair is polished once.  The
     iterates in the upper half plane (the real line included) are polished
     first, and the conjugate of each root that comes out in the upper half
-    plane takes the place of the lower-half iterate nearest to it: the
-    exact step commutes with conjugation, and from that deep in the basin
-    every walk ends at the rounded root.  The lower-half iterates left over
-    are polished themselves.  Each iterate yields exactly one root, in the
-    iterates' order.
+    plane takes the place of the lower-half iterate nearest to it, if that
+    iterate lies within ABERTH_STOP of the conjugate: the exact step
+    commutes with conjugation, and from that deep in the basin every walk
+    ends at the rounded root.  A lower iterate farther off may be heading
+    for another root, so it is not taken; it and every other lower-half
+    iterate left over are polished themselves.  Each iterate yields exactly
+    one root, in the iterates' order.
     """
     seeds = z.astype(complex).tolist()
     roots: list[complex | None] = [None] * len(seeds)
@@ -268,20 +240,21 @@ def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
     for i, seed in enumerate(seeds):
         if seed.imag < 0:
             continue
-        roots[i] = root = _polish_one(nums, seed)
+        roots[i] = root = _settle(nums, seed)[0]
         if root.imag > 0 and lower:
             mirror = root.conjugate()
             j = min(lower, key=lambda j: abs(seeds[j] - mirror))
-            lower.remove(j)
-            roots[j] = mirror
+            if abs(seeds[j] - mirror) <= ABERTH_STOP * abs(mirror):
+                lower.remove(j)
+                roots[j] = mirror
     for j in lower:
-        roots[j] = _polish_one(nums, seeds[j])
+        roots[j] = _settle(nums, seeds[j])[0]
     return np.array(roots, dtype=complex)
 
 
 def _companion_start(c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the companion matrix of the monic polynomial ``c``,
-    with near-real conjugate pairs pushed apart.
+    with near-real conjugate pairs and nearly equal real ones pushed apart.
 
     The coefficients are real, so the matrix is formed in double from the
     ascending monic coefficients (ones on the subdiagonal, -c_0..-c_{n-1}
@@ -297,8 +270,16 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
     So the symmetry is broken on the pair's own scale: each member moves
     along the real line by its imaginary part, to x + y + iy and
     x - y - iy, from where a true close pair is reached in a few sweeps as
-    well.  Equal eigenvalues are separated by the sweep loop's collision
-    nudge.
+    well.  The converse holds for real eigenvalues: a set of real iterates
+    stays real under the sweeps and the polish, so neighbouring real
+    eigenvalues closer than COMPANION_RESOLUTION times the larger modulus,
+    which the double eigensolve cannot tell from a close conjugate pair,
+    take the same diagonal shape: each such m moves to m - h + ih or
+    m + h - ih, h = COMPANION_RESOLUTION |m| / 2, the signs alternating
+    along the sorted real eigenvalues (which then follow the others).
+    From there the sweeps reach a conjugate pair or a real pair alike.
+    Eigenvalues that still coincide are separated by the sweep loop's
+    collision nudge.
     """
     n = c.size - 1
     companion = np.zeros((n, n))
@@ -308,21 +289,33 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
         eigenvalues = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"companion eigenvalues failed: {exc}") from exc
-    y = eigenvalues.imag
-    return eigenvalues + np.where(np.abs(y) < NEAR_REAL * np.abs(eigenvalues.real), y, 0.0)
+    x, y = eigenvalues.real, eigenvalues.imag
+    start = eigenvalues + np.where(np.abs(y) < NEAR_REAL * np.abs(x), y, 0.0)
+    real = sorted(x[y == 0].tolist())
+    close = [b - a < COMPANION_RESOLUTION * max(abs(a), abs(b)) for a, b in zip(real, real[1:])]
+    if not any(close):
+        return start
+    close = [False, *close, False]
+    lifted = []
+    for k, v in enumerate(real):
+        h = 0.5 * COMPANION_RESOLUTION * abs(v) if close[k] or close[k + 1] else 0.0
+        h = -h if k % 2 else h
+        lifted.append(complex(v - h, h))
+    return np.concatenate([start[y != 0], lifted])
 
 
 def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial given by ascending coefficients.
 
     Starts from the double-precision eigenvalues of the real companion
-    matrix of the monic polynomial, near-real conjugate pairs pushed apart
-    (:func:`_companion_start`), which read only the coefficients, and
-    applies Aberth-Ehrlich corrections until the exact polish below can
-    take over: either every step is below ABERTH_STOP (2**-32) times the
-    modulus of its iterate, or the steps have stopped shrinking for several
-    sweeps while every residual sits within a small factor of the
-    round-off floor of evaluating P there (eps * sum (2k+1)|c_k||z|^k).
+    matrix of the monic polynomial, near-real conjugate pairs and nearly
+    equal real eigenvalues pushed apart (:func:`_companion_start`), which
+    read only the coefficients, and applies Aberth-Ehrlich corrections
+    until the exact polish below can take over: either every step is below
+    ABERTH_STOP (2**-32) times the modulus of its iterate, or the steps
+    have stopped shrinking for several sweeps while every residual sits
+    within a small factor of the round-off floor of evaluating P there
+    (eps * sum (2k+1)|c_k||z|^k).
     Near simple roots the sweeps converge cubically, so after a step below
     2**-32 |z| the next would fall below longdouble precision, and the
     polish ends at the nearest double to the root from anywhere that deep
@@ -339,13 +332,14 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     coefficients, clongdouble iterates): ill-conditioned clusters — pinched
     roots of cleared pencils have monomial-basis condition numbers around
     1e10 — would otherwise limit forward accuracy to ~1e-6 even at full
-    convergence.  The polish (:func:`_polish_roots`) takes real roots on
-    the real line and each conjugate pair from one exact walk.  Exactly
-    one root is returned per degree, and every returned root must have
-    backward error |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e.
-    be an exact root of a polynomial whose coefficients differ relatively
-    by at most ABERTH_RESIDUAL; anything worse, NaN included, is reported
-    as non-convergence rather than returned.  The order of the roots is
+    convergence.  The polish (:func:`_polish_roots`) walks once for each
+    conjugate pair, the conjugate taking the place of the lower iterate next
+    to it.  Exactly one root is returned per degree, and every returned
+    root must have backward error
+    |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e. be an exact
+    root of a polynomial whose coefficients differ relatively by at most
+    ABERTH_RESIDUAL; anything worse, NaN included, is reported as
+    non-convergence rather than returned.  The order of the roots is
     not part of the contract; compare them as multisets
     (:func:`match_roots`, or after sorting).
 
@@ -359,11 +353,9 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     with P and P' evaluated exactly in integers, so the returned roots
     are correct to double precision regardless of monomial-basis
     conditioning, and real roots come back with an imaginary part of
-    exactly zero.  Coefficients whose ratios leave the double range are
-    read in the variable w = z / 2**s, an exact power-of-two substitution
-    that brings the roots to order one (:func:`_balanced`); if the ratios
-    still leave the range, or a root lies outside the doubles, ValueError
-    names the coefficient or says so.
+    exactly zero.  A coefficient whose ratio to the denominator or to the
+    leading coefficient leaves the normal doubles cannot be carried in the
+    working values, and ValueError names it.
     """
     raw = np.asarray(coeffs)
     if raw.ndim != 1 or raw.size < 2:
@@ -376,16 +368,12 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     n = len(nums) - 1
     if n == 0:
         return np.zeros(zeros_at_origin, dtype=complex)
-    shift, work = 0, nums
-    if _outside_double_range(nums, den) is not None:
-        shift, work = _balanced(nums)
-        den = work[-1]
-        bad = _outside_double_range(work, den)
-        if bad is not None:
-            raise ValueError(
-                f"coefficient {bad + zeros_at_origin} is too far out of the others' double range"
-            )
-    c = _working_values(work, den)
+    bad = _outside_double_range(nums, den)
+    if bad is not None:
+        raise ValueError(
+            f"coefficient {bad + zeros_at_origin} is too far out of the others' double range"
+        )
+    c = _working_values(nums, den)
     c = c / c[-1]
     dc = c[1:] * np.arange(1, n + 1)
 
@@ -403,7 +391,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         v = _powers(z, n)
         pz = v @ c
         dz = v[:, :-1] @ dc
-        ratio = pz / dz if dz.all() else np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
+        ratio = np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         if not diff.all():  # collided iterates: nudge apart
@@ -411,7 +399,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
             continue
         repulsion = (1.0 / diff).sum(axis=1)
         denom = 1.0 - ratio * repulsion
-        w = ratio / denom if denom.all() else np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
+        w = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
         z = z - w
         step, size = np.abs(w), np.abs(z)
         if (step <= ABERTH_STOP * size).all():
@@ -433,15 +421,8 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     if not converged and not at_noise_floor(8.0):
         raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
-    scale = np.longdouble(2.0) ** shift
-    if shift:
-        z = z * scale
-    if not (np.abs(z) <= _DOUBLE_MAX).all():
-        raise ValueError("a root lies outside the double range")
     z = _polish_roots(z, nums)
-    if z.size != n:
-        raise NumericalError(f"the polish returned {z.size} roots for degree {n}")
-    v = _powers(z.astype(np.clongdouble) / scale, n)
+    v = _powers(z.astype(np.clongdouble), n)
     backward = np.abs(v @ c) / (np.abs(v) @ np.abs(c))
     worst = float(backward.max())
     if not worst <= ABERTH_RESIDUAL:
