@@ -3,14 +3,14 @@
 None of the machinery here reuses the bracketing/fixed-point solvers, so
 agreement is evidence rather than tautology:
 
-* :func:`aberth_roots` finds all roots of the cleared polynomial at once.
-  The polynomial is real, and the root finder uses that at both ends: it
-  starts from the eigenvalues of the real companion matrix, with each
-  conjugate pair near the real line and each pair of nearly equal real
-  eigenvalues pushed off its symmetry, and sweeps Aberth-Ehrlich
-  corrections until the iterates lie deep in their Newton basins.  It then
-  polishes them by exact Newton steps in integers, each non-real root once,
-  its conjugate standing in for the lower-half iterate next to it;
+* :func:`aberth_roots` finds all roots of the cleared polynomial at once
+  by Aberth-Ehrlich sweeps in complex double, from the eigenvalues of the
+  real companion matrix (each conjugate pair near the real line and each
+  pair of nearly equal real eigenvalues pushed off its symmetry).  The
+  sweeps read the polynomial only through the Newton ratio P/P' at each
+  iterate, formed exactly in integers and rounded once, so they end at
+  the double next to every root however badly the monomial basis is
+  conditioned;
 * :func:`build_mode_system` realises a mode as the first-order linear
   system whose eigenvalues are exactly the symbol roots, with the
   characteristic polynomial recovered by the Faddeev-LeVerrier recursion;
@@ -37,23 +37,14 @@ ODE_MAX = 32
 #: residual acceptance for the simultaneous root finder
 ABERTH_RESIDUAL = 1e-10
 
-#: bits kept, relative to the larger component, of a point fed to the exact
-#: Newton step; finer grids only make the integers longer (imaginary parts
-#: of ~1e-78 on real roots would otherwise cost hundreds of bits)
+#: bits kept, relative to the larger component, of a point at which the
+#: Newton ratio is formed exactly; finer grids only make the integers longer
+#: (imaginary parts of ~1e-78 on real roots would otherwise cost hundreds
+#: of bits)
 QUANT_BITS = 60
 
-#: Aberth step, relative to its own iterate, below which (for every iterate)
-#: the sweeps stop and the exact polish takes over: the polish ends at the
-#: nearest double to the root from anywhere this deep in its basin, and
-#: with cubic convergence the next sweep's step would already fall below
-#: longdouble precision.  A lower-half iterate this close to the conjugate
-#: of a polished root takes that conjugate unpolished.
-ABERTH_STOP = 2.0**-32
-
-#: caps on the Aberth sweeps (pool ladders take 1 to 12 from the companion start)
-#: and on the polish's exact Newton steps per root (pool ladders take one or two)
+#: cap on the Aberth sweeps (pool ladders take 1 to 7 from the companion start)
 ABERTH_MAX_SWEEPS = 500
-POLISH_STEPS = 4
 
 #: a conjugate pair of companion eigenvalues with |Im| below this share of
 #: |Re| is pushed apart along the real line by its own imaginary part before
@@ -71,8 +62,6 @@ COMPANION_RESOLUTION = 2.0**-26
 #: binary exponents of the double range: a nonzero coefficient ratio must
 #: lie in [2**EXP_MIN, 2**EXP_MAX) to be carried as a normal double
 EXP_MIN, EXP_MAX = -1022, 1024
-
-_LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
@@ -109,28 +98,10 @@ def _outside_double_range(nums: list[int], den: int) -> int | None:
     return next((k for k, v in enumerate(nums) if v and not low < abs(v).bit_length() < high), None)
 
 
-def _working_values(nums: list[int], den: int) -> np.ndarray:
-    """The rationals N_k/den in extended precision without losing bits.
-
-    numpy's own casts go through ``float`` and would round exact rationals
-    to 53 bits; a double head plus its exact remainder keeps the full
-    64-bit longdouble mantissa.  Both parts are correctly rounded integer
-    true divisions: hi = N/den, and lo the remainder
-    N/den - hn/hd = (N*hd - hn*den)/(den*hd) with hi = hn/hd.  The heads
-    and the remainders each take one array cast.
-    """
-    heads = [v / den for v in nums]
-    rest = []
-    for v, hi in zip(nums, heads):
-        hn, hd = hi.as_integer_ratio()
-        rest.append((v * hd - hn * den) / (den * hd))
-    return np.array(heads, dtype=np.longdouble) + np.array(rest, dtype=np.longdouble)
-
-
 def _powers(z: np.ndarray, degree: int) -> np.ndarray:
     """The power table V[:, j] = z**j, j = 0..degree, from one cumulative product.
 
-    P(z) = V @ c for ascending coefficients c, and P'(z) = V[:, :-1] @ dc.
+    P(z) = V @ c for ascending coefficients c.
     """
     v = np.empty((z.size, degree + 1), dtype=z.dtype)
     v[:, 0] = 1.0
@@ -138,28 +109,30 @@ def _powers(z: np.ndarray, degree: int) -> np.ndarray:
     return np.multiply.accumulate(v, axis=1, out=v)
 
 
-def _newton_iterate(nums: list[int], root: complex) -> complex | None:
-    """One exact Newton step z - P(z)/P'(z), rounded once to a complex double.
+def _newton_ratio(nums: list[int], z: complex) -> tuple[complex, complex]:
+    """The Newton ratio P(g)/P'(g), rounded once to a complex double, and
+    the grid point g next to ``z`` at which it is formed.
 
     ``nums`` are the integer numerators N_k of :func:`_numerators`; their
-    common denominator scales P and P' alike, so the step does not see it.
-    The point is first put on the grid 2**(e - QUANT_BITS), e the binary
-    exponent of its larger component, and written as Z/s with Gaussian
-    integer Z = x + iy and s = 2**t.  Horner's rule on the homogenised
-    polynomial Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s) carries Q and
-    Q' exactly, and the iterate Z/s - Q/(s Q') = (Z Q' - Q)/(s Q') is
-    rounded by integer true division.  Returns None where Q' vanishes.  A
-    point whose quantised imaginary part is zero takes a real-only pass.
-    Otherwise Q, whose coefficients are real, is divided by the real
-    quadratic D = (Z' - Z)(Z' - conj Z) = Z'**2 - 2x Z' + x**2 + y**2, which
-    vanishes at Z: Q = D B + b_1 Z' + b_0 gives Q(Z) = b_1 Z + b_0 and
+    common denominator cancels in the ratio.  The point is put on the grid
+    2**(e - QUANT_BITS), e the binary exponent of its larger component, as
+    g = Z/s with Gaussian integer Z = x + iy and s = 2**t (g is a complex
+    double).  Horner's rule on Q(Z) = sum N_k Z**k s**(deg-k) = s**deg P(Z/s)
+    carries Q and Q' exactly, and Q/(s Q') is rounded by integer true
+    division.  Where Q' vanishes the ratio is 0: g is a multiple root, or
+    a stationary point that the backward-error gate refuses.  A real g
+    takes a real-only pass.  Otherwise Q, whose coefficients are real, is
+    divided by the real quadratic
+    D = (Z' - Z)(Z' - conj Z) = Z'**2 - 2x Z' + x**2 + y**2, which vanishes
+    at Z: Q = D B + b_1 Z' + b_0 gives Q(Z) = b_1 Z + b_0 and
     Q'(Z) = D'(Z) B(Z) + b_1 = 2iy B(Z) + b_1, with B(Z) from a second such
     division, so each coefficient costs four integer products rather than
     the eight of complex Horner.
     """
-    _, e = math.frexp(max(abs(root.real), abs(root.imag)))
+    _, e = math.frexp(max(abs(z.real), abs(z.imag)))
     t = QUANT_BITS - e
-    x, y = round(math.ldexp(root.real, t)), round(math.ldexp(root.imag, t))
+    x, y = round(math.ldexp(z.real, t)), round(math.ldexp(z.imag, t))
+    grid = complex(math.ldexp(x, -t), math.ldexp(y, -t))
     if t < 0:
         x, y, t = x << -t, y << -t, 0
     shift = 0
@@ -169,9 +142,7 @@ def _newton_iterate(nums: list[int], root: complex) -> complex | None:
             dq = dq * x + q
             q = q * x + (v << shift)
             shift += t
-        if dq == 0:
-            return None
-        return complex((x * dq - q) / (dq << t), 0.0)
+        return (complex(q / (dq << t), 0.0) if dq else 0j), grid
     # D = Z'**2 - p Z' - r; b_m = a_m + p b_(m+1) + r b_(m+2) for m = deg..1,
     # and the same recursion over b_deg..b_3 gives c_1, c_2 of B
     p, r = 2 * x, -(x * x + y * y)
@@ -186,100 +157,34 @@ def _newton_iterate(nums: list[int], root: complex) -> complex | None:
     er, ei = b1 - 2 * y * bi, 2 * y * br
     norm = (er * er + ei * ei) << t
     if norm == 0:
-        return None
-    # (Z Q' - Q) conj(Q') with three products
-    pr, pi = x * er - y * ei - qr, x * ei + y * er - qi
-    k = er * (pr + pi)
-    return complex((k - pi * (er - ei)) / norm, (k - pr * (er + ei)) / norm)
-
-
-def _settle(nums: list[int], root: complex) -> tuple[complex, bool]:
-    """Exact Newton steps from ``root`` until an iterate repeats.
-
-    Returns the last iterate and whether it repeated; a step that cannot
-    be formed (P' vanishes) or POLISH_STEPS steps without a repeat end the
-    walk unsettled.
-    """
-    for _ in range(POLISH_STEPS):
-        step = _newton_iterate(nums, root)
-        if step is None:
-            return root, False
-        if step == root:
-            return root, True
-        root = step
-    return root, False
-
-
-def _polish_roots(z: np.ndarray, nums: list[int]) -> np.ndarray:
-    """Newton-polish converged iterates with P and P' evaluated exactly.
-
-    The simultaneous iteration leaves every iterate deep inside its own
-    Newton basin; what still limits it is evaluation noise at working
-    precision, which for badly conditioned monomial bases (condition
-    numbers around 1e10 for pinched roots) costs ~1e-9 of forward
-    accuracy.  Every coefficient is an integer numerator and every iterate
-    a binary rational, so each Newton step is formed exactly in Python
-    integers (:func:`_newton_iterate`) and rounded once.  From a point
-    within about 2**-60 of a root the exact step lands within round-off of
-    it, so iterates stop as soon as they repeat, or after POLISH_STEPS.
-
-    The polynomial is real, so each conjugate pair is polished once.  The
-    iterates in the upper half plane (the real line included) are polished
-    first, and the conjugate of each root that comes out in the upper half
-    plane takes the place of the lower-half iterate nearest to it, if that
-    iterate lies within ABERTH_STOP of the conjugate: the exact step
-    commutes with conjugation, and from that deep in the basin every walk
-    ends at the rounded root.  A lower iterate farther off may be heading
-    for another root, so it is not taken; it and every other lower-half
-    iterate left over are polished themselves.  Each iterate yields exactly
-    one root, in the iterates' order.
-    """
-    seeds = z.astype(complex).tolist()
-    roots: list[complex | None] = [None] * len(seeds)
-    lower = [i for i, s in enumerate(seeds) if s.imag < 0]
-    for i, seed in enumerate(seeds):
-        if seed.imag < 0:
-            continue
-        roots[i] = root = _settle(nums, seed)[0]
-        if root.imag > 0 and lower:
-            mirror = root.conjugate()
-            j = min(lower, key=lambda j: abs(seeds[j] - mirror))
-            if abs(seeds[j] - mirror) <= ABERTH_STOP * abs(mirror):
-                lower.remove(j)
-                roots[j] = mirror
-    for j in lower:
-        roots[j] = _settle(nums, seeds[j])[0]
-    return np.array(roots, dtype=complex)
+        return 0j, grid
+    # Q conj(Q') with three products
+    k = er * (qr + qi)
+    return complex((k - qi * (er - ei)) / norm, (k - qr * (er + ei)) / norm), grid
 
 
 def _companion_start(c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the companion matrix of the monic polynomial ``c``,
     with near-real conjugate pairs and nearly equal real ones pushed apart.
 
-    The coefficients are real, so the matrix is formed in double from the
-    ascending monic coefficients (ones on the subdiagonal, -c_0..-c_{n-1}
-    in the last column) and handed to LAPACK's real balanced QR, whose
-    eigenvalues are backward stable for the balanced matrix; real ones come
-    out exactly real and complex ones in exact conjugate pairs.  They start
-    the Aberth sweeps near every root, so the sweeps only polish.
-    A pair x +- iy close to the real line (|y| < NEAR_REAL |x|) may stand
-    for two close real roots x -+ d, which rounding has turned into a
-    complex pair.  The sweeps keep an exact conjugate pair conjugate, and
-    a pair slightly off that symmetry moves like the angle of y/d under
-    tripling: a tilt of 1e-12 takes some 30 sweeps to grow into a split.
-    So the symmetry is broken on the pair's own scale: each member moves
-    along the real line by its imaginary part, to x + y + iy and
-    x - y - iy, from where a true close pair is reached in a few sweeps as
-    well.  The converse holds for real eigenvalues: a set of real iterates
-    stays real under the sweeps and the polish, so neighbouring real
-    eigenvalues closer than COMPANION_RESOLUTION times the larger modulus,
-    which the double eigensolve cannot tell from a close conjugate pair,
-    take the same diagonal shape: each such m moves to m - h + ih or
-    m + h - ih, h = COMPANION_RESOLUTION |m| / 2, the signs alternating
-    along the sorted real eigenvalues (which then follow the others).
-    From there the sweeps reach a conjugate pair or a real pair alike.
-    Eigenvalues that still coincide are separated by the sweep loop's
-    collision nudge.
+    The matrix is formed in double (ones on the subdiagonal, -c_0..-c_{n-1}
+    in the last column) and handed to LAPACK's real balanced QR: real
+    eigenvalues come out exactly real, complex ones in exact conjugate
+    pairs, and both lie near the roots.  The sweeps keep both symmetries,
+    so the start breaks them where they may mislead.  A pair x +- iy with
+    |y| < NEAR_REAL |x| may stand for two close real roots x -+ d that
+    rounding made complex; a pair slightly off its symmetry moves like the
+    angle of y/d under tripling (a tilt of 1e-12 takes some 30 sweeps to
+    grow into a split), so each member moves along the real line by its
+    own imaginary part, to x + y + iy and x - y - iy, from where a true
+    close pair is reached in a few sweeps as well.  Conversely, real
+    iterates stay real, so neighbouring real eigenvalues closer than
+    COMPANION_RESOLUTION times the larger modulus, which the double
+    eigensolve cannot tell from a close conjugate pair, take the same
+    diagonal shape: each such m moves to m - h + ih or m + h - ih,
+    h = COMPANION_RESOLUTION |m| / 2, the signs alternating along the
+    sorted real eigenvalues (which then follow the others), from where
+    the sweeps reach a conjugate pair or a real pair alike.
     """
     n = c.size - 1
     companion = np.zeros((n, n))
@@ -307,55 +212,44 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
 def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial given by ascending coefficients.
 
-    Starts from the double-precision eigenvalues of the real companion
-    matrix of the monic polynomial, near-real conjugate pairs and nearly
-    equal real eigenvalues pushed apart (:func:`_companion_start`), which
-    read only the coefficients, and applies Aberth-Ehrlich corrections
-    until the exact polish below can take over: either every step is below
-    ABERTH_STOP (2**-32) times the modulus of its iterate, or the steps
-    have stopped shrinking for several sweeps while every residual sits
-    within a small factor of the round-off floor of evaluating P there
-    (eps * sum (2k+1)|c_k||z|^k).
-    Near simple roots the sweeps converge cubically, so after a step below
-    2**-32 |z| the next would fall below longdouble precision, and the
-    polish ends at the nearest double to the root from anywhere that deep
-    in its basin: more sweeps would not change a bit of the result.
-    Measuring the step against |z| itself keeps that true for roots far
-    below one, where a step of 2**-32 could be most of the root.  The
-    plateau is the evaluation-noise limit cycle of clusters, the accuracy
-    ceiling of the data; stopping on small residuals alone would quit a
-    sweep or two earlier, which for pinched roots (tiny |P'|) costs a
-    decade of forward accuracy.  Each sweep reads P and P' off one power
-    table of its iterates (:func:`_powers`), as do the noise-floor test
-    and the final gate.
-    The whole iteration is carried in extended precision (longdouble
-    coefficients, clongdouble iterates): ill-conditioned clusters — pinched
-    roots of cleared pencils have monomial-basis condition numbers around
-    1e10 — would otherwise limit forward accuracy to ~1e-6 even at full
-    convergence.  The polish (:func:`_polish_roots`) walks once for each
-    conjugate pair, the conjugate taking the place of the lower iterate next
-    to it.  Exactly one root is returned per degree, and every returned
-    root must have backward error
-    |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k, i.e. be an exact
-    root of a polynomial whose coefficients differ relatively by at most
-    ABERTH_RESIDUAL; anything worse, NaN included, is reported as
-    non-convergence rather than returned.  The order of the roots is
-    not part of the contract; compare them as multisets
-    (:func:`match_roots`, or after sorting).
-
     The coefficients must be real.  Each is read once at its exact value
     (:func:`_numerators`): int, float and numpy longdouble entries at
     their binary value, Fraction entries (as the cleared-pencil expansion
     produces) as the rational they are, and complex-typed entries whose
-    imaginary part is zero as their real part; a nonzero imaginary part
-    or a non-finite entry raises ValueError.  That one integer form gives
-    both the extended-precision working values and a final Newton polish
-    with P and P' evaluated exactly in integers, so the returned roots
-    are correct to double precision regardless of monomial-basis
-    conditioning, and real roots come back with an imaginary part of
-    exactly zero.  A coefficient whose ratio to the denominator or to the
-    leading coefficient leaves the normal doubles cannot be carried in the
-    working values, and ValueError names it.
+    imaginary part is zero as their real part; a nonzero imaginary part or
+    a non-finite entry raises ValueError, and so does a coefficient whose
+    ratio to the denominator or to the leading coefficient leaves the
+    normal doubles.
+
+    The iterates start at the eigenvalues of the real companion matrix of
+    the monic polynomial in double, near-real conjugate pairs and nearly
+    equal real eigenvalues pushed apart (:func:`_companion_start`), and
+    take Aberth-Ehrlich sweeps in complex double,
+    z_i <- g_i - N_i / (1 - N_i sum_(j != i) 1/(g_i - g_j)),
+    where g_i is z_i on the grid of :func:`_newton_ratio` and N_i the
+    Newton ratio P(g_i)/P'(g_i), formed exactly in integers and rounded
+    once.  That ratio is all the sweeps read of the polynomial, so they
+    are not limited by evaluation noise however badly the monomial basis
+    is conditioned, and they stop when no iterate moves, as a rule at the
+    double next to each root, clustered or not; a component far below
+    the other is resolved as far as one Newton step from the grid
+    reaches.  An iterate whose grid point is real takes the real part of its step, so
+    real roots come back with an imaginary part of exactly zero.  Only
+    the iterates that moved in the last sweep are evaluated again, and a
+    lower iterate on the exact conjugate of an upper one takes the
+    conjugate ratio.  Iterates that meet anywhere but
+    at a multiple root are nudged apart.  A sweep count past
+    ABERTH_MAX_SWEEPS raises MaxIterationsError.
+
+    Exactly one root is returned per degree, and every returned root must
+    have backward error |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k
+    (read off a longdouble power table, :func:`_powers`, which does not
+    overflow where a double one would), i.e. be an exact root of a
+    polynomial whose coefficients differ relatively by at most
+    ABERTH_RESIDUAL; anything worse, NaN included, raises NumericalError
+    rather than being returned.  The order of the roots is not part of
+    the contract; compare them as multisets (:func:`match_roots`, or after
+    sorting).
     """
     raw = np.asarray(coeffs)
     if raw.ndim != 1 or raw.size < 2:
@@ -373,56 +267,46 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         raise ValueError(
             f"coefficient {bad + zeros_at_origin} is too far out of the others' double range"
         )
-    c = _working_values(nums, den)
-    c = c / c[-1]
-    dc = c[1:] * np.arange(1, n + 1)
+    c = np.array([v / nums[-1] for v in nums])
 
-    z = _companion_start(c).astype(np.clongdouble)
-
-    def at_noise_floor(factor: float) -> bool:
-        v = _powers(z, n)
-        floor = _LONG_EPS * (np.abs(v) @ ((2.0 * np.arange(c.size) + 1.0) * np.abs(c)))
-        return bool((np.abs(v @ c) <= factor * floor).all())
-
-    converged = False
-    best_step = np.inf
-    stale = 0
+    points = _companion_start(c)
+    z = np.empty(n, dtype=complex)
+    ratio = np.empty(n, dtype=complex)
+    todo = range(n)
     for _ in range(ABERTH_MAX_SWEEPS):
-        v = _powers(z, n)
-        pz = v @ c
-        dz = v[:, :-1] @ dc
-        ratio = np.divide(pz, dz, out=np.zeros_like(pz), where=dz != 0)
+        # the upper half plane first: a lower point on the exact conjugate of
+        # an upper one takes the conjugates of that one's ratio and grid
+        # point, bit for bit its own, as the coefficients are real
+        seeds = points.tolist()
+        upper = {p: j for j, p in enumerate(seeds) if p.imag > 0}
+        for i in sorted(todo, key=lambda i: seeds[i].imag < 0):
+            j = upper.get(seeds[i].conjugate()) if seeds[i].imag < 0 else None
+            if j is None:
+                ratio[i], z[i] = _newton_ratio(nums, seeds[i])
+            else:
+                ratio[i], z[i] = ratio[j].conjugate(), z[j].conjugate()
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
-        if not diff.all():  # collided iterates: nudge apart
-            z = z * (1.0 + 1e-12 * np.arange(1, n + 1))
-            continue
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - ratio * repulsion
-        w = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
-        z = z - w
-        step, size = np.abs(w), np.abs(z)
-        if (step <= ABERTH_STOP * size).all():
-            converged = True
+        if not diff.all():
+            # iterates on one point share its ratio: at a multiple root it
+            # is zero and they stay; anywhere else they are nudged apart
+            hit = diff == 0
+            if ratio[hit.any(axis=1)].any():
+                points, todo = z * (1.0 + 1e-12 * np.arange(1, n + 1)), range(n)
+                continue
+            diff[hit] = np.inf
+        denom = 1.0 - ratio * (1.0 / diff).sum(axis=1)
+        step = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
+        # an iterate whose grid point is real stays on the real line
+        moved = z - np.where(z.imag == 0, step.real, step)
+        todo = np.flatnonzero(moved != points).tolist()
+        points = moved
+        if not todo:
             break
-        relstep = float((step / (1.0 + size)).max())
-        if relstep < 0.5 * best_step:
-            best_step = relstep
-            stale = 0
-            continue
-        stale += 1
-        if stale >= 4:
-            # steps plateaued: either the noise-ball limit cycle (accept)
-            # or a slow early phase (keep sweeping)
-            if at_noise_floor(8.0):
-                converged = True
-                break
-            stale = 0
-    if not converged and not at_noise_floor(8.0):
+    else:
         raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
-    z = _polish_roots(z, nums)
-    v = _powers(z.astype(np.clongdouble), n)
+    v = _powers(points.astype(np.clongdouble), n)
     backward = np.abs(v @ c) / (np.abs(v) @ np.abs(c))
     worst = float(backward.max())
     if not worst <= ABERTH_RESIDUAL:
@@ -430,8 +314,8 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
             f"root backward error {worst:.3e} exceeds {ABERTH_RESIDUAL:.1e}"
         )
     if zeros_at_origin:
-        z = np.concatenate([z, np.zeros(zeros_at_origin, dtype=complex)])
-    return z
+        points = np.concatenate([points, np.zeros(zeros_at_origin, dtype=complex)])
+    return points
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import MaxIterationsError
+from .errors import MaxIterationsError, NumericalError
 from .kernels import ExponentialKernel
 from .pencil import ModePencil
 
@@ -250,12 +250,17 @@ def _solve(
     a work array at most BLOCK_CELLS entries.  No column's root depends on
     the others in its block.  ``brackets=False`` skips the bracket pass.
     When ``first`` is 1, a mode whose load ``p.load`` is not below 1
-    raises :class:`InadmissibleModeError`.
+    raises :class:`InadmissibleModeError`; a frequency whose square
+    overflows raises :class:`NumericalError`.
     """
     kern = p.kernel
     kern.require_every_pole("the real branches")
     c, g = kern._c, kern._g
-    w, a2 = p.memory_weight, p.frequency**2
+    try:
+        a2 = p.frequency**2
+    except OverflowError:
+        raise NumericalError(f"a**2 is past the double range at a = {p.frequency!r}") from None
+    w = p.memory_weight
     intervals = bracket_intervals(kern, last)
     if first == 1:
         p.check_load()

@@ -24,7 +24,7 @@ from gpspectra import (
     solve_pair,
 )
 from gpspectra.kernels import FSUM_MAX
-from conftest import MU_1, PAIR
+from conftest import MU_1, PAIR, WIDE_LADDERS
 
 
 def _data_rows(out: str) -> list[str]:
@@ -218,6 +218,30 @@ def test_an_integer_past_the_double_range_is_a_config_error(run_cli, cubic_confi
     assert err == "gpspectra: config error: config.modes[0]: must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"xi": "0.5"}, "config.xi: expected number, got string"),
+        ({"xi": {}}, "config.xi: expected number, got object"),
+        ({"kernel": [1.0]}, "config.kernel: expected object, got array"),
+        ({"kernel": {"coeffs": [True], "rates": [2.0]}}, "config.kernel.coeffs[0]: expected number, got boolean"),
+        ({"kernel": {"coeffs": None, "rates": [2.0]}}, "config.kernel.coeffs: expected array, got null"),
+        ({"modes": "10"}, "config.modes: expected array of frequencies or ladder object, got string"),
+        ({"modes": {"a_min": 10.0, "factor": 2.0, "count": 4.0}}, "config.modes.count: expected integer, got number"),
+        ({"modes": {"a_min": 10.0, "factor": 2.0, "count": 0}}, "config.modes.count: must be at least 1"),
+        ({"job": 1}, "config.job: expected string, got number"),
+        ({"job": "spectra"}, "config.job: unknown job kind 'spectra'"),
+        ({"output": 1}, "config.output: expected string, got number"),
+        (None, "config: expected object, got array"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_named_with_its_path(run_cli, cubic_config, change, message):
+    config = [cubic_config] if change is None else dict(cubic_config, **change)
+    code, out, err = run_cli("spectrum", config)
+    assert (code, out) == (2, "")
+    assert err == f"gpspectra: config error: {message}\n"
+
+
 def test_embedded_job_key_must_agree(run_cli, cubic_config):
     code, _, err = run_cli("spectrum", dict(cubic_config, job="verify"))
     assert code == 2
@@ -280,6 +304,29 @@ def test_spectrum_names_an_overloaded_mode(run_cli, cubic_config):
     assert out == ""
     assert "numerical failure: mode 1 (a_n=0.29999999999999999): mode is overloaded" in err
     assert "no sign change" not in err
+
+
+@pytest.mark.parametrize("ladder", WIDE_LADDERS.values(), ids=WIDE_LADDERS.keys())
+def test_verify_passes_the_wide_and_clustered_ladders(run_cli, ladder):
+    coeffs, rates, a, xi = ladder
+    config = {"kernel": {"coeffs": list(coeffs), "rates": list(rates)}, "xi": xi, "modes": [a]}
+    code, out, err = run_cli("verify", config)
+    assert code == 0, err
+    assert "oracle_match,mode_1,pass," in out
+
+
+@pytest.mark.parametrize("job,code", [("spectrum", 3), ("verify", 3), ("oracle-check", 3), ("asymptote", 0)])
+def test_a_frequency_whose_square_overflows_is_a_numerical_failure(run_cli, job, code):
+    # a**2 is past the double range at a = 1e155; asymptote never forms it
+    config = {"kernel": {"coeffs": [1.0, 0.5, 0.25], "rates": [2.0, 5.0, 11.0]}, "xi": 0.5, "modes": [1e155]}
+    got, out, err = run_cli(job, config)
+    assert got == code, err
+    if code == 3:
+        assert out == ""
+        assert err == (
+            "gpspectra: numerical failure: mode 1 (a_n=1e+155): "
+            "a**2 is past the double range at a = 1e+155\n"
+        )
 
 
 def test_verify_passes_the_thousand_term_power_law_ladder(run_cli):
