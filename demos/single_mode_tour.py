@@ -12,17 +12,15 @@ from gpspectra import (
     ExponentialKernel,
     ModePencil,
     aberth_roots,
-    admissibility_report,
     match_roots,
     solve_mode,
     to_polynomial,
 )
 
 kernel = ExponentialKernel(coeffs=(1.0,), rates=(2.0,))
-report = admissibility_report(kernel)
-print(f"kernel strength S = {report.l1_norm} (admissible: {report.admissible})")
-
 mode = ModePencil(frequency=10.0, xi=0.5, kernel=kernel)
+# the theorem's condition, per mode: load = a**(-2(1-xi)) * sum c/g < 1
+print(f"memory load {mode.load} (overloaded: {mode.overloaded})")
 result = solve_mode(mode)
 
 print("\nreal branch, bracketed between the pole and the origin:")

@@ -42,7 +42,6 @@ from .asymptotics import (
     AsymptoticPrediction,
     SlopeFit,
     asymptotic_constant,
-    asymptotic_constant_quadrature,
     classify_regime,
     empirical_order,
     predict_finite_sum,
@@ -73,11 +72,9 @@ from .errors import (
     QuadratureError,
 )
 from .kernels import (
-    AdmissibilityReport,
     ExponentialKernel,
     PowerLawFamily,
     TailSeries,
-    admissibility_report,
     angular_integral,
     continuum_laplace,
     laplace,
@@ -120,7 +117,6 @@ from .solve import CountingCertificate, SpectrumResult, solve_mode
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
     "AsymptoticPrediction",
     "BranchRoot",
     "ConfigError",
@@ -149,10 +145,8 @@ __all__ = [
     "SpectrumResult",
     "TailSeries",
     "aberth_roots",
-    "admissibility_report",
     "angular_integral",
     "asymptotic_constant",
-    "asymptotic_constant_quadrature",
     "bracket_intervals",
     "branch_and_stiffness_roots",
     "branch_convergence",

@@ -10,10 +10,10 @@ lam(a) as the mode frequency a grows:
   and for r = 1 the algebraic factor gains a log:
       lam = i*a - A/(2*beta) * log(a) * a**(-2*(1-xi)) + smaller.
 
-C(r) is the complex constant (i/2) * angular_integral(r, pi/2), available
-both in closed form and by quadrature so each route checks the other.  The
-sign of 1 + r - 2*xi sorts families into three long-run regimes for the
-decay rate |Re lam|: vanishing, constant, or unbounded.
+C(r) is the complex constant (i/2) * angular_integral(r, pi/2), here in
+closed form; the tests check it against that quadrature.  The sign of
+1 + r - 2*xi sorts families into three long-run regimes for the decay
+rate |Re lam|: vanishing, constant, or unbounded.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import PowerLawFamily
-from .quadrature import integrate_power_weighted
-
-#: tolerance of each integral giving C(r), none above about ten for r in
-#: [0.1, 0.9]: four decades below the 1e-8 the closed form is checked to
-CONSTANT_QUAD_TOL = 1e-12
+from .pencil import memory_weight
 
 
 @dataclass(frozen=True)
@@ -58,24 +54,6 @@ def asymptotic_constant(r: float) -> complex:
     )
 
 
-def asymptotic_constant_quadrature(r: float) -> complex:
-    """C(r) from its two defining real integrals, as an independent check.
-
-    C(r) = (1/2) * [ integral t**(-r)/(1+t**2) + i * integral t**(1-r)/(1+t**2) ]
-    over (0, inf).  Each integral splits at t = 1 and inverts the tail so
-    only power-weighted integrals over (0, 1] remain.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly inside (0, 1)")
-
-    def lower(power: float) -> complex:
-        return integrate_power_weighted(lambda t: 1.0 / (1.0 + t * t), power, tol=CONSTANT_QUAD_TOL)
-
-    j1 = lower(-r) + lower(r)  # head t**-r, inverted tail v**r
-    j2 = lower(1.0 - r) + lower(r - 1.0)
-    return 0.5 * complex(j1.real, j2.real)
-
-
 def predict_finite_sum(frequency: float, xi: float, initial_value: float) -> AsymptoticPrediction:
     """Pair prediction for kernels with finite initial value K(0).
 
@@ -95,8 +73,7 @@ def predict_finite_sum(frequency: float, xi: float, initial_value: float) -> Asy
         tag = "finite_sum_xi_gt_half"
     else:
         tag = "finite_sum_xi_eq_half"
-    weight = frequency ** (-2.0 * (1.0 - xi))
-    value = complex(-0.5 * initial_value * weight, frequency)
+    value = complex(-0.5 * initial_value * memory_weight(frequency, xi), frequency)
     return AsymptoticPrediction(
         value=value,
         remainder_order=2.0 * (1.0 - xi),
@@ -121,9 +98,7 @@ def predict_power_law(frequency: float, xi: float, family: PowerLawFamily) -> As
     order = 2.0 * (r - xi) + 1.0 if r < 0.5 else 2.0 * (1.0 - xi)
     if r == 1.0:
         tag = "power_r_eq_one"
-        corr = (family.amplitude / (2.0 * family.beta)) * math.log(a) * a ** (
-            -2.0 * (1.0 - xi)
-        )
+        corr = (family.amplitude / (2.0 * family.beta)) * math.log(a) * memory_weight(a, xi)
         value = complex(-corr, a)
     else:
         tag = "power_r_lt_half" if r < 0.5 else "power_r_in_half_one"

@@ -81,10 +81,14 @@ class FixedPointPair:
     """
 
     plus: complex
-    minus: complex
     iterations: int
     derivative_bound: float  # |g'| at the final iterate; < 1 when trusted
     residual: float
+
+    @property
+    def minus(self) -> complex:
+        """The lower root, the conjugate of ``plus``."""
+        return self.plus.conjugate()
 
 
 @dataclass(frozen=True)
@@ -159,10 +163,8 @@ def fixed_point_pair(p: ModePencil) -> FixedPointPair:
             )
         step = (tau - image) / (1.0 - deriv)
         if abs(step) <= PAIR_STEP_TOL * (1.0 + abs(tau)):
-            plus = 1j * a + (tau - step) * a
             return FixedPointPair(
-                plus=plus,
-                minus=plus.conjugate(),
+                plus=1j * a + (tau - step) * a,
                 iterations=it,
                 derivative_bound=abs(deriv),
                 residual=abs(tau * shift - w * khat),
@@ -230,7 +232,7 @@ def solve_pair(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> FixedPointP
             f"pair residual {fp.residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
         )
     if fp.plus.imag < 0:
-        return replace(fp, plus=fp.minus, minus=fp.plus)
+        return replace(fp, plus=fp.minus)
     return fp
 
 

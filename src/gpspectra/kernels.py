@@ -238,37 +238,6 @@ class ExponentialKernel:
         return math.fsum(self._c.tolist())
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Summary of the structural conditions a kernel is expected to satisfy."""
-
-    l1_norm: float
-    initial_value: float
-    admissible: bool  # l1_norm < 1
-    spacing_supremum: float  # max over k of g_k * (g_{k+1} - g_k); nan if size 1
-    size: int
-
-
-def admissibility_report(kernel: ExponentialKernel) -> AdmissibilityReport:
-    """Report the total-memory norm, initial value and rate-spacing proxy.
-
-    The spacing figure is the finite-ladder stand-in for an unbounded-gap
-    condition on the full rate sequence; it is informational only and never
-    asserted.
-    """
-    kernel.require_every_pole("the admissibility report")
-    g = kernel._g
-    spacing = float(np.max(g[:-1] * np.diff(g))) if kernel.size > 1 else math.nan
-    s = kernel.l1_norm
-    return AdmissibilityReport(
-        l1_norm=s,
-        initial_value=kernel.initial_value,
-        admissible=bool(s < 1.0),
-        spacing_supremum=spacing,
-        size=kernel.size,
-    )
-
-
 def _guard_poles(distance: float, rate: float) -> None:
     """Refuse an evaluation ``distance`` from the pole at -``rate``.
 
@@ -363,11 +332,13 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
 def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
     """(Khat(zeta), Khat'(zeta)) at one point, from one pass over the ladder.
 
-    Ladders of at most FSUM_MAX (64) terms form the terms c/(z + g) and
-    -c/(z + g)**2 and sum them exactly rounded.  Longer ladders, where
-    exact rounding would cost several times the pass itself, are summed in
-    real arithmetic, SUM_BLOCK terms at a time, without complex
-    temporaries (:func:`_blocked_sums`).  The far-pole series adds its
+    Ladders of at most FSUM_MAX (64) terms form the terms c/(z + g) and,
+    from each of them, -(c/(z + g))/(z + g), which never squares z + g and
+    so stays finite where that square would overflow; both sums are
+    exactly rounded.  Longer ladders, where exact rounding would cost
+    several times the pass itself, are summed in real arithmetic,
+    SUM_BLOCK terms at a time, without complex temporaries
+    (:func:`_blocked_sums`).  The far-pole series adds its
     share to both.  A scalar :func:`laplace` and :func:`laplace_deriv`
     are the two halves of this pass, pole guard included.
     """
@@ -375,8 +346,9 @@ def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[comple
     _guard_scalar(kernel, z)
     if kernel.size <= FSUM_MAX:
         shifted = z + kernel._g
-        out = _fsum(kernel._c / shifted)
-        dout = _fsum(-kernel._c / shifted**2)
+        terms = kernel._c / shifted
+        out = _fsum(terms)
+        dout = _fsum(-terms / shifted)
     else:
         out, dout = _blocked_sums(kernel, z)
     if kernel.tail is not None:

@@ -330,8 +330,6 @@ class ModeSystem:
     """
 
     matrix: np.ndarray
-    frequency: float
-    xi: float
 
     @property
     def dimension(self) -> int:
@@ -380,7 +378,7 @@ def build_mode_system(p: ModePencil) -> ModeSystem:
     for i, g in enumerate(p.kernel.rates):
         mat[2 + i, 0] = 1.0
         mat[2 + i, 2 + i] = -g
-    return ModeSystem(matrix=mat, frequency=a, xi=p.xi)
+    return ModeSystem(matrix=mat)
 
 
 @dataclass(frozen=True)

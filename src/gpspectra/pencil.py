@@ -31,6 +31,11 @@ from .kernels import ExponentialKernel, laplace, laplace_with_deriv
 POLY_MAX = 64
 
 
+def memory_weight(frequency: float, xi: float) -> float:
+    """w = a**(-2*(1-xi)), the dimensionless weight of the memory term."""
+    return frequency ** (-2.0 * (1.0 - xi))
+
+
 @dataclass(frozen=True)
 class ModePencil:
     """One mode: finite frequency a > 0, coupling grade xi in (0, 1), and a kernel."""
@@ -49,8 +54,8 @@ class ModePencil:
 
     @cached_property
     def memory_weight(self) -> float:
-        """w = a**(-2*(1-xi)), the dimensionless weight of the memory term."""
-        return self.frequency ** (-2.0 * (1.0 - self.xi))
+        """w = a**(-2*(1-xi)) at this mode (:func:`memory_weight`)."""
+        return memory_weight(self.frequency, self.xi)
 
     @cached_property
     def load(self) -> float:

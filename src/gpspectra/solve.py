@@ -51,12 +51,16 @@ class SpectrumResult:
     real_roots: tuple[BranchRoot, ...]
     stiffness_roots: tuple[BranchRoot, ...]
     pair_plus: complex
-    pair_minus: complex
     pair_residual: float
     pair_iterations: int
     contraction_bound: float
     interlacing_margin: float
     certificate: CountingCertificate | None
+
+    @property
+    def pair_minus(self) -> complex:
+        """The lower root of the pair, the conjugate of ``pair_plus``."""
+        return self.pair_plus.conjugate()
 
     @property
     def all_roots(self) -> tuple[complex, ...]:
@@ -139,7 +143,6 @@ def solve_mode(
         real_roots=real,
         stiffness_roots=stiff,
         pair_plus=pair.plus,
-        pair_minus=pair.minus,
         pair_residual=abs(symbol(p, pair.plus)),
         pair_iterations=pair.iterations,
         contraction_bound=pair.derivative_bound,

@@ -6,8 +6,8 @@ import pytest
 
 from gpspectra import (
     PowerLawFamily,
+    angular_integral,
     asymptotic_constant,
-    asymptotic_constant_quadrature,
     classify_regime,
     empirical_order,
     predict_finite_sum,
@@ -31,7 +31,7 @@ def test_constant_domain(r):
     with pytest.raises(ValueError):
         asymptotic_constant(r)
     with pytest.raises(ValueError):
-        asymptotic_constant_quadrature(r)
+        angular_integral(r, math.pi / 2)
 
 
 def test_constant_reflection_symmetry():
@@ -45,7 +45,7 @@ def test_constant_reflection_symmetry():
 @pytest.mark.parametrize("r", [0.1 * k for k in range(1, 10)])
 def test_constant_matches_quadrature(r):
     closed = asymptotic_constant(r)
-    quad = asymptotic_constant_quadrature(r)
+    quad = 0.5j * angular_integral(r, math.pi / 2)  # C(r) = (i/2) * its defining integral
     assert abs(closed - quad) < 1e-8
 
 

@@ -135,6 +135,14 @@ def test_a_disc_far_from_the_root_is_refused(cubic):
     assert "pair" in str(info.value)
 
 
+def test_a_disc_whose_newton_step_is_too_long_is_refused(cubic):
+    # five off the root the disc still clears the real axis, but the
+    # Kantorovich quantity does not stay within 1/2
+    with pytest.raises(EnclosureError, match=r"Kantorovich h = .* is above 1/2") as info:
+        kantorovich_ball(cubic, PAIR + 5.0)
+    assert info.value.branch is None
+
+
 def test_the_disc_is_no_narrower_than_the_doubles_at_its_centre(cubic):
     _, radius, h = kantorovich_ball(cubic, PAIR)
     assert radius >= 2.0 * np.finfo(float).eps

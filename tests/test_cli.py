@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,26 @@ def test_sweep_footer_carries_decay_slopes(run_cli, cubic_config):
     rows = _data_rows(out)[1:]
     assert len(rows) == 4
     assert all(r.endswith(",tends_to_axis") for r in rows)
+
+
+def test_sweep_past_the_square_root_of_the_double_range_warns_nothing(run_cli):
+    # (z + g)**2 overflows from |z| of about 1.3e154; the transform's slope
+    # terms are formed as (c/(z + g))/(z + g), so no step overflows
+    config = {
+        "kernel": {"coeffs": [1.0, 0.5, 0.25], "rates": [2.0, 5.0, 11.0]},
+        "xi": 0.5,
+        "modes": {"a_min": 1e154, "factor": 10.0, "count": 4},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("sweep", config)
+    assert code == 0, err
+    rows = [row.split(",") for row in _data_rows(out)[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        values = [float(v) for v in row[:7]]
+        assert all(math.isfinite(v) for v in values)
+        assert values[1] < 0.0 and values[2] == values[0]  # damped, Im z = a
 
 
 SQRT_FAMILY = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 1.0}

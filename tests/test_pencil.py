@@ -7,10 +7,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from gpspectra import ExponentialKernel, ModePencil, inertia, stiffness, symbol, symbol_with_deriv, to_polynomial
+from gpspectra import (
+    ExponentialKernel,
+    ModePencil,
+    PowerLawFamily,
+    inertia,
+    materialize,
+    materialize_within_each,
+    solve_pair,
+    stiffness,
+    symbol,
+    symbol_with_deriv,
+    to_polynomial,
+)
+from gpspectra.kernels import FSUM_MAX
 from gpspectra.pencil import POLY_MAX
-from conftest import CLUSTER_TWELVE, recipe_pencil
+from conftest import CLUSTER_TWELVE, admissible_modes, recipe_pencil
 
 
 def test_pencil_validation():
@@ -54,6 +68,35 @@ def test_symbol_conjugate_symmetry(cubic):
     pts = rng.standard_normal(30) * 5 + 1j * rng.standard_normal(30) * 5
     assert np.allclose(symbol(cubic, np.conj(pts)), np.conj(symbol(cubic, pts)),
                        rtol=0, atol=1e-12)
+
+
+def _assert_scalar_mirror(p: ModePencil, points) -> None:
+    # verify's conjugacy row reads the upper root's residual for the lower
+    # root's, which holds because a real kernel mirrors L exactly
+    for z in points:
+        assert symbol(p, z.conjugate()) == symbol(p, z).conjugate(), z
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(admissible_modes())
+def test_symbol_mirrors_bit_for_bit(p):
+    a, g = p.frequency, p.kernel.rates
+    plus = solve_pair(p).plus
+    _assert_scalar_mirror(p, [plus, 1j * a, complex(-0.5 * g[0], 0.5 * a), complex(-2.0 * g[-1], 1.0)])
+
+
+def test_symbol_mirrors_bit_for_bit_on_long_ladders_and_series_heads():
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000)
+    whole = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 300))
+    head = materialize_within_each(family, [30.0])[0]
+    assert whole.size > FSUM_MAX and head.tail is not None
+    rng = np.random.default_rng(25)
+    for kern, reach, a in ((whole, 400.0, 100.0), (head, 30.0, 25.0)):
+        p = ModePencil(a, 0.5, kern)
+        points = [solve_pair(p).plus]
+        points += [complex(r * math.cos(t), r * math.sin(t))
+                   for r, t in zip(rng.uniform(0.0, reach, 12), rng.uniform(0.1, 3.0, 12))]
+        _assert_scalar_mirror(p, points)
 
 
 def test_cleared_cubic_coefficients(cubic):

@@ -18,7 +18,7 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra.cli import _mode_checks
-from conftest import MU_1, PAIR
+from conftest import CLUSTER_TWELVE, MU_1, PAIR
 
 
 def test_cubic_solve_is_complete(cubic):
@@ -85,6 +85,16 @@ def test_three_stage_kernel_solve():
 def test_unreachable_tolerance_is_reported(cubic):
     with pytest.raises(NumericalError):
         solve_mode(cubic, residual_tol=1e-30)
+
+
+def test_a_branch_root_past_its_error_gate_is_refused():
+    # the cubic's branch has no root error, so its tight target trips the
+    # pair's gate; CLUSTER_TWELVE's first branch estimates 7.2e-18 relative
+    # while its pair's residual, 3.4e-21, would pass a 1e-20 target
+    coeffs, rates, a, xi = CLUSTER_TWELVE
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    with pytest.raises(NumericalError, match=r"^branch 1 root-error estimate .* exceeds "):
+        solve_mode(p, residual_tol=1e-20)
 
 
 def test_overloaded_mode_is_refused_before_solving():
