@@ -8,11 +8,13 @@ PINCHED_FIVE, and the 164415-term square-root family c_k = k**-1/2,
 g_k = k on six modes from a = 100, whose sweep closes the far poles with
 a power series.  Every job has a file; ``asymptote`` runs on the cubic and
 the two ladders, and the family's imaginary remainder order prints
-``nan``.  ``verify`` and ``oracle-check`` also run on the 50-term
-square-root family at a = 10, 90 and 810, where the polynomial oracle
-works on degree-52 polynomials.  A refactor that moves any printed digit fails here; a change
-that means to move one regenerates the file with the command above and
-says why.
+``nan``.  The PINCHED_FIVE ladder also runs ``spectrum``, ``verify`` and
+``oracle-check``, which pins its branch roots down to 1e-13 from their
+poles.  ``spectrum``, ``verify`` and ``oracle-check`` also run on the
+50-term square-root family at a = 10, 90 and 810, where the polynomial
+oracle works on degree-52 polynomials.  A refactor that moves any printed
+digit fails here; a change that means to move one regenerates the file
+with the command above and says why.
 """
 
 from pathlib import Path
