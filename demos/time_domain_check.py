@@ -17,7 +17,7 @@ CASES = (
 
 for coeffs, rates, a, xi, horizon, dt in CASES:
     pencil = ModePencil(frequency=a, xi=xi, kernel=ExponentialKernel(coeffs, rates))
-    result = solve_mode(pencil, certify=False)
+    result = solve_mode(pencil)
     est = simulate_decay(pencil, horizon=horizon, dt=dt)
     abscissa = result.spectral_abscissa
     err = abs(est.rate - abscissa) / abs(abscissa)

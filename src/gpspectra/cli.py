@@ -338,7 +338,7 @@ def _oracle_deviation(pencil: ModePencil, roots) -> tuple[float, np.ndarray]:
 
 def _oracle_check_mode(pencil: ModePencil, residual_tol: float) -> tuple[float, float]:
     """Root deviation from the polynomial oracle and companion coefficient deviation."""
-    result = solve_mode(pencil, residual_tol=residual_tol, certify=False)
+    result = solve_mode(pencil, residual_tol=residual_tol)
     root_dev, coeffs = _oracle_deviation(pencil, result.all_roots)
     if pencil.kernel.size + 2 <= ODE_MAX:
         companion = build_mode_system(pencil).char_coefficients()
@@ -364,11 +364,11 @@ def _predictions(cfg: JobConfig) -> tuple[list, str]:
 
 
 def run_spectrum(cfg: JobConfig) -> tuple[str, bool]:
-    """All roots of every mode: N bracketed real branches plus the pair."""
+    """All roots of every mode, certified: N bracketed real branches plus the pair."""
     kernel = _materialized(cfg)
     pencils = _pencils(cfg, kernel)
     results = _map_modes(
-        lambda p: solve_mode(p, residual_tol=cfg.residual_tol, certify=False),
+        lambda p: solve_mode(p, residual_tol=cfg.residual_tol),
         enumerate(pencils, start=1),
     )
 

@@ -363,7 +363,8 @@ def _transform(kernel: ExponentialKernel, zeta, deriv: bool) -> complex | np.nda
         return laplace_with_deriv(kernel, complex(z))[deriv]
     shifted = z[..., None] + kernel._g
     _guard_array(kernel, shifted)
-    terms = -kernel._c / shifted**2 if deriv else kernel._c / shifted
+    # the slope as (c/s)/s, as the scalar pass forms it: s**2 overflows past |s| = 1.3e154
+    terms = -(kernel._c / shifted) / shifted if deriv else kernel._c / shifted
     out = np.sum(terms, axis=-1)
     if kernel.tail is not None:
         out = out + (kernel.tail.deriv(z) if deriv else kernel.tail.value(z))

@@ -70,8 +70,6 @@ class BranchRoot:
     of -F(lo)/bound(lo) and F(hi)/bound(hi), F = L/a**2 (F = f for a
     stiffness root) and bound its rounding-error bound there.  Above 1,
     L changes sign on the bracket for certain, so a root lies inside it.
-    A root solved without brackets (``brackets=False``) holds None and
-    NaN there.
     """
 
     index: int
@@ -80,7 +78,7 @@ class BranchRoot:
     residual: float
     offset: float
     root_error: float
-    bracket: tuple[float, float] | None
+    bracket: tuple[float, float]
     sign_margin: float
 
     @property
@@ -241,14 +239,13 @@ def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
     return lo, hi, margin
 
 
-def _solve(
-    p: ModePencil, first: int, last: int, brackets: bool = True
-) -> tuple[list[BranchRoot], list[BranchRoot]]:
+def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list[BranchRoot]]:
     """Branches first..last of the symbol and of the stiffness factor, solved together.
 
     Every block holds the same branches of both factors, side by side, and
     a work array at most BLOCK_CELLS entries.  No column's root depends on
-    the others in its block.  ``brackets=False`` skips the bracket pass.
+    the others in its block.  Every root leaves with its proven bracket,
+    taken after the roots are final, so the bracket pass moves none.
     When ``first`` is 1, a mode whose load ``p.load`` is not below 1
     raises :class:`InadmissibleModeError`; a frequency whose square
     overflows raises :class:`NumericalError`.
@@ -276,11 +273,8 @@ def _solve(
         F, bound, t, x = _secular(c, g, w, s, k, d)
         dF = 2.0 * s * x + (c[:, None] / t * w / t).sum(axis=0)
         step = np.abs(F / dF)
-        if brackets:
-            lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
-            enclosures = zip(zip(lo.tolist(), hi.tolist()), margin.tolist())
-        else:
-            enclosures = [(None, math.nan)] * k.size
+        lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
+        enclosures = zip(zip(lo.tolist(), hi.tolist()), margin.tolist())
         cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), enclosures)
         for col, (i, value, offset, f, err, (bracket, m)) in enumerate(cols):
             j = col // branches.size
@@ -299,14 +293,12 @@ def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
     return _solve(p, 1, count)[1]
 
 
-def branch_and_stiffness_roots(
-    p: ModePencil, count: int, brackets: bool = True
-) -> tuple[list[BranchRoot], list[BranchRoot]]:
+def branch_and_stiffness_roots(p: ModePencil, count: int) -> tuple[list[BranchRoot], list[BranchRoot]]:
     """The real roots of the symbol and of the stiffness factor, k = 1..count, from one block pass.
 
-    ``brackets=False`` skips the bracket pass (see :class:`BranchRoot`).
+    Each root carries its proven bracket and sign margin (see :class:`BranchRoot`).
     """
-    return _solve(p, 1, count, brackets)
+    return _solve(p, 1, count)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class SpectrumResult:
     so.  ``pair_iterations`` counts the pair's passes over the ladder and
     ``contraction_bound`` is the fixed-point map's |g'| at its last iterate
     (see :func:`fixed_point_pair`).  ``certificate`` proves that the n + 2
-    roots found are all the roots (None when not requested).
+    roots found are all the roots.
     """
 
     pencil: ModePencil
@@ -55,7 +55,7 @@ class SpectrumResult:
     pair_iterations: int
     contraction_bound: float
     interlacing_margin: float
-    certificate: CountingCertificate | None
+    certificate: CountingCertificate
 
     @property
     def pair_minus(self) -> complex:
@@ -104,29 +104,26 @@ def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex) -> 
     )
 
 
-def solve_mode(
-    p: ModePencil,
-    residual_tol: float = RESIDUAL_TOL,
-    certify: bool = True,
-) -> SpectrumResult:
-    """Locate every root of the mode symbol and bundle the evidence.
+def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumResult:
+    """Locate every root of the mode symbol and prove that they are all of them.
 
     All kernel poles bracket one real branch; the conjugate pair comes from
     Newton's method on the fixed-point map (:func:`solve_pair`).  A branch
     root must pass its gate ``BranchRoot.relative_error <= residual_tol``
-    and the pair must satisfy |L| <= residual_tol * a**2.  With
-    ``certify`` the result carries a :class:`CountingCertificate`: every
-    branch bracket must show a sign change clear of its rounding bound,
-    and the pair a Newton-Kantorovich disc, or :class:`EnclosureError`
-    names the branch or disc that failed.  No contour is walked;
-    :func:`count_zeros` remains the independent check.  A mode whose load
-    ``p.load`` is not below 1 lies outside the theorem: the branch solve
-    raises :class:`InadmissibleModeError` before anything is solved.  Without
-    ``certify`` the branch brackets are not evaluated: each root's
-    ``bracket`` is None and its ``sign_margin`` NaN.
+    and the pair must satisfy |L| <= residual_tol * a**2.  The result
+    carries a :class:`CountingCertificate`: every branch bracket must show
+    a sign change clear of its rounding bound, and the pair a
+    Newton-Kantorovich disc clear of the real axis, or
+    :class:`EnclosureError` names the branch or disc that failed.  So an
+    overdamped mode, whose two extra roots are real, is refused rather
+    than reported with a "pair" that is one of them.  No contour is
+    walked; :func:`count_zeros` remains the independent check.  A mode
+    whose load ``p.load`` is not below 1 lies outside the theorem: the
+    branch solve raises :class:`InadmissibleModeError` before anything is
+    solved.
     """
     n = p.kernel.size
-    real, stiff = map(tuple, branch_and_stiffness_roots(p, n, brackets=certify))
+    real, stiff = map(tuple, branch_and_stiffness_roots(p, n))
     for r in real:
         if r.relative_error > residual_tol:
             raise NumericalError(
@@ -135,9 +132,6 @@ def solve_mode(
             )
 
     pair = solve_pair(p, residual_tol=residual_tol)
-
-    certificate = _count_roots(p, real, pair.plus) if certify else None
-
     return SpectrumResult(
         pencil=p,
         real_roots=real,
@@ -147,5 +141,5 @@ def solve_mode(
         pair_iterations=pair.iterations,
         contraction_bound=pair.derivative_bound,
         interlacing_margin=_interlacing_margin(real, stiff),
-        certificate=certificate,
+        certificate=_count_roots(p, real, pair.plus),
     )

@@ -139,6 +139,13 @@ CLUSTER_EIGHT = (
 )
 WIDE_LADDERS = {"RECIPE_TWENTY_FOUR": RECIPE_TWENTY_FOUR, "CLUSTER_EIGHT": CLUSTER_EIGHT}
 
+# An admissible one-term mode that is overdamped: load 0.93, but the
+# cleared cubic has three real roots, -4.1715, -0.95591 and -5.96e-6 (by
+# mpmath at 120 digits), and no oscillatory pair.  A draw of ROADMAP item
+# 3's near-overload recipe (random.Random(3)); its pair solve converges
+# onto the real root -0.95591, which the pair's disc refuses.
+OVERDAMPED_ONE = ((8.64678311216163,), (5.127377392505469,), 1.9968933769799135, 0.6221806198141612)
+
 
 SPURIOUS_PAIR_LADDERS = {
     "615": POOL_615, "656": POOL_656, "712": CLUSTER_TWELVE,
@@ -146,18 +153,18 @@ SPURIOUS_PAIR_LADDERS = {
 }
 
 
-def recipe_pencil(n: int, uniform) -> ModePencil:
+def recipe_pencil(
+    n: int, uniform, gaps=(-1.0, 1.0), strength=(0.2, 0.85), log_a=(0.0, 6.0), xi=(0.05, 0.95)
+) -> ModePencil:
     """One pool-style ladder of size n, each number drawn by uniform(lo, hi):
-    log-uniform first rate, gaps and amplitudes over [0.1, 10], memory
-    strength sum c/g in [0.2, 0.85], a log-uniform over [1, 1e6], xi in
-    [0.05, 0.95]."""
-    rates = np.cumsum([10.0 ** uniform(-1.0, 1.0) for _ in range(n)])
+    log-uniform first rate and amplitudes over [0.1, 10], gaps 10**u(gaps),
+    memory strength sum c/g in ``strength``, a = 10**u(log_a) and xi in
+    ``xi``.  The defaults are the random_modes pool's."""
+    rates = np.cumsum([10.0 ** uniform(-1.0, 1.0)] + [10.0 ** uniform(*gaps) for _ in range(n - 1)])
     raw = np.array([10.0 ** uniform(-1.0, 1.0) for _ in range(n)])
-    strength = uniform(0.2, 0.85)
-    coeffs = raw * (strength / float(np.sum(raw / rates)))
-    a = 10.0 ** uniform(0.0, 6.0)
-    xi = uniform(0.05, 0.95)
-    return ModePencil(a, xi, ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
+    coeffs = raw * (uniform(*strength) / float(np.sum(raw / rates)))
+    a = 10.0 ** uniform(*log_a)
+    return ModePencil(a, uniform(*xi), ExponentialKernel(tuple(coeffs.tolist()), tuple(rates.tolist())))
 
 
 @st.composite
@@ -165,6 +172,19 @@ def admissible_modes(draw):
     """Pool-style ladders of sizes 1..12 (:func:`recipe_pencil`)."""
     n = draw(st.integers(1, 12))
     return recipe_pencil(n, lambda lo, hi: draw(st.floats(lo, hi)))
+
+
+@st.composite
+def wide_frequency_modes(draw):
+    """Pool-style ladders of sizes 1..12 over a wide frequency range: gaps
+    10**u(-3, 1), memory strength sum c/g in [0.05, 0.99], a log-uniform
+    over [0.1, 1e150] and xi in [0.02, 0.98].  Below a of about 0.7 the
+    load w*sum c/g can reach 1, so some draws are overloaded."""
+    n = draw(st.integers(1, 12))
+    return recipe_pencil(
+        n, lambda lo, hi: draw(st.floats(lo, hi)),
+        gaps=(-3.0, 1.0), strength=(0.05, 0.99), log_a=(-1.0, 150.0), xi=(0.02, 0.98),
+    )
 
 
 def recipe_sample(seed: int, per_size: int) -> list[ModePencil]:

@@ -232,7 +232,7 @@ DECAY_SUITE = (
 def test_10_time_domain_decay_matches_abscissa():
     for coeffs, rates, a, xi, horizon, dt in DECAY_SUITE:
         pencil = ModePencil(frequency=a, xi=xi, kernel=ExponentialKernel(coeffs, rates))
-        result = solve_mode(pencil, certify=False)
+        result = solve_mode(pencil)
         estimate = simulate_decay(pencil, horizon=horizon, dt=dt)
         abscissa = result.spectral_abscissa
         assert abs(estimate.rate - abscissa) <= 0.05 * abs(abscissa)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from gpspectra import (
     EnclosureError,
     ExponentialKernel,
+    InadmissibleModeError,
     ModePencil,
     aberth_roots,
     branch_and_stiffness_roots,
@@ -19,7 +20,14 @@ from gpspectra import (
     to_polynomial,
 )
 from gpspectra import solve
-from conftest import CLUSTER_TWELVE, PAIR, PINCHED_EIGHT, PINCHED_FIVE, admissible_modes
+from conftest import (
+    CLUSTER_TWELVE,
+    PAIR,
+    PINCHED_EIGHT,
+    PINCHED_FIVE,
+    admissible_modes,
+    wide_frequency_modes,
+)
 
 PINNED = [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE]
 PINNED_IDS = ["PINCHED_FIVE", "PINCHED_EIGHT", "CLUSTER_TWELVE"]
@@ -114,6 +122,21 @@ def test_large_frequencies_are_counted(a, xi):
         warnings.simplefilter("error", RuntimeWarning)
         cert = solve_mode(p).certificate
     assert cert.zeros_inferred == 5
+    assert cert.sign_margin > 1.0
+    assert cert.kantorovich_h <= 0.5
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(wide_frequency_modes())
+def test_every_admissible_mode_over_a_wide_frequency_range_is_certified(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cert = solve_mode(p).certificate
+        except InadmissibleModeError:
+            assert p.overloaded
+            return
+    assert cert.zeros_inferred == p.kernel.size + 2
     assert cert.sign_margin > 1.0
     assert cert.kantorovich_h <= 0.5
 

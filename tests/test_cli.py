@@ -25,7 +25,7 @@ from gpspectra import (
     solve_pair,
 )
 from gpspectra.kernels import FSUM_MAX
-from conftest import MU_1, PAIR, WIDE_LADDERS
+from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS
 
 
 def _data_rows(out: str) -> list[str]:
@@ -305,6 +305,20 @@ def test_spectrum_names_an_overloaded_mode(run_cli, cubic_config):
     assert out == ""
     assert "numerical failure: mode 1 (a_n=0.29999999999999999): mode is overloaded" in err
     assert "no sign change" not in err
+
+
+@pytest.mark.parametrize("job", ["spectrum", "oracle-check"])
+def test_an_overdamped_mode_is_refused_not_printed_as_a_pair(run_cli, job):
+    # the pair solve lands on the real root -0.95591 (im 4.4e-16), and the
+    # certificate's disc refuses it.  ROADMAP item 3 will report this mode
+    # as a classified overdamped row instead, and must update this test.
+    coeffs, rates, a, xi = OVERDAMPED_ONE
+    config = {"kernel": {"coeffs": list(coeffs), "rates": list(rates)}, "xi": xi, "modes": [a]}
+    code, out, err = run_cli(job, config)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: mode 1 (a_n=1.9968933769799135): pair disc" in err
+    assert "the disc reaches the real axis" in err
 
 
 @pytest.mark.parametrize("ladder", WIDE_LADDERS.values(), ids=WIDE_LADDERS.keys())

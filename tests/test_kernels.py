@@ -194,7 +194,7 @@ def test_symbol_is_finite_at_every_resolved_root(coeffs, rates, a, xi):
     # pool entry 619 (PINCHED_EIGHT): branch 5's root lies 61 ulps of its
     # rate from its pole, branch 8's 83 ulps (1.474e-13 from -15.0505)
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
-    result = solve_mode(p, certify=False)
+    result = solve_mode(p)
     for b in result.real_roots + result.stiffness_roots:
         for z in (b.value, np.array([b.value])):
             assert np.all(np.isfinite(symbol(p, z)))
@@ -304,6 +304,20 @@ def test_fused_transform_keeps_huge_arguments_in_range():
             reference = complex(laplace(kern, np.array([z]))[0])
             assert abs(value - reference) <= 1e-14 * abs(reference)
             assert math.isfinite(abs(slope))
+
+
+
+def test_the_array_slope_does_not_square_past_the_double_range():
+    # (z + g)**2 overflows at |z| = 1e155, while -(c/(z + g))/(z + g) is
+    # the subnormal 1.75e-310 that the scalar pass returns
+    kern = ExponentialKernel((1.0, 0.5, 0.25), (2.0, 5.0, 11.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = laplace_deriv(kern, np.array([1e155j]))
+        scalar = laplace_deriv(kern, 1e155j)
+    assert slope.shape == (1,)
+    assert slope[0] == pytest.approx(scalar, rel=1e-12, abs=0.0)
+    assert slope[0] == pytest.approx(1.75e-310, rel=1e-12, abs=0.0)
 
 
 def _sums_to_40_digits(kern, z):

@@ -1,6 +1,5 @@
 """Real branches: bracketing, interlaced roots, pole-approach rates."""
 
-import dataclasses
 import math
 import random
 
@@ -172,11 +171,6 @@ def _check_fused_block(p: ModePencil) -> None:
         assert stiffness_roots(p, c) == stiff[:c]
     full = solve_mode(p)
     assert list(full.real_roots) == roots and list(full.stiffness_roots) == stiff
-    # without the certificate the bracket pass is skipped, and only it
-    result = solve_mode(p, certify=False)
-    for bare, root in zip(result.real_roots + result.stiffness_roots, roots + stiff):
-        assert bare.bracket is None and math.isnan(bare.sign_margin)
-        assert dataclasses.replace(bare, bracket=root.bracket, sign_margin=root.sign_margin) == root
     # as branch_convergence does, one branch of both factors alone
     for k in {1, n}:
         assert real_branches._solve(p, k, k) == ([roots[k - 1]], [stiff[k - 1]])

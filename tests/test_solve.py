@@ -58,10 +58,6 @@ def test_cubic_certificate(cubic):
     assert abs(PAIR / 10.0 - 1j - cert.pair_center) <= cert.pair_radius
 
 
-def test_certificate_can_be_skipped(cubic):
-    assert solve_mode(cubic, certify=False).certificate is None
-
-
 def test_solve_is_deterministic(cubic):
     first = solve_mode(cubic)
     second = solve_mode(cubic)
