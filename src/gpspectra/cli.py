@@ -421,7 +421,7 @@ def _mode_checks(
 
     # the contour walk, independent of the solver's own counting certificate;
     # count_zeros refuses any defect of MAX_QUADRATURE_DEFECT or more
-    cert = count_zeros(pencil, spectrum_contour(pencil, n))
+    cert = count_zeros(pencil, spectrum_contour(pencil))
     count_ok = cert.zeros_inferred == n + 2
     rows.append(("contour_count", "pass" if count_ok else "fail", cert.max_quadrature_defect))
 

@@ -435,26 +435,19 @@ def count_zeros(p: ModePencil, contour: RectContour) -> CountCertificate:
     )
 
 
-def spectrum_contour(p: ModePencil, window: int) -> RectContour:
-    """Rectangle expected to enclose the first ``window`` real branches plus the pair.
+def spectrum_contour(p: ModePencil) -> RectContour:
+    """Rectangle expected to enclose every real branch plus the pair.
 
-    The right/left edges sit at the midpoint between rates number ``window``
-    and ``window``+1; when the window uses up the whole ladder a synthetic
-    next rate extends the last gap (at least 10% of the top rate) so every
-    real branch stays strictly inside.  The height exceeds the pair by
-    construction: Y = 1.1 * a * sqrt(1 + K(0) * w).
+    A synthetic next rate extends the ladder's last gap (at least 10% of
+    the top rate), and the right/left edges sit at the midpoint between
+    the top rate and it, so every real branch stays strictly inside.  The
+    height exceeds the pair by construction: Y = 1.1 * a * sqrt(1 + K(0) * w).
     """
     p.kernel.require_every_pole("the spectrum contour")
-    n = p.kernel.size
-    if not 1 <= window <= n:
-        raise ValueError(f"window {window} outside 1..{n}")
     rates = p.kernel.rates
-    if window < n:
-        x_edge = 0.5 * (rates[window - 1] + rates[window])
-    else:
-        top = rates[-1]
-        last_gap = top - rates[-2] if n >= 2 else top
-        x_edge = top + 0.5 * max(last_gap, 0.1 * top)
+    top = rates[-1]
+    last_gap = top - rates[-2] if len(rates) >= 2 else top
+    x_edge = top + 0.5 * max(last_gap, 0.1 * top)
     y_edge = 1.1 * p.frequency * np.sqrt(
         1.0 + p.kernel.initial_value * p.memory_weight
     )

@@ -357,20 +357,6 @@ def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[comple
     return out, dout
 
 
-def _transform(kernel: ExponentialKernel, zeta, deriv: bool) -> complex | np.ndarray:
-    z = np.asarray(zeta, dtype=complex)
-    if z.ndim == 0:
-        return laplace_with_deriv(kernel, complex(z))[deriv]
-    shifted = z[..., None] + kernel._g
-    _guard_array(kernel, shifted)
-    # the slope as (c/s)/s, as the scalar pass forms it: s**2 overflows past |s| = 1.3e154
-    terms = -(kernel._c / shifted) / shifted if deriv else kernel._c / shifted
-    out = np.sum(terms, axis=-1)
-    if kernel.tail is not None:
-        out = out + (kernel.tail.deriv(z) if deriv else kernel.tail.value(z))
-    return out
-
-
 def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """Khat(zeta) = sum_k c_k / (zeta + g_k).
 
@@ -385,15 +371,23 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     share; beyond its radius it raises :class:`NumericalError` rather
     than extrapolate.
     """
-    return _transform(kernel, zeta, deriv=False)
+    z = np.asarray(zeta, dtype=complex)
+    if z.ndim == 0:
+        return laplace_with_deriv(kernel, complex(z))[0]
+    shifted = z[..., None] + kernel._g
+    _guard_array(kernel, shifted)
+    out = np.sum(kernel._c / shifted, axis=-1)
+    if kernel.tail is not None:
+        out = out + kernel.tail.value(z)
+    return out
 
 
-def laplace_deriv(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
-    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2, far-pole series included.
+def laplace_deriv(kernel: ExponentialKernel, zeta: complex) -> complex:
+    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2 at one point, far-pole series included.
 
-    Summed as :func:`laplace` sums: a scalar point is the other half of its pass.
+    The other half of the :func:`laplace_with_deriv` pass.
     """
-    return _transform(kernel, zeta, deriv=True)
+    return laplace_with_deriv(kernel, zeta)[1]
 
 
 @dataclass(frozen=True)

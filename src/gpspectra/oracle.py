@@ -237,8 +237,11 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     real roots come back with an imaginary part of exactly zero.  Only
     the iterates that moved in the last sweep are evaluated again, and a
     lower iterate on the exact conjugate of an upper one takes the
-    conjugate ratio.  Iterates that meet anywhere but
-    at a multiple root are nudged apart.  A sweep count past
+    conjugate ratio.  Iterates that meet anywhere but at a multiple root
+    are moved apart, the others kept: by a relative nudge, or from 0, which
+    a nudge leaves where it is, to the Cauchy lower bound
+    |c_0| / (|c_0| + max_(k>0) |c_k|) on the root moduli of the monic
+    polynomial, each on its own ray, none of them real.  A sweep count past
     ABERTH_MAX_SWEEPS raises MaxIterationsError.
 
     Exactly one root is returned per degree, and every returned root must
@@ -289,10 +292,16 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         np.fill_diagonal(diff, np.inf)
         if not diff.all():
             # iterates on one point share its ratio: at a multiple root it
-            # is zero and they stay; anywhere else they are nudged apart
+            # is zero and they stay; anywhere else they are moved apart
             hit = diff == 0
-            if ratio[hit.any(axis=1)].any():
-                points, todo = z * (1.0 + 1e-12 * np.arange(1, n + 1)), range(n)
+            meet = hit.any(axis=1)
+            if ratio[meet].any():
+                i, zero = np.flatnonzero(meet), np.flatnonzero(meet & (z == 0))
+                points = points.astype(complex)
+                points[i] = z[i] * (1.0 + 1e-12 * (i + 1))
+                bound = abs(c[0]) / (abs(c[0]) + np.abs(c[1:]).max())
+                points[zero] = bound * np.exp(2j * np.pi * (np.arange(zero.size) + 0.25) / zero.size)
+                todo = i.tolist()
                 continue
             diff[hit] = np.inf
         denom = 1.0 - ratio * (1.0 / diff).sum(axis=1)

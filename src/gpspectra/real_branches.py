@@ -246,9 +246,9 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
     a work array at most BLOCK_CELLS entries.  No column's root depends on
     the others in its block.  Every root leaves with its proven bracket,
     taken after the roots are final, so the bracket pass moves none.
-    When ``first`` is 1, a mode whose load ``p.load`` is not below 1
-    raises :class:`InadmissibleModeError`; a frequency whose square
-    overflows raises :class:`NumericalError`.
+    A mode whose load ``p.load`` is not below 1 raises
+    :class:`InadmissibleModeError`, whichever branches are asked for; a
+    frequency whose square overflows raises :class:`NumericalError`.
     """
     kern = p.kernel
     kern.require_every_pole("the real branches")
@@ -259,8 +259,7 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
         raise NumericalError(f"a**2 is past the double range at a = {p.frequency!r}") from None
     w = p.memory_weight
     intervals = bracket_intervals(kern, last)
-    if first == 1:
-        p.check_load()
+    p.check_load()
     out: tuple[list[BranchRoot], list[BranchRoot]] = ([], [])  # the symbol's roots, then f's
     block = max(1, BLOCK_CELLS // (2 * g.size))
     solve_block = _solve_columns if g.size <= SCALAR_MAX else _solve_block
@@ -283,22 +282,22 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
     return out
 
 
-def branch_roots(p: ModePencil, count: int) -> list[BranchRoot]:
-    """Real roots of the mode symbol, k = 1..count: half of :func:`branch_and_stiffness_roots`."""
-    return _solve(p, 1, count)[0]
+def branch_roots(p: ModePencil) -> list[BranchRoot]:
+    """Real roots of the mode symbol, one per branch: half of :func:`branch_and_stiffness_roots`."""
+    return branch_and_stiffness_roots(p)[0]
 
 
-def stiffness_roots(p: ModePencil, count: int) -> list[BranchRoot]:
-    """Real roots of the stiffness factor f, k = 1..count: the other half."""
-    return _solve(p, 1, count)[1]
+def stiffness_roots(p: ModePencil) -> list[BranchRoot]:
+    """Real roots of the stiffness factor f, one per branch: the other half."""
+    return branch_and_stiffness_roots(p)[1]
 
 
-def branch_and_stiffness_roots(p: ModePencil, count: int) -> tuple[list[BranchRoot], list[BranchRoot]]:
-    """The real roots of the symbol and of the stiffness factor, k = 1..count, from one block pass.
+def branch_and_stiffness_roots(p: ModePencil) -> tuple[list[BranchRoot], list[BranchRoot]]:
+    """The real roots of the symbol and of the stiffness factor on every branch, from one block pass.
 
     Each root carries its proven bracket and sign margin (see :class:`BranchRoot`).
     """
-    return _solve(p, 1, count)
+    return _solve(p, 1, p.kernel.size)
 
 
 @dataclass(frozen=True)
@@ -324,6 +323,7 @@ def branch_convergence(pencils: Sequence[ModePencil], k: int) -> ConvergenceReco
     a**(-2(1-xi)).  The deviation |root + g_k| is what tracks the weight
     order exactly; the gap contracts two extra powers (like a**(2 xi - 4)),
     because the stiffness slope blows up as the root pinches its pole.
+    An overloaded pencil raises :class:`InadmissibleModeError` at every k.
     """
     if len(pencils) < 2:
         raise ValueError("need at least two pencils to compare")

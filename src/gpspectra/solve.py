@@ -122,8 +122,7 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
     branch solve raises :class:`InadmissibleModeError` before anything is
     solved.
     """
-    n = p.kernel.size
-    real, stiff = map(tuple, branch_and_stiffness_roots(p, n))
+    real, stiff = map(tuple, branch_and_stiffness_roots(p))
     for r in real:
         if r.relative_error > residual_tol:
             raise NumericalError(

@@ -131,7 +131,7 @@ def test_03_corpus_vieta_identities(corpus):
 def test_04_corpus_contour_counts(corpus):
     for pencil, result, _ in corpus:
         n = pencil.kernel.size
-        contour = count_zeros(pencil, spectrum_contour(pencil, n))
+        contour = count_zeros(pencil, spectrum_contour(pencil))
         assert contour.zeros_inferred == n + 2
         assert contour.max_quadrature_defect < 0.25
         # the solver's own count: n brackets and one disc, each proven

@@ -47,7 +47,7 @@ def _exact_secular(p: ModePencil, z: Fraction, inertia: bool) -> Fraction:
 def _check_brackets(p: ModePencil) -> int:
     """Every certified bracket shows the certified signs in exact arithmetic."""
     n = p.kernel.size
-    roots, stiff = branch_and_stiffness_roots(p, n)
+    roots, stiff = branch_and_stiffness_roots(p)
     assert all(r.sign_margin > 1.0 for r in roots)
     edges = (Fraction(0),) + tuple(Fraction(g) for g in p.kernel.rates)
     checked = 0

@@ -1,6 +1,7 @@
 """Oscillatory pair: Newton on the fixed-point map, Newton polish, winding certificates."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from gpspectra import (
     spectrum_contour,
     symbol,
 )
+from gpspectra import complex_pair
 from conftest import MU_1, PAIR, admissible_modes
 
 #: the square-root family c_k = k**-1/2, g_k = k
@@ -158,6 +160,14 @@ def test_solve_pair_polishes_the_upper_root(cubic):
         solve_pair(cubic, residual_tol=1e-30)
 
 
+def test_solve_pair_flips_a_lower_root_to_the_upper_one(cubic, monkeypatch):
+    fp = fixed_point_pair(cubic)
+    lower = replace(fp, plus=fp.minus)
+    monkeypatch.setattr(complex_pair, "fixed_point_pair", lambda p: lower)
+    pair = solve_pair(cubic)
+    assert pair == fp and pair.plus.imag > 0
+
+
 # --------------------------------------------------------------- contours
 
 
@@ -212,33 +222,23 @@ def test_root_grazing_the_contour_is_resolved(cubic):
 
 
 def test_default_window_counts_all_roots(cubic):
-    cert = count_zeros(cubic, spectrum_contour(cubic, 1))
+    cert = count_zeros(cubic, spectrum_contour(cubic))
     assert cert.zeros_inferred == 3
     assert cert.poles_inside == 1
 
 
 def test_count_invariant_under_taller_window(cubic):
-    rect = spectrum_contour(cubic, 1)
+    rect = spectrum_contour(cubic)
     tall = RectContour(rect.x_min, rect.x_max, 2.0 * rect.y_min, 2.0 * rect.y_max)
     assert count_zeros(cubic, tall).zeros_inferred == 3
-
-
-def test_window_bounds(cubic):
-    with pytest.raises(ValueError):
-        spectrum_contour(cubic, 0)
-    with pytest.raises(ValueError):
-        spectrum_contour(cubic, 2)
 
 
 def test_full_count_on_wider_ladders():
     kern = ExponentialKernel((0.3, 0.2, 0.1), (1.0, 2.5, 6.0))
     p = ModePencil(frequency=50.0, xi=0.25, kernel=kern)
-    cert = count_zeros(p, spectrum_contour(p, 3))
+    cert = count_zeros(p, spectrum_contour(p))
     assert cert.zeros_inferred == 5
     assert cert.poles_inside == 3
-
-    partial = count_zeros(p, spectrum_contour(p, 2))
-    assert partial.zeros_inferred == 4  # two branches plus the pair
 
 
 # --------------------------------------------------------------- accuracy

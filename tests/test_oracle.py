@@ -379,6 +379,26 @@ def test_zero_roots_are_deflated():
     assert aberth_roots([0, 0, 5]).tolist() == [0j, 0j]
 
 
+def test_iterates_that_meet_at_zero_are_sent_apart():
+    # (z - 2**1000)(z**4 + 1): the companion start is four exact zeros and
+    # 2**1000, and no relative nudge moves an iterate off 0
+    roots = aberth_roots([-(2**1000), 1, 0, 0, -(2**1000), 1])
+    big = np.abs(roots) > 2.0
+    assert roots[big].tolist() == [2.0**1000]
+    h = math.sqrt(0.5)
+    quartic = [complex(x, y) for x in (h, -h) for y in (h, -h)]
+    assert match_roots(roots[~big], quartic).max_relative_deviation <= 2.0**-52
+
+
+def test_iterates_that_meet_off_a_root_are_nudged_apart(monkeypatch):
+    # two iterates started on one point that is no root, a third on a root
+    start = np.array([-1.5 + 0.5j, -1.5 + 0.5j, -3.0 + 0j])
+    monkeypatch.setattr(gpspectra.oracle, "_companion_start", lambda c: start)
+    roots = aberth_roots([6.0, 11.0, 6.0, 1.0])
+    assert match_roots(roots, [-1.0, -2.0, -3.0]).max_relative_deviation < 1e-13
+    assert np.all(roots.imag == 0.0)
+
+
 def test_non_monic_input():
     roots = aberth_roots([-2.0, 0.0, 2.0])
     match = match_roots(roots, [1.0, -1.0])

@@ -42,7 +42,7 @@ def test_bracket_intervals_three_terms():
 
 
 def test_cubic_branch_root(cubic):
-    (root,) = branch_roots(cubic, 1)
+    (root,) = branch_roots(cubic)
     assert root.index == 1
     assert root.interval == (-2.0, 0.0)
     assert abs(root.value - MU_1) < 1e-12
@@ -51,21 +51,21 @@ def test_cubic_branch_root(cubic):
 
 def test_cubic_stiffness_root_closed_form(cubic):
     # f(z) = 1 - 0.1/(z+2) vanishes at exactly -1.9
-    (x1,) = stiffness_roots(cubic, 1)
+    (x1,) = stiffness_roots(cubic)
     assert abs(x1.value - (-1.9)) < 1e-12
 
 
 def test_strict_ordering_between_pole_symbol_and_stiffness(cubic):
-    (mu,) = branch_roots(cubic, 1)
-    (x1,) = stiffness_roots(cubic, 1)
+    (mu,) = branch_roots(cubic)
+    (x1,) = stiffness_roots(cubic)
     assert -2.0 < mu.value < x1.value < 0.0
 
 
 def test_every_interval_holds_one_of_each():
     kern = ExponentialKernel((0.3, 0.2, 0.1), (1.0, 2.5, 6.0))
     p = ModePencil(frequency=12.0, xi=0.25, kernel=kern)
-    mus = branch_roots(p, 3)
-    xs = stiffness_roots(p, 3)
+    mus = branch_roots(p)
+    xs = stiffness_roots(p)
     edges = (0.0, 1.0, 2.5, 6.0)
     for k, (mu, x) in enumerate(zip(mus, xs), start=1):
         assert -edges[k] < mu.value < x.value < -edges[k - 1]
@@ -77,8 +77,26 @@ def test_overloaded_kernel_has_no_first_branch():
     p = ModePencil(frequency=1.0, xi=0.5, kernel=kern)  # weight is 1 at a=1
     for solve in (branch_roots, stiffness_roots, branch_and_stiffness_roots):
         with pytest.raises(InadmissibleModeError) as info:
-            solve(p, 1)
+            solve(p)
         assert info.value.load == 1.5
+
+
+def test_every_branch_solve_refuses_an_overloaded_ladder():
+    # loads 3.5, 2.33 and 1.75: the one gate, ModePencil.check_load, runs on
+    # every solve, so branch_convergence fails on it at k = 2 as at k = 1
+    # rather than on a branch that does not approach its pole
+    kern = ExponentialKernel((3.0, 2.0), (1.0, 4.0))
+    pencils = [ModePencil(a, 0.5, kern) for a in (1.0, 1.5, 2.0)]
+    assert [p.load for p in pencils] == [3.5, pytest.approx(3.5 / 1.5), 1.75]
+    for p in pencils:
+        for solve in (solve_mode, branch_roots, stiffness_roots, branch_and_stiffness_roots):
+            with pytest.raises(InadmissibleModeError) as info:
+                solve(p)
+            assert info.value.load == p.load
+    for k in (1, 2):
+        with pytest.raises(InadmissibleModeError) as info:
+            branch_convergence(pencils, k)
+        assert info.value.load == 3.5
 
 
 def test_branch_chases_its_pole():
@@ -121,7 +139,7 @@ def test_branch_convergence_input_checks():
 def _check_branches(p: ModePencil) -> None:
     """Interlacing in offsets and in z, and agreement with the polynomial oracle."""
     n = p.kernel.size
-    mus, xs = branch_roots(p, n), stiffness_roots(p, n)
+    mus, xs = branch_roots(p), stiffness_roots(p)
     edges = (0.0,) + p.kernel.rates
     for k, (mu, x) in enumerate(zip(mus, xs), start=1):
         g, width = edges[k], edges[k] - edges[k - 1]
@@ -145,7 +163,7 @@ def test_random_admissible_ladders_interlace_and_match_the_oracle(p):
 def test_roots_inside_the_pole_guard_are_resolved(coeffs, rates, a, xi):
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
     _check_branches(p)
-    assert min(mu.offset for mu in branch_roots(p, len(rates))) < 1e-13 * rates[-1]
+    assert min(mu.offset for mu in branch_roots(p)) < 1e-13 * rates[-1]
 
 
 # recipe_sample(11, 20)[151]: summing this ladder in another order along
@@ -165,10 +183,8 @@ ORDER_SENSITIVE_EIGHT = (
 def _check_fused_block(p: ModePencil) -> None:
     """Every entry point reads the one joint (factor, k) solve, bit for bit."""
     n = p.kernel.size
-    roots, stiff = branch_and_stiffness_roots(p, n)
-    for c in {1, n}:
-        assert branch_roots(p, c) == roots[:c]
-        assert stiffness_roots(p, c) == stiff[:c]
+    roots, stiff = branch_and_stiffness_roots(p)
+    assert branch_roots(p) == roots and stiffness_roots(p) == stiff
     full = solve_mode(p)
     assert list(full.real_roots) == roots and list(full.stiffness_roots) == stiff
     # as branch_convergence does, one branch of both factors alone
@@ -183,9 +199,9 @@ def _block_and_columns(p: ModePencil):
     n = p.kernel.size
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(real_branches, "SCALAR_MAX", 0)
-        block = branch_and_stiffness_roots(p, n)
+        block = branch_and_stiffness_roots(p)
         patch.setattr(real_branches, "SCALAR_MAX", n)
-        return block, branch_and_stiffness_roots(p, n)
+        return block, branch_and_stiffness_roots(p)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -206,7 +222,7 @@ def test_fused_block_matches_one_factor_solves_on_pinned_ladders(coeffs, rates, 
 def test_small_blocks_split_the_columns_and_keep_the_roots(monkeypatch):
     coeffs, rates, a, xi = CLUSTER_TWELVE
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
-    whole = branch_and_stiffness_roots(p, 12)
+    whole = branch_and_stiffness_roots(p)
     widths = []
     solve_block = real_branches._solve_block
 
@@ -217,7 +233,7 @@ def test_small_blocks_split_the_columns_and_keep_the_roots(monkeypatch):
     monkeypatch.setattr(real_branches, "_solve_block", spy)
     monkeypatch.setattr(real_branches, "SCALAR_MAX", 0)  # the numpy block pass, not columns
     monkeypatch.setattr(real_branches, "BLOCK_CELLS", 12 * 6)  # three branches a block
-    assert branch_and_stiffness_roots(p, 12) == whole
+    assert branch_and_stiffness_roots(p) == whole
     # 24 columns: each block holds both factors of three branches
     assert widths == [6, 6, 6, 6]
 
@@ -233,7 +249,7 @@ def test_columns_match_the_block_either_side_of_the_crossover(monkeypatch):
         for _ in range(3):
             p = recipe_pencil(size, rng.uniform)
             used.clear()
-            default = branch_and_stiffness_roots(p, size)
+            default = branch_and_stiffness_roots(p)
             # columns up to the crossover, the block above it
             assert used == ["_solve_columns" if size <= n else "_solve_block"]
             assert _block_and_columns(p) == (default, default)
@@ -250,17 +266,17 @@ def test_both_paths_name_the_same_unsettled_branches(max_iter, unsettled, monkey
     for crossover in (0, 12):
         monkeypatch.setattr(real_branches, "SCALAR_MAX", crossover)
         with pytest.raises(MaxIterationsError) as info:
-            branch_and_stiffness_roots(p, 12)
+            branch_and_stiffness_roots(p)
         assert str(info.value) == f"branches {unsettled} not settled in {max_iter} steps"
 
 
 def test_a_column_that_divides_by_zero_is_left_to_the_block(monkeypatch):
     coeffs, rates, a, xi = PINCHED_EIGHT
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
-    whole = branch_and_stiffness_roots(p, 8)
+    whole = branch_and_stiffness_roots(p)
 
     def divide_by_zero(*args):
         return 1.0 / 0.0
 
     monkeypatch.setattr(real_branches, "_solve_column", divide_by_zero)
-    assert branch_and_stiffness_roots(p, 8) == whole
+    assert branch_and_stiffness_roots(p) == whole

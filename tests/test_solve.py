@@ -43,7 +43,7 @@ def test_cubic_interlacing_margin(cubic):
 
 
 def test_cubic_certificate(cubic):
-    contour = count_zeros(cubic, spectrum_contour(cubic, 1))
+    contour = count_zeros(cubic, spectrum_contour(cubic))
     assert contour.zeros_inferred == 3
     assert contour.winding == 2
     assert contour.poles_inside == 1
