@@ -43,8 +43,6 @@ from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
 from .pencil import POLY_MAX, ModePencil, to_polynomial
 from .solve import SpectrumResult, solve_mode
 
-JOB_KINDS = ("spectrum", "verify", "sweep", "oracle-check", "asymptote")
-
 #: Cross-validation threshold shared by verify and oracle-check rows.
 ORACLE_TOL = 1e-8
 
@@ -306,11 +304,9 @@ def _family_ladder(build, family: PowerLawFamily, *args):
         raise ConfigError(f"config.kernel.family: materialized ladder refused: {exc}") from exc
 
 
-def _materialized(cfg: JobConfig) -> ExponentialKernel:
-    return cfg.kernel if cfg.kernel is not None else _family_ladder(materialize, cfg.family)
-
-
-def _pencils(cfg: JobConfig, kernel: ExponentialKernel) -> list[ModePencil]:
+def _pencils(cfg: JobConfig) -> list[ModePencil]:
+    """One pencil per mode, all on the config's kernel, a family materialized whole."""
+    kernel = cfg.kernel if cfg.kernel is not None else _family_ladder(materialize, cfg.family)
     return [ModePencil(frequency=a, xi=cfg.xi, kernel=kernel) for a in cfg.modes]
 
 
@@ -365,8 +361,7 @@ def _predictions(cfg: JobConfig) -> tuple[list, str]:
 
 def run_spectrum(cfg: JobConfig) -> tuple[str, bool]:
     """All roots of every mode, certified: N bracketed real branches plus the pair."""
-    kernel = _materialized(cfg)
-    pencils = _pencils(cfg, kernel)
+    pencils = _pencils(cfg)
     results = _map_modes(
         lambda p: solve_mode(p, residual_tol=cfg.residual_tol),
         enumerate(pencils, start=1),
@@ -412,11 +407,11 @@ def _mode_checks(
 
     # L(conj z) = conj L(z) bit for bit on a real kernel, so the lower root's
     # residual is the upper root's
-    conj_res = result.pair_residual / a**2
-    rows.append(("conjugacy", "pass" if conj_res <= residual_tol else "fail", conj_res))
+    pair_res = result.pair_residual / a**2
+    rows.append(("conjugacy", "pass" if pair_res <= residual_tol else "fail", pair_res))
 
     # branch roots judged by their root-error gate, the pair by |L|/a**2
-    worst = max([result.pair_residual / a**2] + [b.relative_error for b in result.real_roots])
+    worst = max([pair_res] + [b.relative_error for b in result.real_roots])
     rows.append(("residual", "pass" if worst <= residual_tol else "fail", worst))
 
     # the contour walk, independent of the solver's own counting certificate;
@@ -443,12 +438,10 @@ def run_verify(cfg: JobConfig) -> tuple[str, bool]:
     configured residual tolerance is what the report judges against, so a
     tightened tolerance shows up as a failed check rather than a crash.
     """
-    kernel = _materialized(cfg)
-
     # the theorem's gate, per mode: an overloaded mode is reported, not solved
     rows = []
     admitted = []
-    for n, pencil in enumerate(_pencils(cfg, kernel), start=1):
+    for n, pencil in enumerate(_pencils(cfg), start=1):
         ok = not pencil.overloaded
         rows.append(("admissibility", f"mode_{n}", "pass" if ok else "fail", 1.0 - pencil.load))
         if ok:
@@ -533,12 +526,12 @@ def run_oracle_check(cfg: JobConfig) -> tuple[str, bool]:
     Also rebuilds the polynomial from the first-order companion system when
     the dimension allows, as an independent coefficient check.
     """
-    kernel = _materialized(cfg)
-    if kernel.size > POLY_MAX:
+    pencils = _pencils(cfg)
+    size = pencils[0].kernel.size
+    if size > POLY_MAX:
         raise ConfigError(
-            f"config.kernel: ladder size {kernel.size} exceeds polynomial oracle cap {POLY_MAX}"
+            f"config.kernel: ladder size {size} exceeds polynomial oracle cap {POLY_MAX}"
         )
-    pencils = _pencils(cfg, kernel)
     deviations = _map_modes(
         lambda p: _oracle_check_mode(p, cfg.residual_tol), enumerate(pencils, start=1)
     )
@@ -574,21 +567,16 @@ def run_asymptote(cfg: JobConfig) -> tuple[str, bool]:
     return _table(cfg, columns, rows), True
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "verify": run_verify,
-    "sweep": run_sweep,
-    "oracle-check": run_oracle_check,
-    "asymptote": run_asymptote,
+#: every job: its runner and its ``--help`` line, in the order help lists them
+_JOBS = {
+    "spectrum": (run_spectrum, "solve every mode and list all roots"),
+    "verify": (run_verify, "run structural checks and report margins"),
+    "sweep": (run_sweep, "compare the pair against its asymptotic prediction"),
+    "oracle-check": (run_oracle_check, "cross-validate roots against the polynomial oracle"),
+    "asymptote": (run_asymptote, "emit predictions and regime tags without solving"),
 }
 
-_JOB_HELP = {
-    "spectrum": "solve every mode and list all roots",
-    "verify": "run structural checks and report margins",
-    "sweep": "compare the pair against its asymptotic prediction",
-    "oracle-check": "cross-validate roots against the polynomial oracle",
-    "asymptote": "emit predictions and regime tags without solving",
-}
+JOB_KINDS = tuple(_JOBS)
 
 
 @lru_cache(maxsize=None)
@@ -599,8 +587,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Spectra of second-order modes with exponential-sum memory damping.",
     )
     sub = parser.add_subparsers(dest="job", required=True, metavar="JOB")
-    for name in JOB_KINDS:
-        job = sub.add_parser(name, help=_JOB_HELP[name])
+    for name, (_, help_line) in _JOBS.items():
+        job = sub.add_parser(name, help=help_line)
         job.add_argument("--config", required=True, help="path to the JSON job config")
         job.add_argument("--out", help="output path (overrides the config's output key)")
         job.add_argument(
@@ -622,7 +610,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         cfg = parse_config(text, args.job)
-        output, ok = _RUNNERS[args.job](cfg)
+        output, ok = _JOBS[args.job][0](cfg)
         destination = args.out or cfg.output
         if destination:
             try:

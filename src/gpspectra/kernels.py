@@ -538,6 +538,16 @@ def _power_sums(family: PowerLawFamily, lo: int, hi: float, radius: float) -> np
     return out + big * power(float(big)) * span + end(float(big)) - far
 
 
+def _far_poles(family: PowerLawFamily, lo: int, hi: float, radius: float) -> TailSeries:
+    """The :class:`TailSeries` of the family's poles lo <= k < hi on |z| <= radius.
+
+    Its coefficients are amplitude/scale times the power sums of that
+    range (:func:`_power_sums`); ``hi`` may be ``math.inf``.
+    """
+    sums = _power_sums(family, lo, hi, radius)
+    return TailSeries(tuple((family.amplitude / family.scale * sums).tolist()), radius)
+
+
 def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
     """Transform mass the truncation at ``family.count`` discarded.
 
@@ -564,9 +574,7 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
             f"|zeta| = {abs(zeta):.3e} is not below half the first dropped "
             f"rate {first_dropped:.3e}; increase the family count"
         )
-    radius = 0.5 * first_dropped
-    sums = _power_sums(family, family.count + 1, math.inf, radius)
-    series = TailSeries(tuple((family.amplitude / family.scale * sums).tolist()), radius)
+    series = _far_poles(family, family.count + 1, math.inf, 0.5 * first_dropped)
     return complex(series.value(zeta))
 
 
@@ -596,9 +604,8 @@ def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKe
     Each kernel's explicit ladder, its head, stops at the smallest m with
     g_{m+1} >= 2*radius (:func:`_head_size`), and the poles
     m < k <= count ride along as a :class:`TailSeries` valid on that
-    radius: amplitude/scale times the power sums over those poles
-    (:func:`_power_sums`), closed in double at a cost that does not grow
-    with their number.  Summing m terms instead of ``count`` is what makes
+    radius (:func:`_far_poles`), closed in double at a cost that does not
+    grow with their number.  Summing m terms instead of ``count`` is what makes
     pair-only work on long ladders cheap.  When m reaches ``count``, or
     the family has at most FSUM_MAX terms, the whole ladder is
     materialized, exactly as :func:`materialize` does.  The largest head
@@ -607,13 +614,9 @@ def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKe
     """
     heads = {r: _head_size(family, r) for r in radii}
     top = materialize(replace(family, count=max(heads.values())))
-    front = family.amplitude / family.scale
     built = {}
     for r, m in heads.items():
-        tail = None
-        if m < family.count:
-            sums = _power_sums(family, m + 1, family.count + 1, r)
-            tail = TailSeries(tuple((front * sums).tolist()), r)
+        tail = _far_poles(family, m + 1, family.count + 1, r) if m < family.count else None
         built[r] = top.head(m, tail)
     return [built[r] for r in radii]
 

@@ -90,9 +90,8 @@ class ModePencil:
 
 
 def symbol(p: ModePencil, zeta) -> complex | np.ndarray:
-    """L(z) = z**2 + a**2 * (1 - w*Khat(z)).  Vectorised over z."""
-    a2 = p.frequency**2
-    return zeta * zeta + a2 * (1.0 - p.memory_weight * laplace(p.kernel, zeta))
+    """L(z) = z**2 + a**2 * f(z), f the :func:`stiffness` factor.  Vectorised over z."""
+    return zeta * zeta + p.frequency**2 * stiffness(p, zeta)
 
 
 def symbol_with_deriv(p: ModePencil, zeta: complex) -> tuple[complex, complex]:

@@ -91,12 +91,13 @@ class BranchRoot:
         return self.root_error / max(1.0, abs(self.value))
 
 
-def bracket_intervals(kernel: ExponentialKernel, count: int) -> list[tuple[float, float]]:
-    """First ``count`` pole-to-pole intervals (-g_k, -g_{k-1}), g_0 = 0."""
-    if not 1 <= count <= kernel.size:
-        raise ValueError(f"count {count} outside 1..{kernel.size}")
+def bracket_intervals(kernel: ExponentialKernel) -> list[tuple[float, float]]:
+    """Every pole-to-pole interval (-g_k, -g_{k-1}), g_0 = 0, for k = 1..n in order.
+
+    Branch k's interval is entry k-1.
+    """
     edges = (0.0,) + kernel.rates
-    return [(-edges[k], -edges[k - 1]) for k in range(1, count + 1)]
+    return [(-edges[k], -edges[k - 1]) for k in range(1, kernel.size + 1)]
 
 
 def _solve_block(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -198,9 +199,10 @@ def _solve_columns(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _secular(c, g, w: float, s: np.ndarray, k: np.ndarray, d: np.ndarray):
-    """F at the offsets ``d`` of the columns (``s``, ``k``), its rounding bound, t and x.
+    """F at the offsets ``d`` of the columns (``s``, ``k``), its rounding bound, terms, t and x.
 
-    F = 1 + s*x**2 - w*sum c_j/t_j with x = d - g_k and t_j = d + (g_j - g_k).
+    F = 1 + s*x**2 - w*sum c_j/t_j with x = d - g_k, t_j = d + (g_j - g_k)
+    and terms c_j/t_j, one row per pole, one column per offset.
     To first order its rounding error is at most u times
     (n+2) * (1 + s*x**2 + w*sum |c_j/t_j|) for the n+2 rounded terms, plus
     6 s*x**2 for the rounded 1/a**2 and the square, plus
@@ -217,7 +219,7 @@ def _secular(c, g, w: float, s: np.ndarray, k: np.ndarray, d: np.ndarray):
     n = g.size
     spread = (np.abs(shift) / np.abs(t) + (n + 4)) * np.abs(terms)
     bound = _EPS * ((n + 2) + (n + 8) * inertia + w * spread.sum(axis=0))
-    return F, bound, t, x
+    return F, bound, terms, t, x
 
 
 def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
@@ -232,7 +234,7 @@ def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
     h = np.maximum(4.0 * root_error, 8.0 * bound / np.abs(slope))
     lo = np.maximum(d - h, 0.5 * d)
     hi = np.minimum(d + h, d + 0.5 * (right - d))
-    F, bound, _, _ = _secular(
+    F, bound, *_ = _secular(
         c, g, w, np.concatenate([s, s]), np.concatenate([k, k]), np.concatenate([lo, hi])
     )
     margin = np.minimum(-F[: d.size] / bound[: d.size], F[d.size :] / bound[d.size :])
@@ -258,7 +260,7 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
     except OverflowError:
         raise NumericalError(f"a**2 is past the double range at a = {p.frequency!r}") from None
     w = p.memory_weight
-    intervals = bracket_intervals(kern, last)
+    intervals = bracket_intervals(kern)
     p.check_load()
     out: tuple[list[BranchRoot], list[BranchRoot]] = ([], [])  # the symbol's roots, then f's
     block = max(1, BLOCK_CELLS // (2 * g.size))
@@ -269,8 +271,8 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
         s = np.repeat([1.0 / a2, 0.0], branches.size)  # inertia weights: L/a**2, then f
         d = solve_block(c, g, w, s, k)
         # F and F' at the offsets, every pole included, for residual and step
-        F, bound, t, x = _secular(c, g, w, s, k, d)
-        dF = 2.0 * s * x + (c[:, None] / t * w / t).sum(axis=0)
+        F, bound, terms, t, x = _secular(c, g, w, s, k, d)
+        dF = 2.0 * s * x + (terms * w / t).sum(axis=0)
         step = np.abs(F / dF)
         lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
         enclosures = zip(zip(lo.tolist(), hi.tolist()), margin.tolist())

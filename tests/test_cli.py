@@ -233,6 +233,7 @@ def test_an_integer_past_the_double_range_is_a_config_error(run_cli, cubic_confi
         ({"job": 1}, "config.job: expected string, got number"),
         ({"job": "spectra"}, "config.job: unknown job kind 'spectra'"),
         ({"output": 1}, "config.output: expected string, got number"),
+        ({"kernel": {"coeffs": [1.0, 1.0], "rates": [2.0, 1.0]}}, "config.kernel: rates must be strictly increasing"),
         (None, "config: expected object, got array"),
     ],
 )
@@ -634,6 +635,33 @@ def test_jobs_is_still_validated(run_cli, cubic_config):
     assert "--jobs must be at least 1" in err
 
 
+JOB_HELP = (
+    ("spectrum", "solve every mode and list all roots"),
+    ("verify", "run structural checks and report margins"),
+    ("sweep", "compare the pair against its asymptotic prediction"),
+    ("oracle-check", "cross-validate roots against the polynomial oracle"),
+    ("asymptote", "emit predictions and regime tags without solving"),
+)
+
+
+def test_help_lists_the_five_jobs_in_order(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        gpspectra.cli.main(["--help"])
+    assert exit_info.value.code == 0
+    # argparse wraps to the terminal width, so compare with whitespace collapsed
+    listed = " ".join(capsys.readouterr().out.split())
+    assert " JOB " + " ".join(f"{name} {line}" for name, line in JOB_HELP) + " options:" in listed
+    assert gpspectra.cli.JOB_KINDS == tuple(name for name, _ in JOB_HELP)
+
+
+@pytest.mark.parametrize("job", [name for name, _ in JOB_HELP])
+def test_each_job_has_its_own_help(capsys, job):
+    with pytest.raises(SystemExit) as exit_info:
+        gpspectra.cli.main([job, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gpspectra {job} [-h] --config CONFIG")
+
+
 #: prints the head's transform and slope at the pair points of a sweep to a=12500
 _HEAD_PROBE = """
 from gpspectra import PowerLawFamily, laplace_with_deriv, materialize_within_each
@@ -689,6 +717,13 @@ def test_sweep_requires_a_real_ladder(run_cli, cubic_config):
     assert run_cli("sweep", explicit)[0] == 2
 
 
+def test_sweep_refuses_a_ladder_too_narrow_to_fit(run_cli, cubic_config):
+    narrow = dict(cubic_config, modes={"a_min": 10, "factor": 1.5, "count": 4})
+    code, out, err = run_cli("sweep", narrow)
+    assert (code, out) == (2, "")
+    assert err == "gpspectra: config error: config.modes: scales must span at least two decades\n"
+
+
 # -------------------------------------------------------------- oracle-check
 
 
@@ -701,6 +736,42 @@ def test_oracle_check_cubic(run_cli, cubic_config):
     assert (n, a, status) == ("1", "10", "pass")
     assert float(root_dev) < 1e-8
     assert float(coeff_dev) < 1e-8
+
+
+def test_oracle_check_refuses_a_ladder_past_the_polynomial_cap(run_cli):
+    rates = [float(k) for k in range(1, 66)]
+    config = {"kernel": {"coeffs": [1e-3] * 65, "rates": rates}, "xi": 0.5, "modes": [10.0]}
+    code, out, err = run_cli("oracle-check", config)
+    assert (code, out) == (2, "")
+    assert err == (
+        "gpspectra: config error: config.kernel: ladder size 65 exceeds polynomial oracle cap 64\n"
+    )
+
+
+def test_oracle_check_fails_a_mode_whose_roots_deviate(run_cli, cubic_config, monkeypatch):
+    aberth_roots = gpspectra.cli.aberth_roots
+
+    def moved(coeffs):  # the oracle's first root, moved by 1e-6 relative
+        roots = np.array(aberth_roots(coeffs))
+        roots[0] *= 1.0 + 1e-6
+        return roots
+
+    monkeypatch.setattr(gpspectra.cli, "aberth_roots", moved)
+    code, out, err = run_cli("oracle-check", cubic_config)
+    assert code == 1
+    assert _data_rows(out)[1].endswith(",fail")
+    assert "gpspectra oracle-check: mode 1 deviates\n" in err
+
+
+def test_verify_fails_the_oracle_row_when_the_oracle_raises(run_cli, cubic_config, monkeypatch):
+    def failing_oracle(coeffs):
+        raise NumericalError("the oracle did not converge")
+
+    monkeypatch.setattr(gpspectra.cli, "aberth_roots", failing_oracle)
+    code, out, err = run_cli("verify", cubic_config)
+    assert code == 1
+    assert "oracle_match,mode_1,fail,inf" in _data_rows(out)
+    assert "gpspectra verify: oracle_match failed for mode 1\n" in err
 
 
 def test_oracle_check_reports_a_failed_eigensolve(run_cli, cubic_config, monkeypatch):

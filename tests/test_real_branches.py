@@ -29,16 +29,12 @@ from conftest import (
 
 def test_bracket_intervals_single():
     kern = ExponentialKernel((1.0,), (2.0,))
-    assert bracket_intervals(kern, 1) == [(-2.0, 0.0)]
+    assert bracket_intervals(kern) == [(-2.0, 0.0)]
 
 
 def test_bracket_intervals_three_terms():
     kern = ExponentialKernel((1.0, 0.5, 1.0 / 3.0), (1.0, 2.0, 3.0))
-    assert bracket_intervals(kern, 3) == [(-1.0, 0.0), (-2.0, -1.0), (-3.0, -2.0)]
-    with pytest.raises(ValueError):
-        bracket_intervals(kern, 4)
-    with pytest.raises(ValueError):
-        bracket_intervals(kern, 0)
+    assert bracket_intervals(kern) == [(-1.0, 0.0), (-2.0, -1.0), (-3.0, -2.0)]
 
 
 def test_cubic_branch_root(cubic):
