@@ -38,7 +38,7 @@ from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
 from .complex_pair import RESIDUAL_TOL, count_zeros, solve_pair, spectrum_contour
 from .errors import ConfigError, GPSpectraError, NumericalError
-from .kernels import ExponentialKernel, PowerLawFamily, materialize, materialize_within_each
+from .kernels import ExponentialKernel, PowerLawFamily, TailSeries, materialize, materialize_within_each
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
 from .pencil import POLY_MAX, ModePencil, to_polynomial
 from .solve import SpectrumResult, solve_mode
@@ -311,16 +311,16 @@ def _pencils(cfg: JobConfig) -> list[ModePencil]:
 
 
 def _map_modes(solve, modes) -> list:
-    """``solve(pencil)`` for every ``(n, pencil)`` of ``modes``, in order.
+    """``solve(pencil, *args)`` for every ``(n, pencil, *args)`` of ``modes``, in order.
 
     A numerical failure is re-raised naming its mode ``n``.  The modes run
     one after another on the calling thread: a mode's work is a chain of
     short numpy calls, which threads did not overlap enough to gain from.
     """
     out = []
-    for n, pencil in modes:
+    for n, pencil, *args in modes:
         try:
-            out.append(solve(pencil))
+            out.append(solve(pencil, *args))
         except NumericalError as exc:
             raise NumericalError(f"mode {n} (a_n={_fmt(pencil.frequency)}): {exc}") from exc
     return out
@@ -467,35 +467,39 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     Requires the geometric ladder form with at least four points; only the
     oscillatory pair is computed (no real-branch sweep), so large kernels
     stay affordable: on a family, mode n sums the ladder only up to the
-    first rate past 2*SERIES_REACH*a_n, and the poles beyond as a series
-    valid out to SERIES_REACH*a_n (see ``materialize_within_each``).  A
-    mode whose pair solve fails on that head, for instance because an
-    iterate leaves the series disc, is solved again on the head for
-    2*a_n, and that solve's answer or error is the mode's.  An overloaded
-    mode is refused before either solve, by the gate of the branch solve
-    (:meth:`ModePencil.check_load`).  Footer rows carry the fitted log-log
-    error slopes.
+    first rate past 2*SERIES_REACH*a_n, its head, and the poles beyond as
+    a series valid out to SERIES_REACH*a_n (see
+    ``materialize_within_each``); the series travels beside the mode's
+    pencil into the gate and the pair solve.  A mode whose pair solve
+    fails on that head, for instance because an iterate leaves the series
+    disc, is solved again on the head for 2*a_n, and that solve's answer
+    or error is the mode's.  An overloaded mode is refused before either
+    solve, by the gate of the branch solve (:meth:`ModePencil.check_load`).
+    Footer rows carry the fitted log-log error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     if cfg.family is not None:
         radii = [SERIES_REACH * a for a in cfg.modes]
-        kernels = _family_ladder(materialize_within_each, cfg.family, radii)
+        heads = _family_ladder(materialize_within_each, cfg.family, radii)
     else:
-        kernels = [cfg.kernel] * len(cfg.modes)
-    pencils = [ModePencil(frequency=a, xi=cfg.xi, kernel=k) for a, k in zip(cfg.modes, kernels)]
+        heads = [(cfg.kernel, None)] * len(cfg.modes)
+    modes = [
+        (n, ModePencil(frequency=a, xi=cfg.xi, kernel=k), tail)
+        for n, (a, (k, tail)) in enumerate(zip(cfg.modes, heads), start=1)
+    ]
 
-    def pair(p: ModePencil) -> complex:
-        p.check_load()  # the wider head below carries the same load
+    def pair(p: ModePencil, tail: TailSeries | None) -> complex:
+        p.check_load(tail)  # the wider head below carries the same load
         try:
-            return solve_pair(p, residual_tol=cfg.residual_tol).plus
+            return solve_pair(p, residual_tol=cfg.residual_tol, tail=tail).plus
         except NumericalError:
-            if p.kernel.tail is None:  # an explicit kernel or a whole ladder: none wider
+            if tail is None:  # an explicit kernel or a whole ladder: none wider
                 raise
-        wide = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
-        return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol).plus
+        wide, wide_tail = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
+        return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol, tail=wide_tail).plus
 
-    numeric = _map_modes(pair, enumerate(pencils, start=1))
+    numeric = _map_modes(pair, modes)
 
     predictions, regime = _predictions(cfg)
 
@@ -515,7 +519,7 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
             f"# fit {name} slope {_fmt(fit.slope)} half_width {_fmt(fit.half_width)}"
             f" below_floor {int(fit.below_floor)}"
         )
-    print(f"gpspectra sweep: {len(pencils)} mode(s) swept", file=sys.stderr)
+    print(f"gpspectra sweep: {len(modes)} mode(s) swept", file=sys.stderr)
     columns = "a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime"
     return _table(cfg, columns, rows, footer), True
 

@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import laplace_with_deriv
+from .kernels import TailSeries, laplace_with_deriv
 from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
@@ -136,7 +136,7 @@ class CountCertificate:
     samples_per_side: int
 
 
-def fixed_point_pair(p: ModePencil) -> FixedPointPair:
+def fixed_point_pair(p: ModePencil, tail: TailSeries | None = None) -> FixedPointPair:
     """The upper root by Newton's method on the fixed-point map; the lower is its conjugate.
 
     Each pass over the ladder gives Khat and Khat' at z = i*a + tau*a, so
@@ -149,11 +149,19 @@ def fixed_point_pair(p: ModePencil) -> FixedPointPair:
     |g'| reaches one at an iterate — the map is then no contraction there,
     and 1 - g' is no longer kept from zero — and
     :class:`MaxIterationsError` if the step does not settle within the cap.
+
+    When ``p.kernel`` is the head of a family ladder, ``tail`` is the
+    series of its far poles (:func:`materialize_within_each`): each pass
+    adds its value and slope to the head's, and an iterate beyond the
+    series radius raises :class:`NumericalError`.
     """
     a, w = p.frequency, p.memory_weight
     tau = 0.0 + 0.0j
     for it in range(1, PAIR_MAX_PASSES + 1):
-        khat, dkhat = laplace_with_deriv(p.kernel, 1j * a + tau * a)
+        z = 1j * a + tau * a
+        khat, dkhat = laplace_with_deriv(p.kernel, z)
+        if tail is not None:
+            khat, dkhat = khat + tail.value(z), dkhat + tail.deriv(z)
         shift = tau + 2j
         image = w * khat / shift
         deriv = w * (dkhat * a * shift - khat) / (shift * shift)
@@ -218,15 +226,19 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
     return best
 
 
-def solve_pair(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> FixedPointPair:
+def solve_pair(
+    p: ModePencil, residual_tol: float = RESIDUAL_TOL, tail: TailSeries | None = None
+) -> FixedPointPair:
     """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual.
 
     The last evaluated iterate must satisfy |L| <= residual_tol * a**2, or
     :class:`DivergenceError` is raised; the gate reads the residual that
     pass already holds.  A root that lands in the lower half plane is
     flipped to its conjugate, so ``plus`` is always the upper root.
+    ``tail``, the far-pole series of a head ladder, is passed through to
+    :func:`fixed_point_pair`.
     """
-    fp = fixed_point_pair(p)
+    fp = fixed_point_pair(p, tail)
     if not fp.residual <= residual_tol:
         raise DivergenceError(
             f"pair residual {fp.residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
@@ -265,7 +277,6 @@ def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, floa
     either condition fails.
     """
     kern = p.kernel
-    kern.require_every_pole("the pair's enclosure")
     a, w = p.frequency, p.memory_weight
     c, g = kern._c, kern._g
     n = g.size
@@ -404,7 +415,6 @@ def count_zeros(p: ModePencil, contour: RectContour) -> CountCertificate:
     count.  Poles hugging the boundary (within EDGE_GUARD_FACTOR of the
     shorter side) are rejected up front.
     """
-    p.kernel.require_every_pole("a zero count")
     guard = EDGE_GUARD_FACTOR * min(
         contour.x_max - contour.x_min, contour.y_max - contour.y_min
     )
@@ -443,7 +453,6 @@ def spectrum_contour(p: ModePencil) -> RectContour:
     the top rate and it, so every real branch stays strictly inside.  The
     height exceeds the pair by construction: Y = 1.1 * a * sqrt(1 + K(0) * w).
     """
-    p.kernel.require_every_pole("the spectrum contour")
     rates = p.kernel.rates
     top = rates[-1]
     last_gap = top - rates[-2] if len(rates) >= 2 else top

@@ -51,7 +51,7 @@ SUM_BLOCK = 8192
 
 
 def _horner(coeffs, x):
-    """sum_j coeffs[j] * x**j; scalar or elementwise over an array."""
+    """sum_j coeffs[j] * x**j."""
     out = 0.0
     for u in reversed(coeffs):
         out = out * x + u
@@ -66,19 +66,16 @@ class TailSeries:
     sum_k c_k/(z + g_k) over poles with every g_k >= 2*radius, so the series
     holds to double precision for |z| <= radius and is refused beyond it.
     Scaling by the radius keeps every coefficient within the double range.
+    It is evaluated at one point at a time.
     """
 
     coeffs: tuple[float, ...]
     radius: float
 
-    def _argument(self, zeta):
-        if isinstance(zeta, np.ndarray):
-            outside = np.any(np.abs(zeta) > self.radius)
-        else:
-            outside = abs(zeta) > self.radius
-        if outside:
+    def _argument(self, zeta: complex) -> complex:
+        if abs(zeta) > self.radius:
             raise NumericalError(
-                f"|z| up to {np.max(np.abs(zeta)):.6e} lies outside the far-pole "
+                f"|z| = {abs(zeta):.6e} lies outside the far-pole "
                 f"series radius {self.radius:.6e}"
             )
         return -zeta / self.radius
@@ -88,11 +85,11 @@ class TailSeries:
         """j * coeffs[j] for j >= 1: the series of the derivative in -z/radius."""
         return tuple(j * u for j, u in enumerate(self.coeffs))[1:]
 
-    def value(self, zeta):
+    def value(self, zeta: complex) -> complex:
         """The far poles' share of Khat(zeta)."""
         return _horner(self.coeffs, self._argument(zeta))
 
-    def deriv(self, zeta):
+    def deriv(self, zeta: complex) -> complex:
         """The far poles' share of Khat'(zeta)."""
         return _horner(self._slopes, self._argument(zeta)) / -self.radius
 
@@ -131,17 +128,11 @@ class ExponentialKernel:
     rates : sequence or array of float
         Positive, strictly increasing decay rates g_k, same length as coeffs.
 
-    ``tail`` is None, except on a head of a family ladder
-    (:meth:`head`, :func:`materialize_within_each`): there it is a
-    :class:`TailSeries` that sums the poles beyond the ladder on
-    |z| <= radius.  Only the transform and its derivative can use it;
-    whatever needs every pole refuses such a kernel
-    (:meth:`require_every_pole`).
-
-    The ladder is held as two read-only float arrays, ``_c`` and ``_g``,
-    which every evaluation uses; equality and hashing go by their bytes
-    and the tail.  The ``coeffs`` and ``rates`` tuples are built on first
-    use, for the Python loops that read them.
+    The kernel is its whole ladder: every pole is one of its terms.  The
+    ladder is held as two read-only float arrays, ``_c`` and ``_g``,
+    which every evaluation uses; equality and hashing go by their bytes.
+    The ``coeffs`` and ``rates`` tuples are built on first use, for the
+    Python loops that read them.
     """
 
     def __init__(self, coeffs, rates):
@@ -162,17 +153,17 @@ class ExponentialKernel:
     def _hold(self, c: np.ndarray, g: np.ndarray) -> None:
         _check_ladder(c, g)
         c.flags.writeable = g.flags.writeable = False
-        self.__dict__.update(_c=c, _g=g, tail=None)
+        self.__dict__.update(_c=c, _g=g)
 
-    def head(self, size: int, tail: TailSeries | None = None) -> ExponentialKernel:
-        """The first ``size`` terms, with ``tail`` as their far-pole series.
+    def head(self, size: int) -> ExponentialKernel:
+        """The kernel of the first ``size`` terms.
 
         Shares this kernel's arrays, which are already validated.
         """
         if not 1 <= size <= self.size:
             raise ValueError(f"head size {size} outside 1..{self.size}")
         out = object.__new__(ExponentialKernel)
-        out.__dict__.update(_c=self._c[:size], _g=self._g[:size], tail=tail)
+        out.__dict__.update(_c=self._c[:size], _g=self._g[:size])
         return out
 
     def __setattr__(self, name, value):
@@ -184,21 +175,17 @@ class ExponentialKernel:
     def __eq__(self, other):
         if not isinstance(other, ExponentialKernel):
             return NotImplemented
-        return (
-            self.tail == other.tail
-            and self._c.tobytes() == other._c.tobytes()
-            and self._g.tobytes() == other._g.tobytes()
-        )
+        return self._c.tobytes() == other._c.tobytes() and self._g.tobytes() == other._g.tobytes()
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self._c.tobytes(), self._g.tobytes(), self.tail))
+        return hash((self._c.tobytes(), self._g.tobytes()))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"ExponentialKernel(coeffs={self._c!r}, rates={self._g!r}, tail={self.tail!r})"
+        return f"ExponentialKernel(coeffs={self._c!r}, rates={self._g!r})"
 
     @cached_property
     def coeffs(self) -> tuple[float, ...]:
@@ -212,29 +199,14 @@ class ExponentialKernel:
     def size(self) -> int:
         return self._c.size
 
-    def require_every_pole(self, purpose: str) -> None:
-        """Refuse ``purpose`` when the ladder carries a far-pole series.
-
-        Sums over the poles, pole intervals, root counts and the cleared
-        polynomial all need each pole explicitly; the series only gives
-        the transform near the origin.
-        """
-        if self.tail is not None:
-            raise ValueError(
-                f"{purpose} needs every pole, but this kernel sums the poles "
-                f"beyond its {self.size} explicit terms as a series"
-            )
-
     @cached_property
     def l1_norm(self) -> float:
         """Integral of K over (0, inf): sum c_k / g_k.  Also Khat(0)."""
-        self.require_every_pole("the total-memory norm")
         return math.fsum((self._c / self._g).tolist())
 
     @cached_property
     def initial_value(self) -> float:
         """K(0) = sum c_k (may be large for near-singular kernels)."""
-        self.require_every_pole("the initial value")
         return math.fsum(self._c.tolist())
 
 
@@ -338,8 +310,7 @@ def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[comple
     exactly rounded.  Longer ladders, where exact rounding would cost
     several times the pass itself, are summed in real arithmetic,
     SUM_BLOCK terms at a time, without complex temporaries
-    (:func:`_blocked_sums`).  The far-pole series adds its
-    share to both.  A scalar :func:`laplace` and :func:`laplace_deriv`
+    (:func:`_blocked_sums`).  A scalar :func:`laplace` and :func:`laplace_deriv`
     are the two halves of this pass, pole guard included.
     """
     z = complex(zeta)
@@ -347,14 +318,8 @@ def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[comple
     if kernel.size <= FSUM_MAX:
         shifted = z + kernel._g
         terms = kernel._c / shifted
-        out = _fsum(terms)
-        dout = _fsum(-terms / shifted)
-    else:
-        out, dout = _blocked_sums(kernel, z)
-    if kernel.tail is not None:
-        out = out + kernel.tail.value(z)
-        dout = dout + kernel.tail.deriv(z)
-    return out, dout
+        return _fsum(terms), _fsum(-terms / shifted)
+    return _blocked_sums(kernel, z)
 
 
 def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
@@ -367,23 +332,18 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     summed pairwise along the ladder.  Either way the error stays near
     machine precision for ladders of a few million terms.  An evaluation
     closer to a pole than POLE_GUARD_ULPS ulps of that pole's rate raises
-    :class:`PoleProximityError`.  A kernel's far-pole series adds its
-    share; beyond its radius it raises :class:`NumericalError` rather
-    than extrapolate.
+    :class:`PoleProximityError`.
     """
     z = np.asarray(zeta, dtype=complex)
     if z.ndim == 0:
         return laplace_with_deriv(kernel, complex(z))[0]
     shifted = z[..., None] + kernel._g
     _guard_array(kernel, shifted)
-    out = np.sum(kernel._c / shifted, axis=-1)
-    if kernel.tail is not None:
-        out = out + kernel.tail.value(z)
-    return out
+    return np.sum(kernel._c / shifted, axis=-1)
 
 
 def laplace_deriv(kernel: ExponentialKernel, zeta: complex) -> complex:
-    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2 at one point, far-pole series included.
+    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2 at one point.
 
     The other half of the :func:`laplace_with_deriv` pass.
     """
@@ -598,26 +558,31 @@ def _head_size(family: PowerLawFamily, radius: float) -> int:
     return min(m, family.count)
 
 
-def materialize_within_each(family: PowerLawFamily, radii) -> list[ExponentialKernel]:
-    """For each radius, a kernel with the family's transform on |z| <= radius.
+def materialize_within_each(
+    family: PowerLawFamily, radii
+) -> list[tuple[ExponentialKernel, TailSeries | None]]:
+    """For each radius, a (head, series) pair with the family's transform on |z| <= radius.
 
-    Each kernel's explicit ladder, its head, stops at the smallest m with
-    g_{m+1} >= 2*radius (:func:`_head_size`), and the poles
-    m < k <= count ride along as a :class:`TailSeries` valid on that
+    The head is the ladder of the first m terms, m the smallest with
+    g_{m+1} >= 2*radius (:func:`_head_size`); it is an ordinary kernel,
+    equal to ``materialize`` of the family cut to m terms.  The series
+    sums the poles m < k <= count as a :class:`TailSeries` valid on that
     radius (:func:`_far_poles`), closed in double at a cost that does not
-    grow with their number.  Summing m terms instead of ``count`` is what makes
-    pair-only work on long ladders cheap.  When m reaches ``count``, or
-    the family has at most FSUM_MAX terms, the whole ladder is
-    materialized, exactly as :func:`materialize` does.  The largest head
-    is materialized once and the heads are its prefixes.  For one radius
-    r, take ``materialize_within_each(family, [r])[0]``.
+    grow with their number, so on |z| <= radius the family's transform is
+    ``laplace(head, z) + series.value(z)``.  Summing m terms instead of
+    ``count`` is what makes pair-only work on long ladders cheap.  When m
+    reaches ``count``, or the family has at most FSUM_MAX terms, the head
+    is the whole ladder, exactly as :func:`materialize` builds it, and
+    the series is None.  The largest head is materialized once and the
+    heads are its prefixes.  For one radius r, take
+    ``materialize_within_each(family, [r])[0]``.
     """
     heads = {r: _head_size(family, r) for r in radii}
     top = materialize(replace(family, count=max(heads.values())))
     built = {}
     for r, m in heads.items():
         tail = _far_poles(family, m + 1, family.count + 1, r) if m < family.count else None
-        built[r] = top.head(m, tail)
+        built[r] = (top.head(m), tail)
     return [built[r] for r in radii]
 
 

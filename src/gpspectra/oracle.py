@@ -375,7 +375,6 @@ class ModeSystem:
 
 def build_mode_system(p: ModePencil) -> ModeSystem:
     """Assemble the (n+2)-dimensional companion system for one mode."""
-    p.kernel.require_every_pole("the companion system")
     n = p.kernel.size
     if n + 2 > ODE_MAX:
         raise ValueError(f"system dimension {n + 2} exceeds cap {ODE_MAX}")

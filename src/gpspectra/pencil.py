@@ -25,15 +25,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InadmissibleModeError
-from .kernels import ExponentialKernel, laplace, laplace_with_deriv
+from .kernels import ExponentialKernel, TailSeries, laplace, laplace_with_deriv
 
 #: largest ladder for which the cleared polynomial is formed explicitly
 POLY_MAX = 64
 
 
 def memory_weight(frequency: float, xi: float) -> float:
-    """w = a**(-2*(1-xi)), the dimensionless weight of the memory term."""
-    return frequency ** (-2.0 * (1.0 - xi))
+    """w = a**(-2*(1-xi)), the dimensionless weight of the memory term.
+
+    A weight past the double range, from a tiny frequency, is ``math.inf``,
+    as IEEE arithmetic gives it; Python's ``**`` would raise instead.  The
+    mode is then overloaded.
+    """
+    try:
+        return frequency ** (-2.0 * (1.0 - xi))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -62,31 +70,36 @@ class ModePencil:
         """lambda = w * sum_k c_k/g_k = w*Khat(0), the mode's memory load.
 
         The structure theorem needs lambda < 1, which makes L(0) > 0; a
-        mode at or above it is overloaded.  A head whose far poles ride
-        along as a series (``kernel.tail``) adds the series at z = 0, its
-        first coefficient, to a numpy sum over its own terms, which keeps
-        the gate at a fraction of one transform pass on heads of tens of
-        thousands of terms; a whole ladder sums exactly (``l1_norm``).
+        mode at or above it is overloaded.  The kernel's norm is summed
+        exactly (``l1_norm``).
         """
-        kern = self.kernel
-        if kern.tail is None:
-            return self.memory_weight * kern.l1_norm
-        return self.memory_weight * (float(np.sum(kern._c / kern._g)) + kern.tail.coeffs[0])
+        return self.memory_weight * self.kernel.l1_norm
 
     @property
     def overloaded(self) -> bool:
         """Whether the load is not below 1: the predicate of :meth:`check_load`."""
         return not self.load < 1.0
 
-    def check_load(self) -> None:
+    def check_load(self, tail: TailSeries | None = None) -> None:
         """Raise :class:`InadmissibleModeError` when the mode is :attr:`overloaded`.
 
         The package's one overload gate: the branch solve and ``sweep``'s
-        pair solves run it, and ``verify`` reports its predicate.
+        pair solves run it, and ``verify`` reports its predicate.  When the
+        kernel is the head of a family ladder, ``tail`` is the series of
+        its far poles (:func:`materialize_within_each`), and the load is
+        the whole family's: a numpy sum over the head's terms plus the
+        series at z = 0, its first coefficient.  That keeps the gate at a
+        fraction of one transform pass on heads of tens of thousands of
+        terms, and an overloaded family does not pass on its head alone.
         """
-        if self.overloaded:
+        if tail is None:
+            load = self.load
+        else:
+            kern = self.kernel
+            load = self.memory_weight * (float(np.sum(kern._c / kern._g)) + tail.coeffs[0])
+        if not load < 1.0:
             # L(0) = a**2 * (1 - load) <= 0: no sign change left of the origin
-            raise InadmissibleModeError(self.load)
+            raise InadmissibleModeError(load)
 
 
 def symbol(p: ModePencil, zeta) -> complex | np.ndarray:
@@ -157,7 +170,6 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     S**2 a**2 U B_i + U B_(i-2) - S**3 N_i over U * S**(n+2-i), a power of
     two, and becomes one Fraction, which reduces it to lowest terms.
     """
-    p.kernel.require_every_pole("the cleared polynomial")
     n = p.kernel.size
     if n > POLY_MAX:
         raise ValueError(f"ladder size {n} exceeds polynomial cap {POLY_MAX}")

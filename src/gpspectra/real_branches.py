@@ -253,7 +253,6 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
     frequency whose square overflows raises :class:`NumericalError`.
     """
     kern = p.kernel
-    kern.require_every_pole("the real branches")
     c, g = kern._c, kern._g
     try:
         a2 = p.frequency**2

@@ -13,6 +13,7 @@ import pytest
 
 import gpspectra
 import gpspectra.cli
+import gpspectra.complex_pair
 import gpspectra.kernels
 from gpspectra import (
     ContourError,
@@ -308,6 +309,37 @@ def test_spectrum_names_an_overloaded_mode(run_cli, cubic_config):
     assert "no sign change" not in err
 
 
+@pytest.mark.parametrize("job", ["spectrum", "verify", "sweep", "oracle-check", "asymptote"])
+def test_a_memory_weight_past_the_double_range_is_an_overloaded_mode(run_cli, cubic_config, job):
+    # at a = 1e-160 and xi = 0.01, w = a**-1.98 is past the double range:
+    # it reads as inf, as IEEE arithmetic gives it, so the mode is
+    # overloaded and every job reports it rather than raise OverflowError
+    modes = {"a_min": 1e-160, "factor": 10.0, "count": 4}
+    code, out, err = run_cli(job, dict(cubic_config, xi=0.01, modes=modes))
+    if job == "verify":
+        assert code == 1
+        assert _data_rows(out)[1] == "admissibility,mode_1,fail,-inf"
+    elif job == "asymptote":
+        assert code == 0
+        assert _data_rows(out)[1].split(",")[5] == "-inf"
+    else:
+        assert code == 3 and out == ""
+        assert err == (
+            "gpspectra: numerical failure: mode 1 (a_n=9.9999999999999999e-161): "
+            "mode is overloaded: load w*sum c/g = inf is not below 1\n"
+        )
+
+
+def test_a_pair_that_does_not_settle_names_its_mode(run_cli, cubic_config, monkeypatch):
+    monkeypatch.setattr(gpspectra.complex_pair, "PAIR_MAX_PASSES", 1)
+    code, out, err = run_cli("spectrum", cubic_config)
+    assert code == 3 and out == ""
+    assert err == (
+        "gpspectra: numerical failure: mode 1 (a_n=10): "
+        "pair iteration did not settle in 1 steps\n"
+    )
+
+
 @pytest.mark.parametrize("job", ["spectrum", "oracle-check"])
 def test_an_overdamped_mode_is_refused_not_printed_as_a_pair(run_cli, job):
     # the pair solve lands on the real root -0.95591 (im 4.4e-16), and the
@@ -496,11 +528,11 @@ def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, m
     solve, build = gpspectra.cli.solve_pair, gpspectra.cli.materialize_within_each
     tight = gpspectra.cli.SERIES_REACH * 100.0
 
-    def solve_spy(pencil, **kwargs):
-        radii.append(pencil.kernel.tail.radius)
-        if pencil.kernel.tail.radius == tight:
+    def solve_spy(pencil, *, tail, **kwargs):
+        radii.append(tail.radius)
+        if tail.radius == tight:
             raise NumericalError(f"|z| lies outside the far-pole series radius {tight}")
-        return solve(pencil, **kwargs)
+        return solve(pencil, tail=tail, **kwargs)
 
     def build_spy(fam, radii):
         if len(radii) == 1:
@@ -513,8 +545,8 @@ def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, m
     assert code == 0
     assert wide_radii == [200.0]
     assert radii == [tight, 200.0, 562.5, 2812.5, 14062.5]
-    wide = materialize_within_each(PowerLawFamily(**SQRT_FAMILY, count=10**6), [200.0])[0]
-    reference = solve(ModePencil(100.0, 0.8, wide)).plus
+    wide, wide_tail = materialize_within_each(PowerLawFamily(**SQRT_FAMILY, count=10**6), [200.0])[0]
+    reference = solve(ModePencil(100.0, 0.8, wide), tail=wide_tail).plus
     a, re, im = (float(x) for x in _data_rows(out)[1].split(",")[:3])
     assert a == 100.0
     assert complex(re, im) == reference
@@ -665,7 +697,7 @@ def test_each_job_has_its_own_help(capsys, job):
 #: prints the head's transform and slope at the pair points of a sweep to a=12500
 _HEAD_PROBE = """
 from gpspectra import PowerLawFamily, laplace_with_deriv, materialize_within_each
-kern = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), [25000.0])[0]
+kern, _ = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), [25000.0])[0]
 for z in (-3.0 + 12500j, -0.2 + 100j, 1e4 - 1e4j):
     print(*(v.hex() for w in laplace_with_deriv(kern, z) for v in (w.real, w.imag)))
 """
@@ -676,7 +708,7 @@ def test_family_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
     # split across threads; the package loads OpenBLAS with one thread
     # only when the variable is unset, so the second run really has two
     family = PowerLawFamily(**SQRT_FAMILY, count=10**5)
-    assert materialize_within_each(family, [25000.0])[0].size > FSUM_MAX
+    assert materialize_within_each(family, [25000.0])[0][0].size > FSUM_MAX
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(_family_sweep_config(10**5, xi=0.8)), encoding="utf-8")
     src = Path(gpspectra.__file__).resolve().parents[1]

@@ -93,9 +93,9 @@ def test_pair_takes_at_most_four_passes_on_power_ladder_heads(xi, monkeypatch):
     frequencies = [100.0 * 5.0**j for j in range(4)]
     heads = materialize_within_each(SQRT_FAMILY, [2.0 * a for a in frequencies])
     points = _counted_passes(monkeypatch)
-    for a, kernel in zip(frequencies, heads):
+    for a, (kernel, tail) in zip(frequencies, heads):
         points.clear()
-        pair = solve_pair(ModePencil(a, xi, kernel))
+        pair = solve_pair(ModePencil(a, xi, kernel), tail=tail)
         assert pair.iterations == len(points) <= 4, (a, xi, kernel.size)
 
 
@@ -163,7 +163,7 @@ def test_solve_pair_polishes_the_upper_root(cubic):
 def test_solve_pair_flips_a_lower_root_to_the_upper_one(cubic, monkeypatch):
     fp = fixed_point_pair(cubic)
     lower = replace(fp, plus=fp.minus)
-    monkeypatch.setattr(complex_pair, "fixed_point_pair", lambda p: lower)
+    monkeypatch.setattr(complex_pair, "fixed_point_pair", lambda p, tail: lower)
     pair = solve_pair(cubic)
     assert pair == fp and pair.plus.imag > 0
 
@@ -219,6 +219,13 @@ def test_root_grazing_the_contour_is_resolved(cubic):
     assert cert.zeros_inferred == 1
     assert cert.max_quadrature_defect < 1e-6
     assert cert.samples_per_side > 256  # refinement actually engaged
+
+
+def test_contour_refinement_stops_at_its_budget(cubic, monkeypatch):
+    # the grazing contour above needs more than two bisections on a side
+    monkeypatch.setattr(complex_pair, "MAX_SAMPLES_PER_SIDE", 2)
+    with pytest.raises(ContourError, match="contour refinement exceeded 2 evaluations on one side"):
+        count_zeros(cubic, RectContour(MU_1, 0.5, -1.0, 1.0))
 
 
 def test_default_window_counts_all_roots(cubic):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -17,19 +18,14 @@ from mpmath import mp
 
 from gpspectra import (
     ExponentialKernel,
+    InadmissibleModeError,
     ModePencil,
     NumericalError,
     PoleProximityError,
     PowerLawFamily,
-    RectContour,
-    TailSeries,
     angular_integral,
     asymptotic_constant,
-    branch_convergence,
-    branch_roots,
-    build_mode_system,
     continuum_laplace,
-    count_zeros,
     laplace,
     laplace_asymptotic,
     laplace_deriv,
@@ -38,12 +34,9 @@ from gpspectra import (
     materialize,
     materialize_within_each,
     solve_mode,
-    spectrum_contour,
-    stiffness_roots,
     symbol,
     symbol_with_deriv,
     tail_bound,
-    to_polynomial,
 )
 from gpspectra import kernels
 from gpspectra.kernels import FSUM_MAX, POLE_GUARD_ULPS
@@ -212,11 +205,11 @@ def _random_ladder(rng, size):
 
 def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
     rng = np.random.default_rng(2014)
-    kernels = [materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), [30.0])[0]]
-    kernels += [_random_ladder(rng, size) for size in (1, 2, 5, 40, FSUM_MAX)]
-    for kern in kernels:
+    ladders = [materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), [30.0])[0]]
+    ladders += [(_random_ladder(rng, size), None) for size in (1, 2, 5, 40, FSUM_MAX)]
+    for kern, tail in ladders:
         assert kern.size <= FSUM_MAX
-        reach = min(kern.rates[-1], 90.0, kern.tail.radius if kern.tail else math.inf)
+        reach = min(kern.rates[-1], 90.0, tail.radius if tail else math.inf)
         for _ in range(8):
             z = cmath.rect(rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi))
             fused = laplace_with_deriv(kern, z)
@@ -227,17 +220,15 @@ def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
             shifted = z + kern._g
             value = _fsum_terms(kern._c / shifted)
             slope = _fsum_terms(-(kern._c / shifted) / shifted)
-            if kern.tail is not None:
+            assert fused == (value, slope)
+            if tail is not None:
                 # the series' slope coefficients, formed as they always were
-                r = kern.tail.radius
-                slopes = [j * u for j, u in enumerate(kern.tail.coeffs)][1:]
+                r = tail.radius
+                slopes = [j * u for j, u in enumerate(tail.coeffs)][1:]
                 tail_slope = 0.0
                 for u in reversed(slopes):
                     tail_slope = tail_slope * (-z / r) + u
-                assert kern.tail.deriv(z) == tail_slope / -r
-                value += kern.tail.value(z)
-                slope += kern.tail.deriv(z)
-            assert fused == (value, slope)
+                assert tail.deriv(z) == tail_slope / -r
 
 
 @pytest.mark.parametrize(
@@ -252,11 +243,12 @@ def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
     ],
 )
 def test_fused_transform_on_large_ladders_matches_exact_sums(which):
+    tail = None
     if which == "head_and_series":
-        kern = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), [25000.0])[0]
+        kern, tail = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), [25000.0])[0]
         points = [-3.0 + 12500j, 12000.0 + 3000j, -24000.0 + 50j, 30.0 - 40.0j]
     elif which == "head_199_and_series":
-        kern = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), [100.0])[0]
+        kern, tail = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), [100.0])[0]
         assert kern.size == 199
         points = [-3.0 + 99j, 60.0 + 70j, -99.0 + 0.5j, 30.0 - 40.0j, -37.5 + 1e-3j]
     elif which.startswith("random_"):
@@ -282,16 +274,19 @@ def test_fused_transform_on_large_ladders_matches_exact_sums(which):
         # except where the terms cancel, as the slopes do 50 above the
         # poles near -24000 (by a factor of about 900)
         value_scale, slope_scale = np.sum(np.abs(terms)), np.sum(np.abs(slopes))
-        if kern.tail is not None:
-            value += kern.tail.value(z)
-            slope += kern.tail.deriv(z)
-            value_scale += abs(kern.tail.value(z))
-            slope_scale += abs(kern.tail.deriv(z))
         fused_value, fused_slope = laplace_with_deriv(kern, z)
-        assert abs(fused_value - value) <= 1e-14 * value_scale
-        assert abs(fused_slope - slope) <= 1e-14 * slope_scale
         # the scalar transforms are the blocked pass's halves
         assert (laplace(kern, z), laplace_deriv(kern, z)) == (fused_value, fused_slope)
+        if tail is not None:
+            # the head plus its series, as the pair solve adds them
+            fused_value += tail.value(z)
+            fused_slope += tail.deriv(z)
+            value += tail.value(z)
+            slope += tail.deriv(z)
+            value_scale += abs(tail.value(z))
+            slope_scale += abs(tail.deriv(z))
+        assert abs(fused_value - value) <= 1e-14 * value_scale
+        assert abs(fused_slope - slope) <= 1e-14 * slope_scale
 
 
 def test_fused_transform_keeps_huge_arguments_in_range():
@@ -558,7 +553,7 @@ def test_laplace_tail_radius_guard():
     ids=["sqrt", "beta_1.5", "six_poles", "near_one_500", "near_one_50", "head_3"],
 )
 def test_far_pole_series_matches_the_summed_terms(family, radius):
-    kern = materialize_within_each(family, [radius])[0]
+    kern, tail = materialize_within_each(family, [radius])[0]
     full = materialize(family)
     m = kern.size
     assert m < family.count
@@ -568,45 +563,64 @@ def test_far_pole_series_matches_the_summed_terms(family, radius):
         z = radius * complex(math.cos(phi), math.sin(phi))
         terms = c / (z + g)
         direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        assert abs(kern.tail.value(z) - direct) <= 1e-14 * abs(direct)
+        assert abs(tail.value(z) - direct) <= 1e-14 * abs(direct)
         slopes = -c / (z + g) ** 2
         direct = complex(math.fsum(slopes.real), math.fsum(slopes.imag))
-        assert abs(kern.tail.deriv(z) - direct) <= 1e-14 * abs(direct)
+        assert abs(tail.deriv(z) - direct) <= 1e-14 * abs(direct)
 
 
 def test_head_and_series_reproduce_the_whole_ladder():
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100000)
-    kern, full = materialize_within_each(family, [2000.0])[0], materialize(family)
-    points = np.array([2000j, 1500.0 + 500j, -1999.0 + 1.0j, 30.0 - 40.0j])
-    assert np.all(np.abs(laplace(kern, points) / laplace(full, points) - 1) < 1e-14)
-    for z in points:
-        assert abs(laplace(kern, z) / laplace(full, z) - 1) < 1e-14
-        assert abs(laplace_deriv(kern, z) / laplace_deriv(full, z) - 1) < 1e-13
+    (kern, tail), full = materialize_within_each(family, [2000.0])[0], materialize(family)
+    for z in (2000j, 1500.0 + 500j, -1999.0 + 1.0j, 30.0 - 40.0j):
+        assert abs((laplace(kern, z) + tail.value(z)) / laplace(full, z) - 1) < 1e-14
+        assert abs((laplace_deriv(kern, z) + tail.deriv(z)) / laplace_deriv(full, z) - 1) < 1e-13
     # a 9-term head whose 91 far poles all lie below the Euler-Maclaurin
     # start, so the series comes from their direct sums alone
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100)
-    kern, full = materialize_within_each(family, [5.0])[0], materialize(family)
-    assert kern.size == 9 and kern.tail is not None
+    (kern, tail), full = materialize_within_each(family, [5.0])[0], materialize(family)
+    assert kern.size == 9 and tail is not None
     for z in (2.0 + 3.0j, -1.5 + 0.5j, 4.0j):
-        for got, want in zip(laplace_with_deriv(kern, z), laplace_with_deriv(full, z)):
-            assert abs(got - want) <= 1e-15 * abs(want)
+        value, slope = laplace_with_deriv(kern, z)
+        got = (value + tail.value(z), slope + tail.deriv(z))
+        for part, want in zip(got, laplace_with_deriv(full, z)):
+            assert abs(part - want) <= 1e-15 * abs(want)
+
+
+def test_a_head_is_an_ordinary_kernel():
+    # the 9-term head of a 5000-term family solves as the family cut to 9
+    # terms does, bit for bit: roots, brackets and certificate
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000)
+    head, tail = materialize_within_each(family, [5.0])[0]
+    short = materialize(replace(family, count=9))
+    assert head.size == 9 and tail is not None and head == short
+    assert solve_mode(ModePencil(10.0, 0.5, head)) == solve_mode(ModePencil(10.0, 0.5, short))
 
 
 def test_a_series_head_carries_the_load_of_its_whole_ladder():
     # the head's own terms plus the series at z = 0, the far poles' share
-    # of sum c/g; the 9-term head's series comes from direct sums alone
+    # of sum c/g; the 9-term head's series comes from direct sums alone.
+    # At a weight just past the whole ladder's overload, the gate refuses
+    # the head with its series, reading the whole ladder's load, though
+    # the head alone is not overloaded
     for family, radius in ((PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100000), 2000.0),
                            (PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100), 5.0)):
-        head, full = materialize_within_each(family, [radius])[0], materialize(family)
-        assert head.tail is not None
-        load = ModePencil(100.0, 0.8, head).load
-        assert abs(load / ModePencil(100.0, 0.8, full).load - 1) < 1e-14
+        (head, tail), full = materialize_within_each(family, [radius])[0], materialize(family)
+        assert tail is not None
+        xi = 0.5  # w = 1/a
+        a = full.l1_norm * (1.0 - 1e-6)
+        mode = ModePencil(a, xi, head)
+        assert ModePencil(a, xi, full).overloaded and not mode.overloaded
+        with pytest.raises(InadmissibleModeError) as refused:
+            mode.check_load(tail)
+        assert abs(refused.value.load / ModePencil(a, xi, full).load - 1) < 1e-14
+        ModePencil(2.0 * a, xi, head).check_load(tail)
 
 
 def test_head_reaching_count_materializes_the_whole_ladder():
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 64)
-    kern = materialize_within_each(family, [20000.0])[0]
-    assert kern.tail is None
+    kern, tail = materialize_within_each(family, [20000.0])[0]
+    assert tail is None
     assert kern == materialize(family)
 
 
@@ -630,15 +644,14 @@ def test_head_size_is_the_smallest_that_clears_twice_the_radius(family, radius, 
 
 
 def test_laplace_outside_the_series_radius_raises():
-    kern = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), [100.0])[0]
+    kern, tail = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000), [100.0])[0]
     edge = 100.0 * complex(math.cos(2.0), math.sin(2.0))
-    laplace(kern, edge)  # on the radius itself the series still holds
-    for z in (100.000001j, 1.001 * edge, np.array([1j, 150.0])):
-        with pytest.raises(NumericalError):
-            laplace(kern, z)
+    laplace(kern, edge) + tail.value(edge)  # on the radius itself the series still holds
     for z in (100.000001j, 1.001 * edge):
         with pytest.raises(NumericalError):
-            laplace_deriv(kern, z)
+            tail.value(z)
+        with pytest.raises(NumericalError):
+            tail.deriv(z)
 
 
 def test_kernel_arrays_are_the_validated_ones():
@@ -657,7 +670,7 @@ def test_kernels_from_tuples_and_from_arrays_are_one_kernel():
     assert len({from_tuples, from_arrays}) == 1
     assert from_arrays.coeffs == c and from_arrays.rates == g
     assert from_tuples != ExponentialKernel(c, (1.0, 3.0, 7.75))
-    assert from_tuples != from_tuples.head(3, TailSeries((1.0,), 0.25))
+    assert from_tuples != from_tuples.head(2)
     with pytest.raises(AttributeError):
         from_tuples.tail = None
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 500)
@@ -666,35 +679,38 @@ def test_kernels_from_tuples_and_from_arrays_are_one_kernel():
     short = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100))
     assert full.head(100) == short and hash(full.head(100)) == hash(short)
     assert np.shares_memory(full.head(100)._c, full._c)
+    for size in (0, full.size + 1):
+        with pytest.raises(ValueError, match="head size"):
+            full.head(size)
 
 
 def test_each_radius_gets_the_head_materialize_within_gives():
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**6)
     radii = [200.0, 1000.0, 5000.0, 25000.0]
     each = materialize_within_each(family, radii)
-    assert [k.size for k in each] == [399, 1999, 9999, 49999]
-    for kern, radius in zip(each, radii):
+    assert [k.size for k, _ in each] == [399, 1999, 9999, 49999]
+    for (kern, tail), radius in zip(each, radii):
         alone = materialize_within_each(family, [radius])[0]
-        assert kern.size == alone.size and kern.tail.radius == radius
-        assert np.shares_memory(kern._g, each[-1]._g)
-        assert kern.tail == alone.tail
+        assert kern == alone[0] and tail.radius == radius
+        assert np.shares_memory(kern._g, each[-1][0]._g)
+        assert tail == alone[1]
     assert each[-1] == materialize_within_each(family, [radii[-1]])[0]
     # a family of at most FSUM_MAX terms is summed whole at every radius
     small = PowerLawFamily(1.0, 1.0, 0.5, 1.0, FSUM_MAX)
-    assert materialize_within_each(small, [5.0, 500.0]) == [materialize(small)] * 2
+    assert materialize_within_each(small, [5.0, 500.0]) == [(materialize(small), None)] * 2
 
 
 def test_each_radius_series_matches_the_summed_terms():
     family = PowerLawFamily(0.7, 2.0, 0.8, 1.5, 30000)
     radii = [30.0, 300.0, 3000.0]
     full = materialize(family)
-    for kern, radius in zip(materialize_within_each(family, radii), radii):
+    for (kern, tail), radius in zip(materialize_within_each(family, radii), radii):
         c, g = full._c[kern.size :], full._g[kern.size :]
         for phi in np.linspace(-math.pi, math.pi, 7):
             z = radius * complex(math.cos(phi), math.sin(phi))
             terms = c / (z + g)
             direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            assert abs(kern.tail.value(z) - direct) <= 1e-14 * abs(direct)
+            assert abs(tail.value(z) - direct) <= 1e-14 * abs(direct)
 
 
 def test_sweep_and_far_pole_series_run_without_mpmath(tmp_path):
@@ -728,32 +744,6 @@ def test_sweep_and_far_pole_series_run_without_mpmath(tmp_path):
     assert out.stdout.split() == ["0", "None", "True"]
     rows = out_csv.read_text(encoding="utf-8").splitlines()
     assert sum(not row.startswith("#") for row in rows) == 7
-
-
-def _series_pencil() -> ModePencil:
-    kern = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 2000), [100.0])[0]
-    return ModePencil(frequency=50.0, xi=0.5, kernel=kern)
-
-
-#: every entry point that needs each pole of the kernel
-NEEDS_EVERY_POLE = {
-    "branch_roots": branch_roots,
-    "stiffness_roots": stiffness_roots,
-    "branch_convergence": lambda p: branch_convergence([p, ModePencil(60.0, p.xi, p.kernel)], 2),
-    "spectrum_contour": spectrum_contour,
-    "count_zeros": lambda p: count_zeros(p, RectContour(-10.0, 10.0, -60.0, 60.0)),
-    "solve_mode": solve_mode,
-    "to_polynomial": to_polynomial,
-    "build_mode_system": build_mode_system,
-    "l1_norm": lambda p: p.kernel.l1_norm,
-    "initial_value": lambda p: p.kernel.initial_value,
-}
-
-
-@pytest.mark.parametrize("name", sorted(NEEDS_EVERY_POLE))
-def test_whatever_needs_every_pole_refuses_a_series_kernel(name):
-    with pytest.raises(ValueError, match="needs every pole"):
-        NEEDS_EVERY_POLE[name](_series_pencil())
 
 
 def test_bounded_gap_between_ladder_and_continuum():

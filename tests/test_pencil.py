@@ -88,15 +88,20 @@ def test_symbol_mirrors_bit_for_bit(p):
 def test_symbol_mirrors_bit_for_bit_on_long_ladders_and_series_heads():
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000)
     whole = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 300))
-    head = materialize_within_each(family, [30.0])[0]
-    assert whole.size > FSUM_MAX and head.tail is not None
+    head, tail = materialize_within_each(family, [30.0])[0]
+    assert whole.size > FSUM_MAX and tail is not None
     rng = np.random.default_rng(25)
-    for kern, reach, a in ((whole, 400.0, 100.0), (head, 30.0, 25.0)):
+    for kern, series, reach, a in ((whole, None, 400.0, 100.0), (head, tail, 30.0, 25.0)):
         p = ModePencil(a, 0.5, kern)
-        points = [solve_pair(p).plus]
+        points = [solve_pair(p, tail=series).plus]
         points += [complex(r * math.cos(t), r * math.sin(t))
                    for r, t in zip(rng.uniform(0.0, reach, 12), rng.uniform(0.1, 3.0, 12))]
         _assert_scalar_mirror(p, points)
+        if series is not None:
+            # the far poles' share, which the pair solve adds, mirrors too
+            for z in points:
+                for share in (series.value, series.deriv):
+                    assert share(z.conjugate()) == share(z).conjugate(), z
 
 
 def test_cleared_cubic_coefficients(cubic):
