@@ -81,6 +81,7 @@ from .kernels import (
     laplace_asymptotic,
     laplace_deriv,
     laplace_tail,
+    laplace_pass,
     laplace_with_deriv,
     materialize,
     materialize_within_each,
@@ -163,6 +164,7 @@ __all__ = [
     "laplace_asymptotic",
     "laplace_deriv",
     "laplace_tail",
+    "laplace_pass",
     "laplace_with_deriv",
     "match_roots",
     "materialize",

@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import TailSeries, laplace_with_deriv
+from .kernels import TailSeries, laplace_pass, laplace_with_deriv
 from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
@@ -253,58 +253,56 @@ def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, floa
 
     Returns (center, radius, h): the upper root lies in
     |z/a - i - center| <= radius and the lower root in the conjugate disc;
-    h is the Kantorovich quantity beta*gamma*eta.
+    h is the Kantorovich quantity beta*gamma*eta.  The proof reads one
+    :func:`laplace_pass` at ``plus``.  In tau = z/a - i the scaled symbol
+    is f = L/a**2 = tau*(tau + 2i) - w*Khat(z), f' = 2(tau + i) - w*a*Khat'.
+    Both are formed at tau0, the rounded tau* = plus/a - i, and bounded
+    against their values at tau*.  The pass's terms lie within 4 and 8 eps
+    of c/|z + g| and c/|z + g|**2, and n terms summed in any order within
+    n*eps of the sum of their moduli, so the memory parts carry
+    (n + 16)*eps times m1 = w*s1 and m2 = w*a*s2, products included; the
+    polynomial parts carry 4 eps of their size plus their change over
+    gap = eps*(|tau0| + |1 + Im tau0|/2) >= |tau0 - tau*|.  With eta >=
+    |f/f'| and beta >= 1/|f'| at tau*, and gamma >= sup |f''| on the disc
+    of radius 2*eta around it, h = beta*gamma*eta <= 1/2 puts a root in
+    that disc, so within radius = 2*eta + gap of tau0.  Every pole is
+    real, so there |z + g| >= Im z >= a*low, low = Im(i + tau0) - radius,
+    and |z + g| keeps low/(low + 2*eta) of its value at plus: one term
+    bounds the whole ladder,
 
-    In tau = z/a - i the scaled symbol is
+        |f''| = |2 - 2w*a**2 * sum c/(z + g)**3| <= 2 + 2*m2*((low + 2*eta)/low)**2/low.
 
-        f(tau) = L/a**2 = tau*(tau + 2i) - w * sum (c_j/a) / v_j,
-        v_j = i + tau + g_j/a,
-
-    where nothing overflows or cancels at any frequency.  With eta >=
-    |f/f'| and beta >= 1/|f'| at the centre tau0 (both inflated by the
-    rounding bounds of f and f'), and gamma >= sup |f''| over the disc of
-    radius 2*eta,
-
-        |f''| <= 2 + 2w * sum (c_j/a) / (|v_j| - 2*eta)**3,
-
-    h = beta*gamma*eta <= 1/2 puts a root of f within 2*eta of tau0.  The
-    disc must also clear the real axis, Im(i + tau0) > 2*eta, so it and
-    its conjugate are disjoint from each other and from every pole.  eta
-    is floored at eps: a disc narrower than the spacing of doubles at
-    tau0 would hold the root but not the doubles that round it.  The
-    rounding bounds count each first-order u of an evaluation as eps =
-    2u, as the real brackets do.  Raises :class:`EnclosureError` when
-    either condition fails.
+    The disc must clear the real axis, low > 0, and with it every pole and
+    its conjugate.  eta is floored at eps: a disc narrower than the spacing
+    of doubles at tau0 would hold the root but not the doubles that round
+    it.  s1 and s2 are inflated by 1 + (n + 16)*eps, the scalar steps by
+    16 eps, for their own rounding.  Raises :class:`EnclosureError` if not.
     """
-    kern = p.kernel
-    a, w = p.frequency, p.memory_weight
-    c, g = kern._c, kern._g
-    n = g.size
+    return _disc(p, plus, laplace_pass(p.kernel, plus))
+
+
+def _disc(p: ModePencil, plus: complex, at_plus: tuple) -> tuple[complex, float, float]:
+    """:func:`kantorovich_ball` from the :func:`laplace_pass` already taken at ``plus``."""
+    khat, dkhat, s1, s2 = at_plus
+    a, w, sums = p.frequency, p.memory_weight, (p.kernel.size + 16) * _EPS
     tau = complex(plus.real / a, plus.imag / a - 1.0)
-    q, e = c / a, g / a
-    v = (tau + 1j) + e
-    mv = np.abs(v)
-    terms = q / v
-    slopes = terms / v
-    # v_j carries the rounding of g_j/a and of its two parts; each quotient
-    # carries that of q_j and of its own division
-    rel = e / mv + 8.0
-    f = tau * (tau + 2j) - w * complex(terms.sum())
-    df = 2.0 * (tau + 1j) + w * complex(slopes.sum())
-    f_bound = _EPS * (4.0 * abs(tau) * abs(tau + 2j) + w * float(((rel + n + 2) * np.abs(terms)).sum()))
-    df_bound = _EPS * (4.0 * abs(tau + 1j) + w * float(((2.0 * rel + n + 2) * np.abs(slopes)).sum()))
+    gap = _EPS * (abs(tau) + 0.5 * abs(1.0 + tau.imag))
+    m1, m2 = w * s1 * (1.0 + sums), w * a * s2 * (1.0 + sums)
+    f, df = tau * (tau + 2j) - w * khat, 2.0 * (tau + 1j) - w * a * dkhat
+    f_bound = 4.0 * _EPS * abs(tau) * abs(tau + 2j) + gap * (2.0 * abs(tau + 1j) + gap) + sums * m1
+    df_bound = 4.0 * _EPS * abs(tau + 1j) + 2.0 * gap + sums * m2
     inflate = 1.0 + 16.0 * _EPS  # covers the scalar steps below
     reach = abs(df) - df_bound
     if not reach > 0.0:
         raise EnclosureError(None, (tau, math.inf), f"|f'| = {abs(df):.3e} is within its bound {df_bound:.3e}")
     beta = inflate / reach
     eta = max(inflate * beta * (abs(f) + f_bound), _EPS)
-    radius = 2.0 * eta
-    # least distance from the disc to each pole -i - g_j/a
-    gaps = mv * (1.0 - 4.0 * _EPS) - _EPS * e - radius
-    if not ((1.0 + tau.imag) * (1.0 - 2.0 * _EPS) > radius and gaps.min() > 0.0):
+    radius = 2.0 * eta + gap
+    low = (1.0 + tau.imag) * (1.0 - 2.0 * _EPS) - radius
+    if not low > 0.0:
         raise EnclosureError(None, (tau, radius), f"the disc reaches the real axis, Im(i + tau0) = {1.0 + tau.imag:.3e}")
-    gamma = inflate * (2.0 + 2.0 * w * float((q * (1.0 + 2.0 * _EPS) / gaps**3).sum()))
+    shrink = (low + 2.0 * eta) / low
+    gamma = inflate * (2.0 + 2.0 * m2 * shrink * shrink / low)
     h = inflate * beta * gamma * eta
     if not h <= 0.5:
         raise EnclosureError(None, (tau, radius), f"Kantorovich h = {h:.3e} is above 1/2")

@@ -254,23 +254,25 @@ def _fsum(terms: np.ndarray) -> complex:
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, complex]:
-    """Khat and Khat' of the explicit ladder at one point, in real arithmetic.
+def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, complex, float, float]:
+    """:func:`laplace_pass` over a longer ladder, in real arithmetic.
 
     With x = g + Re z, y = Im z and u = c/(x**2 + y**2) = c/|z + g|**2,
     each term is c/(z + g) = u*x - i*u*y and -c/(z + g)**2 =
     -u*(x**2 - y**2)/|z + g|**2 + 2i*u*x*y/|z + g|**2.  So u is formed
-    once per block and the four sums sum(u*x), sum(u),
+    once per block and the four sums sum(u*x), sum(u) (which is s2),
     sum(u*(x**2 - y**2)/|z + g|**2) and sum(u*(x*y)/|z + g|**2) are read
     off it, three of them as dot products.  Both ratios lie in [-1, 1], so
     every product summed stays within c/|z + g|**2 (or c/|z + g| for u*x),
     and x**2 - y**2 is formed per term, not as a difference of two sums.
-    Where the largest of |Re z|, |Im z| and the last rate reaches 2**256,
-    z and the rates are first scaled by a power of two, which is exact, to
-    bring it below 1.  So x**2 + y**2 stays below 2**515 and u stays a
-    normal double for every c above 2**-507, while 1/|z + g|**2 stays
-    finite until |z + g| nears 2**-512.  The ladder is summed SUM_BLOCK terms at a time,
-    13 numpy calls per block, and the block sums are added in order.
+    Since |x| <= x + 2*max(0, -Re z), s1 = sum(u*x) + (2*max(0, -Re z) +
+    |y|)*s2 >= sum u*(|x| + |y|) >= sum c/|z + g|.  Where the largest of
+    |Re z|, |Im z| and the last rate reaches 2**256, z and the rates are
+    first scaled by a power of two, which is exact, to bring it below 1.
+    So x**2 + y**2 stays below 2**515 and u stays a normal double for
+    every c above 2**-507, while 1/|z + g|**2 stays finite until |z + g|
+    nears 2**-512.  The ladder is summed SUM_BLOCK terms at a time, 13
+    numpy calls per block, and the block sums are added in order.
     """
     g, scale = kernel._g, 1.0
     top = max(abs(z.real), abs(z.imag), float(kernel._g[-1]))
@@ -295,44 +297,45 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
         x *= y
         x *= q  # x*y/|z + g|**2
         s_d += np.dot(u, x)
-    return (
-        complex(s_x * scale, -y * s_u * scale),
-        complex(-s_t * scale * scale, 2.0 * s_d * scale * scale),
-    )
+    s1, s2 = (s_x + (2.0 * max(0.0, -x0) + abs(y)) * s_u) * scale, s_u * scale * scale
+    return complex(s_x * scale, -y * s_u * scale), complex(-s_t * scale * scale, 2.0 * s_d * scale * scale), s1, s2
 
 
-def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
-    """(Khat(zeta), Khat'(zeta)) at one point, from one pass over the ladder.
+def laplace_pass(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex, float, float]:
+    """(Khat, Khat', s1, s2) at one point, from one pass over the ladder.
 
-    Ladders of at most FSUM_MAX (64) terms form the terms c/(z + g) and,
-    from each of them, -(c/(z + g))/(z + g), which never squares z + g and
-    so stays finite where that square would overflow; both sums are
-    exactly rounded.  Longer ladders, where exact rounding would cost
-    several times the pass itself, are summed in real arithmetic,
-    SUM_BLOCK terms at a time, without complex temporaries
-    (:func:`_blocked_sums`).  A scalar :func:`laplace` and :func:`laplace_deriv`
-    are the two halves of this pass, pole guard included.
+    s2 = sum c/|z + g|**2 and s1 >= sum c/|z + g| bound the rounding of
+    the first two, whose terms lie within 4 eps of c/|z + g| and 8 eps of
+    c/|z + g|**2.  Ladders of at most FSUM_MAX (64) terms form the terms
+    c/(z + g) and, from each of them, -(c/(z + g))/(z + g), which never
+    squares z + g and so stays finite where that square would overflow;
+    both sums are exactly rounded, s1 and s2 sum their moduli.  Longer
+    ladders are summed in real arithmetic (:func:`_blocked_sums`).
     """
     z = complex(zeta)
     _guard_scalar(kernel, z)
     if kernel.size <= FSUM_MAX:
         shifted = z + kernel._g
         terms = kernel._c / shifted
-        return _fsum(terms), _fsum(-terms / shifted)
+        slopes = -terms / shifted
+        return _fsum(terms), _fsum(slopes), math.fsum(np.abs(terms).tolist()), math.fsum(np.abs(slopes).tolist())
     return _blocked_sums(kernel, z)
+
+
+def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
+    """(Khat(zeta), Khat'(zeta)): :func:`laplace_pass` without its magnitudes."""
+    return laplace_pass(kernel, zeta)[:2]
 
 
 def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """Khat(zeta) = sum_k c_k / (zeta + g_k).
 
     Accepts a scalar or an ndarray of points.  A scalar point is the
-    first half of the :func:`laplace_with_deriv` pass: exactly rounded on
-    a ladder of at most FSUM_MAX (64) terms, within a few eps times the
-    sum of the terms' moduli on a longer one.  An array of points is
-    summed pairwise along the ladder.  Either way the error stays near
-    machine precision for ladders of a few million terms.  An evaluation
-    closer to a pole than POLE_GUARD_ULPS ulps of that pole's rate raises
-    :class:`PoleProximityError`.
+    first of :func:`laplace_pass`, pole guard included.  An array of
+    points is summed pairwise along the ladder.  Either way the error
+    stays near machine precision for ladders of a few million terms.  An
+    evaluation closer to a pole than POLE_GUARD_ULPS ulps of that pole's
+    rate raises :class:`PoleProximityError`.
     """
     z = np.asarray(zeta, dtype=complex)
     if z.ndim == 0:
@@ -343,10 +346,7 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
 
 
 def laplace_deriv(kernel: ExponentialKernel, zeta: complex) -> complex:
-    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2 at one point.
-
-    The other half of the :func:`laplace_with_deriv` pass.
-    """
+    """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2 at one point: the second of :func:`laplace_pass`."""
     return laplace_with_deriv(kernel, zeta)[1]
 
 

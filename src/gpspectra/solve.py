@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex_pair import RESIDUAL_TOL, kantorovich_ball, solve_pair
+from .complex_pair import RESIDUAL_TOL, _disc, solve_pair
 from .errors import EnclosureError, NumericalError
-from .pencil import ModePencil, symbol
+from .kernels import laplace_pass
+from .pencil import ModePencil
 from .real_branches import BranchRoot, branch_and_stiffness_roots
 # solve_mode no longer calls these two, but perfbench/test_bench.py checks
 # that its tracer wraps them in this module too
@@ -88,12 +89,12 @@ def _interlacing_margin(
     return margin
 
 
-def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex) -> CountingCertificate:
-    """The counting certificate from the branches' brackets and the pair's disc."""
+def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex, at_plus: tuple) -> CountingCertificate:
+    """The certificate from the branches' brackets and the pair's disc, read off ``at_plus``, the pass at ``plus``."""
     for r in real:
         if not r.sign_margin > 1.0:
             raise EnclosureError(r.index, r.bracket, f"sign margin {r.sign_margin:.3g} is not above 1")
-    center, radius, h = kantorovich_ball(p, plus)
+    center, radius, h = _disc(p, plus, at_plus)
     return CountingCertificate(
         zeros_inferred=len(real) + 2,
         brackets=tuple(r.bracket for r in real),
@@ -131,14 +132,15 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
             )
 
     pair = solve_pair(p, residual_tol=residual_tol)
+    plus, at_plus = pair.plus, laplace_pass(p.kernel, pair.plus)  # the residual's and the disc's one pass
     return SpectrumResult(
         pencil=p,
         real_roots=real,
         stiffness_roots=stiff,
-        pair_plus=pair.plus,
-        pair_residual=abs(symbol(p, pair.plus)),
+        pair_plus=plus,
+        pair_residual=abs(plus * plus + p.frequency**2 * (1.0 - p.memory_weight * at_plus[0])),  # symbol(p, plus)
         pair_iterations=pair.iterations,
         contraction_bound=pair.derivative_bound,
         interlacing_margin=_interlacing_margin(real, stiff),
-        certificate=_count_roots(p, real, pair.plus),
+        certificate=_count_roots(p, real, plus, at_plus),
     )

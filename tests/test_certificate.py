@@ -16,6 +16,7 @@ from gpspectra import (
     aberth_roots,
     branch_and_stiffness_roots,
     kantorovich_ball,
+    laplace_pass,
     solve_mode,
     to_polynomial,
 )
@@ -145,7 +146,7 @@ def test_an_unproven_bracket_names_its_branch(cubic):
     result = solve_mode(cubic)
     weak = dataclasses.replace(result.real_roots[0], sign_margin=0.5)
     with pytest.raises(EnclosureError) as info:
-        solve._count_roots(cubic, (weak,), result.pair_plus)
+        solve._count_roots(cubic, (weak,), result.pair_plus, laplace_pass(cubic.kernel, result.pair_plus))
     assert info.value.branch == 1
     assert info.value.bracket == weak.bracket
     assert "branch 1" in str(info.value)
