@@ -340,13 +340,16 @@ def test_a_pair_that_does_not_settle_names_its_mode(run_cli, cubic_config, monke
     )
 
 
-@pytest.mark.parametrize("job", ["spectrum", "oracle-check"])
+@pytest.mark.parametrize("job", ["spectrum", "oracle-check", "sweep"])
 def test_an_overdamped_mode_is_refused_not_printed_as_a_pair(run_cli, job):
     # the pair solve lands on the real root -0.95591 (im 4.4e-16), and the
-    # certificate's disc refuses it.  ROADMAP item 3 will report this mode
-    # as a classified overdamped row instead, and must update this test.
+    # certificate's disc refuses it; sweep, which solves the pair alone,
+    # runs the same disc on a kernel held whole.  ROADMAP item 3 will report
+    # this mode as a classified overdamped row instead, and must update
+    # this test.
     coeffs, rates, a, xi = OVERDAMPED_ONE
-    config = {"kernel": {"coeffs": list(coeffs), "rates": list(rates)}, "xi": xi, "modes": [a]}
+    modes = {"a_min": a, "factor": 10.0, "count": 4} if job == "sweep" else [a]
+    config = {"kernel": {"coeffs": list(coeffs), "rates": list(rates)}, "xi": xi, "modes": modes}
     code, out, err = run_cli(job, config)
     assert code == 3
     assert out == ""
