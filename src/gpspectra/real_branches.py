@@ -43,7 +43,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import MaxIterationsError, NumericalError
+from .errors import MaxIterationsError, NumericalError, PoleProximityError
 from .kernels import ExponentialKernel
 from .pencil import ModePencil
 
@@ -250,7 +250,9 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
     taken after the roots are final, so the bracket pass moves none.
     A mode whose load ``p.load`` is not below 1 raises
     :class:`InadmissibleModeError`, whichever branches are asked for; a
-    frequency whose square overflows raises :class:`NumericalError`.
+    frequency whose square overflows raises :class:`NumericalError`; and a
+    root whose offset from its pole rounds to 0, as where w*c underflows,
+    raises :class:`PoleProximityError` naming its branch and factor.
     """
     kern = p.kernel
     c, g = kern._c, kern._g
@@ -269,6 +271,12 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
         k = np.tile(branches, 2)
         s = np.repeat([1.0 / a2, 0.0], branches.size)  # inertia weights: L/a**2, then f
         d = solve_block(c, g, w, s, k)
+        if not (d > 0.0).all():  # the passes below divide by the offsets
+            col = int(np.argmin(d > 0.0))
+            raise PoleProximityError(
+                f"branch {k[col] + 1} root of the {('symbol', 'stiffness factor')[col // branches.size]} "
+                f"lies on its pole: offset {float(d[col])!r} is not above 0"
+            )
         # F and F' at the offsets, every pole included, for residual and step
         F, bound, terms, t, x = _secular(c, g, w, s, k, d)
         dF = 2.0 * s * x + (terms * w / t).sum(axis=0)

@@ -380,6 +380,22 @@ def test_a_frequency_whose_square_overflows_is_a_numerical_failure(run_cli, job,
         )
 
 
+def test_a_root_on_its_pole_is_refused_by_name(run_cli):
+    # w*c = 0.1 * 5e-324 underflows to 0, so both branch-1 roots round onto
+    # the pole at -2: the job names the branch before any pass divides by
+    # the offset, and no warning is raised on the way
+    config = {"kernel": {"coeffs": [5e-324], "rates": [2.0]}, "xi": 0.5, "modes": [10.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("spectrum", config)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "gpspectra: numerical failure: mode 1 (a_n=10): "
+        "branch 1 root of the symbol lies on its pole: offset 0.0 is not above 0\n"
+    )
+
+
 def test_verify_passes_the_thousand_term_power_law_ladder(run_cli):
     # sum c/g = zeta(5/2) > 1, but the mode's load w*sum c/g is 0.13
     family = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 2.0, "count": 1000}
