@@ -297,7 +297,7 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
         x *= y
         x *= q  # x*y/|z + g|**2
         s_d += np.dot(u, x)
-    s1, s2 = (s_x + (2.0 * max(0.0, -x0) + abs(y)) * s_u) * scale, s_u * scale * scale
+    s1, s2 = float((s_x + (2.0 * max(0.0, -x0) + abs(y)) * s_u) * scale), float(s_u * scale * scale)
     return complex(s_x * scale, -y * s_u * scale), complex(-s_t * scale * scale, 2.0 * s_d * scale * scale), s1, s2
 
 
