@@ -1,6 +1,8 @@
 """The counting certificate: proven brackets for the real roots, a disc for the pair."""
 
 import dataclasses
+import sys
+import types
 import warnings
 from fractions import Fraction
 
@@ -13,13 +15,17 @@ from gpspectra import (
     ExponentialKernel,
     InadmissibleModeError,
     ModePencil,
+    PowerLawFamily,
     aberth_roots,
     branch_and_stiffness_roots,
     kantorovich_ball,
     laplace_pass,
+    materialize,
     solve_mode,
+    solve_pair,
     to_polynomial,
 )
+from gpspectra.kernels import FSUM_MAX
 from gpspectra import solve
 from conftest import (
     CLUSTER_TWELVE,
@@ -171,3 +177,73 @@ def test_the_disc_is_no_narrower_than_the_doubles_at_its_centre(cubic):
     _, radius, h = kantorovich_ball(cubic, PAIR)
     assert radius >= 2.0 * np.finfo(float).eps
     assert h <= 1e-15
+
+
+def _counted_passes(monkeypatch) -> list:
+    """Record the point of every ``laplace_pass`` call, wherever a module holds it."""
+    original, points = laplace_pass, []
+
+    def counted(kernel, z):
+        points.append(z)
+        return original(kernel, z)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gpspectra") and getattr(module, "laplace_pass", None) is original:
+            monkeypatch.setattr(module, "laplace_pass", counted)
+    return points
+
+
+def _sqrt_family(count: int) -> ModePencil:
+    return ModePencil(100.0, 0.5, materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, count)))
+
+
+@pytest.mark.parametrize("which", ["cubic", "sqrt_100"])
+def test_solve_mode_passes_over_the_ladder_once_after_the_pair_solve(which, cubic, monkeypatch):
+    # one pass per pair iteration, then one at the root for the residual and the disc
+    p = cubic if which == "cubic" else _sqrt_family(100)
+    points = _counted_passes(monkeypatch)
+    result = solve_mode(p)
+    assert len(points) == result.pair_iterations + 1
+    assert points[-1] == result.pair_plus
+
+
+def test_a_bare_disc_passes_over_the_ladder_once(cubic, monkeypatch):
+    plus = solve_mode(cubic).pair_plus
+    points = _counted_passes(monkeypatch)
+    kantorovich_ball(cubic, plus)
+    assert points == [plus]
+
+
+def _newton_root(p: ModePencil, start: complex) -> types.SimpleNamespace:
+    """The upper root by Newton's method on L at 40 digits, every input the double it is.
+
+    Returned as exact binary rationals, ``real`` and ``imag``, for :func:`_in_disc`.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a2, w = mpmath.mpf(p.frequency) ** 2, mpmath.mpf(p.memory_weight)
+        ladder = [(mpmath.mpf(c), mpmath.mpf(g)) for c, g in zip(p.kernel.coeffs, p.kernel.rates)]
+        z = mpmath.mpc(start)
+        for _ in range(20):
+            value = z * z + a2 * (1 - w * mpmath.fsum(c / (z + g) for c, g in ladder))
+            slope = 2 * z + a2 * w * mpmath.fsum(c / (z + g) ** 2 for c, g in ladder)
+            step = value / slope
+            z -= step
+            if abs(step) < mpmath.mpf(10) ** -36 * abs(z):
+                break
+        else:
+            raise AssertionError("Newton on L did not settle at 40 digits")
+        real, imag = (Fraction(*mpmath.libmp.to_rational(part._mpf_)) for part in (z.real, z.imag))
+    return types.SimpleNamespace(real=real, imag=imag)
+
+
+@pytest.mark.parametrize("count", [100, 1024])
+def test_the_disc_holds_a_40_digit_root_on_a_blocked_sum_ladder(count):
+    # above FSUM_MAX the pass sums in blocks and s1 is a bound, not a sum;
+    # the polynomial oracle stops at 64 terms, so the reference is Newton on L
+    p = _sqrt_family(count)
+    assert p.kernel.size > FSUM_MAX
+    plus = solve_pair(p).plus
+    center, radius, h = kantorovich_ball(p, plus)
+    assert h <= 0.5
+    assert _in_disc(_newton_root(p, plus), p, center, radius)
