@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
-from .complex_pair import RESIDUAL_TOL, count_zeros, kantorovich_ball, solve_pair, spectrum_contour
+from .complex_pair import RESIDUAL_TOL, count_zeros, solve_pair, spectrum_contour
 from .errors import ConfigError, GPSpectraError, NumericalError
 from .kernels import ExponentialKernel, PowerLawFamily, TailSeries, materialize, materialize_within_each
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
@@ -470,17 +470,16 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     first rate past 2*SERIES_REACH*a_n, its head, and the poles beyond as
     a series valid out to SERIES_REACH*a_n (see
     ``materialize_within_each``); the series travels beside the mode's
-    pencil into the gate and the pair solve.  A mode whose pair solve
-    fails on that head, for instance because an iterate leaves the series
-    disc, is solved again on the head for 2*a_n, and that solve's answer
-    or error is the mode's.  A pair solved on a kernel with no series (an
-    explicit kernel, or a family held whole) is certified by its disc
-    (:func:`kantorovich_ball`), as ``spectrum``'s is, so an overdamped
-    mode is refused rather than printed with a real root for its pair;
-    the series carries no error bound yet, so a head with one is not.  An
-    overloaded mode is refused before either solve, by the gate of the
-    branch solve (:meth:`ModePencil.check_load`).  Footer rows carry the
-    fitted log-log error slopes.
+    pencil into the gate and the pair solve.  Every pair comes from
+    :func:`solve_pair` with its proven disc, as ``spectrum``'s does, the
+    series' error bound included on a head, so an overdamped mode is
+    refused rather than printed with a real root for its pair.  A mode
+    whose pair solve or disc fails on its head, for instance because an
+    iterate leaves the series radius, is solved again on the head for
+    2*a_n, and that solve's answer or error is the mode's.  An overloaded
+    mode is refused before either solve, by the gate of the branch solve
+    (:meth:`ModePencil.check_load`).  Footer rows carry the fitted log-log
+    error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
@@ -497,16 +496,12 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     def pair(p: ModePencil, tail: TailSeries | None) -> complex:
         p.check_load(tail)  # the wider head below carries the same load
         try:
-            plus = solve_pair(p, residual_tol=cfg.residual_tol, tail=tail).plus
+            return solve_pair(p, residual_tol=cfg.residual_tol, tail=tail).plus
         except NumericalError:
             if tail is None:  # an explicit kernel or a whole ladder: none wider
                 raise
-            wide, tail = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
-            p = replace(p, kernel=wide)
-            plus = solve_pair(p, residual_tol=cfg.residual_tol, tail=tail).plus
-        if tail is None:
-            kantorovich_ball(p, plus)
-        return plus
+        wide, tail = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
+        return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol, tail=tail).plus
 
     numeric = _map_modes(pair, modes)
 

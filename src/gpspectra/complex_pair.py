@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import TailSeries, laplace_pass, laplace_with_deriv
+from .kernels import TailSeries, laplace_pass
 from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
@@ -78,17 +78,38 @@ class FixedPointPair:
     :func:`solve_pair`).  ``iterations`` counts passes over the ladder,
     ``derivative_bound`` is the map's |g'| at the last iterate, and
     ``residual`` is |L|/a**2 there, one Newton step before ``plus``.
+    ``point`` is that last iterate's z and ``at_point`` its
+    :func:`laplace_pass`, kept for the disc.  ``disc`` is
+    (center, radius, h) as :func:`kantorovich_ball` returns it, proven by
+    :func:`solve_pair` from that pass; :func:`fixed_point_pair` leaves it None.
     """
 
     plus: complex
     iterations: int
     derivative_bound: float  # |g'| at the final iterate; < 1 when trusted
     residual: float
+    point: complex
+    at_point: tuple[complex, complex, float, float, float, float]
+    disc: tuple[complex, float, float] | None = None
 
     @property
     def minus(self) -> complex:
         """The lower root, the conjugate of ``plus``."""
         return self.plus.conjugate()
+
+    def conjugate(self) -> FixedPointPair:
+        """The same pair seen from its other root: every complex value conjugated.
+
+        The transform has real coefficients, so the pass at the conjugate
+        point is the conjugate of this one, with the same magnitudes.
+        """
+        khat, dkhat, *bounds = self.at_point
+        return replace(
+            self,
+            plus=self.minus,
+            point=self.point.conjugate(),
+            at_point=(khat.conjugate(), dkhat.conjugate(), *bounds),
+        )
 
 
 @dataclass(frozen=True)
@@ -145,23 +166,23 @@ def fixed_point_pair(p: ModePencil, tail: TailSeries | None = None) -> FixedPoin
     quadratically.  It stops once the step is within PAIR_STEP_TOL*(1 + |tau|),
     applies that last step and returns; ``residual`` is |L|/a**2 =
     |tau*(tau + 2i) - w*Khat| at the last evaluated iterate, one step
-    short of ``plus``.  Raises :class:`NonContractionError` the moment
+    short of ``plus``, and that iterate's pass is kept whole for the disc.
+    Raises :class:`NonContractionError` the moment
     |g'| reaches one at an iterate — the map is then no contraction there,
     and 1 - g' is no longer kept from zero — and
     :class:`MaxIterationsError` if the step does not settle within the cap.
 
     When ``p.kernel`` is the head of a family ladder, ``tail`` is the
-    series of its far poles (:func:`materialize_within_each`): each pass
-    adds its value and slope to the head's, and an iterate beyond the
-    series radius raises :class:`NumericalError`.
+    series of its far poles (:func:`materialize_within_each`), which joins
+    each pass (:func:`laplace_pass`); an iterate beyond the series radius
+    raises :class:`NumericalError`.
     """
     a, w = p.frequency, p.memory_weight
     tau = 0.0 + 0.0j
     for it in range(1, PAIR_MAX_PASSES + 1):
         z = 1j * a + tau * a
-        khat, dkhat = laplace_with_deriv(p.kernel, z)
-        if tail is not None:
-            khat, dkhat = khat + tail.value(z), dkhat + tail.deriv(z)
+        at_z = laplace_pass(p.kernel, z, tail)
+        khat, dkhat = at_z[:2]
         shift = tau + 2j
         image = w * khat / shift
         deriv = w * (dkhat * a * shift - khat) / (shift * shift)
@@ -176,6 +197,8 @@ def fixed_point_pair(p: ModePencil, tail: TailSeries | None = None) -> FixedPoin
                 iterations=it,
                 derivative_bound=abs(deriv),
                 residual=abs(tau * shift - w * khat),
+                point=z,
+                at_point=at_z,
             )
         tau = tau - step
     raise MaxIterationsError(f"pair iteration did not settle in {PAIR_MAX_PASSES} steps")
@@ -229,14 +252,19 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
 def solve_pair(
     p: ModePencil, residual_tol: float = RESIDUAL_TOL, tail: TailSeries | None = None
 ) -> FixedPointPair:
-    """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual.
+    """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual and proven by its disc.
 
     The last evaluated iterate must satisfy |L| <= residual_tol * a**2, or
     :class:`DivergenceError` is raised; the gate reads the residual that
     pass already holds.  A root that lands in the lower half plane is
-    flipped to its conjugate, so ``plus`` is always the upper root.
-    ``tail``, the far-pole series of a head ladder, is passed through to
-    :func:`fixed_point_pair`.
+    flipped to its conjugate (:meth:`FixedPointPair.conjugate`), so ``plus``
+    is always the upper root.  The returned pair's ``disc`` is the
+    Newton-Kantorovich disc of :func:`kantorovich_ball`, proven from the
+    pass at the last iterate, so no pass is spent on it; a disc that
+    cannot be proven raises :class:`EnclosureError`.  ``tail``, the
+    far-pole series of a head ladder, is passed through to
+    :func:`fixed_point_pair`, and the disc reads its error bound from
+    that pass.
     """
     fp = fixed_point_pair(p, tail)
     if not fp.residual <= residual_tol:
@@ -244,8 +272,8 @@ def solve_pair(
             f"pair residual {fp.residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
         )
     if fp.plus.imag < 0:
-        return replace(fp, plus=fp.minus)
-    return fp
+        fp = fp.conjugate()
+    return replace(fp, disc=_disc(p, fp.point, fp.at_point))
 
 
 def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, float]:
@@ -254,13 +282,15 @@ def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, floa
     Returns (center, radius, h): the upper root lies in
     |z/a - i - center| <= radius and the lower root in the conjugate disc;
     h is the Kantorovich quantity beta*gamma*eta.  The proof reads one
-    :func:`laplace_pass` at ``plus``.  In tau = z/a - i the scaled symbol
+    :func:`laplace_pass` at ``plus`` (:func:`solve_pair` reads the one at
+    its last iterate instead).  In tau = z/a - i the scaled symbol
     is f = L/a**2 = tau*(tau + 2i) - w*Khat(z), f' = 2(tau + i) - w*a*Khat'.
     Both are formed at tau0, the rounded tau* = plus/a - i, and bounded
     against their values at tau*.  The pass's terms lie within 4 and 8 eps
     of c/|z + g| and c/|z + g|**2, and n terms summed in any order within
     n*eps of the sum of their moduli, so the memory parts carry
-    (n + 16)*eps times m1 = w*s1 and m2 = w*a*s2, products included; the
+    (n + 16)*eps times m1 = w*s1 and m2 = w*a*s2, products included, and
+    w and w*a times the pass's series error on a family head; the
     polynomial parts carry 4 eps of their size plus their change over
     gap = eps*(|tau0| + |1 + Im tau0|/2) >= |tau0 - tau*|.  With eta >=
     |f/f'| and beta >= 1/|f'| at tau*, and gamma >= sup |f''| on the disc
@@ -281,16 +311,16 @@ def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, floa
     return _disc(p, plus, laplace_pass(p.kernel, plus))
 
 
-def _disc(p: ModePencil, plus: complex, at_plus: tuple) -> tuple[complex, float, float]:
-    """:func:`kantorovich_ball` from the :func:`laplace_pass` already taken at ``plus``."""
-    khat, dkhat, s1, s2 = at_plus
+def _disc(p: ModePencil, point: complex, at_point: tuple) -> tuple[complex, float, float]:
+    """:func:`kantorovich_ball` around ``point`` from the :func:`laplace_pass` already taken there."""
+    khat, dkhat, s1, s2, error, deriv_error = at_point
     a, w, sums = p.frequency, p.memory_weight, (p.kernel.size + 16) * _EPS
-    tau = complex(plus.real / a, plus.imag / a - 1.0)
+    tau = complex(point.real / a, point.imag / a - 1.0)
     gap = _EPS * (abs(tau) + 0.5 * abs(1.0 + tau.imag))
     m1, m2 = w * s1 * (1.0 + sums), w * a * s2 * (1.0 + sums)
     f, df = tau * (tau + 2j) - w * khat, 2.0 * (tau + 1j) - w * a * dkhat
-    f_bound = 4.0 * _EPS * abs(tau) * abs(tau + 2j) + gap * (2.0 * abs(tau + 1j) + gap) + sums * m1
-    df_bound = 4.0 * _EPS * abs(tau + 1j) + 2.0 * gap + sums * m2
+    f_bound = 4.0 * _EPS * abs(tau) * abs(tau + 2j) + gap * (2.0 * abs(tau + 1j) + gap) + sums * m1 + w * error
+    df_bound = 4.0 * _EPS * abs(tau + 1j) + 2.0 * gap + sums * m2 + w * a * deriv_error
     inflate = 1.0 + 16.0 * _EPS  # covers the scalar steps below
     reach = abs(df) - df_bound
     if not reach > 0.0:

@@ -49,6 +49,8 @@ FSUM_MAX = 64
 #: its thread count
 SUM_BLOCK = 8192
 
+_EPS = math.ulp(1.0)
+
 
 def _horner(coeffs, x):
     """sum_j coeffs[j] * x**j."""
@@ -67,6 +69,21 @@ class TailSeries:
     holds to double precision for |z| <= radius and is refused beyond it.
     Scaling by the radius keeps every coefficient within the double range.
     It is evaluated at one point at a time.
+
+    ``error`` bounds |value(z) - far(z)| and |deriv(z) - far'(z)| on
+    |z| <= radius, far being the exact sum over the poles.  With N terms,
+    c0 = coeffs[0] = sum c/g and every g >= 2*radius, coeffs[j] <= 2**-j*c0,
+    so the terms left off cost at most 2**(1-N)*c0 in the value and
+    (N + 1)*2**(1-N)*c0/radius in the slope (proven).  Horner's rule on a
+    point |x| <= 1, each step a complex product and a real sum, stays
+    within 2N*eps times the sum of the coefficients it reads (proven).  A
+    further 64*eps times that sum covers the rounding of the argument and
+    of the slope coefficients, and the coefficients' own error: each is a
+    power sum closed by Euler-Maclaurin (:func:`_power_sums`), within a few
+    ulps, a figure stated and checked against long-double sums over the
+    poles on a sample of families, radii and points, not proven.  So
+    error = (2**(1-N)*c0 + (2N + 64)*eps*sum(coeffs),
+    ((N + 1)*2**(1-N)*c0 + (2N + 64)*eps*sum(j*coeffs[j]))/radius).
     """
 
     coeffs: tuple[float, ...]
@@ -92,6 +109,16 @@ class TailSeries:
     def deriv(self, zeta: complex) -> complex:
         """The far poles' share of Khat'(zeta)."""
         return _horner(self._slopes, self._argument(zeta)) / -self.radius
+
+    @cached_property
+    def error(self) -> tuple[float, float]:
+        """Bounds on the errors of :meth:`value` and :meth:`deriv` on |z| <= radius (see the class)."""
+        n, top = len(self.coeffs), self.coeffs[0]
+        rounding = (2 * n + 64) * _EPS
+        return (
+            math.ldexp(top, 1 - n) + rounding * math.fsum(self.coeffs),
+            (math.ldexp((n + 1) * top, 1 - n) + rounding * math.fsum(self._slopes)) / self.radius,
+        )
 
 
 def _check_ladder(c: np.ndarray, g: np.ndarray) -> None:
@@ -301,8 +328,10 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
     return complex(s_x * scale, -y * s_u * scale), complex(-s_t * scale * scale, 2.0 * s_d * scale * scale), s1, s2
 
 
-def laplace_pass(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex, float, float]:
-    """(Khat, Khat', s1, s2) at one point, from one pass over the ladder.
+def laplace_pass(
+    kernel: ExponentialKernel, zeta: complex, tail: TailSeries | None = None
+) -> tuple[complex, complex, float, float, float, float]:
+    """(Khat, Khat', s1, s2, error, deriv_error) at one point, from one pass over the ladder.
 
     s2 = sum c/|z + g|**2 and s1 >= sum c/|z + g| bound the rounding of
     the first two, whose terms lie within 4 eps of c/|z + g| and 8 eps of
@@ -311,6 +340,13 @@ def laplace_pass(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, com
     squares z + g and so stays finite where that square would overflow;
     both sums are exactly rounded, s1 and s2 sum their moduli.  Longer
     ladders are summed in real arithmetic (:func:`_blocked_sums`).
+
+    When ``kernel`` is the head of a family ladder, ``tail`` is the series
+    of its far poles, and this is the one place they join the pass: their
+    value and slope are added as one more term each, their shares of s1
+    and s2 are bounded by 2*coeffs[0] and 4*coeffs[1]/radius (each far
+    pole has g >= 2*radius and |z| <= radius, so |z + g| >= g/2), and the
+    series' own ``error`` is the last two values, which are 0 without it.
     """
     z = complex(zeta)
     _guard_scalar(kernel, z)
@@ -318,8 +354,19 @@ def laplace_pass(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, com
         shifted = z + kernel._g
         terms = kernel._c / shifted
         slopes = -terms / shifted
-        return _fsum(terms), _fsum(slopes), math.fsum(np.abs(terms).tolist()), math.fsum(np.abs(slopes).tolist())
-    return _blocked_sums(kernel, z)
+        khat, dkhat = _fsum(terms), _fsum(slopes)
+        s1, s2 = math.fsum(np.abs(terms).tolist()), math.fsum(np.abs(slopes).tolist())
+    else:
+        khat, dkhat, s1, s2 = _blocked_sums(kernel, z)
+    if tail is None:
+        return khat, dkhat, s1, s2, 0.0, 0.0
+    return (
+        khat + tail.value(z),
+        dkhat + tail.deriv(z),
+        s1 + 2.0 * tail.coeffs[0],
+        s2 + 4.0 * tail.coeffs[1] / tail.radius,
+        *tail.error,
+    )
 
 
 def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:

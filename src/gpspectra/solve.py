@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex_pair import RESIDUAL_TOL, _disc, solve_pair
+from .complex_pair import RESIDUAL_TOL, solve_pair
 from .errors import EnclosureError, NumericalError
-from .kernels import laplace_pass
-from .pencil import ModePencil
+from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_and_stiffness_roots
 # solve_mode no longer calls these two, but perfbench/test_bench.py checks
 # that its tracer wraps them in this module too
@@ -89,12 +88,12 @@ def _interlacing_margin(
     return margin
 
 
-def _count_roots(p: ModePencil, real: tuple[BranchRoot, ...], plus: complex, at_plus: tuple) -> CountingCertificate:
-    """The certificate from the branches' brackets and the pair's disc, read off ``at_plus``, the pass at ``plus``."""
+def _count_roots(real: tuple[BranchRoot, ...], disc: tuple[complex, float, float]) -> CountingCertificate:
+    """The certificate from the branches' brackets and the pair's proven disc (center, radius, h)."""
     for r in real:
         if not r.sign_margin > 1.0:
             raise EnclosureError(r.index, r.bracket, f"sign margin {r.sign_margin:.3g} is not above 1")
-    center, radius, h = _disc(p, plus, at_plus)
+    center, radius, h = disc
     return CountingCertificate(
         zeros_inferred=len(real) + 2,
         brackets=tuple(r.bracket for r in real),
@@ -114,14 +113,15 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
     and the pair must satisfy |L| <= residual_tol * a**2.  The result
     carries a :class:`CountingCertificate`: every branch bracket must show
     a sign change clear of its rounding bound, and the pair a
-    Newton-Kantorovich disc clear of the real axis, or
-    :class:`EnclosureError` names the branch or disc that failed.  So an
-    overdamped mode, whose two extra roots are real, is refused rather
-    than reported with a "pair" that is one of them.  No contour is
-    walked; :func:`count_zeros` remains the independent check.  A mode
-    whose load ``p.load`` is not below 1 lies outside the theorem: the
-    branch solve raises :class:`InadmissibleModeError` before anything is
-    solved.
+    Newton-Kantorovich disc clear of the real axis, which :func:`solve_pair`
+    proves from its last pass, or :class:`EnclosureError` names the branch
+    or disc that failed.  So an overdamped mode, whose two extra roots are
+    real, is refused rather than reported with a "pair" that is one of
+    them.  The printed residual |L(plus)| is the one pass over the ladder
+    after the pair solve.  No contour is walked; :func:`count_zeros`
+    remains the independent check.  A mode whose load ``p.load`` is not
+    below 1 lies outside the theorem: the branch solve raises
+    :class:`InadmissibleModeError` before anything is solved.
     """
     real, stiff = map(tuple, branch_and_stiffness_roots(p))
     for r in real:
@@ -132,15 +132,14 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
             )
 
     pair = solve_pair(p, residual_tol=residual_tol)
-    plus, at_plus = pair.plus, laplace_pass(p.kernel, pair.plus)  # the residual's and the disc's one pass
     return SpectrumResult(
         pencil=p,
         real_roots=real,
         stiffness_roots=stiff,
-        pair_plus=plus,
-        pair_residual=abs(plus * plus + p.frequency**2 * (1.0 - p.memory_weight * at_plus[0])),  # symbol(p, plus)
+        pair_plus=pair.plus,
+        pair_residual=abs(symbol(p, pair.plus)),
         pair_iterations=pair.iterations,
         contraction_bound=pair.derivative_bound,
         interlacing_margin=_interlacing_margin(real, stiff),
-        certificate=_count_roots(p, real, plus, at_plus),
+        certificate=_count_roots(real, pair.disc),
     )

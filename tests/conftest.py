@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ def recipe_sample(seed: int, per_size: int) -> list[ModePencil]:
     ``random.Random(seed)``."""
     rng = random.Random(seed)
     return [recipe_pencil(n, rng.uniform) for n in range(1, 13) for _ in range(per_size)]
+
+
+def in_disc(root, p: ModePencil, center: complex, radius: float) -> bool:
+    """|root/a - i - center| <= radius, exactly: the pair disc's test of a root."""
+    a = Fraction(p.frequency)
+    dr = Fraction(root.real) / a - Fraction(center.real)
+    di = Fraction(root.imag) / a - 1 - Fraction(center.imag)
+    return dr * dr + di * di <= Fraction(radius) ** 2
 
 
 @pytest.fixture()

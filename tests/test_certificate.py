@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import gpspectra.cli
 from gpspectra import (
     EnclosureError,
     ExponentialKernel,
@@ -21,6 +22,7 @@ from gpspectra import (
     kantorovich_ball,
     laplace_pass,
     materialize,
+    materialize_within_each,
     solve_mode,
     solve_pair,
     to_polynomial,
@@ -28,11 +30,13 @@ from gpspectra import (
 from gpspectra.kernels import FSUM_MAX
 from gpspectra import solve
 from conftest import (
+    CUBIC_CONFIG,
     CLUSTER_TWELVE,
     PAIR,
     PINCHED_EIGHT,
     PINCHED_FIVE,
     admissible_modes,
+    in_disc,
     wide_frequency_modes,
 )
 
@@ -72,14 +76,6 @@ def _check_brackets(p: ModePencil) -> int:
     return checked
 
 
-def _in_disc(root: complex, p: ModePencil, center: complex, radius: float) -> bool:
-    """|root/a - i - center| <= radius, exactly."""
-    a = Fraction(p.frequency)
-    dr = Fraction(root.real) / a - Fraction(center.real)
-    di = Fraction(root.imag) / a - 1 - Fraction(center.imag)
-    return dr * dr + di * di <= Fraction(radius) ** 2
-
-
 def _check_pair_disc(p: ModePencil) -> None:
     """The oracle's pair lies in the certified disc and its conjugate."""
     cert = solve_mode(p).certificate
@@ -88,8 +84,8 @@ def _check_pair_disc(p: ModePencil) -> None:
     assert 1.0 + cert.pair_center.imag > cert.pair_radius
     reference = aberth_roots(to_polynomial(p))
     upper, lower = reference[np.argmax(reference.imag)], reference[np.argmin(reference.imag)]
-    assert _in_disc(complex(upper), p, cert.pair_center, cert.pair_radius)
-    assert _in_disc(complex(lower).conjugate(), p, cert.pair_center, cert.pair_radius)
+    assert in_disc(complex(upper), p, cert.pair_center, cert.pair_radius)
+    assert in_disc(complex(lower).conjugate(), p, cert.pair_center, cert.pair_radius)
 
 
 @pytest.mark.parametrize("coeffs, rates, a, xi", PINNED, ids=PINNED_IDS)
@@ -152,7 +148,7 @@ def test_an_unproven_bracket_names_its_branch(cubic):
     result = solve_mode(cubic)
     weak = dataclasses.replace(result.real_roots[0], sign_margin=0.5)
     with pytest.raises(EnclosureError) as info:
-        solve._count_roots(cubic, (weak,), result.pair_plus, laplace_pass(cubic.kernel, result.pair_plus))
+        solve._count_roots((weak,), solve_pair(cubic).disc)
     assert info.value.branch == 1
     assert info.value.bracket == weak.bracket
     assert "branch 1" in str(info.value)
@@ -183,9 +179,9 @@ def _counted_passes(monkeypatch) -> list:
     """Record the point of every ``laplace_pass`` call, wherever a module holds it."""
     original, points = laplace_pass, []
 
-    def counted(kernel, z):
+    def counted(kernel, z, tail=None):
         points.append(z)
-        return original(kernel, z)
+        return original(kernel, z, tail)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("gpspectra") and getattr(module, "laplace_pass", None) is original:
@@ -207,6 +203,41 @@ def test_solve_mode_passes_over_the_ladder_once_after_the_pair_solve(which, cubi
     assert points[-1] == result.pair_plus
 
 
+#: a sweep of the cubic's kernel, and one of a family whose every mode is a head with a series
+SWEEPS = {
+    "cubic": dict(CUBIC_CONFIG, modes={"a_min": 10.0, "factor": 10.0, "count": 4}),
+    "family_head": {
+        "kernel": {"family": {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 1.0, "count": 10**5}},
+        "xi": 0.5,
+        "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
+    },
+}
+
+
+@pytest.mark.parametrize("which", SWEEPS)
+def test_a_sweep_mode_passes_over_the_ladder_only_in_its_pair_solve(which, run_cli, monkeypatch):
+    # the disc reads the pair solve's last pass: each mode makes its pair's
+    # iterations passes, the last at the iterate the disc is proven from,
+    # and none after it
+    points, spans = _counted_passes(monkeypatch), []
+    solve = gpspectra.cli.solve_pair
+
+    def solve_spy(pencil, **kwargs):
+        start = len(points)
+        pair = solve(pencil, **kwargs)
+        spans.append((start, len(points), pair, kwargs["tail"]))
+        return pair
+
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    code, _, err = run_cli("sweep", SWEEPS[which])
+    assert code == 0, err
+    assert len(spans) == 4 and spans[0][0] == 0
+    for (start, stop, pair, tail), after in zip(spans, [s[0] for s in spans[1:]] + [len(points)]):
+        assert stop - start == pair.iterations and stop == after
+        assert points[stop - 1] == pair.point and pair.disc[2] <= 0.5
+        assert (tail is not None) == (which == "family_head")
+
+
 def test_a_bare_disc_passes_over_the_ladder_once(cubic, monkeypatch):
     plus = solve_mode(cubic).pair_plus
     points = _counted_passes(monkeypatch)
@@ -214,15 +245,20 @@ def test_a_bare_disc_passes_over_the_ladder_once(cubic, monkeypatch):
     assert points == [plus]
 
 
-def _newton_root(p: ModePencil, start: complex) -> types.SimpleNamespace:
+def _newton_root(p: ModePencil, start: complex, far: PowerLawFamily | None = None) -> types.SimpleNamespace:
     """The upper root by Newton's method on L at 40 digits, every input the double it is.
 
-    Returned as exact binary rationals, ``real`` and ``imag``, for :func:`_in_disc`.
+    With ``far``, the poles of that family past the kernel's join the ladder
+    with their exact values, as the kernel's head and series stand for them.
+    Returned as exact binary rationals, ``real`` and ``imag``, for :func:`in_disc`.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         a2, w = mpmath.mpf(p.frequency) ** 2, mpmath.mpf(p.memory_weight)
         ladder = [(mpmath.mpf(c), mpmath.mpf(g)) for c, g in zip(p.kernel.coeffs, p.kernel.rates)]
+        if far is not None:
+            amplitude, scale, alpha, beta = (mpmath.mpf(x) for x in (far.amplitude, far.scale, far.alpha, far.beta))
+            ladder += [(amplitude / k**alpha, scale * k**beta) for k in map(mpmath.mpf, range(p.kernel.size + 1, far.count + 1))]
         z = mpmath.mpc(start)
         for _ in range(20):
             value = z * z + a2 * (1 - w * mpmath.fsum(c / (z + g) for c, g in ladder))
@@ -246,4 +282,20 @@ def test_the_disc_holds_a_40_digit_root_on_a_blocked_sum_ladder(count):
     plus = solve_pair(p).plus
     center, radius, h = kantorovich_ball(p, plus)
     assert h <= 0.5
-    assert _in_disc(_newton_root(p, plus), p, center, radius)
+    assert in_disc(_newton_root(p, plus), p, center, radius)
+
+
+@pytest.mark.parametrize("xi", [0.5, 0.8])
+def test_the_disc_holds_a_40_digit_root_of_a_whole_family_on_its_head(xi):
+    # the head at a = 100 sums 224 terms and its series the other 2776, so
+    # the disc rests on the series' error bound; the reference sums every
+    # term of the family to 40 digits
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 3000)
+    head, tail = materialize_within_each(family, [gpspectra.cli.SERIES_REACH * 100.0])[0]
+    assert head.size == 224 and tail is not None
+    p = ModePencil(100.0, xi, head)
+    pair = solve_pair(p, tail=tail)
+    center, radius, h = pair.disc
+    assert h <= 0.5
+    assert in_disc(pair.plus, p, center, radius)
+    assert in_disc(_newton_root(p, pair.plus, far=family), p, center, radius)

@@ -20,13 +20,14 @@ from gpspectra import (
     ModePencil,
     NumericalError,
     PowerLawFamily,
+    TailSeries,
     count_zeros,
     materialize,
     materialize_within_each,
     solve_pair,
 )
 from gpspectra.kernels import FSUM_MAX
-from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS
+from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS, in_disc
 
 
 def _data_rows(out: str) -> list[str]:
@@ -342,9 +343,9 @@ def test_a_pair_that_does_not_settle_names_its_mode(run_cli, cubic_config, monke
 
 @pytest.mark.parametrize("job", ["spectrum", "oracle-check", "sweep"])
 def test_an_overdamped_mode_is_refused_not_printed_as_a_pair(run_cli, job):
-    # the pair solve lands on the real root -0.95591 (im 4.4e-16), and the
-    # certificate's disc refuses it; sweep, which solves the pair alone,
-    # runs the same disc on a kernel held whole.  ROADMAP item 3 will report
+    # the pair solve lands on the real root -0.95591 (im 4.4e-16), and its
+    # disc refuses it, in sweep, which solves the pair alone, as in the
+    # jobs that solve the whole mode.  ROADMAP item 3 will report
     # this mode as a classified overdamped row instead, and must update
     # this test.
     coeffs, rates, a, xi = OVERDAMPED_ONE
@@ -565,10 +566,41 @@ def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, m
     assert wide_radii == [200.0]
     assert radii == [tight, 200.0, 562.5, 2812.5, 14062.5]
     wide, wide_tail = materialize_within_each(PowerLawFamily(**SQRT_FAMILY, count=10**6), [200.0])[0]
-    reference = solve(ModePencil(100.0, 0.8, wide), tail=wide_tail).plus
+    p = ModePencil(100.0, 0.8, wide)
+    reference = solve(p, tail=wide_tail)
     a, re, im = (float(x) for x in _data_rows(out)[1].split(",")[:3])
     assert a == 100.0
-    assert complex(re, im) == reference
+    assert complex(re, im) == reference.plus
+    # the retried pair comes with its disc, proven on the 2*a_1 head and its series
+    center, radius, h = reference.disc
+    assert h <= 0.5 and in_disc(complex(re, im), p, center, radius)
+
+
+class _VagueSeries(TailSeries):
+    """A far-pole series that vouches for its value and slope only to within 1."""
+
+    error = (1.0, 1.0)
+
+
+def test_a_mode_whose_disc_fails_on_the_2a_head_is_refused(run_cli, monkeypatch):
+    # the retry's error is the mode's: mode 1 fails on its tight head, and
+    # on the 2*a_1 head its series' slope is too vague for the disc
+    radii = []
+    solve = gpspectra.cli.solve_pair
+    tight = gpspectra.cli.SERIES_REACH * 100.0
+
+    def solve_spy(pencil, *, tail, **kwargs):
+        radii.append(tail.radius)
+        if tail.radius == tight:
+            raise NumericalError(f"|z| lies outside the far-pole series radius {tight}")
+        return solve(pencil, tail=_VagueSeries(tail.coeffs, tail.radius), **kwargs)
+
+    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    code, out, err = run_cli("sweep", _family_sweep_config(10**6, xi=0.8))
+    assert code == 3 and out == ""
+    assert radii == [tight, 200.0]
+    assert err.startswith("gpspectra: numerical failure: mode 1 (a_n=100): pair disc (center, radius) = ")
+    assert "not proven: |f'| = " in err
 
 
 #: a family overloaded at every mode of a = 100 .. 12500 at xi = 0.95, with

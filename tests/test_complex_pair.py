@@ -1,7 +1,6 @@
 """Oscillatory pair: Newton on the fixed-point map, Newton polish, winding certificates."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -57,17 +56,17 @@ def _counted_passes(monkeypatch) -> list:
     """Record every ladder pass the pair solve makes; a pass over L fails."""
     import gpspectra.complex_pair as cp
 
-    fused = cp.laplace_with_deriv
+    fused = cp.laplace_pass
     points = []
 
-    def counted(kernel, z):
+    def counted(kernel, z, tail=None):
         points.append(z)
-        return fused(kernel, z)
+        return fused(kernel, z, tail)
 
     def separate(*args):
         raise AssertionError("the pair took a pass over the symbol")
 
-    monkeypatch.setattr(cp, "laplace_with_deriv", counted)
+    monkeypatch.setattr(cp, "laplace_pass", counted)
     monkeypatch.setattr(cp, "symbol_with_deriv", separate)
     monkeypatch.setattr(cp, "symbol", separate)
     return points
@@ -161,11 +160,14 @@ def test_solve_pair_polishes_the_upper_root(cubic):
 
 
 def test_solve_pair_flips_a_lower_root_to_the_upper_one(cubic, monkeypatch):
-    fp = fixed_point_pair(cubic)
-    lower = replace(fp, plus=fp.minus)
+    # a solve that ends on the lower root is read from the upper one: its
+    # last pass is conjugated too, so the disc is the upper root's
+    upper = solve_pair(cubic)
+    lower = fixed_point_pair(cubic).conjugate()
+    assert lower.plus.imag < 0 and lower.point.imag < 0
     monkeypatch.setattr(complex_pair, "fixed_point_pair", lambda p, tail: lower)
     pair = solve_pair(cubic)
-    assert pair == fp and pair.plus.imag > 0
+    assert pair == upper and pair.plus.imag > 0
 
 
 # --------------------------------------------------------------- contours

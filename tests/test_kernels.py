@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from gpspectra import (
@@ -29,6 +31,7 @@ from gpspectra import (
     laplace,
     laplace_asymptotic,
     laplace_deriv,
+    laplace_pass,
     laplace_tail,
     laplace_with_deriv,
     materialize,
@@ -567,6 +570,49 @@ def test_far_pole_series_matches_the_summed_terms(family, radius):
         slopes = -c / (z + g) ** 2
         direct = complex(math.fsum(slopes.real), math.fsum(slopes.imag))
         assert abs(tail.deriv(z) - direct) <= 1e-14 * abs(direct)
+
+
+@st.composite
+def far_pole_series(draw):
+    """(family, head size, series, z): a family's far poles on |z| <= radius, z anywhere there."""
+    uniform = lambda lo, hi: draw(st.floats(lo, hi))
+    alpha = uniform(0.05, 1.0)
+    beta = uniform(max(0.05, 1.001 - alpha), 3.0)
+    family = PowerLawFamily(10.0 ** uniform(-2.0, 2.0), 10.0 ** uniform(-2.0, 2.0), alpha, beta, draw(st.integers(100, 5000)))
+    radius = family.scale * family.count**beta * 10.0 ** uniform(-4.0, math.log10(0.45))
+    head, tail = materialize_within_each(family, [radius])[0]  # g_count > 2*radius: a series
+    return family, head.size, tail, radius * uniform(0.0, 1.0) * cmath.exp(1j * uniform(-math.pi, math.pi))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(far_pole_series())
+def test_a_far_pole_series_stays_within_its_stated_error(drawn):
+    # the closure's share of TailSeries.error is stated, not proven: this is
+    # its check, against the far poles summed one by one in long double
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    family, m, tail, z = drawn
+    k = np.arange(m + 1, family.count + 1, dtype=np.longdouble)
+    c = np.longdouble(family.amplitude) / k ** np.longdouble(family.alpha)
+    shifted = np.clongdouble(z) + np.longdouble(family.scale) * k ** np.longdouble(family.beta)
+    value_error, slope_error = tail.error
+    assert abs(tail.value(z) - np.sum(c / shifted)) <= value_error
+    assert abs(tail.deriv(z) + np.sum(c / shifted**2)) <= slope_error
+
+
+def test_the_series_joins_the_pass_as_one_more_term():
+    # the head's value and slope plus the series', added once; s1 and s2
+    # bound the whole ladder's magnitude sums; the series' error rides along
+    family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 20000)
+    (head, tail), full = materialize_within_each(family, [1000.0])[0], materialize(family)
+    for z in (1000j, 700.0 + 700.0j, -999.0 + 1.0j):
+        khat, dkhat, s1, s2, error, slope_error = laplace_pass(head, z, tail)
+        value, slope = laplace_with_deriv(head, z)
+        assert (khat, dkhat) == (value + tail.value(z), slope + tail.deriv(z))
+        moduli = full._c / np.abs(z + full._g)
+        assert s1 >= math.fsum(moduli) and s2 >= math.fsum(moduli / np.abs(z + full._g))
+        assert (error, slope_error) == tail.error
+        assert laplace_pass(head, z)[4:] == (0.0, 0.0)
 
 
 def test_head_and_series_reproduce_the_whole_ladder():
