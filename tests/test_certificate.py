@@ -30,8 +30,8 @@ from gpspectra import (
 from gpspectra.kernels import FSUM_MAX
 from gpspectra import solve
 from conftest import (
-    CUBIC_CONFIG,
     CLUSTER_TWELVE,
+    CUBIC_CONFIG,
     PAIR,
     PINCHED_EIGHT,
     PINCHED_FIVE,

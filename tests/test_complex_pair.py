@@ -15,6 +15,7 @@ from gpspectra import (
     RectContour,
     count_zeros,
     fixed_point_pair,
+    laplace_pass,
     materialize,
     materialize_within_each,
     newton_refine,
@@ -165,6 +166,7 @@ def test_solve_pair_flips_a_lower_root_to_the_upper_one(cubic, monkeypatch):
     upper = solve_pair(cubic)
     lower = fixed_point_pair(cubic).conjugate()
     assert lower.plus.imag < 0 and lower.point.imag < 0
+    assert lower.at_point == laplace_pass(cubic.kernel, lower.point)
     monkeypatch.setattr(complex_pair, "fixed_point_pair", lambda p, tail: lower)
     pair = solve_pair(cubic)
     assert pair == upper and pair.plus.imag > 0
