@@ -72,6 +72,7 @@ from .errors import (
     QuadratureError,
 )
 from .kernels import (
+    EndCorrections,
     ExponentialKernel,
     PowerLawFamily,
     TailSeries,
@@ -84,7 +85,7 @@ from .kernels import (
     laplace_pass,
     laplace_with_deriv,
     materialize,
-    materialize_within_each,
+    pseudo_ladder,
     tail_bound,
 )
 from .oracle import (
@@ -128,6 +129,7 @@ __all__ = [
     "DecayEstimate",
     "DivergenceError",
     "EnclosureError",
+    "EndCorrections",
     "ExponentialKernel",
     "FixedPointPair",
     "GPSpectraError",
@@ -168,10 +170,10 @@ __all__ = [
     "laplace_with_deriv",
     "match_roots",
     "materialize",
-    "materialize_within_each",
     "newton_refine",
     "predict_finite_sum",
     "predict_power_law",
+    "pseudo_ladder",
     "simulate_decay",
     "solve_mode",
     "solve_pair",

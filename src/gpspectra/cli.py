@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,22 +38,13 @@ from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
 from .complex_pair import RESIDUAL_TOL, count_zeros, solve_pair, spectrum_contour
 from .errors import ConfigError, GPSpectraError, NumericalError
-from .kernels import ExponentialKernel, PowerLawFamily, TailSeries, materialize, materialize_within_each
+from .kernels import ExponentialKernel, PowerLawFamily, materialize, pseudo_ladder
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
 from .pencil import POLY_MAX, ModePencil, to_polynomial
 from .solve import SpectrumResult, solve_mode
 
 #: Cross-validation threshold shared by verify and oracle-check rows.
 ORACLE_TOL = 1e-8
-
-#: Series radius of a family-sweep mode, in units of its frequency a_n.
-#: The pair's Newton iterates start at i*a_n; on the square-root family
-#: c_k = k**-1/2, g_k = k (10**6 terms, a_n = 100 to 12500, xi = 0.5,
-#: 0.75 and 0.8) they end at |z|/a_n between 0.983 and 0.999999 and
-#: never leave |z| <= a_n.  Strong memory or xi near 1 can carry an
-#: iterate past this reach; run_sweep then solves on the 2*a_n head.
-SERIES_REACH = 1.125
-
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -466,42 +457,29 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
 
     Requires the geometric ladder form with at least four points; only the
     oscillatory pair is computed (no real-branch sweep), so large kernels
-    stay affordable: on a family, mode n sums the ladder only up to the
-    first rate past 2*SERIES_REACH*a_n, its head, and the poles beyond as
-    a series valid out to SERIES_REACH*a_n (see
-    ``materialize_within_each``); the series travels beside the mode's
+    stay affordable: every mode of a family solves on the family's one
+    pseudo-ladder, a few hundred poles whatever the count, and its end
+    corrections (see ``pseudo_ladder``), which travel beside the mode's
     pencil into the gate and the pair solve.  Every pair comes from
     :func:`solve_pair` with its proven disc, as ``spectrum``'s does, the
-    series' error bound included on a head, so an overdamped mode is
-    refused rather than printed with a real root for its pair.  A mode
-    whose pair solve or disc fails on its head, for instance because an
-    iterate leaves the series radius, is solved again on the head for
-    2*a_n, and that solve's answer or error is the mode's.  An overloaded
-    mode is refused before either solve, by the gate of the branch solve
+    corrections' error bound included, so an overdamped mode is refused
+    rather than printed with a real root for its pair, and so is a mode
+    whose iterate lies where that bound is not small.  An overloaded mode
+    is refused before its pair solve, by the gate of the branch solve
     (:meth:`ModePencil.check_load`).  Footer rows carry the fitted log-log
     error slopes.
     """
     if cfg.ladder is None or len(cfg.modes) < 4:
         raise ConfigError("config.modes: sweep requires a geometric ladder with at least 4 points")
     if cfg.family is not None:
-        radii = [SERIES_REACH * a for a in cfg.modes]
-        heads = _family_ladder(materialize_within_each, cfg.family, radii)
+        kernel, ends = _family_ladder(pseudo_ladder, cfg.family)
     else:
-        heads = [(cfg.kernel, None)] * len(cfg.modes)
-    modes = [
-        (n, ModePencil(frequency=a, xi=cfg.xi, kernel=k), tail)
-        for n, (a, (k, tail)) in enumerate(zip(cfg.modes, heads), start=1)
-    ]
+        kernel, ends = cfg.kernel, None
+    modes = [(n, ModePencil(frequency=a, xi=cfg.xi, kernel=kernel)) for n, a in enumerate(cfg.modes, start=1)]
 
-    def pair(p: ModePencil, tail: TailSeries | None) -> complex:
-        p.check_load(tail)  # the wider head below carries the same load
-        try:
-            return solve_pair(p, residual_tol=cfg.residual_tol, tail=tail).plus
-        except NumericalError:
-            if tail is None:  # an explicit kernel or a whole ladder: none wider
-                raise
-        wide, tail = _family_ladder(materialize_within_each, cfg.family, [2.0 * p.frequency])[0]
-        return solve_pair(replace(p, kernel=wide), residual_tol=cfg.residual_tol, tail=tail).plus
+    def pair(p: ModePencil) -> complex:
+        p.check_load(ends)
+        return solve_pair(p, residual_tol=cfg.residual_tol, ends=ends).plus
 
     numeric = _map_modes(pair, modes)
 

@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import TailSeries, laplace_pass
+from .kernels import EndCorrections, laplace_pass
 from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
@@ -157,7 +157,7 @@ class CountCertificate:
     samples_per_side: int
 
 
-def fixed_point_pair(p: ModePencil, tail: TailSeries | None = None) -> FixedPointPair:
+def fixed_point_pair(p: ModePencil, ends: EndCorrections | None = None) -> FixedPointPair:
     """The upper root by Newton's method on the fixed-point map; the lower is its conjugate.
 
     Each pass over the ladder gives Khat and Khat' at z = i*a + tau*a, so
@@ -172,16 +172,16 @@ def fixed_point_pair(p: ModePencil, tail: TailSeries | None = None) -> FixedPoin
     and 1 - g' is no longer kept from zero — and
     :class:`MaxIterationsError` if the step does not settle within the cap.
 
-    When ``p.kernel`` is the head of a family ladder, ``tail`` is the
-    series of its far poles (:func:`materialize_within_each`), which joins
-    each pass (:func:`laplace_pass`); an iterate beyond the series radius
-    raises :class:`NumericalError`.
+    When ``p.kernel`` is a family's pseudo-ladder, ``ends`` are its end
+    corrections (:func:`pseudo_ladder`), which join each pass
+    (:func:`laplace_pass`); an iterate where their error bound is not
+    small raises :class:`NumericalError`.
     """
     a, w = p.frequency, p.memory_weight
     tau = 0.0 + 0.0j
     for it in range(1, PAIR_MAX_PASSES + 1):
         z = 1j * a + tau * a
-        at_z = laplace_pass(p.kernel, z, tail)
+        at_z = laplace_pass(p.kernel, z, ends)
         khat, dkhat = at_z[:2]
         shift = tau + 2j
         image = w * khat / shift
@@ -250,7 +250,7 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
 
 
 def solve_pair(
-    p: ModePencil, residual_tol: float = RESIDUAL_TOL, tail: TailSeries | None = None
+    p: ModePencil, residual_tol: float = RESIDUAL_TOL, ends: EndCorrections | None = None
 ) -> FixedPointPair:
     """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual and proven by its disc.
 
@@ -261,12 +261,12 @@ def solve_pair(
     is always the upper root.  The returned pair's ``disc`` is the
     Newton-Kantorovich disc of :func:`kantorovich_ball`, proven from the
     pass at the last iterate, so no pass is spent on it; a disc that
-    cannot be proven raises :class:`EnclosureError`.  ``tail``, the
-    far-pole series of a head ladder, is passed through to
-    :func:`fixed_point_pair`, and the disc reads its error bound from
+    cannot be proven raises :class:`EnclosureError`.  ``ends``, the end
+    corrections of a family's pseudo-ladder, are passed through to
+    :func:`fixed_point_pair`, and the disc reads their error bound from
     that pass.
     """
-    fp = fixed_point_pair(p, tail)
+    fp = fixed_point_pair(p, ends)
     if not fp.residual <= residual_tol:
         raise DivergenceError(
             f"pair residual {fp.residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
@@ -290,7 +290,7 @@ def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, floa
     of c/|z + g| and c/|z + g|**2, and n terms summed in any order within
     n*eps of the sum of their moduli, so the memory parts carry
     (n + 16)*eps times m1 = w*s1 and m2 = w*a*s2, products included, and
-    w and w*a times the pass's series error on a family head; the
+    w and w*a times the pass's error bound on a pseudo-ladder; the
     polynomial parts carry 4 eps of their size plus their change over
     gap = eps*(|tau0| + |1 + Im tau0|/2) >= |tau0 - tau*|.  With eta >=
     |f/f'| and beta >= 1/|f'| at tau*, and gamma >= sup |f''| on the disc

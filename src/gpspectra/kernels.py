@@ -14,6 +14,7 @@ the effective regularity exponent in (0, 1].
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -62,63 +63,26 @@ def _horner(coeffs, x):
 
 @dataclass(frozen=True)
 class TailSeries:
-    """Transform of poles left off an explicit ladder, as a power series.
+    """Transform of the poles past a family's truncation, as a power series.
 
     Stands for sum_j coeffs[j] * (-z/radius)**j, the expansion of
     sum_k c_k/(z + g_k) over poles with every g_k >= 2*radius, so the series
     holds to double precision for |z| <= radius and is refused beyond it.
     Scaling by the radius keeps every coefficient within the double range.
-    It is evaluated at one point at a time.
-
-    ``error`` bounds |value(z) - far(z)| and |deriv(z) - far'(z)| on
-    |z| <= radius, far being the exact sum over the poles.  With N terms,
-    c0 = coeffs[0] = sum c/g and every g >= 2*radius, coeffs[j] <= 2**-j*c0,
-    so the terms left off cost at most 2**(1-N)*c0 in the value and
-    (N + 1)*2**(1-N)*c0/radius in the slope (proven).  Horner's rule on a
-    point |x| <= 1, each step a complex product and a real sum, stays
-    within 2N*eps times the sum of the coefficients it reads (proven).  A
-    further 64*eps times that sum covers the rounding of the argument and
-    of the slope coefficients, and the coefficients' own error: each is a
-    power sum closed by Euler-Maclaurin (:func:`_power_sums`), within a few
-    ulps, a figure stated and checked against long-double sums over the
-    poles on a sample of families, radii and points, not proven.  So
-    error = (2**(1-N)*c0 + (2N + 64)*eps*sum(coeffs),
-    ((N + 1)*2**(1-N)*c0 + (2N + 64)*eps*sum(j*coeffs[j]))/radius).
+    :func:`laplace_tail` builds and reads it, one point at a time.
     """
 
     coeffs: tuple[float, ...]
     radius: float
 
-    def _argument(self, zeta: complex) -> complex:
+    def value(self, zeta: complex) -> complex:
+        """The far poles' share of Khat(zeta)."""
         if abs(zeta) > self.radius:
             raise NumericalError(
                 f"|z| = {abs(zeta):.6e} lies outside the far-pole "
                 f"series radius {self.radius:.6e}"
             )
-        return -zeta / self.radius
-
-    @cached_property
-    def _slopes(self) -> tuple[float, ...]:
-        """j * coeffs[j] for j >= 1: the series of the derivative in -z/radius."""
-        return tuple(j * u for j, u in enumerate(self.coeffs))[1:]
-
-    def value(self, zeta: complex) -> complex:
-        """The far poles' share of Khat(zeta)."""
-        return _horner(self.coeffs, self._argument(zeta))
-
-    def deriv(self, zeta: complex) -> complex:
-        """The far poles' share of Khat'(zeta)."""
-        return _horner(self._slopes, self._argument(zeta)) / -self.radius
-
-    @cached_property
-    def error(self) -> tuple[float, float]:
-        """Bounds on the errors of :meth:`value` and :meth:`deriv` on |z| <= radius (see the class)."""
-        n, top = len(self.coeffs), self.coeffs[0]
-        rounding = (2 * n + 64) * _EPS
-        return (
-            math.ldexp(top, 1 - n) + rounding * math.fsum(self.coeffs),
-            (math.ldexp((n + 1) * top, 1 - n) + rounding * math.fsum(self._slopes)) / self.radius,
-        )
+        return _horner(self.coeffs, -zeta / self.radius)
 
 
 def _check_ladder(c: np.ndarray, g: np.ndarray) -> None:
@@ -181,17 +145,6 @@ class ExponentialKernel:
         _check_ladder(c, g)
         c.flags.writeable = g.flags.writeable = False
         self.__dict__.update(_c=c, _g=g)
-
-    def head(self, size: int) -> ExponentialKernel:
-        """The kernel of the first ``size`` terms.
-
-        Shares this kernel's arrays, which are already validated.
-        """
-        if not 1 <= size <= self.size:
-            raise ValueError(f"head size {size} outside 1..{self.size}")
-        out = object.__new__(ExponentialKernel)
-        out.__dict__.update(_c=self._c[:size], _g=self._g[:size])
-        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -329,7 +282,7 @@ def _blocked_sums(kernel: ExponentialKernel, z: complex) -> tuple[complex, compl
 
 
 def laplace_pass(
-    kernel: ExponentialKernel, zeta: complex, tail: TailSeries | None = None
+    kernel: ExponentialKernel, zeta: complex, ends: EndCorrections | None = None
 ) -> tuple[complex, complex, float, float, float, float]:
     """(Khat, Khat', s1, s2, error, deriv_error) at one point, from one pass over the ladder.
 
@@ -341,12 +294,12 @@ def laplace_pass(
     both sums are exactly rounded, s1 and s2 sum their moduli.  Longer
     ladders are summed in real arithmetic (:func:`_blocked_sums`).
 
-    When ``kernel`` is the head of a family ladder, ``tail`` is the series
-    of its far poles, and this is the one place they join the pass: their
-    value and slope are added as one more term each, their shares of s1
-    and s2 are bounded by 2*coeffs[0] and 4*coeffs[1]/radius (each far
-    pole has g >= 2*radius and |z| <= radius, so |z + g| >= g/2), and the
-    series' own ``error`` is the last two values, which are 0 without it.
+    When ``kernel`` is a family's pseudo-ladder, ``ends`` are its end
+    corrections (:func:`pseudo_ladder`), and this is the one place they
+    join the pass: :meth:`EndCorrections.join` adds their value and slope,
+    their shares of s1 and s2, and the bound on what the pseudo-ladder
+    and its corrections still miss, which is the last two values, 0
+    without them.
     """
     z = complex(zeta)
     _guard_scalar(kernel, z)
@@ -358,15 +311,9 @@ def laplace_pass(
         s1, s2 = math.fsum(np.abs(terms).tolist()), math.fsum(np.abs(slopes).tolist())
     else:
         khat, dkhat, s1, s2 = _blocked_sums(kernel, z)
-    if tail is None:
+    if ends is None:
         return khat, dkhat, s1, s2, 0.0, 0.0
-    return (
-        khat + tail.value(z),
-        dkhat + tail.deriv(z),
-        s1 + 2.0 * tail.coeffs[0],
-        s2 + 4.0 * tail.coeffs[1] / tail.radius,
-        *tail.error,
-    )
+    return ends.join(z, khat, dkhat, s1, s2)
 
 
 def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
@@ -424,7 +371,7 @@ class PowerLawFamily:
             raise ValueError("beta must be positive and finite")
         if not (self.alpha + self.beta > 1):
             raise ValueError("alpha + beta must exceed 1")
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if isinstance(self.count, bool) or not (isinstance(self.count, int) and self.count >= 1):
             raise ValueError("count must be a positive integer")
         # the largest rate as materialize forms it; Python's float power
         # raises OverflowError where numpy's would warn and give inf
@@ -480,7 +427,7 @@ def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
 _TAIL_TERMS = 60
 
 #: B_2i/(2i)! for i = 1..12: the weights of the Euler-Maclaurin corrections
-#: closing each power sum
+#: closing each power sum, and, the first four, a pseudo-ladder's ends
 _EM_WEIGHTS = np.array([
     1 / 12,
     -1 / 720,
@@ -498,22 +445,19 @@ _EM_WEIGHTS = np.array([
 _EM_TERMS = _EM_WEIGHTS.size
 
 
-def _power_sums(family: PowerLawFamily, lo: int, hi: float, radius: float) -> np.ndarray:
-    """sum over lo <= k < hi of F_j(k), for j < _TAIL_TERMS.
+def _power_sums(family: PowerLawFamily, lo: int, radius: float) -> np.ndarray:
+    """sum over k >= lo of F_j(k), for j < _TAIL_TERMS.
 
-    F_j(x) = x**-(alpha+beta) * (radius/g(x))**j with g(x) = scale*x**beta.
-    ``hi`` may be ``math.inf``; every g_k of the range must be at least
-    2*radius.  Below M = max(lo, 2*(s +
-    2*_EM_TERMS)), s = alpha + _TAIL_TERMS*beta the largest exponent, the
-    terms are summed directly.  [M, hi) is closed by Euler-Maclaurin: the
-    integral of F_j and _EM_TERMS corrections at each end, each below
-    (1/(4 pi))**2 of the one before.  F_j is always formed as written,
-    never as (radius/scale)**j * x**-s_j, so nothing over- or underflows.
-    The exponents less one, s_j - 1 = alpha + beta - 1 + j*beta, are
-    formed without cancellation, and the integral over a finite range as
-    M*F_j(M) * (1 - (M/hi)**(s_j - 1)) / (s_j - 1) through expm1 and
-    log1p: so neither a range of a few poles nor alpha + beta near 1
-    loses digits.
+    F_j(x) = x**-(alpha+beta) * (radius/g(x))**j with g(x) = scale*x**beta;
+    every g_k with k >= lo must be at least 2*radius.  Below M = max(lo,
+    2*(s + 2*_EM_TERMS)), s = alpha + _TAIL_TERMS*beta the largest
+    exponent, the terms are summed directly.  [M, inf) is closed by
+    Euler-Maclaurin: the integral of F_j, M*F_j(M)/(s_j - 1), and
+    _EM_TERMS corrections at M, each below (1/(4 pi))**2 of the one
+    before.  F_j is always formed as written, never as (radius/scale)**j
+    * x**-s_j, so nothing over- or underflows.  The exponents less one,
+    s_j - 1 = alpha + beta - 1 + j*beta, are formed without cancellation,
+    so alpha + beta near 1 loses no digits.
     """
     a, b, j = family.alpha, family.beta, np.arange(_TAIL_TERMS)
     s1 = math.fsum([a, b, -1.0]) + j * b
@@ -525,34 +469,14 @@ def _power_sums(family: PowerLawFamily, lo: int, hi: float, radius: float) -> np
 
     big = max(lo, math.ceil(2.0 * (a + _TAIL_TERMS * b + 2 * _EM_TERMS)))
     # smallest terms first, added one row at a time, so the sums stay within an ulp or two
-    k = np.arange(min(big, hi) - 1, lo - 1, -1, dtype=float)
+    k = np.arange(big - 1, lo - 1, -1, dtype=float)
     out = np.add.reduce(power(k[:, None]), axis=0)
-    if hi <= big:
-        return out
-
-    def end(x: float) -> np.ndarray:  # F_j(x) * (1/2 + sum_i w_i (s_j)_(2i-1) x**(1-2i))
-        rising = np.empty((_EM_TERMS, _TAIL_TERMS))
-        rising[0] = (s1 + 1.0) / x
-        rising[1:] = (s1 + even) * (s1 + even + 1.0) / (x * x)
-        return power(x) * (0.5 + _EM_WEIGHTS @ np.cumprod(rising, axis=0))
-
-    if hi == math.inf:
-        span = 1.0 / s1
-        far = 0.0
-    else:
-        span = -np.expm1(-s1 * math.log1p((hi - big) / big)) / s1
-        far = end(float(hi))
-    return out + big * power(float(big)) * span + end(float(big)) - far
-
-
-def _far_poles(family: PowerLawFamily, lo: int, hi: float, radius: float) -> TailSeries:
-    """The :class:`TailSeries` of the family's poles lo <= k < hi on |z| <= radius.
-
-    Its coefficients are amplitude/scale times the power sums of that
-    range (:func:`_power_sums`); ``hi`` may be ``math.inf``.
-    """
-    sums = _power_sums(family, lo, hi, radius)
-    return TailSeries(tuple((family.amplitude / family.scale * sums).tolist()), radius)
+    # F_j(M) * (1/2 + sum_i w_i (s_j)_(2i-1) M**(1-2i)): the corrections at M
+    rising = np.empty((_EM_TERMS, _TAIL_TERMS))
+    rising[0] = (s1 + 1.0) / big
+    rising[1:] = (s1 + even) * (s1 + even + 1.0) / (big * big)
+    end = power(float(big)) * (0.5 + _EM_WEIGHTS @ np.cumprod(rising, axis=0))
+    return out + big * power(float(big)) * (1.0 / s1) + end
 
 
 def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
@@ -572,65 +496,302 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
     leaves a factor-two margin, so sixty terms reach full double
     precision.  This is how a finite machine answers questions about the
     infinite kernel: materialize rates past the window of interest and
-    close the remainder analytically.
+    close the remainder analytically.  A first dropped rate past the
+    double range is refused, as is a zeta too far out for the series.
     """
     zeta = complex(zeta)
-    first_dropped = family.scale * (family.count + 1) ** family.beta
+    try:
+        first_dropped = family.scale * float(family.count + 1) ** family.beta
+    except OverflowError:
+        first_dropped = math.inf
+    if not math.isfinite(first_dropped):
+        raise ValueError(
+            f"the first dropped rate scale*(count + 1)**beta = {family.scale!r}*"
+            f"{family.count + 1}**{family.beta!r} is past the double range"
+        )
     if abs(zeta) >= 0.5 * first_dropped:
         raise ValueError(
             f"|zeta| = {abs(zeta):.3e} is not below half the first dropped "
             f"rate {first_dropped:.3e}; increase the family count"
         )
-    series = _far_poles(family, family.count + 1, math.inf, 0.5 * first_dropped)
+    radius = 0.5 * first_dropped
+    sums = _power_sums(family, family.count + 1, radius)
+    series = TailSeries(tuple((family.amplitude / family.scale * sums).tolist()), radius)
     return complex(series.value(zeta))
 
 
-def _head_size(family: PowerLawFamily, radius: float) -> int:
-    """Terms summed explicitly for |z| <= radius.
+#: Gauss-Legendre panels of a pseudo-ladder are at most this wide in
+#: beta*ln(x): in u = ln(x) the integrand's poles lie at Im u =
+#: (arg(-z) + 2*pi*k)/beta, so a width in beta*u keeps them as many
+#: panel widths away whatever beta is, and the 12-point rule then reaches
+#: double precision
+PANEL_WIDTH = 0.6
 
-    The smallest m with g_{m+1} >= 2*radius, or ``count`` when that m
-    reaches it or when the family has at most FSUM_MAX terms: a ladder
-    that short costs no more to sum whole than to split off a series.
+#: the 12-point Gauss-Legendre rule on [-1, 1], nodes ascending, each
+#: node and weight correctly rounded (numpy's leggauss weights are up to
+#: 40 eps off, which would cost the pseudo-ladder digits)
+_GAUSS_HALF = np.array([
+    (0.1252334085114689, 0.24914704581340277),
+    (0.3678314989981802, 0.2334925365383548),
+    (0.5873179542866175, 0.20316742672306592),
+    (0.7699026741943047, 0.16007832854334622),
+    (0.9041172563704749, 0.10693932599531843),
+    (0.9815606342467192, 0.04717533638651183),
+])
+_GAUSS_NODES = np.concatenate((-_GAUSS_HALF[::-1, 0], _GAUSS_HALF[:, 0]))
+_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF[::-1, 1], _GAUSS_HALF[:, 1]))
+
+#: Euler-Maclaurin corrections at each end of a pseudo-ladder, of orders
+#: 1, 3, 5 and 7; the remainder after them integrates f^(8) against a
+#: periodic Bernoulli function bounded by |B_8|
+_END_TERMS = 4
+_END_ORDER = 2 * _END_TERMS
+_END_BERNOULLI = abs(float(_EM_WEIGHTS[_END_TERMS - 1])) * math.factorial(_END_ORDER)
+
+#: a pass whose pseudo-ladder bound exceeds this share of s1, or of s2
+#: for the slope, is refused: the residual target, RESIDUAL_TOL
+ENDS_TOL = 1e-10
+
+
+def _sector_distance(r: float, phi: float, spread: float) -> float:
+    """Distance from a point of modulus ``r`` and |arg| ``phi`` to the sector |arg w| <= ``spread``."""
+    return r * math.sin(min(phi - spread, 0.5 * math.pi)) if phi > spread else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class EndCorrections:
+    """What a family's pseudo-ladder leaves out of its transform, and a bound on the rest.
+
+    With X0 = FSUM_MAX, f(x) = c(x)/(z + g(x)), c(x) = amplitude*x**-alpha
+    and g(x) = scale*x**beta, a family of N terms sums to its first
+    X0 - 1 poles plus sum_{k=X0}^{N} f(k).  Euler-Maclaurin turns that sum
+    into the integral of f over [X0, N], the halves f(X0)/2 and f(N)/2,
+    the corrections C(N) - C(X0), C(x0) = sum_{i<=4} B_2i/(2i)! *
+    f^(2i-1)(x0), and a remainder.  The pseudo-ladder (:func:`pseudo_ladder`)
+    holds the first poles, the halves as poles and the integral as
+    Gauss-Legendre poles; these are the corrections.  With s = x/x0 - 1,
+    v = 1/(z + g(x0)) and nu = g(x0)*v,
+
+        f = c(x0)*v*(1 + s)**-alpha / (1 + nu*((1 + s)**beta - 1)),
+
+    so C(x0) = c(x0)*v*Q(nu) and C'(x0) = -c(x0)*v**2*R(nu), R = (nu*Q)',
+    Q a real polynomial of degree 7 built once by Taylor arithmetic on the
+    binomial series.  ``ends`` holds (sign, c(x0), g(x0), Q, R), ascending
+    in nu, at X0 (sign -1) and N (sign +1).
+
+    The bound at z, with phi = |arg(-z)| and psi = max(phi, pi/4)/2:
+
+    - Gauss-Legendre (proven).  In u = ln(x) the integrand
+      F(u) = amplitude*e^((1-alpha)u)/(z + scale*e^(beta*u)) has poles
+      only at Im u = (arg(-z) + 2*pi*k)/beta.  Take each panel's Bernstein
+      ellipse with semi-minor axis b = min(psi/beta, 64*h), h the panel's
+      half-width, so rho = b/h + sqrt(1 + (b/h)**2) and the semi-major axis
+      is e = sqrt(b**2 + h**2).  On it scale*e^(beta*u) lies in the sector
+      |arg| <= beta*b <= psi with modulus at least scale*e^(beta*(m - e)),
+      m the panel's midpoint.  So |z + g| >= D = max(distance from -z to
+      that sector, scale*e^(beta*(m - e)) - |z|), and |F| <=
+      amplitude*e^((1-alpha)*(m + e))/D, as 1 - alpha >= 0.  The 12-point
+      rule then errs by at most 64*h*max|F|/(15*(rho**2 - 1)*rho**24)
+      (Trefethen, Approximation Theory and Approximation Practice, Thm
+      19.3), and the slope's rule with D**2 for D.
+    - The Euler-Maclaurin remainder (proven) is at most |B_8|/8! times
+      the integral of |f^(8)| over [X0, N].  Take the disc of radius
+      theta*x about each x >= X0, theta = sin(min(pi/6, psi/beta)).  On
+      it |c| <= amplitude*((1 - theta)*x)**-alpha, and g lies in the
+      sector |arg| <= beta*asin(theta) <= psi with modulus at least
+      scale*((1 - theta)*X0)**beta, so |z + g| >= D as above.  Cauchy's
+      estimate then integrates to
+      |B_8|*amplitude*(1 - theta)**-alpha * X0**-(7 + alpha) /
+      (theta**8*(7 + alpha)*D), and the slope's with D**2.
+    - Rounding (stated and sampled, not proven).  Each pseudo-pole's
+      weight and rate are taken to lie within dw = 16 eps and dg = 8 eps,
+      relative, of their exact values at its node, the first X0 - 1
+      poles included: a node is x_p*e^(h*(1 + t)), x_p a panel's end, so
+      its ln(x) is off by a few eps, not eps*ln(x).  That moves the
+      transform by at most dw*s1 + dg*(s1 + |z|*s2), as g/|z + g| <=
+      1 + |z|/|z + g|, and the slope by at most
+      dw*s2 + 2*dg*s2*(1 + |z|/|Im z|), as |z + g| >= |Im z|.  The
+      corrections' own rounding is taken as 64 eps of their size.
+
+    ``panel_size`` and ``panel_rate`` hold amplitude*e^((1-alpha)*m) and
+    scale*e^(beta*m) at each panel's midpoint m, and ``half`` is the
+    largest half-width h, which the bound takes for every panel: a
+    wider panel's ellipse holds a narrower one's, with a smaller rho.
     """
-    need = 2.0 * radius
-    if family.count <= FSUM_MAX:
-        return family.count
-    if math.log(need / family.scale) / family.beta > math.log(family.count):
-        return family.count
-    m = max(1, math.ceil((need / family.scale) ** (1.0 / family.beta)) - 1)
-    while family.scale * (m + 1) ** family.beta < need:
-        m += 1
-    while m > 1 and family.scale * m**family.beta >= need:
-        m -= 1
-    return min(m, family.count)
+
+    family: PowerLawFamily
+    ends: tuple[tuple[float, float, float, tuple[float, ...], tuple[float, ...]], ...]
+    half: float
+    panel_size: np.ndarray
+    panel_rate: np.ndarray
+
+    @cached_property
+    def load_share(self) -> float:
+        """The corrections at z = 0: their share of the family's norm sum c/g."""
+        return math.fsum(sign * c0 / g0 * _horner(q, 1.0) for sign, c0, g0, q, _ in self.ends)
+
+    def bound(self, z: complex, s1: float, s2: float) -> tuple[float, float]:
+        """Bounds on what the pseudo-ladder and the corrections miss of Khat and Khat' at z (see the class).
+
+        ``s1`` and ``s2`` are the pseudo-ladder's own, from its pass at z.
+        A bound that cannot be formed is infinite: where -z lies in a
+        sector and the moduli do not keep it off, or on the real axis,
+        where :meth:`join` cannot widen s2.
+        """
+        fam, r = self.family, abs(z)
+        alpha, beta = fam.alpha, fam.beta
+        phi = abs(cmath.phase(-z))
+        psi = 0.5 * max(phi, 0.25 * math.pi)
+        ratio = min(psi / (beta * self.half), 64.0)
+        rho, reach = ratio + math.hypot(ratio, 1.0), self.half * math.hypot(ratio, 1.0)
+        # panels from ``split`` on have scale*e^(beta*(m - e)) >= 2|z|, so D
+        # is at least half that; the ones before at least their first's D
+        rates, below, above, above2 = self._panel_sums
+        shrink = math.exp(-beta * reach)
+        split = bisect_left(rates, 2.0 * r / shrink)
+        low = max(_sector_distance(r, phi, beta * ratio * self.half), rates[0] * shrink - r)
+        theta = math.sin(min(math.pi / 6.0, psi / beta))
+        x_dist = max(
+            _sector_distance(r, phi, beta * math.asin(theta)),
+            fam.scale * ((1.0 - theta) * FSUM_MAX) ** beta - r,
+        )
+        if not ((low > 0.0 or split == 0) and x_dist > 0.0 and z.imag != 0.0):
+            return math.inf, math.inf
+        rule = 64.0 * self.half * math.exp((1.0 - alpha) * reach)
+        rule /= 15.0 * (rho * rho - 1.0) * rho ** (2 * _GAUSS_NODES.size)
+        near = below[split] / low if split else 0.0
+        gl = rule * (near + 2.0 * above[split] / shrink)
+        gl_slope = rule * (near / low if split else 0.0) + rule * 4.0 * above2[split] / (shrink * shrink)
+        em = _END_BERNOULLI * fam.amplitude * (1.0 - theta) ** -alpha * FSUM_MAX ** (1.0 - alpha - _END_ORDER)
+        em /= theta**_END_ORDER * (_END_ORDER - 1.0 + alpha) * x_dist
+        dw, dg = 16.0 * _EPS, 8.0 * _EPS
+        return (
+            gl + em + dw * s1 + dg * (s1 + r * s2),
+            gl_slope + em / x_dist + (dw + 2.0 * dg * (1.0 + r / abs(z.imag))) * s2,
+        )
+
+    @cached_property
+    def _panel_sums(self) -> tuple[list[float], list[float], list[float], list[float]]:
+        """Panel rates, the sums of sizes below each panel, and of size/rate and size/rate**2 from it on."""
+        size, rate = self.panel_size, self.panel_rate
+        below = np.concatenate(([0.0], np.cumsum(size)))
+        above = np.concatenate((np.cumsum((size / rate)[::-1])[::-1], [0.0]))
+        above2 = np.concatenate((np.cumsum((size / rate**2)[::-1])[::-1], [0.0]))
+        return rate.tolist(), below.tolist(), above.tolist(), above2.tolist()
+
+    def join(
+        self, z: complex, khat: complex, dkhat: complex, s1: float, s2: float
+    ) -> tuple[complex, complex, float, float, float, float]:
+        """A :func:`laplace_pass` over the pseudo-ladder, completed to the family's.
+
+        Adds the corrections' value and slope, and returns the bound of
+        :meth:`bound` as the pass's error.  The true sum c/|z + g|**2 is
+        -Im Khat/Im z, so it exceeds the pseudo-ladder's s2 by at most
+        spread = (|value| + error)/|Im z|; and sum c/|z + g| <= Re Khat +
+        (|z| - Re z)*(sum c/|z + g|**2), which the pseudo-ladder's s1
+        (always a blocked pass) bounds for its own poles, so the family's
+        exceeds s1 by at most |value| + error + (|z| - Re z)*spread.  A
+        bound above ENDS_TOL of s1, or of s2 for the slope, raises
+        :class:`NumericalError`.
+        """
+        value = slope = size = slope_size = 0.0
+        for sign, c0, g0, q, r in self.ends:
+            v = 1.0 / (z + g0)
+            part, part_slope = c0 * v * _horner(q, g0 * v), -c0 * v * v * _horner(r, g0 * v)
+            value, slope = value + sign * part, slope + sign * part_slope
+            size, slope_size = size + abs(part), slope_size + abs(part_slope)
+        error, deriv_error = self.bound(z, s1, s2)
+        error += 64.0 * _EPS * size
+        deriv_error += 64.0 * _EPS * slope_size
+        if not (error <= ENDS_TOL * s1 and deriv_error <= ENDS_TOL * s2):
+            raise NumericalError(
+                f"the pseudo-ladder's error bound at z = {z:.6g} is not small: "
+                f"{error:.3e} for s1 = {s1:.3e} and {deriv_error:.3e} for s2 = {s2:.3e}"
+            )
+        spread = (abs(value) + error) / abs(z.imag)
+        return (
+            khat + value,
+            dkhat + slope,
+            s1 + abs(value) + error + (abs(z) - z.real) * spread,
+            s2 + spread,
+            error,
+            deriv_error,
+        )
 
 
-def materialize_within_each(
-    family: PowerLawFamily, radii
-) -> list[tuple[ExponentialKernel, TailSeries | None]]:
-    """For each radius, a (head, series) pair with the family's transform on |z| <= radius.
+def _end_polynomials(alpha: float, beta: float, x0: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Q and R of :class:`EndCorrections` at x0, ascending in nu.
 
-    The head is the ladder of the first m terms, m the smallest with
-    g_{m+1} >= 2*radius (:func:`_head_size`); it is an ordinary kernel,
-    equal to ``materialize`` of the family cut to m terms.  The series
-    sums the poles m < k <= count as a :class:`TailSeries` valid on that
-    radius (:func:`_far_poles`), closed in double at a cost that does not
-    grow with their number, so on |z| <= radius the family's transform is
-    ``laplace(head, z) + series.value(z)``.  Summing m terms instead of
-    ``count`` is what makes pair-only work on long ladders cheap.  When m
-    reaches ``count``, or the family has at most FSUM_MAX terms, the head
-    is the whole ladder, exactly as :func:`materialize` builds it, and
-    the series is None.  The largest head is materialized once and the
-    heads are its prefixes.  For one radius r, take
-    ``materialize_within_each(family, [r])[0]``.
+    [s**n] of (1 + s)**-alpha * G**m, G = (1 + s)**beta - 1, is the s**n
+    coefficient of f's m-th term in -nu, and each correction reads one
+    odd n of it.
     """
-    heads = {r: _head_size(family, r) for r in radii}
-    top = materialize(replace(family, count=max(heads.values())))
-    built = {}
-    for r, m in heads.items():
-        tail = _far_poles(family, m + 1, family.count + 1, r) if m < family.count else None
-        built[r] = (top.head(m), tail)
-    return [built[r] for r in radii]
+    size = _END_ORDER
+    n = np.arange(1.0, size)
+    decay = np.cumprod(np.concatenate(([1.0], (1.0 - alpha - n) / n)))
+    grow = np.cumprod(np.concatenate(([1.0], (1.0 + beta - n) / n)))
+    grow[0] = 0.0
+    terms = np.empty((size, size))
+    terms[0] = decay
+    for m in range(1, size):
+        terms[m] = np.convolve(terms[m - 1], grow)[:size]
+    # B_2i/(2i)! * f^(n)(x0), n = 2i - 1, is B_2i/(2i)! * n! * x0**-n * [s**n] f(x0*(1 + s))
+    orders = np.arange(1, size, 2)
+    weights = _EM_WEIGHTS[:_END_TERMS] * [math.factorial(n) * x0 ** float(-n) for n in orders]
+    q = (terms[:, orders] @ weights) * (-1.0) ** np.arange(size)
+    return tuple(q.tolist()), tuple((q * np.arange(1.0, size + 1.0)).tolist())
+
+
+def pseudo_ladder(family: PowerLawFamily) -> tuple[ExponentialKernel, EndCorrections | None]:
+    """The family's transform at a cost that does not grow with its count.
+
+    Returns (kernel, ends).  The kernel is an ordinary ladder, a
+    pseudo-ladder: the first FSUM_MAX - 1 poles, exactly as
+    :func:`materialize` builds them; the Euler-Maclaurin halves c(X0)/2
+    at g(X0) and c(N)/2 at g(N), X0 = FSUM_MAX and N the count; and the
+    integral of c(x)/(z + g(x)) over [X0, N] as the 12-point
+    Gauss-Legendre rule on equal panels in u = ln(x), at most
+    PANEL_WIDTH/beta wide, each node a pole of weight omega*x*c(x) at
+    rate g(x).  Its size grows like beta*ln(N).  ``ends`` are the
+    Euler-Maclaurin derivative corrections at X0 and N with the bound on
+    the rest (:class:`EndCorrections`); :func:`laplace_pass` joins them
+    to a pass over the kernel.  A family no longer than its pseudo-ladder
+    would be is materialized whole, with ``ends`` None.
+
+    The pseudo-ladder never holds the family's last rates, so whether
+    they round together is checked apart, in O(1): the smallest relative
+    gap, (1 + 1/(N - 1))**beta - 1, must exceed 4 eps.
+    """
+    n, alpha, beta = family.count, family.alpha, family.beta
+    lo, hi = math.log(FSUM_MAX), math.log(n)
+    panels = math.ceil(beta * (hi - lo) / PANEL_WIDTH) if n > FSUM_MAX else 0
+    if n <= FSUM_MAX + 1 + panels * _GAUSS_NODES.size:
+        return materialize(family), None
+    if not math.expm1(beta * math.log1p(1.0 / (n - 1))) > 4.0 * _EPS:
+        raise ValueError("rates must be strictly increasing")
+    # panel ends x_p, doubles shared by neighbouring panels; each node is
+    # x_p*e^(h*(1 + t)), so its u = ln(x) is off by a few eps, not eps*ln(x)
+    edges = np.exp(np.linspace(lo, hi, panels + 1))
+    edges[0], edges[-1] = FSUM_MAX, n
+    halves = 0.5 * np.log(edges[1:] / edges[:-1])
+    steps = halves[:, None] * (1.0 + _GAUSS_NODES)
+    amp, scale, starts = family.amplitude, family.scale, edges[:-1, None]
+    first = materialize(replace(family, count=FSUM_MAX - 1))
+    x_ends = (float(FSUM_MAX), float(n))
+    c_ends, g_ends = [amp / x**alpha for x in x_ends], [x**beta * scale for x in x_ends]
+    weights = halves[:, None] * _GAUSS_WEIGHTS * (amp * starts ** (1.0 - alpha)) * np.exp((1.0 - alpha) * steps)
+    coeffs = np.concatenate((first._c, [0.5 * c_ends[0]], weights.ravel(), [0.5 * c_ends[1]]))
+    nodes = (scale * starts**beta) * np.exp(beta * steps)
+    rates = np.concatenate((first._g, [g_ends[0]], nodes.ravel(), [g_ends[1]]))
+    ends = tuple(
+        (sign, c0, g0, *_end_polynomials(alpha, beta, x))
+        for sign, c0, g0, x in zip((-1.0, 1.0), c_ends, g_ends, x_ends)
+    )
+    mids = np.log(edges[:-1]) + halves
+    corrections = EndCorrections(
+        family, ends, float(halves.max()), amp * np.exp((1.0 - alpha) * mids), scale * np.exp(beta * mids)
+    )
+    return ExponentialKernel._adopt(coeffs, rates), corrections
 
 
 def _check_arg(zeta: complex) -> None:

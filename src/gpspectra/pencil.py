@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InadmissibleModeError
-from .kernels import ExponentialKernel, TailSeries, laplace, laplace_with_deriv
+from .kernels import EndCorrections, ExponentialKernel, laplace, laplace_with_deriv
 
 #: largest ladder for which the cleared polynomial is formed explicitly
 POLY_MAX = 64
@@ -80,23 +80,20 @@ class ModePencil:
         """Whether the load is not below 1: the predicate of :meth:`check_load`."""
         return not self.load < 1.0
 
-    def check_load(self, tail: TailSeries | None = None) -> None:
+    def check_load(self, ends: EndCorrections | None = None) -> None:
         """Raise :class:`InadmissibleModeError` when the mode is :attr:`overloaded`.
 
         The package's one overload gate: the branch solve and ``sweep``'s
         pair solves run it, and ``verify`` reports its predicate.  When the
-        kernel is the head of a family ladder, ``tail`` is the series of
-        its far poles (:func:`materialize_within_each`), and the load is
-        the whole family's: a numpy sum over the head's terms plus the
-        series at z = 0, its first coefficient.  That keeps the gate at a
-        fraction of one transform pass on heads of tens of thousands of
-        terms, and an overloaded family does not pass on its head alone.
+        kernel is a family's pseudo-ladder, ``ends`` are its end
+        corrections (:func:`pseudo_ladder`), and the load is the whole
+        family's: the pseudo-ladder's norm plus the corrections at z = 0,
+        so an overloaded family does not pass on its pseudo-ladder alone.
         """
-        if tail is None:
+        if ends is None:
             load = self.load
         else:
-            kern = self.kernel
-            load = self.memory_weight * (float(np.sum(kern._c / kern._g)) + tail.coeffs[0])
+            load = self.memory_weight * (self.kernel.l1_norm + ends.load_share)
         if not load < 1.0:
             # L(0) = a**2 * (1 - load) <= 0: no sign change left of the origin
             raise InadmissibleModeError(load)

@@ -22,7 +22,7 @@ from gpspectra import (
     kantorovich_ball,
     laplace_pass,
     materialize,
-    materialize_within_each,
+    pseudo_ladder,
     solve_mode,
     solve_pair,
     to_polynomial,
@@ -179,9 +179,9 @@ def _counted_passes(monkeypatch) -> list:
     """Record the point of every ``laplace_pass`` call, wherever a module holds it."""
     original, points = laplace_pass, []
 
-    def counted(kernel, z, tail=None):
+    def counted(kernel, z, ends=None):
         points.append(z)
-        return original(kernel, z, tail)
+        return original(kernel, z, ends)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("gpspectra") and getattr(module, "laplace_pass", None) is original:
@@ -203,7 +203,8 @@ def test_solve_mode_passes_over_the_ladder_once_after_the_pair_solve(which, cubi
     assert points[-1] == result.pair_plus
 
 
-#: a sweep of the cubic's kernel, and one of a family whose every mode is a head with a series
+#: a sweep of the cubic's kernel, and one of a family whose every mode
+#: solves on its pseudo-ladder with its end corrections
 SWEEPS = {
     "cubic": dict(CUBIC_CONFIG, modes={"a_min": 10.0, "factor": 10.0, "count": 4}),
     "family_head": {
@@ -225,17 +226,17 @@ def test_a_sweep_mode_passes_over_the_ladder_only_in_its_pair_solve(which, run_c
     def solve_spy(pencil, **kwargs):
         start = len(points)
         pair = solve(pencil, **kwargs)
-        spans.append((start, len(points), pair, kwargs["tail"]))
+        spans.append((start, len(points), pair, kwargs["ends"]))
         return pair
 
     monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
     code, _, err = run_cli("sweep", SWEEPS[which])
     assert code == 0, err
     assert len(spans) == 4 and spans[0][0] == 0
-    for (start, stop, pair, tail), after in zip(spans, [s[0] for s in spans[1:]] + [len(points)]):
+    for (start, stop, pair, ends), after in zip(spans, [s[0] for s in spans[1:]] + [len(points)]):
         assert stop - start == pair.iterations and stop == after
         assert points[stop - 1] == pair.point and pair.disc[2] <= 0.5
-        assert (tail is not None) == (which == "family_head")
+        assert (ends is not None) == (which == "family_head")
 
 
 def test_a_bare_disc_passes_over_the_ladder_once(cubic, monkeypatch):
@@ -245,20 +246,21 @@ def test_a_bare_disc_passes_over_the_ladder_once(cubic, monkeypatch):
     assert points == [plus]
 
 
-def _newton_root(p: ModePencil, start: complex, far: PowerLawFamily | None = None) -> types.SimpleNamespace:
+def _newton_root(p: ModePencil, start: complex, family: PowerLawFamily | None = None) -> types.SimpleNamespace:
     """The upper root by Newton's method on L at 40 digits, every input the double it is.
 
-    With ``far``, the poles of that family past the kernel's join the ladder
-    with their exact values, as the kernel's head and series stand for them.
-    Returned as exact binary rationals, ``real`` and ``imag``, for :func:`in_disc`.
+    With ``family``, the ladder is every pole of that family at its exact
+    value, as the kernel, a pseudo-ladder, and its end corrections stand
+    for them.  Returned as exact binary rationals, ``real`` and ``imag``,
+    for :func:`in_disc`.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         a2, w = mpmath.mpf(p.frequency) ** 2, mpmath.mpf(p.memory_weight)
         ladder = [(mpmath.mpf(c), mpmath.mpf(g)) for c, g in zip(p.kernel.coeffs, p.kernel.rates)]
-        if far is not None:
-            amplitude, scale, alpha, beta = (mpmath.mpf(x) for x in (far.amplitude, far.scale, far.alpha, far.beta))
-            ladder += [(amplitude / k**alpha, scale * k**beta) for k in map(mpmath.mpf, range(p.kernel.size + 1, far.count + 1))]
+        if family is not None:
+            amplitude, scale, alpha, beta = (mpmath.mpf(x) for x in (family.amplitude, family.scale, family.alpha, family.beta))
+            ladder = [(amplitude / k**alpha, scale * k**beta) for k in map(mpmath.mpf, range(1, family.count + 1))]
         z = mpmath.mpc(start)
         for _ in range(20):
             value = z * z + a2 * (1 - w * mpmath.fsum(c / (z + g) for c, g in ladder))
@@ -287,15 +289,15 @@ def test_the_disc_holds_a_40_digit_root_on_a_blocked_sum_ladder(count):
 
 @pytest.mark.parametrize("xi", [0.5, 0.8])
 def test_the_disc_holds_a_40_digit_root_of_a_whole_family_on_its_head(xi):
-    # the head at a = 100 sums 224 terms and its series the other 2776, so
-    # the disc rests on the series' error bound; the reference sums every
-    # term of the family to 40 digits
+    # the 3000-term family solves on its pseudo-ladder, its first 63 poles
+    # and 86 more, with its end corrections, so the disc rests on their
+    # error bound; the reference sums every term of the family to 40 digits
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 3000)
-    head, tail = materialize_within_each(family, [gpspectra.cli.SERIES_REACH * 100.0])[0]
-    assert head.size == 224 and tail is not None
-    p = ModePencil(100.0, xi, head)
-    pair = solve_pair(p, tail=tail)
+    kernel, ends = pseudo_ladder(family)
+    assert kernel.size == 149 and ends is not None
+    p = ModePencil(100.0, xi, kernel)
+    pair = solve_pair(p, ends=ends)
     center, radius, h = pair.disc
     assert h <= 0.5
     assert in_disc(pair.plus, p, center, radius)
-    assert in_disc(_newton_root(p, pair.plus, far=family), p, center, radius)
+    assert in_disc(_newton_root(p, pair.plus, family=family), p, center, radius)

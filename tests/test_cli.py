@@ -20,14 +20,13 @@ from gpspectra import (
     ModePencil,
     NumericalError,
     PowerLawFamily,
-    TailSeries,
     count_zeros,
     materialize,
-    materialize_within_each,
+    pseudo_ladder,
     solve_pair,
 )
 from gpspectra.kernels import FSUM_MAX
-from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS, in_disc
+from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS
 
 
 def _data_rows(out: str) -> list[str]:
@@ -455,8 +454,8 @@ def test_sweep_past_the_square_root_of_the_double_range_warns_nothing(run_cli):
 
 SQRT_FAMILY = {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 1.0}
 
-#: sweep output of the 64-term square-root family, whose head ladder is the
-#: whole family, so no far-pole series enters it
+#: sweep output of the 64-term square-root family, which is summed whole,
+#: so no end corrections enter it
 FAMILY_64_SWEEP = """\
 # gpspectra 0.1.0
 # config {"job": "sweep", "kernel": {"family": {"alpha": 0.5, "amplitude": 1.0, "beta": 1.0, "count": 64, "scale": 1.0}}, "modes": {"a_min": 10.0, "count": 4, "factor": 10.0}, "tolerances": {"residual": 1e-10}, "xi": 0.5}
@@ -479,7 +478,7 @@ def _family_sweep_config(count: int, xi: float = 0.5) -> dict:
 
 
 def test_family_sweep_matches_the_full_ladder(run_cli):
-    # the head stops at g_m < 2.25 * 12500 <= g_(m+1); the other 71876 poles are the series
+    # every mode solves on the 233-pole pseudo-ladder and its end corrections
     code, out, _ = run_cli("sweep", _family_sweep_config(10**5))
     assert code == 0
     full = materialize(PowerLawFamily(**SQRT_FAMILY, count=10**5))
@@ -500,7 +499,7 @@ def test_family_sweep_output_does_not_depend_on_jobs(run_cli):
 
 
 def test_family_sweep_pairs_are_roots_of_the_whole_ladder(run_cli):
-    # each mode sums its own head (224 to 28124 terms) plus its own series;
+    # each mode sums the 269-pole pseudo-ladder plus its end corrections;
     # every pair must still be a root of the symbol of all 10^6 terms
     k = np.arange(1.0, 10**6 + 1.0)
     c, g = 1.0 / np.sqrt(k), k
@@ -514,9 +513,30 @@ def test_family_sweep_pairs_are_roots_of_the_whole_ladder(run_cli):
             assert residual <= 1e-10 * a * a
 
 
-def test_family_sweep_heads_reach_just_past_each_pair(run_cli, monkeypatch):
-    # mode n sums up to g_m < 2 * SERIES_REACH * a_n <= g_(m+1), where the
-    # 2*a_n reach summed 399, 1999, 9999 and 49999 terms
+def test_family_sweep_pairs_lie_within_ulps_of_the_long_double_root(run_cli):
+    # one Newton step in long double from each printed pair, on every term
+    # of the 10^6-term family, lands on its root: Re z is within 2.5 ulps
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    k = np.arange(1, 10**6 + 1, dtype=np.longdouble)
+    c, g = 1 / np.sqrt(k), k
+    for xi in (0.5, 0.75, 0.8):
+        code, out, _ = run_cli("sweep", _family_sweep_config(10**6, xi=xi))
+        assert code == 0
+        for row in _data_rows(out)[1:]:
+            a, re, im = (float(x) for x in row.split(",")[:3])
+            z, a2 = np.clongdouble(complex(re, im)), np.longdouble(a) ** 2
+            w = np.longdouble(a) ** (2 * np.longdouble(xi))
+            shifted = z + g
+            root = z - (z * z + a2 - w * np.sum(c / shifted)) / (2 * z + w * np.sum(c / shifted**2))
+            assert abs(np.longdouble(re) - root.real) <= 2.5 * math.ulp(re), (xi, a)
+            assert abs(np.longdouble(im) - root.imag) <= 2.5 * math.ulp(im), (xi, a)
+
+
+def test_family_sweep_solves_every_mode_on_one_pseudo_ladder(run_cli, monkeypatch):
+    # the family's first 63 poles are the one ladder materialized, and
+    # every mode's pair solve sums the same 269-pole pseudo-ladder, where
+    # heads for |z| <= 1.125 a_n summed 224 to 28124 terms
     materialized, solved = [], []
     materialize = gpspectra.kernels.materialize
     solve = gpspectra.cli.solve_pair
@@ -535,84 +555,50 @@ def test_family_sweep_heads_reach_just_past_each_pair(run_cli, monkeypatch):
         materialized.clear()
         solved.clear()
         assert run_cli("sweep", _family_sweep_config(10**6, xi=xi))[0] == 0
-        # one materialized ladder, one solve per mode: no mode fell back
-        assert materialized == [28124]
-        assert solved == [224, 1124, 5624, 28124]
+        assert materialized == [FSUM_MAX - 1]
+        assert solved == [269] * 4
 
 
-def test_a_mode_the_tight_head_cannot_finish_is_solved_on_the_2a_head(run_cli, monkeypatch):
-    # mode 1's pair solve fails on its head for SERIES_REACH * a_1, as when
-    # an iterate leaves the series disc; it is solved again on the head for
-    # 2 * a_1, and modes 2 to 4 finish on their tight heads
-    radii, wide_radii = [], []
-    solve, build = gpspectra.cli.solve_pair, gpspectra.cli.materialize_within_each
-    tight = gpspectra.cli.SERIES_REACH * 100.0
+def test_a_sweep_of_a_10_to_the_8_term_family_materializes_its_first_poles_only(run_cli, monkeypatch):
+    # a head for |z| <= 1.125 a_n would hold 28124 terms at a = 12500, and
+    # the whole ladder 10^8; the pseudo-ladder holds 63 of them, and its
+    # size grows only like ln(count)
+    materialized = []
+    materialize = gpspectra.kernels.materialize
 
-    def solve_spy(pencil, *, tail, **kwargs):
-        radii.append(tail.radius)
-        if tail.radius == tight:
-            raise NumericalError(f"|z| lies outside the far-pole series radius {tight}")
-        return solve(pencil, tail=tail, **kwargs)
+    def materialize_spy(family):
+        materialized.append(family.count)
+        return materialize(family)
 
-    def build_spy(fam, radii):
-        if len(radii) == 1:
-            wide_radii.extend(radii)
-        return build(fam, radii)
-
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
-    monkeypatch.setattr(gpspectra.cli, "materialize_within_each", build_spy)
-    code, out, _ = run_cli("sweep", _family_sweep_config(10**6, xi=0.8))
-    assert code == 0
-    assert wide_radii == [200.0]
-    assert radii == [tight, 200.0, 562.5, 2812.5, 14062.5]
-    wide, wide_tail = materialize_within_each(PowerLawFamily(**SQRT_FAMILY, count=10**6), [200.0])[0]
-    p = ModePencil(100.0, 0.8, wide)
-    reference = solve(p, tail=wide_tail)
-    a, re, im = (float(x) for x in _data_rows(out)[1].split(",")[:3])
-    assert a == 100.0
-    assert complex(re, im) == reference.plus
-    # the retried pair comes with its disc, proven on the 2*a_1 head and its series
-    center, radius, h = reference.disc
-    assert h <= 0.5 and in_disc(complex(re, im), p, center, radius)
+    monkeypatch.setattr(gpspectra.kernels, "materialize", materialize_spy)
+    code, out, err = run_cli("sweep", _family_sweep_config(10**8))
+    assert code == 0, err
+    assert materialized == [FSUM_MAX - 1] and max(materialized) <= FSUM_MAX
+    assert len(_data_rows(out)) == 5
 
 
-class _VagueSeries(TailSeries):
-    """A far-pole series that vouches for its value and slope only to within 1."""
-
-    error = (1.0, 1.0)
-
-
-def test_a_mode_whose_disc_fails_on_the_2a_head_is_refused(run_cli, monkeypatch):
-    # the retry's error is the mode's: mode 1 fails on its tight head, and
-    # on the 2*a_1 head its series' slope is too vague for the disc
-    radii = []
-    solve = gpspectra.cli.solve_pair
-    tight = gpspectra.cli.SERIES_REACH * 100.0
-
-    def solve_spy(pencil, *, tail, **kwargs):
-        radii.append(tail.radius)
-        if tail.radius == tight:
-            raise NumericalError(f"|z| lies outside the far-pole series radius {tight}")
-        return solve(pencil, tail=_VagueSeries(tail.coeffs, tail.radius), **kwargs)
-
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+def test_a_mode_whose_pseudo_ladder_bound_is_not_small_is_refused(run_cli, monkeypatch):
+    # the pass refuses by name where the end corrections cannot vouch for
+    # the pseudo-ladder, as near the negative real axis; the mode is not
+    # solved on some wider ladder but exits 3, naming its mode
+    monkeypatch.setattr(gpspectra.kernels.EndCorrections, "bound", lambda self, z, s1, s2: (1.0, 1.0))
     code, out, err = run_cli("sweep", _family_sweep_config(10**6, xi=0.8))
     assert code == 3 and out == ""
-    assert radii == [tight, 200.0]
-    assert err.startswith("gpspectra: numerical failure: mode 1 (a_n=100): pair disc (center, radius) = ")
-    assert "not proven: |f'| = " in err
+    assert err.startswith(
+        "gpspectra: numerical failure: mode 1 (a_n=100): the pseudo-ladder's error bound at z = 0+100j is not small: "
+    )
 
 
 #: a family overloaded at every mode of a = 100 .. 12500 at xi = 0.95, with
-#: loads 8.1, 6.9, 5.8 and 5.0; the heads for a = 100 and 500 carry a
-#: far-pole series, those for 2500 and 12500 are the whole ladder
+#: loads 8.1, 6.9, 5.8 and 5.0, which sweep reads off its pseudo-ladder and
+#: end corrections
 STRONG_FAMILY = {"amplitude": 3.0, "scale": 1.0, "alpha": 0.5, "beta": 0.75, "count": 20000}
 
 
 def test_sweep_refuses_an_overloaded_family_at_its_first_mode(run_cli, monkeypatch):
-    # the first head's load, its own terms plus the series at z = 0, is
-    # the whole ladder's: sweep refuses mode 1 as spectrum does, before
-    # any pair solve
+    # the pseudo-ladder's load, its own terms plus the end corrections at
+    # z = 0, is the whole ladder's: sweep refuses mode 1 as spectrum does,
+    # before any pair solve
     solved = []
     solve = gpspectra.cli.solve_pair
 
@@ -639,8 +625,8 @@ def test_sweep_refuses_an_overloaded_family_at_its_first_mode(run_cli, monkeypat
 
 
 def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeypatch):
-    # an explicit kernel has no wider head, so the mode's first error is
-    # the job's: at a = 0.1 the load w*sum c/g is 50 and the overload gate
+    # a mode's first error is the job's: at a = 0.1 the load w*sum c/g is
+    # 50 and the overload gate
     # refuses the mode before its pair is solved; at a = 1 the load is 0.5,
     # and a failing pair solve is raised as it is, not run again
     solved = []
@@ -678,8 +664,8 @@ def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeyp
 
 
 def test_sweep_names_an_overloaded_mode_as_spectrum_does(run_cli):
-    # the whole 30-term ladder is the head, with no far-pole series, so
-    # the overload gate applies; its load at a = 1 is 1.86
+    # the whole 30-term ladder is summed, with no end corrections, so the
+    # overload gate applies; its load at a = 1 is 1.86
     family = {"amplitude": 1, "scale": 1, "alpha": 0.75, "beta": 1, "count": 30}
     config = {"kernel": {"family": family}, "xi": 0.25, "modes": {"a_min": 1, "factor": 10, "count": 5}}
     errors = []
@@ -745,21 +731,21 @@ def test_each_job_has_its_own_help(capsys, job):
     assert capsys.readouterr().out.startswith(f"usage: gpspectra {job} [-h] --config CONFIG")
 
 
-#: prints the head's transform and slope at the pair points of a sweep to a=12500
+#: prints the pseudo-ladder's transform and slope at the pair points of a sweep to a=12500
 _HEAD_PROBE = """
-from gpspectra import PowerLawFamily, laplace_with_deriv, materialize_within_each
-kern, _ = materialize_within_each(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5), [25000.0])[0]
+from gpspectra import PowerLawFamily, laplace_pass, pseudo_ladder
+kern, ends = pseudo_ladder(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 10**5))
 for z in (-3.0 + 12500j, -0.2 + 100j, 1e4 - 1e4j):
-    print(*(v.hex() for w in laplace_with_deriv(kern, z) for v in (w.real, w.imag)))
+    print(*(v.hex() for w in laplace_pass(kern, z, ends)[:2] for v in (w.real, w.imag)))
 """
 
 
 def test_family_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # the head is summed in blocks with BLAS dot products, which must not
-    # split across threads; the package loads OpenBLAS with one thread
-    # only when the variable is unset, so the second run really has two
+    # the pseudo-ladder is summed in blocks with BLAS dot products, which
+    # must not split across threads; the package loads OpenBLAS with one
+    # thread only when the variable is unset, so the second run really has two
     family = PowerLawFamily(**SQRT_FAMILY, count=10**5)
-    assert materialize_within_each(family, [25000.0])[0][0].size > FSUM_MAX
+    assert pseudo_ladder(family)[0].size > FSUM_MAX
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(_family_sweep_config(10**5, xi=0.8)), encoding="utf-8")
     src = Path(gpspectra.__file__).resolve().parents[1]

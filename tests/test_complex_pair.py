@@ -17,8 +17,8 @@ from gpspectra import (
     fixed_point_pair,
     laplace_pass,
     materialize,
-    materialize_within_each,
     newton_refine,
+    pseudo_ladder,
     solve_pair,
     spectrum_contour,
     symbol,
@@ -60,9 +60,9 @@ def _counted_passes(monkeypatch) -> list:
     fused = cp.laplace_pass
     points = []
 
-    def counted(kernel, z, tail=None):
+    def counted(kernel, z, ends=None):
         points.append(z)
-        return fused(kernel, z, tail)
+        return fused(kernel, z, ends)
 
     def separate(*args):
         raise AssertionError("the pair took a pass over the symbol")
@@ -91,11 +91,11 @@ def test_fixed_point_pair_takes_newton_steps_on_the_map(cubic, monkeypatch):
 @pytest.mark.parametrize("xi", (0.5, 0.75, 0.8))
 def test_pair_takes_at_most_four_passes_on_power_ladder_heads(xi, monkeypatch):
     frequencies = [100.0 * 5.0**j for j in range(4)]
-    heads = materialize_within_each(SQRT_FAMILY, [2.0 * a for a in frequencies])
+    kernel, ends = pseudo_ladder(SQRT_FAMILY)
     points = _counted_passes(monkeypatch)
-    for a, (kernel, tail) in zip(frequencies, heads):
+    for a in frequencies:
         points.clear()
-        pair = solve_pair(ModePencil(a, xi, kernel), tail=tail)
+        pair = solve_pair(ModePencil(a, xi, kernel), ends=ends)
         assert pair.iterations == len(points) <= 4, (a, xi, kernel.size)
 
 

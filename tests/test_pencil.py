@@ -14,8 +14,9 @@ from gpspectra import (
     ModePencil,
     PowerLawFamily,
     inertia,
+    laplace_pass,
     materialize,
-    materialize_within_each,
+    pseudo_ladder,
     solve_pair,
     stiffness,
     symbol,
@@ -86,22 +87,25 @@ def test_symbol_mirrors_bit_for_bit(p):
 
 
 def test_symbol_mirrors_bit_for_bit_on_long_ladders_and_series_heads():
+    # a whole 300-term ladder, and the pseudo-ladder of a 5000-term family
+    # with its end corrections, which the pair solve adds to each pass
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000)
     whole = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 300))
-    head, tail = materialize_within_each(family, [30.0])[0]
-    assert whole.size > FSUM_MAX and tail is not None
+    kernel, ends = pseudo_ladder(family)
+    assert whole.size > FSUM_MAX and ends is not None
     rng = np.random.default_rng(25)
-    for kern, series, reach, a in ((whole, None, 400.0, 100.0), (head, tail, 30.0, 25.0)):
+    for kern, corrections, reach, a in ((whole, None, 400.0, 100.0), (kernel, ends, 30.0, 25.0)):
         p = ModePencil(a, 0.5, kern)
-        points = [solve_pair(p, tail=series).plus]
+        points = [solve_pair(p, ends=corrections).plus]
         points += [complex(r * math.cos(t), r * math.sin(t))
                    for r, t in zip(rng.uniform(0.0, reach, 12), rng.uniform(0.1, 3.0, 12))]
         _assert_scalar_mirror(p, points)
-        if series is not None:
-            # the far poles' share, which the pair solve adds, mirrors too
+        if corrections is not None:
+            # the whole pass with the corrections mirrors too, its bounds unchanged
             for z in points:
-                for share in (series.value, series.deriv):
-                    assert share(z.conjugate()) == share(z).conjugate(), z
+                khat, dkhat, *bounds = laplace_pass(kern, z, corrections)
+                mirror = laplace_pass(kern, z.conjugate(), corrections)
+                assert mirror == (khat.conjugate(), dkhat.conjugate(), *bounds), z
 
 
 def test_cleared_cubic_coefficients(cubic):
