@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import EndCorrections, laplace_pass
+from .kernels import FSUM_MAX, EndCorrections, laplace_pass
 from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
@@ -62,6 +62,11 @@ _EPS = float(np.finfo(float).eps)
 #: (it takes at most 6 on pool ladders and power-law sweeps)
 PAIR_STEP_TOL = 4.0 * _EPS
 PAIR_MAX_PASSES = 50
+
+#: the pair's last step on a whole ladder of at most FSUM_MAX terms reads
+#: f(tau) on the grid 2**-PAIR_GRID_BITS times the size of its parts
+#: (:func:`_rounded_root`)
+PAIR_GRID_BITS = 80
 
 #: the residual target: the default of solve_pair, solve_mode and a job
 #: config's tolerances.residual, and newton_refine's gate |L| <= RESIDUAL_TOL
@@ -164,7 +169,10 @@ def fixed_point_pair(p: ModePencil, ends: EndCorrections | None = None) -> Fixed
     the map g(tau) = w*Khat/(tau + 2i) and its derivative g' together;
     from tau = 0 the step tau <- tau - (tau - g)/(1 - g') converges
     quadratically.  It stops once the step is within PAIR_STEP_TOL*(1 + |tau|),
-    applies that last step and returns; ``residual`` is |L|/a**2 =
+    applies that last step and returns; on a whole ladder of at most
+    FSUM_MAX terms the last step is formed exactly and the root rounded
+    once (:func:`_rounded_root`), so that its error is not the noise of
+    the map's double evaluation.  ``residual`` is |L|/a**2 =
     |tau*(tau + 2i) - w*Khat| at the last evaluated iterate, one step
     short of ``plus``, and that iterate's pass is kept whole for the disc.
     Raises :class:`NonContractionError` the moment
@@ -192,8 +200,13 @@ def fixed_point_pair(p: ModePencil, ends: EndCorrections | None = None) -> Fixed
             )
         step = (tau - image) / (1.0 - deriv)
         if abs(step) <= PAIR_STEP_TOL * (1.0 + abs(tau)):
+            if ends is None and p.kernel.size <= FSUM_MAX:
+                scale = abs(tau) * abs(shift) + w * at_z[2]
+                plus = _rounded_root(p, tau, shift * (1.0 - deriv), scale)
+            else:
+                plus = 1j * a + (tau - step) * a
             return FixedPointPair(
-                plus=1j * a + (tau - step) * a,
+                plus=plus,
                 iterations=it,
                 derivative_bound=abs(deriv),
                 residual=abs(tau * shift - w * khat),
@@ -202,6 +215,49 @@ def fixed_point_pair(p: ModePencil, ends: EndCorrections | None = None) -> Fixed
             )
         tau = tau - step
     raise MaxIterationsError(f"pair iteration did not settle in {PAIR_MAX_PASSES} steps")
+
+
+def _rounded_root(p: ModePencil, tau: complex, slope: complex, scale: float) -> complex:
+    """The root a*(i + tau - f(tau)/slope), with f formed exactly and the root rounded once.
+
+    f(tau) = tau*(tau + 2i) - w*Khat(a*(i + tau)) is the map's residual at
+    the double tau, read at the exact point a*(i + tau), not at its
+    rounding.  Every input is a double, a dyadic rational, so each z + g
+    is (x + iy)/q for Gaussian integers x + iy over one power of two q;
+    each term w*c/(z + g) and the polynomial part are floored onto the
+    grid 2**-PAIR_GRID_BITS times ``scale``, the size of f's parts (each
+    floor errs by less than one grid step), and f is rounded once.  tau
+    lies within PAIR_STEP_TOL of the root, so this Newton step leaves an
+    error of order eps**2, and the root a*(i + tau) - a*step, summed
+    exactly in integers and rounded once, lies within about half an ulp
+    in each part of the root of f with w the double ``memory_weight``.
+    """
+    ma, da = p.frequency.as_integer_ratio()
+    mr, dr = tau.real.as_integer_ratio()
+    mi, di = tau.imag.as_integer_ratio()
+    mw, dw = p.memory_weight.as_integer_ratio()
+    rates = [g.as_integer_ratio() for g in p.kernel._g.tolist()]
+    q = max(da * dr, da * di, *(d for _, d in rates))
+    x, y = ma * mr * (q // (da * dr)), ma * (q // da) + ma * mi * (q // (da * di))
+    yy, top = y * y, max(PAIR_GRID_BITS - math.frexp(scale)[1], 0)
+    # kr and ki are Re and -Im of w*Khat on the grid 2**-top
+    kr = ki = 0
+    for c, (mg, dg) in zip(p.kernel._c.tolist(), rates):
+        mc, dc = c.as_integer_ratio()
+        xg = x + mg * (q // dg)
+        num, den = (mw * mc * q) << top, dw * dc * (xg * xg + yy)
+        kr += num * xg // den
+        ki += num * y // den
+    fr = (mr * mr << top) // (dr * dr) - (mi * mi << top) // (di * di) - (mi << top + 1) // di - kr
+    fi = (mr * mi << top + 1) // (dr * di) + (mr << top + 1) // dr + ki
+    grid = 1 << top
+    step = complex(fr / grid, fi / grid) / slope
+    (sr, dsr), (si, dsi) = step.real.as_integer_ratio(), step.imag.as_integer_ratio()
+    er, ei = max(dr, dsr), max(di, dsi)
+    return complex(
+        ma * (mr * (er // dr) - sr * (er // dsr)) / (da * er),
+        ma * (ei + mi * (ei // di) - si * (ei // dsi)) / (da * ei),
+    )
 
 
 def newton_refine(p: ModePencil, seed: complex) -> complex:

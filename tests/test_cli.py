@@ -460,11 +460,11 @@ FAMILY_64_SWEEP = """\
 # gpspectra 0.1.0
 # config {"job": "sweep", "kernel": {"family": {"alpha": 0.5, "amplitude": 1.0, "beta": 1.0, "count": 64, "scale": 1.0}}, "modes": {"a_min": 10.0, "count": 4, "factor": 10.0}, "tolerances": {"residual": 1e-10}, "xi": 0.5}
 a_n,numeric_re,numeric_im,predicted_re,predicted_im,err_re,err_im,regime
-10,-0.28583849709424175,9.7746159587064252,-0.3512407365520363,9.648759263447964,0.065402239457794553,0.12585669525846122,tends_to_axis
+10,-0.28583849709424169,9.7746159587064252,-0.3512407365520363,9.648759263447964,0.065402239457794609,0.12585669525846122,tends_to_axis
 100,-0.067569775896797926,99.985252159175957,-0.11107207345395916,99.888927926546046,0.043502297557161229,0.096324232629910966,tends_to_axis
-1000,-0.0072943703844333494,999.99982782133907,-0.035124073655203626,999.9648759263448,0.027829703270770279,0.034951894994264876,tends_to_axis
+1000,-0.0072943703844333503,999.99982782133907,-0.035124073655203626,999.9648759263448,0.027829703270770275,0.034951894994264876,tends_to_axis
 10000,-0.00073009652418227166,9999.9999982744575,-0.011107207345395916,9999.988892792655,0.010377110821213644,0.011105481802587747,tends_to_axis
-# fit err_re slope -0.25925521127698742 half_width 0.085228743404577936 below_floor 0
+# fit err_re slope -0.25925521127698758 half_width 0.085228743404577742 below_floor 0
 # fit err_im slope -0.36032815880767144 half_width 0.12647737761436145 below_floor 0
 """
 

@@ -299,3 +299,13 @@ def test_three_term_pair_is_accurate(a, xi):
 @given(admissible_modes())
 def test_pool_style_pair_is_accurate(p):
     _assert_within_an_ulp(p)
+
+
+def test_pool_pair_is_rounded_once_from_an_exact_last_step():
+    # the root of the map evaluated in doubles lies 1.07 * 2**-52 |z| off here
+    c = (1.1899606771636169, 0.11899606771636169, 0.3762986065873343, 1.1899606771636169, 0.11899606771636169)
+    g = (3.1622776601683795, 4.16227766016838, 5.16227766016838, 6.16227766016838, 7.16227766016838)
+    p = ModePencil(1.0, 0.5, ExponentialKernel(c, g))
+    _assert_within_an_ulp(p)
+    # each part is the double next to the 50-digit root
+    assert solve_pair(p).plus == complex(-0.08882974968328527055278346704386, 0.56617189093277873049430543084426)
