@@ -75,7 +75,6 @@ from .kernels import (
     EndCorrections,
     ExponentialKernel,
     PowerLawFamily,
-    TailSeries,
     angular_integral,
     continuum_laplace,
     laplace,
@@ -146,7 +145,6 @@ __all__ = [
     "RectContour",
     "SlopeFit",
     "SpectrumResult",
-    "TailSeries",
     "aberth_roots",
     "angular_integral",
     "asymptotic_constant",

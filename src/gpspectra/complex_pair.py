@@ -31,7 +31,7 @@ from .errors import (
     MaxIterationsError,
     NonContractionError,
 )
-from .kernels import FSUM_MAX, EndCorrections, laplace_pass
+from .kernels import _EPS, FSUM_MAX, EndCorrections, laplace_pass
 from .pencil import ModePencil, symbol, symbol_with_deriv
 
 #: winding counts must land within this distance of an integer
@@ -54,8 +54,6 @@ _MAG_STEP_LIMIT = 1.5
 
 #: a segment still ambiguous after this many bisections pins a root on it
 _MAX_BISECT_DEPTH = 48
-
-_EPS = float(np.finfo(float).eps)
 
 #: the pair's Newton loop stops on a step below PAIR_STEP_TOL * (1 + |tau|),
 #: the noise of evaluating its map, and gives up after PAIR_MAX_PASSES passes

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, PoleProximityError
-from .quadrature import integrate, integrate_power_weighted
+from .quadrature import _GAUSS_NODES, _GAUSS_WEIGHTS, integrate, integrate_power_weighted
 
 #: evaluations closer to a pole than this many ulps of its own rate are
 #: refused: -1 + 1e-14, 45 ulps off the pole at -1, is; the closest
@@ -59,30 +59,6 @@ def _horner(coeffs, x):
     for u in reversed(coeffs):
         out = out * x + u
     return out
-
-
-@dataclass(frozen=True)
-class TailSeries:
-    """Transform of the poles past a family's truncation, as a power series.
-
-    Stands for sum_j coeffs[j] * (-z/radius)**j, the expansion of
-    sum_k c_k/(z + g_k) over poles with every g_k >= 2*radius, so the series
-    holds to double precision for |z| <= radius and is refused beyond it.
-    Scaling by the radius keeps every coefficient within the double range.
-    :func:`laplace_tail` builds and reads it, one point at a time.
-    """
-
-    coeffs: tuple[float, ...]
-    radius: float
-
-    def value(self, zeta: complex) -> complex:
-        """The far poles' share of Khat(zeta)."""
-        if abs(zeta) > self.radius:
-            raise NumericalError(
-                f"|z| = {abs(zeta):.6e} lies outside the far-pole "
-                f"series radius {self.radius:.6e}"
-            )
-        return _horner(self.coeffs, -zeta / self.radius)
 
 
 def _check_ladder(c: np.ndarray, g: np.ndarray) -> None:
@@ -414,8 +390,11 @@ def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
 
     moment=1 bounds the truncation error of the total-memory norm; moment=2
     bounds the curvature tail sum c_k/g_k**2, which controls how truncation
-    shifts the oscillatory spectrum.  Requires alpha + moment*beta > 1.
+    shifts the oscillatory spectrum.  Requires alpha + moment*beta > 1
+    and a positive integer count.
     """
+    if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
+        raise ValueError(f"count must be a positive integer, not {count!r}")
     p = family.alpha + moment * family.beta - 1.0
     if p <= 0:
         raise ValueError("tail sum diverges for this family/moment")
@@ -516,8 +495,7 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
         )
     radius = 0.5 * first_dropped
     sums = _power_sums(family, family.count + 1, radius)
-    series = TailSeries(tuple((family.amplitude / family.scale * sums).tolist()), radius)
-    return complex(series.value(zeta))
+    return complex(_horner((family.amplitude / family.scale * sums).tolist(), -zeta / radius))
 
 
 #: Gauss-Legendre panels of a pseudo-ladder are at most this wide in
@@ -526,20 +504,6 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
 #: panel widths away whatever beta is, and the 12-point rule then reaches
 #: double precision
 PANEL_WIDTH = 0.6
-
-#: the 12-point Gauss-Legendre rule on [-1, 1], nodes ascending, each
-#: node and weight correctly rounded (numpy's leggauss weights are up to
-#: 40 eps off, which would cost the pseudo-ladder digits)
-_GAUSS_HALF = np.array([
-    (0.1252334085114689, 0.24914704581340277),
-    (0.3678314989981802, 0.2334925365383548),
-    (0.5873179542866175, 0.20316742672306592),
-    (0.7699026741943047, 0.16007832854334622),
-    (0.9041172563704749, 0.10693932599531843),
-    (0.9815606342467192, 0.04717533638651183),
-])
-_GAUSS_NODES = np.concatenate((-_GAUSS_HALF[::-1, 0], _GAUSS_HALF[:, 0]))
-_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF[::-1, 1], _GAUSS_HALF[:, 1]))
 
 #: Euler-Maclaurin corrections at each end of a pseudo-ladder, of orders
 #: 1, 3, 5 and 7; the remainder after them integrates f^(8) against a
@@ -719,12 +683,15 @@ class EndCorrections:
         )
 
 
-def _end_polynomials(alpha: float, beta: float, x0: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Q and R of :class:`EndCorrections` at x0, ascending in nu.
+def _end_polynomials(
+    alpha: float, beta: float, x_ends: tuple[float, ...]
+) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Q and R of :class:`EndCorrections` at each x0 of ``x_ends``, ascending in nu.
 
     [s**n] of (1 + s)**-alpha * G**m, G = (1 + s)**beta - 1, is the s**n
     coefficient of f's m-th term in -nu, and each correction reads one
-    odd n of it.
+    odd n of it.  That table depends on alpha and beta alone, so it is
+    built once and weighted by each end's x0.
     """
     size = _END_ORDER
     n = np.arange(1.0, size)
@@ -735,11 +702,15 @@ def _end_polynomials(alpha: float, beta: float, x0: float) -> tuple[tuple[float,
     terms[0] = decay
     for m in range(1, size):
         terms[m] = np.convolve(terms[m - 1], grow)[:size]
-    # B_2i/(2i)! * f^(n)(x0), n = 2i - 1, is B_2i/(2i)! * n! * x0**-n * [s**n] f(x0*(1 + s))
     orders = np.arange(1, size, 2)
-    weights = _EM_WEIGHTS[:_END_TERMS] * [math.factorial(n) * x0 ** float(-n) for n in orders]
-    q = (terms[:, orders] @ weights) * (-1.0) ** np.arange(size)
-    return tuple(q.tolist()), tuple((q * np.arange(1.0, size + 1.0)).tolist())
+    table, signs, powers = terms[:, orders], (-1.0) ** np.arange(size), np.arange(1.0, size + 1.0)
+    out = []
+    for x0 in x_ends:
+        # B_2i/(2i)! * f^(n)(x0), n = 2i - 1, is B_2i/(2i)! * n! * x0**-n * [s**n] f(x0*(1 + s))
+        weights = _EM_WEIGHTS[:_END_TERMS] * [math.factorial(n) * x0 ** float(-n) for n in orders]
+        q = (table @ weights) * signs
+        out.append((tuple(q.tolist()), tuple((q * powers).tolist())))
+    return out
 
 
 def pseudo_ladder(family: PowerLawFamily) -> tuple[ExponentialKernel, EndCorrections | None]:
@@ -783,10 +754,8 @@ def pseudo_ladder(family: PowerLawFamily) -> tuple[ExponentialKernel, EndCorrect
     coeffs = np.concatenate((first._c, [0.5 * c_ends[0]], weights.ravel(), [0.5 * c_ends[1]]))
     nodes = (scale * starts**beta) * np.exp(beta * steps)
     rates = np.concatenate((first._g, [g_ends[0]], nodes.ravel(), [g_ends[1]]))
-    ends = tuple(
-        (sign, c0, g0, *_end_polynomials(alpha, beta, x))
-        for sign, c0, g0, x in zip((-1.0, 1.0), c_ends, g_ends, x_ends)
-    )
+    polynomials = _end_polynomials(alpha, beta, x_ends)
+    ends = tuple((sign, c0, g0, q, r) for sign, c0, g0, (q, r) in zip((-1.0, 1.0), c_ends, g_ends, polynomials))
     mids = np.log(edges[:-1]) + halves
     corrections = EndCorrections(
         family, ends, float(halves.max()), amp * np.exp((1.0 - alpha) * mids), scale * np.exp(beta * mids)

@@ -1,15 +1,16 @@
-"""Adaptive panel quadrature for the kernel integrals.
+"""Gauss-Legendre quadrature for the kernel integrals.
 
-Fixed-order Gauss-Legendre rule per panel, panels bisected until the
-two-half refinement agrees with the single-panel estimate to the local
-tolerance.  Integrands may be complex valued; endpoint singularities of
-the form t**p with p > -1 are removed by the substitution t = s**(1/(1+p))
-before any panel sees them.
+The package's one 12-point Gauss-Legendre rule lives here: the adaptive
+panels of :func:`integrate` read it, and so do a power-law family's
+pseudo-ladder and its error bound in :mod:`.kernels`.  Panels are
+bisected until the two-half refinement agrees with the single-panel
+estimate to the local tolerance.  Integrands may be complex valued;
+endpoint singularities of the form t**p with p > -1 are removed by the
+substitution t = s**(1/(1+p)) before any panel sees them.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -19,24 +20,25 @@ from .errors import QuadratureError
 #: bisection depth at which a panel that still disagrees is an error
 MAX_DEPTH = 48
 
-
-@cache
-def _rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 12-point Gauss-Legendre nodes and weights.
-
-    Built on the first panel, not at import, so that only a process that
-    integrates pays for importing numpy.polynomial.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(12)
+#: the 12-point Gauss-Legendre rule on [-1, 1], nodes ascending, each
+#: node and weight correctly rounded (numpy's leggauss weights are up to
+#: 40 eps off, which would cost the pseudo-ladder digits)
+_GAUSS_HALF = np.array([
+    (0.1252334085114689, 0.24914704581340277),
+    (0.3678314989981802, 0.2334925365383548),
+    (0.5873179542866175, 0.20316742672306592),
+    (0.7699026741943047, 0.16007832854334622),
+    (0.9041172563704749, 0.10693932599531843),
+    (0.9815606342467192, 0.04717533638651183),
+])
+_GAUSS_NODES = np.concatenate((-_GAUSS_HALF[::-1, 0], _GAUSS_HALF[:, 0]))
+_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF[::-1, 1], _GAUSS_HALF[:, 1]))
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> complex:
-    nodes, weights = _rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * complex(np.sum(weights * f(mid + half * nodes)))
+    return half * complex(np.sum(_GAUSS_WEIGHTS * f(mid + half * _GAUSS_NODES)))
 
 
 def integrate(

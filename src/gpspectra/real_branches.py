@@ -44,7 +44,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .errors import MaxIterationsError, NumericalError, PoleProximityError
-from .kernels import ExponentialKernel
+from .kernels import _EPS, ExponentialKernel
 from .pencil import ModePencil
 
 #: entries of a work array (ladder size * columns solved together)
@@ -55,8 +55,6 @@ SCALAR_MAX = 12
 
 #: iteration cap; the bracket alone converges within it
 MAX_ITER = 100
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

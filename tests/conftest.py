@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,23 @@ def in_disc(root, p: ModePencil, center: complex, radius: float) -> bool:
     dr = Fraction(root.real) / a - Fraction(center.real)
     di = Fraction(root.imag) / a - 1 - Fraction(center.imag)
     return dr * dr + di * di <= Fraction(radius) ** 2
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    """Let a failing Hypothesis test fail instead of ending the session.
+
+    To report a failure, Hypothesis's own hook imports libcst, which warns
+    that mypy_extensions.TypedDict is deprecated.  Under -W error that
+    warning is raised inside the hook and pytest stops with INTERNALERROR,
+    so every later test goes unrun.  This wrapper ignores that one warning
+    while the hook runs; every other warning stays an error.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message=r"mypy_extensions\.TypedDict is deprecated", category=DeprecationWarning
+        )
+        yield
 
 
 @pytest.fixture()

@@ -694,7 +694,7 @@ def test_the_cli_imports_no_thread_pool():
 
 
 def test_the_cli_imports_no_polynomial_module():
-    # the quadrature rule is built on first use, so start-up skips numpy.polynomial
+    # the quadrature rule is a table of constants, so start-up skips numpy.polynomial
     assert not _imported_by_the_cli("numpy.polynomial")
 
 

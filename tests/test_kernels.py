@@ -475,6 +475,14 @@ def test_tail_bound_divergent_moment():
         tail_bound(fam, 100, moment=0)  # sum c_k alone diverges here
 
 
+@pytest.mark.parametrize("count", [0, -5, True, 2.0])
+def test_tail_bound_refuses_a_count_that_is_not_a_positive_integer(count):
+    # -5 once gave a complex "bound", 0 a ZeroDivisionError, True a bound at 1
+    fam = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100)
+    with pytest.raises(ValueError, match=f"count must be a positive integer, not {count!r}$"):
+        tail_bound(fam, count)
+
+
 # -------------------------------------------------- continuum comparisons
 
 
@@ -752,15 +760,6 @@ def test_head_reaching_count_materializes_the_whole_ladder():
         assert ends is None and kern == materialize(family)
     kern, ends = pseudo_ladder(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 78))
     assert ends is not None and kern.size == 77
-
-
-def test_laplace_outside_the_series_radius_raises():
-    series = kernels.TailSeries((1.0, 0.5, 0.25), 100.0)
-    edge = 100.0 * complex(math.cos(2.0), math.sin(2.0))
-    series.value(edge)  # on the radius itself the series still holds
-    for z in (100.000001j, 1.001 * edge):
-        with pytest.raises(NumericalError):
-            series.value(z)
 
 
 def test_kernel_arrays_are_the_validated_ones():

@@ -1,12 +1,68 @@
 """Adaptive panel quadrature: accuracy, complex integrands, failure modes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 
+import gpspectra
 from gpspectra import QuadratureError
-from gpspectra.quadrature import MAX_DEPTH, integrate, integrate_power_weighted
+from gpspectra.quadrature import MAX_DEPTH, _panel, integrate, integrate_power_weighted
+
+
+def _rule_of_one_panel() -> tuple[list[float], list[float]]:
+    """The nodes and weights one panel over [-1, 1] samples and sums with.
+
+    On [-1, 1] a panel evaluates f at its nodes exactly, and a unit vector
+    picks out one weight exactly, so this reads the rule the panels use.
+    """
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return np.zeros_like(x)
+
+    _panel(record, -1.0, 1.0)
+    nodes = seen[0].tolist()
+    weights = [_panel(lambda x: np.eye(x.size)[j], -1.0, 1.0).real for j in range(len(nodes))]
+    return nodes, weights
+
+
+def test_the_rule_is_the_correctly_rounded_gauss_legendre_rule():
+    nodes, weights = _rule_of_one_panel()
+    assert len(nodes) == 12 and nodes == sorted(nodes)
+    with mp.workdps(50):
+        for node, weight in zip(nodes, weights):
+            # Newton on P_12 from the double node, then the weight 2/((1 - x^2) P_12'(x)^2)
+            x = mp.findroot(lambda t: mp.legendre(12, t), mp.mpf(node))
+            slope = 12 * (x * mp.legendre(12, x) - mp.legendre(11, x)) / (x * x - 1)
+            assert node == float(x)
+            assert weight == float(2 / ((1 - x * x) * slope**2))
+
+
+def test_one_panel_integrates_degree_22_exactly():
+    value = _panel(lambda x: x**22, -1.0, 1.0)
+    assert value.imag == 0.0
+    assert abs(value.real - 2.0 / 23.0) <= 4.0 * math.ulp(2.0 / 23.0)
+
+
+def test_integrating_imports_no_polynomial_module():
+    src = str(Path(gpspectra.__file__).resolve().parents[1])
+    probe = (
+        "import sys, gpspectra; "
+        "gpspectra.continuum_laplace(gpspectra.PowerLawFamily(1, 1, 0.5, 1, 100), 2.0); "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_exponential_to_machine_accuracy():
