@@ -9,8 +9,8 @@ from gpspectra import (
     ExponentialKernel,
     ModePencil,
     empirical_order,
+    fixed_point_pair,
     predict_finite_sum,
-    solve_pair,
 )
 
 kernel = ExponentialKernel((1.0,), (2.0,))
@@ -19,7 +19,7 @@ points_re, points_im = [], []
 print(f"{'a':>9}  {'Re lam+':>13}  {'predicted':>13}  {'|err Re|':>9}  {'|err Im|':>9}")
 for a in (1e1, 1e2, 1e3, 1e4, 1e5):
     p = ModePencil(frequency=a, xi=0.5, kernel=kernel)
-    lam = solve_pair(p).plus
+    lam = fixed_point_pair(p).plus
     pred = predict_finite_sum(a, 0.5, kernel.initial_value).value
     err_re, err_im = abs(lam.real - pred.real), abs(lam.imag - pred.imag)
     points_re.append((a, err_re))

@@ -18,8 +18,8 @@ from gpspectra import (
     PowerLawFamily,
     asymptotic_constant,
     empirical_order,
+    fixed_point_pair,
     materialize,
-    solve_pair,
     tail_bound,
 )
 
@@ -43,7 +43,7 @@ points = []
 for j in range(6):
     a = 100.0 * 10.0 ** (0.4 * j)
     p = ModePencil(frequency=a, xi=0.5, kernel=kernel)
-    lam = solve_pair(p).plus
+    lam = fixed_point_pair(p).plus
     points.append((a, abs(lam.real)))
     print(f"  a = {a:12.1f}   |Re lam| = {abs(lam.real):.6e}"
           f"   x sqrt(a) = {abs(lam.real) * math.sqrt(a):.6f}")

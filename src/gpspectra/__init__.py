@@ -55,7 +55,6 @@ from .complex_pair import (
     fixed_point_pair,
     kantorovich_ball,
     newton_refine,
-    solve_pair,
     spectrum_contour,
 )
 from .errors import (
@@ -82,7 +81,6 @@ from .kernels import (
     laplace_deriv,
     laplace_tail,
     laplace_pass,
-    laplace_with_deriv,
     materialize,
     pseudo_ladder,
     tail_bound,
@@ -165,7 +163,6 @@ __all__ = [
     "laplace_deriv",
     "laplace_tail",
     "laplace_pass",
-    "laplace_with_deriv",
     "match_roots",
     "materialize",
     "newton_refine",
@@ -174,7 +171,6 @@ __all__ = [
     "pseudo_ladder",
     "simulate_decay",
     "solve_mode",
-    "solve_pair",
     "spectrum_contour",
     "stiffness",
     "stiffness_roots",

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import classify_regime, empirical_order, predict_finite_sum, predict_power_law
-from .complex_pair import RESIDUAL_TOL, count_zeros, solve_pair, spectrum_contour
+from .complex_pair import RESIDUAL_TOL, count_zeros, fixed_point_pair, spectrum_contour
 from .errors import ConfigError, GPSpectraError, NumericalError
 from .kernels import ExponentialKernel, PowerLawFamily, materialize, pseudo_ladder
 from .oracle import ODE_MAX, aberth_roots, build_mode_system, match_roots
@@ -288,10 +288,10 @@ def _table(cfg: JobConfig, columns: str, rows, footer=()) -> str:
 
 
 def _family_ladder(build, family: PowerLawFamily, *args):
-    """``build(family, *args)``; a ladder whose rates round together is a config error."""
+    """``build(family, *args)``; a ladder whose rates round together, or too long to allocate, is a config error."""
     try:
         return build(family, *args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"config.kernel.family: materialized ladder refused: {exc}") from exc
 
 
@@ -398,7 +398,7 @@ def _mode_checks(
 
     # L(conj z) = conj L(z) bit for bit on a real kernel, so the lower root's
     # residual is the upper root's
-    pair_res = result.pair_residual / a**2
+    pair_res = result.pair_residual / pencil.frequency_squared
     rows.append(("conjugacy", "pass" if pair_res <= residual_tol else "fail", pair_res))
 
     # branch roots judged by their root-error gate, the pair by |L|/a**2
@@ -461,8 +461,8 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
     pseudo-ladder, a few hundred poles whatever the count, and its end
     corrections (see ``pseudo_ladder``), which travel beside the mode's
     pencil into the gate and the pair solve.  Every pair comes from
-    :func:`solve_pair` with its proven disc, as ``spectrum``'s does, the
-    corrections' error bound included, so an overdamped mode is refused
+    :func:`fixed_point_pair` with its proven disc, as ``spectrum``'s does,
+    the corrections' error bound included, so an overdamped mode is refused
     rather than printed with a real root for its pair, and so is a mode
     whose iterate lies where that bound is not small.  An overloaded mode
     is refused before its pair solve, by the gate of the branch solve
@@ -479,7 +479,7 @@ def run_sweep(cfg: JobConfig) -> tuple[str, bool]:
 
     def pair(p: ModePencil) -> complex:
         p.check_load(ends)
-        return solve_pair(p, residual_tol=cfg.residual_tol, ends=ends).plus
+        return fixed_point_pair(p, residual_tol=cfg.residual_tol, ends=ends).plus
 
     numeric = _map_modes(pair, modes)
 
@@ -512,12 +512,13 @@ def run_oracle_check(cfg: JobConfig) -> tuple[str, bool]:
     Also rebuilds the polynomial from the first-order companion system when
     the dimension allows, as an independent coefficient check.
     """
-    pencils = _pencils(cfg)
-    size = pencils[0].kernel.size
+    # a family's size is its count, capped before anything is materialized
+    size = cfg.kernel.size if cfg.kernel is not None else cfg.family.count
     if size > POLY_MAX:
         raise ConfigError(
             f"config.kernel: ladder size {size} exceeds polynomial oracle cap {POLY_MAX}"
         )
+    pencils = _pencils(cfg)
     deviations = _map_modes(
         lambda p: _oracle_check_mode(p, cfg.residual_tol), enumerate(pencils, start=1)
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ PAIR_MAX_PASSES = 50
 #: (:func:`_rounded_root`)
 PAIR_GRID_BITS = 80
 
-#: the residual target: the default of solve_pair, solve_mode and a job
+#: the residual target: the default of fixed_point_pair, solve_mode and a job
 #: config's tolerances.residual, and newton_refine's gate |L| <= RESIDUAL_TOL
 #: * a**2, which a seed inside its basin meets in well under REFINE_MAX_STEPS
 RESIDUAL_TOL = 1e-10
@@ -75,44 +75,26 @@ REFINE_MAX_STEPS = 50
 
 @dataclass(frozen=True)
 class FixedPointPair:
-    """Conjugate pair located by Newton's method on the fixed-point map.
+    """Conjugate pair located by Newton's method on the fixed-point map, with its proven disc.
 
     ``plus`` is the upper root and ``minus`` its conjugate (see
-    :func:`solve_pair`).  ``iterations`` counts passes over the ladder,
-    ``derivative_bound`` is the map's |g'| at the last iterate, and
-    ``residual`` is |L|/a**2 there, one Newton step before ``plus``.
-    ``point`` is that last iterate's z and ``at_point`` its
-    :func:`laplace_pass`, kept for the disc.  ``disc`` is
-    (center, radius, h) as :func:`kantorovich_ball` returns it, proven by
-    :func:`solve_pair` from that pass; :func:`fixed_point_pair` leaves it None.
+    :func:`fixed_point_pair`).  ``iterations`` counts passes over the
+    ladder, ``derivative_bound`` is the map's |g'| at the last iterate,
+    and ``residual`` is |L|/a**2 there, one Newton step before ``plus``.
+    ``disc`` is (center, radius, h) as :func:`kantorovich_ball` returns
+    it, proven from the pass at that last iterate.
     """
 
     plus: complex
     iterations: int
     derivative_bound: float  # |g'| at the final iterate; < 1 when trusted
     residual: float
-    point: complex
-    at_point: tuple[complex, complex, float, float, float, float]
-    disc: tuple[complex, float, float] | None = None
+    disc: tuple[complex, float, float]
 
     @property
     def minus(self) -> complex:
         """The lower root, the conjugate of ``plus``."""
         return self.plus.conjugate()
-
-    def conjugate(self) -> FixedPointPair:
-        """The same pair seen from its other root: every complex value conjugated.
-
-        The transform has real coefficients, so the pass at the conjugate
-        point is the conjugate of this one, with the same magnitudes.
-        """
-        khat, dkhat, *bounds = self.at_point
-        return replace(
-            self,
-            plus=self.minus,
-            point=self.point.conjugate(),
-            at_point=(khat.conjugate(), dkhat.conjugate(), *bounds),
-        )
 
 
 @dataclass(frozen=True)
@@ -160,28 +142,37 @@ class CountCertificate:
     samples_per_side: int
 
 
-def fixed_point_pair(p: ModePencil, ends: EndCorrections | None = None) -> FixedPointPair:
-    """The upper root by Newton's method on the fixed-point map; the lower is its conjugate.
+def fixed_point_pair(
+    p: ModePencil, residual_tol: float = RESIDUAL_TOL, ends: EndCorrections | None = None
+) -> FixedPointPair:
+    """The oscillatory pair by Newton's method on the fixed-point map, gated and proven by its disc.
 
     Each pass over the ladder gives Khat and Khat' at z = i*a + tau*a, so
     the map g(tau) = w*Khat/(tau + 2i) and its derivative g' together;
     from tau = 0 the step tau <- tau - (tau - g)/(1 - g') converges
-    quadratically.  It stops once the step is within PAIR_STEP_TOL*(1 + |tau|),
-    applies that last step and returns; on a whole ladder of at most
-    FSUM_MAX terms the last step is formed exactly and the root rounded
-    once (:func:`_rounded_root`), so that its error is not the noise of
-    the map's double evaluation.  ``residual`` is |L|/a**2 =
+    quadratically.  It stops once the step is within PAIR_STEP_TOL*(1 + |tau|)
+    and applies that last step; on a whole ladder of at most FSUM_MAX
+    terms the last step is formed exactly and the root rounded once
+    (:func:`_rounded_root`), so that its error is not the noise of the
+    map's double evaluation.  ``residual`` is |L|/a**2 =
     |tau*(tau + 2i) - w*Khat| at the last evaluated iterate, one step
-    short of ``plus``, and that iterate's pass is kept whole for the disc.
-    Raises :class:`NonContractionError` the moment
-    |g'| reaches one at an iterate — the map is then no contraction there,
-    and 1 - g' is no longer kept from zero — and
-    :class:`MaxIterationsError` if the step does not settle within the cap.
+    short of ``plus``; above ``residual_tol`` it raises
+    :class:`DivergenceError`.  A root in the lower half plane is flipped
+    to the upper one, and that iterate's pass with it (the transform has
+    real coefficients, so the pass at the conjugate point is the conjugate
+    pass).  ``disc`` is then proven from that pass, as
+    :func:`kantorovich_ball` proves it, so no pass is spent on it; a disc
+    that cannot be proven raises :class:`EnclosureError`.  Raises
+    :class:`NonContractionError` the moment |g'| reaches one at an
+    iterate — the map is then no contraction there, and 1 - g' is no
+    longer kept from zero — and :class:`MaxIterationsError` if the step
+    does not settle within the cap.
 
     When ``p.kernel`` is a family's pseudo-ladder, ``ends`` are its end
     corrections (:func:`pseudo_ladder`), which join each pass
-    (:func:`laplace_pass`); an iterate where their error bound is not
-    small raises :class:`NumericalError`.
+    (:func:`laplace_pass`), and the disc reads their error bound from the
+    last one; an iterate where that bound is not small raises
+    :class:`NumericalError`.
     """
     a, w = p.frequency, p.memory_weight
     tau = 0.0 + 0.0j
@@ -203,13 +194,20 @@ def fixed_point_pair(p: ModePencil, ends: EndCorrections | None = None) -> Fixed
                 plus = _rounded_root(p, tau, shift * (1.0 - deriv), scale)
             else:
                 plus = 1j * a + (tau - step) * a
+            residual = abs(tau * shift - w * khat)
+            if not residual <= residual_tol:
+                raise DivergenceError(
+                    f"pair residual {residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
+                )
+            if plus.imag < 0:
+                plus, z = plus.conjugate(), z.conjugate()
+                at_z = (khat.conjugate(), dkhat.conjugate(), *at_z[2:])
             return FixedPointPair(
                 plus=plus,
                 iterations=it,
                 derivative_bound=abs(deriv),
-                residual=abs(tau * shift - w * khat),
-                point=z,
-                at_point=at_z,
+                residual=residual,
+                disc=_disc(p, z, at_z),
             )
         tau = tau - step
     raise MaxIterationsError(f"pair iteration did not settle in {PAIR_MAX_PASSES} steps")
@@ -268,7 +266,7 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
     that are treated as divergence (the seed was outside the basin), and
     the returned root must satisfy |L(root)| <= RESIDUAL_TOL * a**2.
     """
-    scale = RESIDUAL_TOL * p.frequency**2
+    scale = RESIDUAL_TOL * p.frequency_squared
     z = complex(seed)
     value, d = symbol_with_deriv(p, z)
     res = abs(value)
@@ -303,41 +301,14 @@ def newton_refine(p: ModePencil, seed: complex) -> complex:
     return best
 
 
-def solve_pair(
-    p: ModePencil, residual_tol: float = RESIDUAL_TOL, ends: EndCorrections | None = None
-) -> FixedPointPair:
-    """The oscillatory pair from :func:`fixed_point_pair`, gated on its residual and proven by its disc.
-
-    The last evaluated iterate must satisfy |L| <= residual_tol * a**2, or
-    :class:`DivergenceError` is raised; the gate reads the residual that
-    pass already holds.  A root that lands in the lower half plane is
-    flipped to its conjugate (:meth:`FixedPointPair.conjugate`), so ``plus``
-    is always the upper root.  The returned pair's ``disc`` is the
-    Newton-Kantorovich disc of :func:`kantorovich_ball`, proven from the
-    pass at the last iterate, so no pass is spent on it; a disc that
-    cannot be proven raises :class:`EnclosureError`.  ``ends``, the end
-    corrections of a family's pseudo-ladder, are passed through to
-    :func:`fixed_point_pair`, and the disc reads their error bound from
-    that pass.
-    """
-    fp = fixed_point_pair(p, ends)
-    if not fp.residual <= residual_tol:
-        raise DivergenceError(
-            f"pair residual {fp.residual:.3e} * a**2 misses target {residual_tol:.3e} * a**2"
-        )
-    if fp.plus.imag < 0:
-        fp = fp.conjugate()
-    return replace(fp, disc=_disc(p, fp.point, fp.at_point))
-
-
 def kantorovich_ball(p: ModePencil, plus: complex) -> tuple[complex, float, float]:
     """Prove a Newton-Kantorovich disc around the upper root ``plus``.
 
     Returns (center, radius, h): the upper root lies in
     |z/a - i - center| <= radius and the lower root in the conjugate disc;
     h is the Kantorovich quantity beta*gamma*eta.  The proof reads one
-    :func:`laplace_pass` at ``plus`` (:func:`solve_pair` reads the one at
-    its last iterate instead).  In tau = z/a - i the scaled symbol
+    :func:`laplace_pass` at ``plus`` (:func:`fixed_point_pair` reads the one
+    at its last iterate instead).  In tau = z/a - i the scaled symbol
     is f = L/a**2 = tau*(tau + 2i) - w*Khat(z), f' = 2(tau + i) - w*a*Khat'.
     Both are formed at tau0, the rounded tau* = plus/a - i, and bounded
     against their values at tau*.  The pass's terms lie within 4 and 8 eps

@@ -292,11 +292,6 @@ def laplace_pass(
     return ends.join(z, khat, dkhat, s1, s2)
 
 
-def laplace_with_deriv(kernel: ExponentialKernel, zeta: complex) -> tuple[complex, complex]:
-    """(Khat(zeta), Khat'(zeta)): :func:`laplace_pass` without its magnitudes."""
-    return laplace_pass(kernel, zeta)[:2]
-
-
 def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """Khat(zeta) = sum_k c_k / (zeta + g_k).
 
@@ -309,7 +304,7 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
     """
     z = np.asarray(zeta, dtype=complex)
     if z.ndim == 0:
-        return laplace_with_deriv(kernel, complex(z))[0]
+        return laplace_pass(kernel, complex(z))[0]
     shifted = z[..., None] + kernel._g
     _guard_array(kernel, shifted)
     return np.sum(kernel._c / shifted, axis=-1)
@@ -317,7 +312,7 @@ def laplace(kernel: ExponentialKernel, zeta) -> complex | np.ndarray:
 
 def laplace_deriv(kernel: ExponentialKernel, zeta: complex) -> complex:
     """d/dz Khat(z) = -sum_k c_k / (z + g_k)**2 at one point: the second of :func:`laplace_pass`."""
-    return laplace_with_deriv(kernel, zeta)[1]
+    return laplace_pass(kernel, zeta)[1]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InadmissibleModeError
-from .kernels import EndCorrections, ExponentialKernel, laplace, laplace_with_deriv
+from .errors import InadmissibleModeError, NumericalError
+from .kernels import EndCorrections, ExponentialKernel, laplace, laplace_pass
 
 #: largest ladder for which the cleared polynomial is formed explicitly
 POLY_MAX = 64
@@ -66,6 +66,14 @@ class ModePencil:
         return memory_weight(self.frequency, self.xi)
 
     @cached_property
+    def frequency_squared(self) -> float:
+        """a**2, every evaluator's one copy; past the double range it raises :class:`NumericalError`."""
+        try:
+            return self.frequency**2
+        except OverflowError:
+            raise NumericalError(f"a**2 is past the double range at a = {self.frequency!r}") from None
+
+    @cached_property
     def load(self) -> float:
         """lambda = w * sum_k c_k/g_k = w*Khat(0), the mode's memory load.
 
@@ -101,7 +109,7 @@ class ModePencil:
 
 def symbol(p: ModePencil, zeta) -> complex | np.ndarray:
     """L(z) = z**2 + a**2 * f(z), f the :func:`stiffness` factor.  Vectorised over z."""
-    return zeta * zeta + p.frequency**2 * stiffness(p, zeta)
+    return zeta * zeta + p.frequency_squared * stiffness(p, zeta)
 
 
 def symbol_with_deriv(p: ModePencil, zeta: complex) -> tuple[complex, complex]:
@@ -110,8 +118,8 @@ def symbol_with_deriv(p: ModePencil, zeta: complex) -> tuple[complex, complex]:
     L'(z) = 2z - a**2 * w * Khat'(z); L(z) equals symbol(p, z) bit for bit.
     """
     z = complex(zeta)
-    a2 = p.frequency**2
-    khat, dkhat = laplace_with_deriv(p.kernel, z)
+    a2 = p.frequency_squared
+    khat, dkhat = laplace_pass(p.kernel, z)[:2]
     return z * z + a2 * (1.0 - p.memory_weight * khat), 2.0 * z - a2 * p.memory_weight * dkhat
 
 
@@ -122,7 +130,7 @@ def stiffness(p: ModePencil, zeta) -> complex | np.ndarray:
 
 def inertia(p: ModePencil, zeta) -> complex | np.ndarray:
     """g(z) = z**2/a**2, so that L/a**2 = stiffness + inertia identically."""
-    return zeta * zeta / p.frequency**2
+    return zeta * zeta / p.frequency_squared
 
 
 def _poly_mul(acc: list[int], root: int) -> list[int]:

@@ -43,7 +43,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import MaxIterationsError, NumericalError, PoleProximityError
+from .errors import MaxIterationsError, PoleProximityError
 from .kernels import _EPS, ExponentialKernel
 from .pencil import ModePencil
 
@@ -254,10 +254,7 @@ def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list
     """
     kern = p.kernel
     c, g = kern._c, kern._g
-    try:
-        a2 = p.frequency**2
-    except OverflowError:
-        raise NumericalError(f"a**2 is past the double range at a = {p.frequency!r}") from None
+    a2 = p.frequency_squared
     w = p.memory_weight
     intervals = bracket_intervals(kern)
     p.check_load()

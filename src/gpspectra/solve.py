@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex_pair import RESIDUAL_TOL, solve_pair
+from .complex_pair import RESIDUAL_TOL, fixed_point_pair
 from .errors import EnclosureError, NumericalError
 from .pencil import ModePencil, symbol
 from .real_branches import BranchRoot, branch_and_stiffness_roots
@@ -108,14 +108,14 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
     """Locate every root of the mode symbol and prove that they are all of them.
 
     All kernel poles bracket one real branch; the conjugate pair comes from
-    Newton's method on the fixed-point map (:func:`solve_pair`).  A branch
-    root must pass its gate ``BranchRoot.relative_error <= residual_tol``
-    and the pair must satisfy |L| <= residual_tol * a**2.  The result
-    carries a :class:`CountingCertificate`: every branch bracket must show
-    a sign change clear of its rounding bound, and the pair a
-    Newton-Kantorovich disc clear of the real axis, which :func:`solve_pair`
-    proves from its last pass, or :class:`EnclosureError` names the branch
-    or disc that failed.  So an overdamped mode, whose two extra roots are
+    Newton's method on the fixed-point map (:func:`fixed_point_pair`).  A
+    branch root must pass its gate ``BranchRoot.relative_error <=
+    residual_tol`` and the pair must satisfy |L| <= residual_tol * a**2.
+    The result carries a :class:`CountingCertificate`: every branch bracket
+    must show a sign change clear of its rounding bound, and the pair a
+    Newton-Kantorovich disc clear of the real axis, which
+    :func:`fixed_point_pair` proves from its last pass, or
+    :class:`EnclosureError` names the branch or disc that failed.  So an overdamped mode, whose two extra roots are
     real, is refused rather than reported with a "pair" that is one of
     them.  The printed residual |L(plus)| is the one pass over the ladder
     after the pair solve.  No contour is walked; :func:`count_zeros`
@@ -131,7 +131,7 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
                 f"{residual_tol * max(1.0, abs(r.value)):.3e}"
             )
 
-    pair = solve_pair(p, residual_tol=residual_tol)
+    pair = fixed_point_pair(p, residual_tol=residual_tol)
     return SpectrumResult(
         pencil=p,
         real_roots=real,

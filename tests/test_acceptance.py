@@ -22,6 +22,7 @@ from gpspectra import (
     continuum_laplace,
     count_zeros,
     empirical_order,
+    fixed_point_pair,
     laplace,
     laplace_tail,
     match_roots,
@@ -29,7 +30,6 @@ from gpspectra import (
     predict_finite_sum,
     simulate_decay,
     solve_mode,
-    solve_pair,
     spectrum_contour,
     tail_bound,
     to_polynomial,
@@ -150,7 +150,7 @@ def test_05_finite_sum_remainder_orders():
     kernel = ExponentialKernel((1.0,), (2.0,))
     re_points, im_points = [], []
     for a in (1e1, 1e2, 1e3, 1e4, 1e5):
-        pair = solve_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
+        pair = fixed_point_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
         predicted = predict_finite_sum(a, 0.5, kernel.initial_value).value
         re_points.append((a, abs(pair.real - predicted.real)))
         im_points.append((a, abs(pair.imag - predicted.imag)))
@@ -168,7 +168,7 @@ def test_06_sqrt_family_decay_law():
     points = []
     for j in range(6):
         a = 100.0 * 10.0 ** (0.4 * j)
-        pair = solve_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
+        pair = fixed_point_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
         points.append((a, abs(pair.real)))
     fit = empirical_order(points)
     assert abs(fit.slope - (-0.5)) <= 0.15
@@ -182,7 +182,7 @@ def test_07_log_family_decay_law():
     family = _family_with_tail_below(alpha=1.0, beta=1.0, moment=1, bound=1e-6)
     kernel = materialize(family)
     a = 1e4
-    pair = solve_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
+    pair = fixed_point_pair(ModePencil(frequency=a, xi=0.5, kernel=kernel)).plus
     ratio = abs(pair.real) * a / math.log(a)
     assert abs(ratio - 0.5) <= 0.1 * 0.5
 
@@ -204,7 +204,7 @@ def test_09_weight_exponent_sorts_the_regimes():
 
     def decay_rates(xi):
         return [
-            abs(solve_pair(ModePencil(frequency=a, xi=xi, kernel=kernel)).plus.real)
+            abs(fixed_point_pair(ModePencil(frequency=a, xi=xi, kernel=kernel)).plus.real)
             for a in ladder
         ]
 

@@ -19,12 +19,12 @@ from gpspectra import (
     PowerLawFamily,
     aberth_roots,
     branch_and_stiffness_roots,
+    fixed_point_pair,
     kantorovich_ball,
     laplace_pass,
     materialize,
     pseudo_ladder,
     solve_mode,
-    solve_pair,
     to_polynomial,
 )
 from gpspectra.kernels import FSUM_MAX
@@ -148,7 +148,7 @@ def test_an_unproven_bracket_names_its_branch(cubic):
     result = solve_mode(cubic)
     weak = dataclasses.replace(result.real_roots[0], sign_margin=0.5)
     with pytest.raises(EnclosureError) as info:
-        solve._count_roots((weak,), solve_pair(cubic).disc)
+        solve._count_roots((weak,), fixed_point_pair(cubic).disc)
     assert info.value.branch == 1
     assert info.value.bracket == weak.bracket
     assert "branch 1" in str(info.value)
@@ -221,21 +221,22 @@ def test_a_sweep_mode_passes_over_the_ladder_only_in_its_pair_solve(which, run_c
     # iterations passes, the last at the iterate the disc is proven from,
     # and none after it
     points, spans = _counted_passes(monkeypatch), []
-    solve = gpspectra.cli.solve_pair
+    solve = gpspectra.cli.fixed_point_pair
 
     def solve_spy(pencil, **kwargs):
         start = len(points)
         pair = solve(pencil, **kwargs)
-        spans.append((start, len(points), pair, kwargs["ends"]))
+        spans.append((start, len(points), pencil.frequency, pair, kwargs["ends"]))
         return pair
 
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    monkeypatch.setattr(gpspectra.cli, "fixed_point_pair", solve_spy)
     code, _, err = run_cli("sweep", SWEEPS[which])
     assert code == 0, err
     assert len(spans) == 4 and spans[0][0] == 0
-    for (start, stop, pair, ends), after in zip(spans, [s[0] for s in spans[1:]] + [len(points)]):
+    for (start, stop, a, pair, ends), after in zip(spans, [s[0] for s in spans[1:]] + [len(points)]):
         assert stop - start == pair.iterations and stop == after
-        assert points[stop - 1] == pair.point and pair.disc[2] <= 0.5
+        last = points[stop - 1]
+        assert pair.disc[0] == complex(last.real / a, last.imag / a - 1.0) and pair.disc[2] <= 0.5
         assert (ends is not None) == (which == "family_head")
 
 
@@ -281,7 +282,7 @@ def test_the_disc_holds_a_40_digit_root_on_a_blocked_sum_ladder(count):
     # the polynomial oracle stops at 64 terms, so the reference is Newton on L
     p = _sqrt_family(count)
     assert p.kernel.size > FSUM_MAX
-    plus = solve_pair(p).plus
+    plus = fixed_point_pair(p).plus
     center, radius, h = kantorovich_ball(p, plus)
     assert h <= 0.5
     assert in_disc(_newton_root(p, plus), p, center, radius)
@@ -296,7 +297,7 @@ def test_the_disc_holds_a_40_digit_root_of_a_whole_family_on_its_head(xi):
     kernel, ends = pseudo_ladder(family)
     assert kernel.size == 149 and ends is not None
     p = ModePencil(100.0, xi, kernel)
-    pair = solve_pair(p, ends=ends)
+    pair = fixed_point_pair(p, ends=ends)
     center, radius, h = pair.disc
     assert h <= 0.5
     assert in_disc(pair.plus, p, center, radius)

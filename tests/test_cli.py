@@ -21,9 +21,9 @@ from gpspectra import (
     NumericalError,
     PowerLawFamily,
     count_zeros,
+    fixed_point_pair,
     materialize,
     pseudo_ladder,
-    solve_pair,
 )
 from gpspectra.kernels import FSUM_MAX
 from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS
@@ -187,6 +187,33 @@ def test_colliding_family_rates_are_a_config_error(run_cli, family, job, modes):
         "gpspectra: config error: config.kernel.family: "
         "materialized ladder refused: rates must be strictly increasing\n"
     )
+
+
+#: a family whose arrays would take 8 PB each: no process can address
+#: that, so the allocation is refused at once and no memory is touched
+UNALLOCATABLE_FAMILY = {"amplitude": 1, "scale": 1, "alpha": 0.5, "beta": 1, "count": 10**15}
+
+
+@pytest.mark.parametrize("job", ("spectrum", "verify", "oracle-check"))
+def test_a_family_too_long_to_materialize_is_a_config_error(run_cli, job):
+    code, out, err = run_cli(job, {"kernel": {"family": UNALLOCATABLE_FAMILY}, "xi": 0.5, "modes": [10.0]})
+    assert code == 2 and out == ""
+    if job == "oracle-check":
+        assert err == (
+            "gpspectra: config error: config.kernel: "
+            "ladder size 1000000000000000 exceeds polynomial oracle cap 64\n"
+        )
+    else:
+        assert err.startswith("gpspectra: config error: config.kernel.family: materialized ladder refused: ")
+
+
+def test_oracle_check_refuses_a_long_family_before_materializing_it(run_cli, monkeypatch):
+    materialized = []
+    monkeypatch.setattr(gpspectra.cli, "materialize", materialized.append)
+    family = {"amplitude": 1, "scale": 1, "alpha": 0.5, "beta": 1, "count": 100}
+    code, out, err = run_cli("oracle-check", {"kernel": {"family": family}, "xi": 0.5, "modes": [10.0]})
+    assert code == 2 and out == "" and materialized == []
+    assert err == "gpspectra: config error: config.kernel: ladder size 100 exceeds polynomial oracle cap 64\n"
 
 
 def test_quadrature_tolerance_is_an_unknown_key(run_cli, cubic_config):
@@ -486,7 +513,7 @@ def test_family_sweep_matches_the_full_ladder(run_cli):
     assert [float(r.split(",")[0]) for r in rows] == [100.0, 500.0, 2500.0, 12500.0]
     for row in rows:
         a, re, im = (float(x) for x in row.split(",")[:3])
-        reference = solve_pair(ModePencil(a, 0.5, full)).plus
+        reference = fixed_point_pair(ModePencil(a, 0.5, full)).plus
         assert abs(complex(re, im) - reference) <= 1e-12 * abs(reference)
         assert abs(re - reference.real) <= 1e-12 * abs(reference.real)
 
@@ -539,7 +566,7 @@ def test_family_sweep_solves_every_mode_on_one_pseudo_ladder(run_cli, monkeypatc
     # heads for |z| <= 1.125 a_n summed 224 to 28124 terms
     materialized, solved = [], []
     materialize = gpspectra.kernels.materialize
-    solve = gpspectra.cli.solve_pair
+    solve = gpspectra.cli.fixed_point_pair
 
     def materialize_spy(family):
         materialized.append(family.count)
@@ -550,7 +577,7 @@ def test_family_sweep_solves_every_mode_on_one_pseudo_ladder(run_cli, monkeypatc
         return solve(pencil, **kwargs)
 
     monkeypatch.setattr(gpspectra.kernels, "materialize", materialize_spy)
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    monkeypatch.setattr(gpspectra.cli, "fixed_point_pair", solve_spy)
     for xi in (0.5, 0.75, 0.8):
         materialized.clear()
         solved.clear()
@@ -600,13 +627,13 @@ def test_sweep_refuses_an_overloaded_family_at_its_first_mode(run_cli, monkeypat
     # z = 0, is the whole ladder's: sweep refuses mode 1 as spectrum does,
     # before any pair solve
     solved = []
-    solve = gpspectra.cli.solve_pair
+    solve = gpspectra.cli.fixed_point_pair
 
     def solve_spy(pencil, **kwargs):
         solved.append(pencil)
         return solve(pencil, **kwargs)
 
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    monkeypatch.setattr(gpspectra.cli, "fixed_point_pair", solve_spy)
     config = {
         "kernel": {"family": STRONG_FAMILY},
         "xi": 0.95,
@@ -630,13 +657,13 @@ def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeyp
     # refuses the mode before its pair is solved; at a = 1 the load is 0.5,
     # and a failing pair solve is raised as it is, not run again
     solved = []
-    solve = gpspectra.cli.solve_pair
+    solve = gpspectra.cli.fixed_point_pair
 
     def solve_spy(pencil, **kwargs):
         solved.append(pencil)
         return solve(pencil, **kwargs)
 
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", solve_spy)
+    monkeypatch.setattr(gpspectra.cli, "fixed_point_pair", solve_spy)
     config = {
         "kernel": {"coeffs": [0.5], "rates": [0.1]},
         "xi": 0.5,
@@ -651,7 +678,7 @@ def test_an_explicit_kernel_mode_that_fails_is_not_solved_again(run_cli, monkeyp
         solved.append(pencil)
         raise NumericalError("the pair solve failed")
 
-    monkeypatch.setattr(gpspectra.cli, "solve_pair", failing_solve)
+    monkeypatch.setattr(gpspectra.cli, "fixed_point_pair", failing_solve)
     config = {
         "kernel": {"coeffs": [0.5], "rates": [1.0]},
         "xi": 0.5,

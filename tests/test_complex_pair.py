@@ -15,11 +15,9 @@ from gpspectra import (
     RectContour,
     count_zeros,
     fixed_point_pair,
-    laplace_pass,
     materialize,
     newton_refine,
     pseudo_ladder,
-    solve_pair,
     spectrum_contour,
     symbol,
 )
@@ -95,7 +93,7 @@ def test_pair_takes_at_most_four_passes_on_power_ladder_heads(xi, monkeypatch):
     points = _counted_passes(monkeypatch)
     for a in frequencies:
         points.clear()
-        pair = solve_pair(ModePencil(a, xi, kernel), ends=ends)
+        pair = fixed_point_pair(ModePencil(a, xi, kernel), ends=ends)
         assert pair.iterations == len(points) <= 4, (a, xi, kernel.size)
 
 
@@ -150,26 +148,27 @@ def test_newton_rejects_pole_shadow(cubic):
         newton_refine(cubic, -2.0000001 + 0j)
 
 
-def test_solve_pair_polishes_the_upper_root(cubic):
-    pair = solve_pair(cubic)
-    fp = fixed_point_pair(cubic)
+def test_fixed_point_pair_gates_its_residual_and_proves_its_disc(cubic):
+    pair = fixed_point_pair(cubic)
     assert abs(pair.plus - PAIR) < 1e-13 and pair.plus.imag > 0
     assert pair.minus == pair.plus.conjugate()
-    assert (pair.iterations, pair.derivative_bound) == (fp.iterations, fp.derivative_bound)
+    center, radius, h = pair.disc
+    assert abs(pair.plus / cubic.frequency - 1j - center) <= radius and h <= 0.5
     with pytest.raises(DivergenceError):
-        solve_pair(cubic, residual_tol=1e-30)
+        fixed_point_pair(cubic, residual_tol=1e-30)
 
 
-def test_solve_pair_flips_a_lower_root_to_the_upper_one(cubic, monkeypatch):
-    # a solve that ends on the lower root is read from the upper one: its
-    # last pass is conjugated too, so the disc is the upper root's
-    upper = solve_pair(cubic)
-    lower = fixed_point_pair(cubic).conjugate()
-    assert lower.plus.imag < 0 and lower.point.imag < 0
-    assert lower.at_point == laplace_pass(cubic.kernel, lower.point)
-    monkeypatch.setattr(complex_pair, "fixed_point_pair", lambda p, tail: lower)
-    pair = solve_pair(cubic)
-    assert pair == upper and pair.plus.imag > 0
+def test_fixed_point_pair_flips_a_lower_root_to_the_upper_one():
+    # a strong one-term kernel at a small frequency: the iteration ends on
+    # the lower root, which is flipped to the upper one together with its
+    # last pass, so the disc proven is the upper root's
+    kernel = ExponentialKernel((5.839722708172668,), (3.2993236563184607,))
+    p = ModePencil(1.9770462827014534, 0.581160132908524, kernel)
+    pair = fixed_point_pair(p)
+    assert pair.plus == complex(-1.6496618281378592, 1.0896457482078619)
+    center, radius, h = pair.disc
+    assert center.imag > -1.0 + radius and h < 6e-14
+    assert abs(pair.plus / p.frequency - 1j - center) <= radius
 
 
 # --------------------------------------------------------------- contours
@@ -256,14 +255,14 @@ def test_full_count_on_wider_ladders():
 
 
 def _assert_within_an_ulp(p: ModePencil) -> None:
-    """solve_pair's upper root lies within 2**-52 |ref| of a 50-digit root.
+    """fixed_point_pair's upper root lies within 2**-52 |ref| of a 50-digit root.
 
     The reference polishes the double root by Newton's method on the
     symbol z**2 + a**2 - a**(2 xi) sum c_k/(z + g_k), every input taken as
     the double it is.
     """
     mpmath = pytest.importorskip("mpmath")
-    plus = solve_pair(p).plus
+    plus = fixed_point_pair(p).plus
     with mpmath.workdps(50):
         a, xi = mpmath.mpf(p.frequency), mpmath.mpf(p.xi)
         weight = a ** (2 * xi)
@@ -308,4 +307,4 @@ def test_pool_pair_is_rounded_once_from_an_exact_last_step():
     p = ModePencil(1.0, 0.5, ExponentialKernel(c, g))
     _assert_within_an_ulp(p)
     # each part is the double next to the 50-digit root
-    assert solve_pair(p).plus == complex(-0.08882974968328527055278346704386, 0.56617189093277873049430543084426)
+    assert fixed_point_pair(p).plus == complex(-0.08882974968328527055278346704386, 0.56617189093277873049430543084426)

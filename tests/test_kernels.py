@@ -33,7 +33,6 @@ from gpspectra import (
     laplace_deriv,
     laplace_pass,
     laplace_tail,
-    laplace_with_deriv,
     materialize,
     pseudo_ladder,
     solve_mode,
@@ -132,7 +131,7 @@ def test_pole_guard_trips():
     with pytest.raises(PoleProximityError):
         laplace_deriv(kern, -1.0 + 1e-14 + 0j)
     with pytest.raises(PoleProximityError):
-        laplace_with_deriv(kern, -1.0 + 1e-14)
+        laplace_pass(kern, -1.0 + 1e-14)
 
     # the scalar guard finds the nearest pole by bisection; it must refuse
     # exactly the points the O(n) pass over an array of points refuses, on
@@ -152,11 +151,11 @@ def test_pole_guard_trips():
                 laplace(kern, np.array([z]))
             except PoleProximityError:
                 trips += 1
-                for f in (laplace, laplace_deriv, laplace_with_deriv):
+                for f in (laplace, laplace_deriv, laplace_pass):
                     with pytest.raises(PoleProximityError):
                         f(kern, z)
             else:
-                laplace(kern, z), laplace_deriv(kern, z), laplace_with_deriv(kern, z)
+                laplace(kern, z), laplace_deriv(kern, z), laplace_pass(kern, z)
         assert 0 < trips < len(points)
 
 
@@ -170,7 +169,7 @@ def test_pole_guard_is_relative_to_each_poles_own_rate():
     for root in roots:
         symbol(p, root)
         symbol(p, np.array([root]))
-        laplace_with_deriv(p.kernel, root)
+        laplace_pass(p.kernel, root)
     # points on a pole, or one ulp off it, are still refused on both paths
     for g in rates:
         for z in (-g, complex(-g, 0.0), math.nextafter(-g, 0.0), complex(-g, g * 1e-16)):
@@ -180,7 +179,7 @@ def test_pole_guard_is_relative_to_each_poles_own_rate():
             with pytest.raises(PoleProximityError):
                 laplace_deriv(p.kernel, z)
             with pytest.raises(PoleProximityError):
-                laplace_with_deriv(p.kernel, z)
+                laplace_pass(p.kernel, z)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +193,7 @@ def test_symbol_is_finite_at_every_resolved_root(coeffs, rates, a, xi):
     for b in result.real_roots + result.stiffness_roots:
         for z in (b.value, np.array([b.value])):
             assert np.all(np.isfinite(symbol(p, z)))
-        assert all(cmath.isfinite(v) for v in laplace_with_deriv(p.kernel, b.value))
+        assert all(cmath.isfinite(v) for v in laplace_pass(p.kernel, b.value)[:2])
 
 
 def _fsum_terms(terms):
@@ -215,7 +214,7 @@ def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
         reach = min(kern.rates[-1], 90.0)
         for _ in range(8):
             z = cmath.rect(rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi))
-            fused = laplace_with_deriv(kern, z)
+            fused = laplace_pass(kern, z)[:2]
             assert fused == (laplace(kern, z), laplace_deriv(kern, z))
             mode = ModePencil(10.0, 0.5, kern)
             symbol_slope = 2.0 * z - mode.frequency**2 * mode.memory_weight * laplace_deriv(kern, z)
@@ -273,7 +272,7 @@ def test_fused_transform_on_large_ladders_matches_exact_sums(which):
         # poles near -24000 (by a factor of about 900)
         value_scale, slope_scale = np.sum(np.abs(terms)), np.sum(np.abs(slopes))
         if ends is None:
-            fused_value, fused_slope = laplace_with_deriv(kern, z)
+            fused_value, fused_slope = laplace_pass(kern, z)[:2]
             # the scalar transforms are the blocked pass's halves
             assert (laplace(kern, z), laplace_deriv(kern, z)) == (fused_value, fused_slope)
         else:
@@ -288,7 +287,7 @@ def test_fused_transform_keeps_huge_arguments_in_range():
     g = np.arange(1.0, FSUM_MAX + 2.0)
     for kern in (ExponentialKernel(1.0 / g, g), ExponentialKernel(1.0 / g, 1e170 * g)):
         for z in (1e76j, 1e160j, 1e200 + 1e200j, -1e300 + 1e290j):
-            value, slope = laplace_with_deriv(kern, z)
+            value, slope = laplace_pass(kern, z)[:2]
             reference = complex(laplace(kern, np.array([z]))[0])
             assert abs(value - reference) <= 1e-14 * abs(reference)
             assert math.isfinite(abs(slope))
@@ -337,7 +336,7 @@ def test_blocked_pass_matches_a_40_digit_sum_on_the_longest_head():
     kern = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 49999))
     eps = np.finfo(float).eps
     for z in SWEPT_PAIRS:
-        value, slope = laplace_with_deriv(kern, z)
+        value, slope = laplace_pass(kern, z)[:2]
         exact_value, exact_slope = _sums_to_40_digits(kern, z)
         moduli = kern._c / np.abs(z + kern._g)  # |c/(z + g)|
         assert abs(value - exact_value) <= 4 * eps * np.sum(moduli)
@@ -350,12 +349,12 @@ def test_blocked_pass_scales_exactly_with_the_ladder(z):
     # rescale at 2**256: Khat/2**e and Khat'/4**e bit for bit, wherever that
     # is a normal double, and never a warning
     base = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 1000))
-    value, slope = laplace_with_deriv(base, z)
+    value, slope = laplace_pass(base, z)[:2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for e in range(-400, 921):
             kern = ExponentialKernel(base._c, np.ldexp(base._g, e))
-            got = laplace_with_deriv(kern, complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)))
+            got = laplace_pass(kern, complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)))[:2]
             for part, whole, power in (
                 (got[0].real, value.real, e),
                 (got[0].imag, value.imag, e),
@@ -592,7 +591,7 @@ def test_a_pass_sums_a_kernel_of_one_size_whatever_a_and_grows_like_ln_count(bet
     kern, ends = pseudo_ladder(PowerLawFamily(1.0, 1.0, 0.5, beta, 10**6))
     for a in (1e2, 1e4, 1e8):
         sizes.clear()
-        cp.solve_pair(ModePencil(a, 0.5, kern), ends=ends)
+        cp.fixed_point_pair(ModePencil(a, 0.5, kern), ends=ends)
         assert sizes and set(sizes) == {kern.size}
     for count in (10**4, 10**6, 10**8):
         size = pseudo_ladder(PowerLawFamily(1.0, 1.0, 0.5, beta, count))[0].size
@@ -659,7 +658,7 @@ def family_points(draw):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(family_points())
-def test_a_far_pole_series_stays_within_its_stated_error(drawn):
+def test_a_pseudo_ladder_stays_within_its_stated_error(drawn):
     # the pseudo-ladder's bound is partly stated, not proven: this is its
     # check, against every term of the family summed in long double.  The
     # pass's own rounding, (n + 16) eps of s1 and s2, is what the disc adds
@@ -689,7 +688,7 @@ def test_a_far_pole_series_stays_within_its_stated_error(drawn):
         assert abs(dkhat - complex(slope)) <= 8.0 * _EPS * float(squares)
 
 
-def test_the_series_joins_the_pass_as_one_more_term():
+def test_the_end_corrections_join_the_pass_once():
     # the corrections' value and slope join the pseudo-ladder's pass once;
     # s1 and s2 bound the whole family's magnitude sums; the bound rides along
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 20000)
@@ -706,7 +705,7 @@ def test_the_series_joins_the_pass_as_one_more_term():
         assert bound[0] <= error <= 1e-12 * s1 and bound[1] <= slope_error <= 1e-12 * s2
 
 
-def test_head_and_series_reproduce_the_whole_ladder():
+def test_the_pseudo_ladder_reproduces_the_whole_ladder():
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 100000)
     (kern, ends), full = pseudo_ladder(family), materialize(family)
     for z in (2000j, 1500.0 + 500j, -1500.0 + 1000.0j, 30.0 - 40.0j):
@@ -718,7 +717,7 @@ def test_head_and_series_reproduce_the_whole_ladder():
     (kern, ends), full = pseudo_ladder(family), materialize(family)
     assert kern.size == 77 and ends is not None
     for z in (2.0 + 3.0j, -1.5 + 0.5j, 4.0j):
-        for part, want in zip(laplace_pass(kern, z, ends)[:2], laplace_with_deriv(full, z)):
+        for part, want in zip(laplace_pass(kern, z, ends)[:2], laplace_pass(full, z)[:2]):
             assert abs(part - want) <= 1e-15 * abs(want)
 
 
@@ -786,7 +785,7 @@ def test_kernels_from_tuples_and_from_arrays_are_one_kernel():
     assert full == ExponentialKernel(full.coeffs, full.rates)
 
 
-def test_each_radius_series_matches_the_summed_terms():
+def test_one_pseudo_ladder_matches_the_summed_terms_at_every_radius():
     # one pseudo-ladder serves every radius a sweep reaches
     family = PowerLawFamily(0.7, 2.0, 0.8, 1.5, 30000)
     kern, ends = pseudo_ladder(family)
@@ -800,7 +799,7 @@ def test_each_radius_series_matches_the_summed_terms():
                 assert abs(khat - complex(value)) <= 8.0 * _EPS * float(moduli)
 
 
-def test_sweep_and_far_pole_series_run_without_mpmath(tmp_path):
+def test_sweep_and_laplace_tail_run_without_mpmath(tmp_path):
     # mpmath blocked from import: a family sweep and the tail of a
     # million-term family still run, so the runtime needs numpy alone
     config = tmp_path / "sweep.json"

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from gpspectra import (
     ExponentialKernel,
     ModePencil,
+    NumericalError,
     PowerLawFamily,
+    fixed_point_pair,
     inertia,
     laplace_pass,
     materialize,
     pseudo_ladder,
-    solve_pair,
     stiffness,
     symbol,
     symbol_with_deriv,
@@ -44,6 +45,15 @@ def test_memory_weight():
     kern = ExponentialKernel((1.0,), (2.0,))
     assert ModePencil(10.0, 0.5, kern).memory_weight == 10.0**-1
     assert ModePencil(16.0, 0.75, kern).memory_weight == 0.25
+
+
+def test_an_evaluator_refuses_a_frequency_whose_square_overflows():
+    # a**2 is formed in one place, which refuses it by name past the double
+    # range, as the branch solve does, rather than raising OverflowError
+    p = ModePencil(1e160, 0.5, ExponentialKernel((1.0,), (2.0,)))
+    for evaluate in (symbol, symbol_with_deriv, inertia):
+        with pytest.raises(NumericalError, match=r"^a\*\*2 is past the double range at a = 1e\+160$"):
+            evaluate(p, 1j)
 
 
 def test_symbol_spot_values(cubic):
@@ -82,7 +92,7 @@ def _assert_scalar_mirror(p: ModePencil, points) -> None:
 @given(admissible_modes())
 def test_symbol_mirrors_bit_for_bit(p):
     a, g = p.frequency, p.kernel.rates
-    plus = solve_pair(p).plus
+    plus = fixed_point_pair(p).plus
     _assert_scalar_mirror(p, [plus, 1j * a, complex(-0.5 * g[0], 0.5 * a), complex(-2.0 * g[-1], 1.0)])
 
 
@@ -96,7 +106,7 @@ def test_symbol_mirrors_bit_for_bit_on_long_ladders_and_series_heads():
     rng = np.random.default_rng(25)
     for kern, corrections, reach, a in ((whole, None, 400.0, 100.0), (kernel, ends, 30.0, 25.0)):
         p = ModePencil(a, 0.5, kern)
-        points = [solve_pair(p, ends=corrections).plus]
+        points = [fixed_point_pair(p, ends=corrections).plus]
         points += [complex(r * math.cos(t), r * math.sin(t))
                    for r, t in zip(rng.uniform(0.0, reach, 12), rng.uniform(0.1, 3.0, 12))]
         _assert_scalar_mirror(p, points)
