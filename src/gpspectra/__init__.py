@@ -106,7 +106,6 @@ from .real_branches import (
     BranchRoot,
     ConvergenceRecord,
     bracket_intervals,
-    branch_and_stiffness_roots,
     branch_convergence,
     branch_roots,
     stiffness_roots,
@@ -147,7 +146,6 @@ __all__ = [
     "angular_integral",
     "asymptotic_constant",
     "bracket_intervals",
-    "branch_and_stiffness_roots",
     "branch_convergence",
     "branch_roots",
     "build_mode_system",

@@ -9,10 +9,11 @@ are secular equations in the offset delta = z + g_k from the left pole,
     1 + s*(delta - g_k)**2 - w * sum_j c_j/(delta + (g_j - g_k)) = 0,
 
 with s = 1/a**2 for L and s = 0 for f, so a root pinched against its pole
-keeps full relative accuracy.  Every solve finds the symbol and the
-stiffness roots of the same branches together: a block holds one
-(factor, k) column per root, each with its own inertia weight s, and all
-its columns are solved at once by rational interpolation.  Each step fits
+keeps full relative accuracy.  A solve finds the roots of one factor, one
+column per branch: :func:`branch_roots` those of L, whose brackets the
+counting certificate reads, and :func:`stiffness_roots` those of f, which
+only the interlacing check reads.  The columns of a block are solved at
+once by rational interpolation.  Each step fits
 (alpha + beta*delta) / (delta*(1 - delta/D)), poles at both interval ends
 (D = g_k - g_{k-1}), to the value and slope at the iterate and moves to
 its root -- Newton on the pole-cleared function, started at delta = 0 and
@@ -24,10 +25,10 @@ Ladders of up to SCALAR_MAX poles iterate their columns one at a time in
 Python floats, with the block's operations in the block's order, so the
 roots are bit for bit the same; each column stops at its own test, as
 LAPACK's dlaed4 solves each secular root alone.  There a numpy call costs
-more than its arithmetic: at n = 1 the block takes about 180 us a mode
-and the columns 7 us, at n = 12 about 380 and 320 us, while from n = 14
-on the block is faster (270 against 390 us at n = 16).  The residual and
-bracket passes stay vectorised over all columns.
+more than its arithmetic: for the symbol's roots of pool-style ladders on
+a 2-vCPU VM, the block takes about 150 us a mode at n = 1 and the columns
+4 us, at n = 12 about 210 and 100 us, at n = 24 about 370 and 550 us.
+The residual and bracket passes stay vectorised over all columns.
 
 Every located root also gets a proven bracket: F is evaluated at offsets
 just either side of it together with a running bound on the rounding
@@ -98,8 +99,16 @@ def bracket_intervals(kernel: ExponentialKernel) -> list[tuple[float, float]]:
     return [(-edges[k], -edges[k - 1]) for k in range(1, kernel.size + 1)]
 
 
-def _solve_block(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Offsets of the columns (``s``, ``k``): inertia weight, 0-based branch."""
+def _ladder_sum(a: np.ndarray) -> np.ndarray:
+    """Each column summed over the poles in ladder order, as ``a.sum(axis=0)`` sums two or more.
+
+    A lone column of 8 or more entries numpy would sum pairwise.
+    """
+    return a.sum(axis=0) if a.shape[1] > 1 else np.add.accumulate(a, axis=0)[-1]
+
+
+def _solve_block(c, g, w: float, s: float, k: np.ndarray) -> np.ndarray:
+    """Offsets of the 0-based branches ``k`` of the factor with inertia weight ``s``."""
     gk, wck, first = g[k], w * c[k], k == 0
     D = np.where(first, np.inf, gk - g[k - 1])
     wcr = np.where(first, 0.0, w * c[k - 1] / D)
@@ -112,11 +121,11 @@ def _solve_block(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
         t = d + shift
         terms = c[:, None] / t
         x = d - gk
-        A = 1.0 + s * x * x - w * terms.sum(axis=0)
+        A = 1.0 + s * x * x - w * _ladder_sum(terms)
         Q, R = d * A - wck, 1.0 - d / D
         P = R * Q + d * wcr  # delta*(1 - delta/D)*F, finite at both interval ends
-        dP = R * (A + d * (2.0 * s * x + w * (terms / t).sum(axis=0))) + wcr - Q / D
-        floor = _EPS * (d * (1.0 + s * x * x + w * np.abs(terms).sum(axis=0)) + wck + d * wcr)
+        dP = R * (A + d * (2.0 * s * x + w * _ladder_sum(terms / t))) + wcr - Q / D
+        floor = _EPS * (d * (1.0 + s * x * x + w * _ladder_sum(np.abs(terms))) + wck + d * wcr)
         lo, hi = np.where(P < 0, d, lo), np.where(P > 0, d, hi)
         step = P / dP
         # a Newton step from the rounding floor of P ends the iteration
@@ -127,7 +136,7 @@ def _solve_block(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
         done |= small
         if done.all():
             return d
-    _unsettled((np.unique(k[~done]) + 1).tolist())
+    _unsettled((k[~done] + 1).tolist())
 
 
 def _unsettled(branches: list[int]) -> NoReturn:
@@ -138,9 +147,9 @@ def _solve_column(c: list, g: list, w: float, s: float, k: int) -> float | None:
     """One column of :func:`_solve_block` in Python floats; None if unsettled.
 
     The same operations in the same order: each sum runs over the poles
-    in ladder order, as numpy sums axis 0, and the interval ends, which
-    the block masks to zero terms, are left out.  The column returns at
-    its own stopping test.
+    in ladder order, as :func:`_ladder_sum` does, and the interval ends,
+    which the block masks to zero terms, are left out.  The column
+    returns at its own stopping test.
     """
     gk, wck = g[k], w * c[k]
     if k == 0:
@@ -177,7 +186,7 @@ def _solve_column(c: list, g: list, w: float, s: float, k: int) -> float | None:
     return None
 
 
-def _solve_columns(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _solve_columns(c, g, w: float, s: float, k: np.ndarray) -> np.ndarray:
     """:func:`_solve_block`'s offsets, bit for bit, one column at a time.
 
     On small ladders numpy's per-call cost, not the arithmetic, sets the
@@ -188,16 +197,16 @@ def _solve_columns(c, g, w: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     cs, gs = c.tolist(), g.tolist()
     try:
-        d = [_solve_column(cs, gs, w, si, ki) for si, ki in zip(s.tolist(), k.tolist())]
+        d = [_solve_column(cs, gs, w, s, ki) for ki in k.tolist()]
     except ZeroDivisionError:
         return _solve_block(c, g, w, s, k)
     if None in d:
-        _unsettled(sorted({ki + 1 for ki, di in zip(k.tolist(), d) if di is None}))
+        _unsettled([ki + 1 for ki, di in zip(k.tolist(), d) if di is None])
     return np.array(d)
 
 
-def _secular(c, g, w: float, s: np.ndarray, k: np.ndarray, d: np.ndarray):
-    """F at the offsets ``d`` of the columns (``s``, ``k``), its rounding bound, terms, t and x.
+def _secular(c, g, w: float, s: float, k: np.ndarray, d: np.ndarray):
+    """F at the offsets ``d`` of the branches ``k``, its rounding bound, terms, t and x.
 
     F = 1 + s*x**2 - w*sum c_j/t_j with x = d - g_k, t_j = d + (g_j - g_k)
     and terms c_j/t_j, one row per pole, one column per offset.
@@ -213,14 +222,14 @@ def _secular(c, g, w: float, s: np.ndarray, k: np.ndarray, d: np.ndarray):
     terms = c[:, None] / t
     x = d - g[k]
     inertia = s * x * x
-    F = 1.0 + inertia - w * terms.sum(axis=0)
+    F = 1.0 + inertia - w * _ladder_sum(terms)
     n = g.size
     spread = (np.abs(shift) / np.abs(t) + (n + 4)) * np.abs(terms)
-    bound = _EPS * ((n + 2) + (n + 8) * inertia + w * spread.sum(axis=0))
+    bound = _EPS * ((n + 2) + (n + 8) * inertia + w * _ladder_sum(spread))
     return F, bound, terms, t, x
 
 
-def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
+def _brackets(c, g, w: float, s: float, k, d, root_error, bound, slope):
     """Offsets lo < d < hi either side of each root, and their sign margins.
 
     The half-width is h = max(4*root_error, 8*bound/|F'|), clamped to half
@@ -232,76 +241,66 @@ def _brackets(c, g, w: float, s, k, d, root_error, bound, slope):
     h = np.maximum(4.0 * root_error, 8.0 * bound / np.abs(slope))
     lo = np.maximum(d - h, 0.5 * d)
     hi = np.minimum(d + h, d + 0.5 * (right - d))
-    F, bound, *_ = _secular(
-        c, g, w, np.concatenate([s, s]), np.concatenate([k, k]), np.concatenate([lo, hi])
-    )
+    F, bound, *_ = _secular(c, g, w, s, np.concatenate([k, k]), np.concatenate([lo, hi]))
     margin = np.minimum(-F[: d.size] / bound[: d.size], F[d.size :] / bound[d.size :])
     return lo, hi, margin
 
 
-def _solve(p: ModePencil, first: int, last: int) -> tuple[list[BranchRoot], list[BranchRoot]]:
-    """Branches first..last of the symbol and of the stiffness factor, solved together.
+def _solve(p: ModePencil, symbol: bool, first: int, last: int) -> list[BranchRoot]:
+    """Branches first..last of the symbol, or of the stiffness factor if not ``symbol``.
 
-    Every block holds the same branches of both factors, side by side, and
-    a work array at most BLOCK_CELLS entries.  No column's root depends on
-    the others in its block.  Every root leaves with its proven bracket,
-    taken after the roots are final, so the bracket pass moves none.
-    A mode whose load ``p.load`` is not below 1 raises
-    :class:`InadmissibleModeError`, whichever branches are asked for; a
-    frequency whose square overflows raises :class:`NumericalError`; and a
-    root whose offset from its pole rounds to 0, as where w*c underflows,
-    raises :class:`PoleProximityError` naming its branch and factor.
+    Every block holds one column per branch, a work array at most
+    BLOCK_CELLS entries.  No column's root depends on the others in its
+    block.  Every root leaves with its proven bracket, taken after the
+    roots are final, so the bracket pass moves none.  A mode whose load
+    ``p.load`` is not below 1 raises :class:`InadmissibleModeError`,
+    whichever branches are asked for; a frequency whose square overflows
+    raises :class:`NumericalError` in the symbol's solve; and a root whose
+    offset from its pole rounds to 0, as where w*c underflows, raises
+    :class:`PoleProximityError` naming its branch and factor.
     """
     kern = p.kernel
     c, g = kern._c, kern._g
-    a2 = p.frequency_squared
+    scale = p.frequency_squared if symbol else 1.0  # |L| = a**2 |F|, |f| = |F|
+    s = 1.0 / scale if symbol else 0.0  # the inertia weight of F = L/a**2, or of F = f
     w = p.memory_weight
     intervals = bracket_intervals(kern)
     p.check_load()
-    out: tuple[list[BranchRoot], list[BranchRoot]] = ([], [])  # the symbol's roots, then f's
-    block = max(1, BLOCK_CELLS // (2 * g.size))
+    out = []
+    block = max(1, BLOCK_CELLS // g.size)
     solve_block = _solve_columns if g.size <= SCALAR_MAX else _solve_block
     for start in range(first - 1, last, block):
-        branches = np.arange(start, min(start + block, last))
-        k = np.tile(branches, 2)
-        s = np.repeat([1.0 / a2, 0.0], branches.size)  # inertia weights: L/a**2, then f
+        k = np.arange(start, min(start + block, last))
         d = solve_block(c, g, w, s, k)
         if not (d > 0.0).all():  # the passes below divide by the offsets
             col = int(np.argmin(d > 0.0))
             raise PoleProximityError(
-                f"branch {k[col] + 1} root of the {('symbol', 'stiffness factor')[col // branches.size]} "
+                f"branch {k[col] + 1} root of the {'symbol' if symbol else 'stiffness factor'} "
                 f"lies on its pole: offset {float(d[col])!r} is not above 0"
             )
         # F and F' at the offsets, every pole included, for residual and step
         F, bound, terms, t, x = _secular(c, g, w, s, k, d)
-        dF = 2.0 * s * x + (terms * w / t).sum(axis=0)
+        dF = 2.0 * s * x + _ladder_sum(terms * w / t)
         step = np.abs(F / dF)
         lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
-        enclosures = zip(zip(lo.tolist(), hi.tolist()), margin.tolist())
-        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), enclosures)
-        for col, (i, value, offset, f, err, (bracket, m)) in enumerate(cols):
-            j = col // branches.size
-            residual = (a2, 1.0)[j] * abs(f)  # |L| = a**2 |F|, |f| = |F|
-            out[j].append(BranchRoot(i + 1, value, intervals[i], residual, offset, err, bracket, m))
+        brackets = zip(lo.tolist(), hi.tolist())
+        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), brackets, margin.tolist())
+        for i, value, offset, f, err, bracket, m in cols:
+            out.append(BranchRoot(i + 1, value, intervals[i], scale * abs(f), offset, err, bracket, m))
     return out
 
 
 def branch_roots(p: ModePencil) -> list[BranchRoot]:
-    """Real roots of the mode symbol, one per branch: half of :func:`branch_and_stiffness_roots`."""
-    return branch_and_stiffness_roots(p)[0]
-
-
-def stiffness_roots(p: ModePencil) -> list[BranchRoot]:
-    """Real roots of the stiffness factor f, one per branch: the other half."""
-    return branch_and_stiffness_roots(p)[1]
-
-
-def branch_and_stiffness_roots(p: ModePencil) -> tuple[list[BranchRoot], list[BranchRoot]]:
-    """The real roots of the symbol and of the stiffness factor on every branch, from one block pass.
+    """Real roots of the mode symbol, one per branch.
 
     Each root carries its proven bracket and sign margin (see :class:`BranchRoot`).
     """
-    return _solve(p, 1, p.kernel.size)
+    return _solve(p, True, 1, p.kernel.size)
+
+
+def stiffness_roots(p: ModePencil) -> list[BranchRoot]:
+    """Real roots of the stiffness factor f, one per branch, bracketed as :func:`branch_roots`'."""
+    return _solve(p, False, 1, p.kernel.size)
 
 
 @dataclass(frozen=True)
@@ -342,9 +341,8 @@ def branch_convergence(pencils: Sequence[ModePencil], k: int) -> ConvergenceReco
     if not 1 <= k <= kern.size:
         raise ValueError(f"branch index {k} outside 1..{kern.size}")
 
-    solved = [_solve(p, k, k) for p in pencils]
-    mu = [m for (m,), _ in solved]
-    x = [f for _, (f,) in solved]
+    mu = [_solve(p, True, k, k)[0] for p in pencils]
+    x = [_solve(p, False, k, k)[0] for p in pencils]
     dev = [m.offset for m in mu]
     gaps = [s.offset - m.offset for m, s in zip(mu, x)]
     if any(b > a * (1 + 1e-9) for a, b in zip(dev, dev[1:])):

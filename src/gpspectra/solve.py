@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complex_pair import RESIDUAL_TOL, fixed_point_pair
 from .errors import EnclosureError, NumericalError
 from .pencil import ModePencil, symbol
-from .real_branches import BranchRoot, branch_and_stiffness_roots
-# solve_mode no longer calls these two, but perfbench/test_bench.py checks
-# that its tracer wraps them in this module too
-from .real_branches import branch_roots, stiffness_roots  # noqa: F401
+from .real_branches import BranchRoot, branch_roots, stiffness_roots
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,9 @@ class CountingCertificate:
 class SpectrumResult:
     """Complete root set of one mode symbol.
 
+    ``stiffness_roots``, the real roots of the stiffness factor f, are
+    solved on first read of them or of ``interlacing_margin``, not by
+    :func:`solve_mode`, so an error of that solve is raised there.
     ``interlacing_margin`` is the smallest of the gaps that the ordering
     -g_k < root_k < stiffness_root_k < -g_{k-1} must keep positive; a
     negative margin means the ordering failed and verification should say
@@ -49,13 +50,25 @@ class SpectrumResult:
 
     pencil: ModePencil
     real_roots: tuple[BranchRoot, ...]
-    stiffness_roots: tuple[BranchRoot, ...]
     pair_plus: complex
     pair_residual: float
     pair_iterations: int
     contraction_bound: float
-    interlacing_margin: float
     certificate: CountingCertificate
+
+    @cached_property
+    def stiffness_roots(self) -> tuple[BranchRoot, ...]:
+        return tuple(stiffness_roots(self.pencil))
+
+    @cached_property
+    def interlacing_margin(self) -> float:
+        # gaps taken between offsets from the left pole, which stay resolved
+        # after root and stiffness root round to the same double
+        margin = float("inf")
+        for mu, x in zip(self.real_roots, self.stiffness_roots):
+            lo, hi = mu.interval
+            margin = min(margin, mu.offset, x.offset - mu.offset, (hi - lo) - x.offset)
+        return margin
 
     @property
     def pair_minus(self) -> complex:
@@ -73,19 +86,6 @@ class SpectrumResult:
     @property
     def spectral_abscissa(self) -> float:
         return max(r.real for r in self.all_roots)
-
-
-def _interlacing_margin(
-    roots: tuple[BranchRoot, ...],
-    stiff: tuple[BranchRoot, ...],
-) -> float:
-    # gaps taken between offsets from the left pole, which stay resolved
-    # after root and stiffness root round to the same double
-    margin = float("inf")
-    for mu, x in zip(roots, stiff):
-        lo, hi = mu.interval
-        margin = min(margin, mu.offset, x.offset - mu.offset, (hi - lo) - x.offset)
-    return margin
 
 
 def _count_roots(real: tuple[BranchRoot, ...], disc: tuple[complex, float, float]) -> CountingCertificate:
@@ -123,7 +123,7 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
     below 1 lies outside the theorem: the branch solve raises
     :class:`InadmissibleModeError` before anything is solved.
     """
-    real, stiff = map(tuple, branch_and_stiffness_roots(p))
+    real = tuple(branch_roots(p))
     for r in real:
         if r.relative_error > residual_tol:
             raise NumericalError(
@@ -135,11 +135,9 @@ def solve_mode(p: ModePencil, residual_tol: float = RESIDUAL_TOL) -> SpectrumRes
     return SpectrumResult(
         pencil=p,
         real_roots=real,
-        stiffness_roots=stiff,
         pair_plus=pair.plus,
         pair_residual=abs(symbol(p, pair.plus)),
         pair_iterations=pair.iterations,
         contraction_bound=pair.derivative_bound,
-        interlacing_margin=_interlacing_margin(real, stiff),
         certificate=_count_roots(real, pair.disc),
     )

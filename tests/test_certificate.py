@@ -18,13 +18,14 @@ from gpspectra import (
     ModePencil,
     PowerLawFamily,
     aberth_roots,
-    branch_and_stiffness_roots,
+    branch_roots,
     fixed_point_pair,
     kantorovich_ball,
     laplace_pass,
     materialize,
     pseudo_ladder,
     solve_mode,
+    stiffness_roots,
     to_polynomial,
 )
 from gpspectra.kernels import FSUM_MAX
@@ -58,7 +59,7 @@ def _exact_secular(p: ModePencil, z: Fraction, inertia: bool) -> Fraction:
 def _check_brackets(p: ModePencil) -> int:
     """Every certified bracket shows the certified signs in exact arithmetic."""
     n = p.kernel.size
-    roots, stiff = branch_and_stiffness_roots(p)
+    roots, stiff = branch_roots(p), stiffness_roots(p)
     assert all(r.sign_margin > 1.0 for r in roots)
     edges = (Fraction(0),) + tuple(Fraction(g) for g in p.kernel.rates)
     checked = 0

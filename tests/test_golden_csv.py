@@ -17,6 +17,7 @@ digit fails here; a change that means to move one regenerates the file
 with the command above and says why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ import pytest
 from gpspectra.cli import main
 
 DATA = Path(__file__).with_name("data")
+README = Path(__file__).parents[1] / "README.md"
 
 #: (config, job) of every ``<config>-<job>.csv``; the job follows the first "-"
 GOLDEN = [tuple(path.stem.split("-", 1)) for path in sorted(DATA.glob("*-*.csv"))]
@@ -35,3 +37,13 @@ def test_cli_csv_matches_the_golden_file(config, job, tmp_path, capsys):
     assert main([job, "--config", str(DATA / f"{config}.json"), "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (DATA / f"{config}-{job}.csv").read_bytes()
+
+
+def test_the_readme_spectrum_example_prints_the_cubic_golden():
+    # the README's minimal config is the cubic's, and its CLI example shows
+    # that golden byte for byte, so the printed digits cannot go stale
+    text = README.read_text(encoding="utf-8")
+    config = text.split("A minimal config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(config) == json.loads((DATA / "cubic.json").read_text(encoding="utf-8"))
+    example = text.split("$ gpspectra spectrum --config job.json\n", 1)[1].split("```", 1)[0]
+    assert example.encode("utf-8") == (DATA / "cubic-spectrum.csv").read_bytes()

@@ -14,7 +14,6 @@ from gpspectra import (
     ModePencil,
     aberth_roots,
     bracket_intervals,
-    branch_and_stiffness_roots,
     branch_convergence,
     branch_roots,
     solve_mode,
@@ -71,7 +70,7 @@ def test_overloaded_kernel_has_no_first_branch():
     # w*S = 1.5 pushes L(0) negative: no sign change left of the origin
     kern = ExponentialKernel((1.0, 1.0), (1.0, 2.0))
     p = ModePencil(frequency=1.0, xi=0.5, kernel=kern)  # weight is 1 at a=1
-    for solve in (branch_roots, stiffness_roots, branch_and_stiffness_roots):
+    for solve in (branch_roots, stiffness_roots):
         with pytest.raises(InadmissibleModeError) as info:
             solve(p)
         assert info.value.load == 1.5
@@ -85,7 +84,7 @@ def test_every_branch_solve_refuses_an_overloaded_ladder():
     pencils = [ModePencil(a, 0.5, kern) for a in (1.0, 1.5, 2.0)]
     assert [p.load for p in pencils] == [3.5, pytest.approx(3.5 / 1.5), 1.75]
     for p in pencils:
-        for solve in (solve_mode, branch_roots, stiffness_roots, branch_and_stiffness_roots):
+        for solve in (solve_mode, branch_roots, stiffness_roots):
             with pytest.raises(InadmissibleModeError) as info:
                 solve(p)
             assert info.value.load == p.load
@@ -176,34 +175,34 @@ ORDER_SENSITIVE_EIGHT = (
 )
 
 
-def _check_fused_block(p: ModePencil) -> None:
-    """Every entry point reads the one joint (factor, k) solve, bit for bit."""
+def _check_one_factor_solves(p: ModePencil) -> None:
+    """Every entry point reads the same one-factor solves, bit for bit."""
     n = p.kernel.size
-    roots, stiff = branch_and_stiffness_roots(p)
-    assert branch_roots(p) == roots and stiffness_roots(p) == stiff
+    roots, stiff = branch_roots(p), stiffness_roots(p)
     full = solve_mode(p)
     assert list(full.real_roots) == roots and list(full.stiffness_roots) == stiff
-    # as branch_convergence does, one branch of both factors alone
+    # as branch_convergence does, one branch of each factor alone
     for k in {1, n}:
-        assert real_branches._solve(p, k, k) == ([roots[k - 1]], [stiff[k - 1]])
-    # the numpy block pass and the column-by-column pass, bit for bit
-    assert _block_and_columns(p) == ((roots, stiff), (roots, stiff))
+        assert real_branches._solve(p, True, k, k) == [roots[k - 1]]
+        assert real_branches._solve(p, False, k, k) == [stiff[k - 1]]
+    # the numpy block pass and the column-by-column pass, bit for bit, per factor
+    assert _block_and_columns(branch_roots, p) == (roots, roots)
+    assert _block_and_columns(stiffness_roots, p) == (stiff, stiff)
 
 
-def _block_and_columns(p: ModePencil):
-    """The roots from the numpy block pass and from the column-by-column pass."""
-    n = p.kernel.size
+def _block_and_columns(solve, p: ModePencil):
+    """``solve(p)`` from the numpy block pass and from the column-by-column pass."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(real_branches, "SCALAR_MAX", 0)
-        block = branch_and_stiffness_roots(p)
-        patch.setattr(real_branches, "SCALAR_MAX", n)
-        return block, branch_and_stiffness_roots(p)
+        block = solve(p)
+        patch.setattr(real_branches, "SCALAR_MAX", p.kernel.size)
+        return block, solve(p)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(admissible_modes())
 def test_fused_block_matches_one_factor_solves(p):
-    _check_fused_block(p)
+    _check_one_factor_solves(p)
 
 
 @pytest.mark.parametrize(
@@ -212,13 +211,13 @@ def test_fused_block_matches_one_factor_solves(p):
     ids=["PINCHED_FIVE", "PINCHED_EIGHT", "CLUSTER_TWELVE", "ORDER_SENSITIVE_EIGHT"],
 )
 def test_fused_block_matches_one_factor_solves_on_pinned_ladders(coeffs, rates, a, xi):
-    _check_fused_block(ModePencil(a, xi, ExponentialKernel(coeffs, rates)))
+    _check_one_factor_solves(ModePencil(a, xi, ExponentialKernel(coeffs, rates)))
 
 
 def test_small_blocks_split_the_columns_and_keep_the_roots(monkeypatch):
     coeffs, rates, a, xi = CLUSTER_TWELVE
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
-    whole = branch_and_stiffness_roots(p)
+    whole = {solve: solve(p) for solve in (branch_roots, stiffness_roots)}
     widths = []
     solve_block = real_branches._solve_block
 
@@ -228,10 +227,12 @@ def test_small_blocks_split_the_columns_and_keep_the_roots(monkeypatch):
 
     monkeypatch.setattr(real_branches, "_solve_block", spy)
     monkeypatch.setattr(real_branches, "SCALAR_MAX", 0)  # the numpy block pass, not columns
-    monkeypatch.setattr(real_branches, "BLOCK_CELLS", 12 * 6)  # three branches a block
-    assert branch_and_stiffness_roots(p) == whole
-    # 24 columns: each block holds both factors of three branches
-    assert widths == [6, 6, 6, 6]
+    monkeypatch.setattr(real_branches, "BLOCK_CELLS", 12 * 6)  # six branches a block
+    for solve, roots in whole.items():
+        widths.clear()
+        assert solve(p) == roots
+        # 12 columns, one per branch of the one factor solved
+        assert widths == [6, 6]
 
 
 def test_columns_match_the_block_either_side_of_the_crossover(monkeypatch):
@@ -244,11 +245,12 @@ def test_columns_match_the_block_either_side_of_the_crossover(monkeypatch):
     for size in (n, n + 1):
         for _ in range(3):
             p = recipe_pencil(size, rng.uniform)
-            used.clear()
-            default = branch_and_stiffness_roots(p)
-            # columns up to the crossover, the block above it
-            assert used == ["_solve_columns" if size <= n else "_solve_block"]
-            assert _block_and_columns(p) == (default, default)
+            for solve in (branch_roots, stiffness_roots):
+                used.clear()
+                default = solve(p)
+                # columns up to the crossover, the block above it
+                assert used == ["_solve_columns" if size <= n else "_solve_block"]
+                assert _block_and_columns(solve, p) == (default, default)
 
 
 @pytest.mark.parametrize(
@@ -259,20 +261,22 @@ def test_both_paths_name_the_same_unsettled_branches(max_iter, unsettled, monkey
     coeffs, rates, a, xi = CLUSTER_TWELVE
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
     monkeypatch.setattr(real_branches, "MAX_ITER", max_iter)
-    for crossover in (0, 12):
-        monkeypatch.setattr(real_branches, "SCALAR_MAX", crossover)
-        with pytest.raises(MaxIterationsError) as info:
-            branch_and_stiffness_roots(p)
-        assert str(info.value) == f"branches {unsettled} not settled in {max_iter} steps"
+    # each factor leaves the same branches unsettled
+    for solve in (branch_roots, stiffness_roots):
+        for crossover in (0, 12):
+            monkeypatch.setattr(real_branches, "SCALAR_MAX", crossover)
+            with pytest.raises(MaxIterationsError) as info:
+                solve(p)
+            assert str(info.value) == f"branches {unsettled} not settled in {max_iter} steps"
 
 
 def test_a_column_that_divides_by_zero_is_left_to_the_block(monkeypatch):
     coeffs, rates, a, xi = PINCHED_EIGHT
     p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
-    whole = branch_and_stiffness_roots(p)
+    whole = branch_roots(p), stiffness_roots(p)
 
     def divide_by_zero(*args):
         return 1.0 / 0.0
 
     monkeypatch.setattr(real_branches, "_solve_column", divide_by_zero)
-    assert branch_and_stiffness_roots(p) == whole
+    assert (branch_roots(p), stiffness_roots(p)) == whole

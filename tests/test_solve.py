@@ -1,10 +1,13 @@
 """End-to-end single-mode solves with certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gpspectra import (
     ExponentialKernel,
+    GPSpectraError,
     InadmissibleModeError,
     ModePencil,
     NumericalError,
@@ -15,8 +18,10 @@ from gpspectra import (
     materialize,
     solve_mode,
     spectrum_contour,
+    stiffness_roots,
     to_polynomial,
 )
+from gpspectra import real_branches
 from gpspectra.cli import _mode_checks
 from conftest import CLUSTER_TWELVE, MU_1, PAIR
 
@@ -56,6 +61,39 @@ def test_cubic_certificate(cubic):
     assert cert.sign_margin > 1.0
     assert cert.kantorovich_h <= 0.5
     assert abs(PAIR / 10.0 - 1j - cert.pair_center) <= cert.pair_radius
+
+
+@pytest.mark.parametrize("first_read", ["stiffness_roots", "interlacing_margin"])
+def test_the_stiffness_roots_are_solved_on_first_read(first_read, monkeypatch):
+    coeffs, rates, a, xi = CLUSTER_TWELVE
+    p = ModePencil(a, xi, ExponentialKernel(coeffs, rates))
+    solved = []
+    solve = real_branches._solve
+
+    def spy(pencil, symbol, first, last):
+        solved.append(symbol)
+        return solve(pencil, symbol, first, last)
+
+    monkeypatch.setattr(real_branches, "_solve", spy)
+    result = solve_mode(p)
+    assert solved == [True]  # the symbol's roots only
+    getattr(result, first_read)
+    assert solved == [True, False]
+    result.stiffness_roots, result.interlacing_margin  # cached: no second solve
+    assert solved == [True, False]
+    monkeypatch.undo()
+    assert result.stiffness_roots == tuple(stiffness_roots(p))
+
+
+def test_a_copy_scaled_to_subnormal_amplitudes_is_refused_by_name():
+    # the cubic scaled by 2**-515: c = 2**-1030 is subnormal, and 1/a**2 is
+    # finite while 2/a**2 is not; the solve refuses the mode with a named
+    # error, not a numpy overflow warning
+    p = ModePencil(10 * 2.0**-515, 0.5, ExponentialKernel((2.0**-1030,), (2.0**-514,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GPSpectraError):
+            solve_mode(p)
 
 
 def test_solve_is_deterministic(cubic):
