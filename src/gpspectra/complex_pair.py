@@ -218,9 +218,10 @@ def _rounded_root(p: ModePencil, tau: complex, slope: complex, scale: float) -> 
 
     f(tau) = tau*(tau + 2i) - w*Khat(a*(i + tau)) is the map's residual at
     the double tau, read at the exact point a*(i + tau), not at its
-    rounding.  Every input is a double, a dyadic rational, so each z + g
-    is (x + iy)/q for Gaussian integers x + iy over one power of two q;
-    each term w*c/(z + g) and the polynomial part are floored onto the
+    rounding.  a, the rates and w*c come from the pencil's exact reading
+    :attr:`ModePencil.dyadic`, tau and the step from their own doubles, so
+    each z + g is (x + iy)/q for Gaussian integers x + iy over one power of
+    two q; each term w*c/(z + g) and the polynomial part are floored onto the
     grid 2**-PAIR_GRID_BITS times ``scale``, the size of f's parts (each
     floor errs by less than one grid step), and f is rounded once.  tau
     lies within PAIR_STEP_TOL of the root, so this Newton step leaves an
@@ -228,20 +229,19 @@ def _rounded_root(p: ModePencil, tau: complex, slope: complex, scale: float) -> 
     exactly in integers and rounded once, lies within about half an ulp
     in each part of the root of f with w the double ``memory_weight``.
     """
-    ma, da = p.frequency.as_integer_ratio()
+    ma, ta, rates, rate_bits, weights, unit_bits = p.dyadic
+    da = 1 << ta
     mr, dr = tau.real.as_integer_ratio()
     mi, di = tau.imag.as_integer_ratio()
-    mw, dw = p.memory_weight.as_integer_ratio()
-    rates = [g.as_integer_ratio() for g in p.kernel._g.tolist()]
-    q = max(da * dr, da * di, *(d for _, d in rates))
+    q = max(da * dr, da * di, 1 << rate_bits)
     x, y = ma * mr * (q // (da * dr)), ma * (q // da) + ma * mi * (q // (da * di))
     yy, top = y * y, max(PAIR_GRID_BITS - math.frexp(scale)[1], 0)
-    # kr and ki are Re and -Im of w*Khat on the grid 2**-top
+    # w*c = u/(a**2 * 2**unit_bits): kr and ki are Re and -Im of w*Khat on the grid 2**-top
+    lift, unit = q >> rate_bits, (ma * ma) << (unit_bits - 2 * ta)
     kr = ki = 0
-    for c, (mg, dg) in zip(p.kernel._c.tolist(), rates):
-        mc, dc = c.as_integer_ratio()
-        xg = x + mg * (q // dg)
-        num, den = (mw * mc * q) << top, dw * dc * (xg * xg + yy)
+    for r, u in zip(rates, weights):
+        xg = x + r * lift
+        num, den = (u * q) << top, unit * (xg * xg + yy)
         kr += num * xg // den
         ki += num * y // den
     fr = (mr * mr << top) // (dr * dr) - (mi * mi << top) // (di * di) - (mi << top + 1) // di - kr

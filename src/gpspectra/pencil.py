@@ -74,6 +74,24 @@ class ModePencil:
             raise NumericalError(f"a**2 is past the double range at a = {self.frequency!r}") from None
 
     @cached_property
+    def dyadic(self) -> tuple[int, int, tuple[int, ...], int, tuple[int, ...], int]:
+        """The mode's doubles read once, exactly: (ma, ta, R, rate_bits, u, unit_bits).
+
+        a = ma / 2**ta; each rate g_k = R_k / 2**rate_bits, over one shared
+        power of two; and each a**2 * w * c_k = u_k / 2**unit_bits, over
+        another, w the double ``memory_weight``.  :func:`to_polynomial` and
+        the pair's exact last step read a, w, the rates and the amplitudes
+        only from it.
+        """
+        (ma, da), (mw, dw) = self.frequency.as_integer_ratio(), self.memory_weight.as_integer_ratio()
+        ta, tw = da.bit_length() - 1, dw.bit_length() - 1
+        rates = [(m, d.bit_length() - 1) for m, d in map(float.as_integer_ratio, self.kernel.rates)]
+        a2w = ma * ma * mw
+        weights = [(a2w * m, 2 * ta + tw + d.bit_length() - 1) for m, d in map(float.as_integer_ratio, self.kernel.coeffs)]
+        s, u = max(t for _, t in rates), max(t for _, t in weights)
+        return ma, ta, tuple([m << s - t for m, t in rates]), s, tuple([m << u - t for m, t in weights]), u
+
+    @cached_property
     def load(self) -> float:
         """lambda = w * sum_k c_k/g_k = w*Khat(0), the mode's memory load.
 
@@ -142,12 +160,6 @@ def _poly_mul(acc: list[int], root: int) -> list[int]:
     return out
 
 
-def _dyadic(x: float) -> tuple[int, int]:
-    """(m, t) with x = m / 2**t exactly: the binary rational of a double."""
-    m, d = x.as_integer_ratio()
-    return m, d.bit_length() - 1
-
-
 def to_polynomial(p: ModePencil) -> np.ndarray:
     """Clear the poles of L: P(z) = L(z) * prod_k (z + g_k).
 
@@ -165,11 +177,10 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     work.  Ladders larger than POLY_MAX are refused: the coefficient
     range becomes meaningless long before that.
 
-    The expansion runs in integers.  Each double is m / 2**t, so the rates
-    share one denominator S and a**2, a**2*w*c_k another, U, both powers
-    of two reached by shifting the numerators.  With integer rates
-    R_k = S*g_k and weights u_k = U*a**2*w*c_k, one pass over the ladder
-    grows B = prod_k (y + R_k) in y = S*z together with its weighted
+    The expansion runs in integers, on the pencil's exact reading
+    :attr:`ModePencil.dyadic`: rates R_k = S*g_k and weights
+    u_k = U*a**2*w*c_k, S = 2**rate_bits and U = 2**unit_bits.  One pass over the
+    ladder grows B = prod_k (y + R_k) in y = S*z together with its weighted
     partials N = sum_k u_k prod_{j != k} (y + R_j), as N <- N*(y + R) + u*B
     and then B <- B*(y + R).  Coefficient i is then the integer
     S**2 a**2 U B_i + U B_(i-2) - S**3 N_i over U * S**(n+2-i), a power of
@@ -178,16 +189,8 @@ def to_polynomial(p: ModePencil) -> np.ndarray:
     n = p.kernel.size
     if n > POLY_MAX:
         raise ValueError(f"ladder size {n} exceeds polynomial cap {POLY_MAX}")
-    ma, ta = _dyadic(p.frequency)
-    mw, tw = _dyadic(p.memory_weight)
-    rates = [_dyadic(g) for g in p.kernel.rates]
-    rate_bits = max(t for _, t in rates)
-    ints = [m << (rate_bits - t) for m, t in rates]
-    a2 = ma * ma
-    weights = [(a2 * mw * m, 2 * ta + tw + t) for m, t in map(_dyadic, p.kernel.coeffs)]
-    unit_bits = max(t for _, t in weights)
-    a2_int = a2 << (unit_bits - 2 * ta)
-    weight_ints = [m << (unit_bits - t) for m, t in weights]
+    ma, ta, ints, rate_bits, weight_ints, unit_bits = p.dyadic
+    a2_int = (ma * ma) << (unit_bits - 2 * ta)
     scale, unit = 1 << rate_bits, 1 << unit_bits
 
     # B = prod_k (y + R_k) and N = sum_k u_k prod_{j != k} (y + R_j), grown
