@@ -242,7 +242,9 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     a nudge leaves where it is, to the Cauchy lower bound
     |c_0| / (|c_0| + max_(k>0) |c_k|) on the root moduli of the monic
     polynomial, each on its own ray, none of them real.  A sweep count past
-    ABERTH_MAX_SWEEPS raises MaxIterationsError.
+    ABERTH_MAX_SWEEPS raises MaxIterationsError, and a sweep that leaves an
+    iterate non-finite, as where two iterates a subnormal distance apart
+    overflow 1/(z_i - z_j), raises NumericalError.
 
     Exactly one root is returned per degree, and every returned root must
     have backward error |P(root)| <= ABERTH_RESIDUAL * sum |c_k||root|^k
@@ -276,7 +278,7 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     z = np.empty(n, dtype=complex)
     ratio = np.empty(n, dtype=complex)
     todo = range(n)
-    for _ in range(ABERTH_MAX_SWEEPS):
+    for sweep in range(1, ABERTH_MAX_SWEEPS + 1):
         # the upper half plane first: a lower point on the exact conjugate of
         # an upper one takes the conjugates of that one's ratio and grid
         # point, bit for bit its own, as the coefficients are real
@@ -304,10 +306,16 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
                 todo = i.tolist()
                 continue
             diff[hit] = np.inf
-        denom = 1.0 - ratio * (1.0 / diff).sum(axis=1)
-        step = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
+        # iterates a subnormal distance apart overflow 1/diff, and what that
+        # leaves non-finite is refused before any ratio is formed at it
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = 1.0 - ratio * (1.0 / diff).sum(axis=1)
+            step = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
         # an iterate whose grid point is real stays on the real line
         moved = z - np.where(z.imag == 0, step.real, step)
+        if not np.isfinite(moved).all():
+            gap = float(np.abs(diff).min())
+            raise NumericalError(f"Aberth sweep {sweep} left the finite doubles: iterates {gap:.3e} apart")
         todo = np.flatnonzero(moved != points).tolist()
         points = moved
         if not todo:

@@ -269,24 +269,27 @@ def _solve(p: ModePencil, symbol: bool, first: int, last: int) -> list[BranchRoo
     out = []
     block = max(1, BLOCK_CELLS // g.size)
     solve_block = _solve_columns if g.size <= SCALAR_MAX else _solve_block
-    for start in range(first - 1, last, block):
-        k = np.arange(start, min(start + block, last))
-        d = solve_block(c, g, w, s, k)
-        if not (d > 0.0).all():  # the passes below divide by the offsets
-            col = int(np.argmin(d > 0.0))
-            raise PoleProximityError(
-                f"branch {k[col] + 1} root of the {'symbol' if symbol else 'stiffness factor'} "
-                f"lies on its pole: offset {float(d[col])!r} is not above 0"
-            )
-        # F and F' at the offsets, every pole included, for residual and step
-        F, bound, terms, t, x = _secular(c, g, w, s, k, d)
-        dF = 2.0 * s * x + _ladder_sum(terms * w / t)
-        step = np.abs(F / dF)
-        lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
-        brackets = zip(lo.tolist(), hi.tolist())
-        cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), brackets, margin.tolist())
-        for i, value, offset, f, err, bracket, m in cols:
-            out.append(BranchRoot(i + 1, value, intervals[i], scale * abs(f), offset, err, bracket, m))
+    # a mode past the double range overflows the numpy passes, and its bracket
+    # or gate then refuses it by name, whether or not warnings are errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(first - 1, last, block):
+            k = np.arange(start, min(start + block, last))
+            d = solve_block(c, g, w, s, k)
+            if not (d > 0.0).all():  # the passes below divide by the offsets
+                col = int(np.argmin(d > 0.0))
+                raise PoleProximityError(
+                    f"branch {k[col] + 1} root of the {'symbol' if symbol else 'stiffness factor'} "
+                    f"lies on its pole: offset {float(d[col])!r} is not above 0"
+                )
+            # F and F' at the offsets, every pole included, for residual and step
+            F, bound, terms, t, x = _secular(c, g, w, s, k, d)
+            dF = 2.0 * s * x + _ladder_sum(terms * w / t)
+            step = np.abs(F / dF)
+            lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
+            brackets = zip(lo.tolist(), hi.tolist())
+            cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), brackets, margin.tolist())
+            for i, value, offset, f, err, bracket, m in cols:
+                out.append(BranchRoot(i + 1, value, intervals[i], scale * abs(f), offset, err, bracket, m))
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ WIDE_LADDERS = {"RECIPE_TWENTY_FOUR": RECIPE_TWENTY_FOUR, "CLUSTER_EIGHT": CLUST
 # 3's near-overload recipe (random.Random(3)); its pair solve converges
 # onto the real root -0.95591, which the pair's disc refuses.
 OVERDAMPED_ONE = ((8.64678311216163,), (5.127377392505469,), 1.9968933769799135, 0.6221806198141612)
+
+
+#: configs that every job which reads them refuses by name, exit 3:
+#: ``refusals/<config>-<job>.txt`` holds what ``gpspectra <job>`` prints to
+#: stderr on ``refusals/<config>.json``, with warnings as errors or not
+REFUSALS = Path(__file__).with_name("data") / "refusals"
+
+
+def refusal_pencil(config: str) -> ModePencil:
+    """The one mode of ``refusals/<config>.json``."""
+    cfg = json.loads((REFUSALS / f"{config}.json").read_text(encoding="utf-8"))
+    kernel = ExponentialKernel(tuple(cfg["kernel"]["coeffs"]), tuple(cfg["kernel"]["rates"]))
+    return ModePencil(cfg["modes"][0], cfg["xi"], kernel)
 
 
 SPURIOUS_PAIR_LADDERS = {

@@ -26,7 +26,7 @@ from gpspectra import (
     pseudo_ladder,
 )
 from gpspectra.kernels import FSUM_MAX
-from conftest import MU_1, OVERDAMPED_ONE, PAIR, WIDE_LADDERS
+from conftest import MU_1, OVERDAMPED_ONE, PAIR, REFUSALS, WIDE_LADDERS
 
 
 def _data_rows(out: str) -> list[str]:
@@ -421,6 +421,24 @@ def test_a_root_on_its_pole_is_refused_by_name(run_cli):
         "gpspectra: numerical failure: mode 1 (a_n=10): "
         "branch 1 root of the symbol lies on its pole: offset 0.0 is not above 0\n"
     )
+
+
+#: (config, job) of every ``refusals/<config>-<job>.txt``; the job follows the first "-"
+REFUSED = [tuple(path.stem.split("-", 1)) for path in sorted(REFUSALS.glob("*-*.txt"))]
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize(("config", "job"), REFUSED, ids=[f"{c}-{j}" for c, j in REFUSED])
+def test_a_mode_past_the_double_range_is_refused_by_name_whatever_the_warnings(config, job, action, capsys):
+    # an Aberth sweep whose iterates meet a subnormal distance apart, and
+    # branch passes that overflow: each refusal is the same named exit 3
+    # whether warnings are errors or not, and no warning gets out
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        code = gpspectra.cli.main([job, "--config", str(REFUSALS / f"{config}.json")])
+    out, err = capsys.readouterr()
+    assert (code, out, seen) == (3, "", [])
+    assert err == (REFUSALS / f"{config}-{job}.txt").read_text(encoding="utf-8")
 
 
 def test_verify_passes_the_thousand_term_power_law_ladder(run_cli):

@@ -1,11 +1,13 @@
 """Independent cross-checks: simultaneous roots, ODE realisation, decay."""
 
 import ast
+import cmath
 import itertools
 import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from conftest import (
     SPURIOUS_PAIR_LADDERS,
     WIDE_LADDERS,
     recipe_sample,
+    refusal_pencil,
 )
 
 
@@ -397,6 +400,24 @@ def test_iterates_that_meet_off_a_root_are_nudged_apart(monkeypatch):
     roots = aberth_roots([6.0, 11.0, 6.0, 1.0])
     assert match_roots(roots, [-1.0, -2.0, -3.0]).max_relative_deviation < 1e-13
     assert np.all(roots.imag == 0.0)
+
+
+def test_a_sweep_that_leaves_the_finite_doubles_is_refused_by_name(monkeypatch):
+    # two iterates of sweep 2 lie 1.5e-311 apart, so 1/(z_i - z_j) overflows
+    # and the sweep's step is NaN: refused before any ratio is formed at it,
+    # and without numpy's overflow warning
+    poly = to_polynomial(refusal_pencil("iterates_meet"))
+    newton_ratio = gpspectra.oracle._newton_ratio
+
+    def finite_only(nums, z):
+        assert cmath.isfinite(z)
+        return newton_ratio(nums, z)
+
+    monkeypatch.setattr(gpspectra.oracle, "_newton_ratio", finite_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^Aberth sweep 2 left the finite doubles: iterates 1\.530e-311 apart$"):
+            aberth_roots(poly)
 
 
 def test_non_monic_input():
