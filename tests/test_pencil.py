@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpspectra import (
     ExponentialKernel,
@@ -214,6 +215,24 @@ def test_dyadic_clearing_is_exact_at_the_extremes(name):
     assert all(type(c) is Fraction for c in got)
     assert got == want
     assert [c.denominator for c in got] == [c.denominator for c in want]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(admissible_modes(), st.sampled_from([0, -500, 500]))
+def test_the_dyadic_form_reads_every_double_exactly(p, k):
+    # the power-of-two copy (c*4**k, g*2**k, a*2**k) at k = +-500 puts the
+    # inputs near either end of the exponent range
+    kernel = ExponentialKernel(
+        tuple(math.ldexp(c, 2 * k) for c in p.kernel.coeffs), tuple(math.ldexp(g, k) for g in p.kernel.rates)
+    )
+    p = ModePencil(math.ldexp(p.frequency, k), p.xi, kernel)
+    ma, ta, rates, rate_bits, weights, unit_bits = p.dyadic
+    a = Fraction(p.frequency)
+    assert Fraction(ma, 2**ta) == a
+    assert [Fraction(r, 2**rate_bits) for r in rates] == [Fraction(g) for g in kernel.rates]
+    assert [Fraction(u, 2**unit_bits) for u in weights] == [
+        a * a * Fraction(p.memory_weight) * Fraction(c) for c in kernel.coeffs
+    ]
 
 
 def test_clearing_builds_one_fraction_per_coefficient(monkeypatch):

@@ -201,7 +201,7 @@ def _block_and_columns(solve, p: ModePencil):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(admissible_modes())
-def test_fused_block_matches_one_factor_solves(p):
+def test_one_factor_solves_agree(p):
     _check_one_factor_solves(p)
 
 
@@ -210,7 +210,7 @@ def test_fused_block_matches_one_factor_solves(p):
     [PINCHED_FIVE, PINCHED_EIGHT, CLUSTER_TWELVE, ORDER_SENSITIVE_EIGHT],
     ids=["PINCHED_FIVE", "PINCHED_EIGHT", "CLUSTER_TWELVE", "ORDER_SENSITIVE_EIGHT"],
 )
-def test_fused_block_matches_one_factor_solves_on_pinned_ladders(coeffs, rates, a, xi):
+def test_one_factor_solves_agree_on_pinned_ladders(coeffs, rates, a, xi):
     _check_one_factor_solves(ModePencil(a, xi, ExponentialKernel(coeffs, rates)))
 
 
