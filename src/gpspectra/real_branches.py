@@ -26,10 +26,10 @@ Python floats, with the block's operations in the block's order, so the
 roots are bit for bit the same; each column stops at its own test, as
 LAPACK's dlaed4 solves each secular root alone.  There a numpy call costs
 more than its arithmetic: for either factor's roots of pool-style ladders
-on a 2-vCPU VM, the block takes about 250 us a mode from n = 12 to 24 and
-the columns about 110 us at n = 12, 225 at n = 18 and 350 at n = 24, and
-under 10 us at n = 1; they cross near n = 19.  The residual and bracket
-passes stay vectorised over all columns.
+on a 2-vCPU VM, the columns take about 5 us a mode at n = 1 against the
+block's 105 to 170, 115 against 250 at n = 12, and 255 to 290 against 270
+to 315 at n = 19; from n = 20 the block wins, at 280 against 390 at
+n = 24.  The residual and bracket passes stay vectorised over all columns.
 
 Every located root also gets a proven bracket: F is evaluated at offsets
 just either side of it together with a running bound on the rounding
@@ -53,7 +53,7 @@ from .pencil import ModePencil
 BLOCK_CELLS = 1 << 16
 
 #: largest ladder whose columns are solved one by one in Python floats
-SCALAR_MAX = 18
+SCALAR_MAX = 19
 
 #: iteration cap; the bracket alone converges within it
 MAX_ITER = 100
