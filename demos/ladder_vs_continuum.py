@@ -8,7 +8,8 @@ scaled product |z| * |ladder - continuum| should stay flat as |z| grows.
 It only does if you account for the stages you didn't materialize.  The
 raw 100000-stage sum drifts away from the continuum once |z| is within a
 couple of decades of the truncation rate g_N = 100000; the analytic tail
-closure (a Hurwitz-zeta expansion of the dropped stages) pins it back.
+closure (the dropped stages summed to a start that grows with beta, then
+closed by Euler-Maclaurin) pins it back.
 """
 
 import cmath

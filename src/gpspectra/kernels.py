@@ -18,7 +18,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -396,82 +396,37 @@ def tail_bound(family: PowerLawFamily, count: int, moment: int = 1) -> float:
     return family.amplitude / (family.scale**moment * p * count**p)
 
 
-#: terms of every tail series: with |z| at most half the first dropped rate,
+#: terms of the tail's closing series: with |z| at most half of g(x0),
 #: term j is below 2**-j of the first, so the 60th is below 1e-18 relative
 _TAIL_TERMS = 60
-
-#: B_2i/(2i)! for i = 1..12: the weights of the Euler-Maclaurin corrections
-#: closing each power sum, and, the first four, a pseudo-ladder's ends
-_EM_WEIGHTS = np.array([
-    1 / 12,
-    -1 / 720,
-    1 / 30240,
-    -1 / 1209600,
-    1 / 47900160,
-    -691 / 1307674368000,
-    1 / 74724249600,
-    -3617 / 10670622842880000,
-    43867 / 5109094217170944000,
-    -174611 / 802857662698291200000,
-    854513 / 155112100433309859840000,
-    -236364091 / 1693824136731743669452800000,
-])
-_EM_TERMS = _EM_WEIGHTS.size
-
-
-def _power_sums(family: PowerLawFamily, lo: int, radius: float) -> np.ndarray:
-    """sum over k >= lo of F_j(k), for j < _TAIL_TERMS.
-
-    F_j(x) = x**-(alpha+beta) * (radius/g(x))**j with g(x) = scale*x**beta;
-    every g_k with k >= lo must be at least 2*radius.  Below M = max(lo,
-    2*(s + 2*_EM_TERMS)), s = alpha + _TAIL_TERMS*beta the largest
-    exponent, the terms are summed directly.  [M, inf) is closed by
-    Euler-Maclaurin: the integral of F_j, M*F_j(M)/(s_j - 1), and
-    _EM_TERMS corrections at M, each below (1/(4 pi))**2 of the one
-    before.  F_j is always formed as written, never as (radius/scale)**j
-    * x**-s_j, so nothing over- or underflows.  The exponents less one,
-    s_j - 1 = alpha + beta - 1 + j*beta, are formed without cancellation,
-    so alpha + beta near 1 loses no digits.
-    """
-    a, b, j = family.alpha, family.beta, np.arange(_TAIL_TERMS)
-    s1 = math.fsum([a, b, -1.0]) + j * b
-    even = np.arange(2.0, 2 * _EM_TERMS, 2.0)[:, None]
-
-    def power(x: float) -> np.ndarray:  # F_j(x)
-        xb = x**b  # x**-alpha/x**beta: a rounded alpha + beta would cost digits
-        return x**-a / xb * (radius / (family.scale * xb)) ** j
-
-    big = max(lo, math.ceil(2.0 * (a + _TAIL_TERMS * b + 2 * _EM_TERMS)))
-    # smallest terms first, added one row at a time, so the sums stay within an ulp or two
-    k = np.arange(big - 1, lo - 1, -1, dtype=float)
-    out = np.add.reduce(power(k[:, None]), axis=0)
-    # F_j(M) * (1/2 + sum_i w_i (s_j)_(2i-1) M**(1-2i)): the corrections at M
-    rising = np.empty((_EM_TERMS, _TAIL_TERMS))
-    rising[0] = (s1 + 1.0) / big
-    rising[1:] = (s1 + even) * (s1 + even + 1.0) / (big * big)
-    end = power(float(big)) * (0.5 + _EM_WEIGHTS @ np.cumprod(rising, axis=0))
-    return out + big * power(float(big)) * (1.0 / s1) + end
 
 
 def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
     """Transform mass the truncation at ``family.count`` discarded.
 
-    Evaluates sum over k > count of c_k/(zeta + g_k), so that
-    ``laplace(materialize(family), z) + laplace_tail(family, z)`` is the
-    transform of the *infinite* ladder.  Expanding each term geometrically
-    in zeta/g_k turns the sum into the power series
-    sum_j t_j * (-zeta/radius)**j, where
+    Evaluates sum over k > count of f(k), f(x) = c(x)/(zeta + g(x)), so
+    that ``laplace(materialize(family), z) + laplace_tail(family, z)`` is
+    the transform of the *infinite* ladder.  The terms below x0 =
+    max(count + 1, ceil(FSUM_MAX*max(1, beta))) are summed as
+    :func:`materialize` forms them.  Euler-Maclaurin closes the rest with
+    the pseudo-ladder's lower-end machinery (:class:`EndCorrections`): the
+    integral of f over [x0, inf), the half f(x0)/2, less the corrections
+    c(x0)*v*Q(nu) at x0, v = 1/(zeta + g(x0)) and nu = g(x0)*v.
+    Expanding 1/(zeta + g) geometrically in zeta/g, the integral is
 
-        t_j = amplitude/scale * sum_{k > count} k**-(alpha+beta) * (radius/g_k)**j,
+        c(x0)*x0/g(x0) * sum_j (-zeta/g(x0))**j / (alpha + (j + 1)*beta - 1),
 
-    a Hurwitz zeta sum in each j, closed in double precision by
-    Euler-Maclaurin (:func:`_power_sums`), each within a few ulps.  The
-    series converges for |zeta| < g_{count+1}, and radius = g_{count+1}/2
-    leaves a factor-two margin, so sixty terms reach full double
-    precision.  This is how a finite machine answers questions about the
-    infinite kernel: materialize rates past the window of interest and
-    close the remainder analytically.  A first dropped rate past the
-    double range is refused, as is a zeta too far out for the series.
+    which _TAIL_TERMS terms close, as |zeta| < g_{count+1}/2 <= g(x0)/2.
+    A start that grows with beta keeps f's derivatives small at x0.
+
+    No bound is proven.  Against 40-digit sums on 756 cases (counts 1 to
+    1923, beta 0.5 to 30, alpha 0.05 to 1, alpha + beta - 1 down to 1e-8,
+    |zeta| at 0.49 of the first dropped rate at four phases) the error
+    stayed below 6e-16 of the tail.  Rates past the double range add
+    nothing, which costs digits only when the first dropped rate is
+    within a few decades of that range's end (1e-11 relative at
+    11**290).  A first dropped rate past the double range is refused, as
+    is a zeta too far out for the series.
     """
     zeta = complex(zeta)
     try:
@@ -488,9 +443,21 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
             f"|zeta| = {abs(zeta):.3e} is not below half the first dropped "
             f"rate {first_dropped:.3e}; increase the family count"
         )
-    radius = 0.5 * first_dropped
-    sums = _power_sums(family, family.count + 1, radius)
-    return complex(_horner((family.amplitude / family.scale * sums).tolist(), -zeta / radius))
+    alpha, beta = family.alpha, family.beta
+    x0 = max(family.count + 1, math.ceil(FSUM_MAX * max(1.0, beta)))
+    with np.errstate(over="ignore"):  # an infinite rate's term is 0
+        x = np.arange(family.count + 1, x0 + 1, dtype=float)
+        c, g = family.amplitude / x**alpha, x**beta * family.scale
+    terms = c[:-1] / (zeta + g[:-1])
+    c0, g0 = float(c[-1]), float(g[-1])
+    if math.isinf(g0):
+        return _fsum(terms)
+    # alpha + beta - 1 formed without cancellation, so alpha + beta near 1 loses no digits
+    inverse = 1.0 / (math.fsum([alpha, beta, -1.0]) + beta * np.arange(_TAIL_TERMS))
+    v = 1.0 / (zeta + g0)
+    (q, _), = _end_polynomials(alpha, beta, (float(x0),))
+    integral = c0 * x0 / g0 * _horner(inverse.tolist(), -zeta / g0)
+    return _fsum(np.append(terms, integral + c0 * v * (0.5 - _horner(q, g0 * v))))
 
 
 #: Gauss-Legendre panels of a pseudo-ladder are at most this wide in
@@ -500,12 +467,14 @@ def laplace_tail(family: PowerLawFamily, zeta: complex) -> complex:
 #: double precision
 PANEL_WIDTH = 0.6
 
-#: Euler-Maclaurin corrections at each end of a pseudo-ladder, of orders
-#: 1, 3, 5 and 7; the remainder after them integrates f^(8) against a
-#: periodic Bernoulli function bounded by |B_8|
-_END_TERMS = 4
+#: B_2i/(2i)! for i = 1..4: the weights of the Euler-Maclaurin corrections
+#: at each end of a pseudo-ladder and at the start of a tail's closure, of
+#: orders 1, 3, 5 and 7; the remainder after them integrates f^(8) against
+#: a periodic Bernoulli function bounded by |B_8|
+_EM_WEIGHTS = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600])
+_END_TERMS = _EM_WEIGHTS.size
 _END_ORDER = 2 * _END_TERMS
-_END_BERNOULLI = abs(float(_EM_WEIGHTS[_END_TERMS - 1])) * math.factorial(_END_ORDER)
+_END_BERNOULLI = abs(float(_EM_WEIGHTS[-1])) * math.factorial(_END_ORDER)
 
 #: a pass whose pseudo-ladder bound exceeds this share of s1, or of s2
 #: for the slope, is refused: the residual target, RESIDUAL_TOL
@@ -678,15 +647,17 @@ class EndCorrections:
         )
 
 
+@lru_cache
 def _end_polynomials(
     alpha: float, beta: float, x_ends: tuple[float, ...]
-) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
     """Q and R of :class:`EndCorrections` at each x0 of ``x_ends``, ascending in nu.
 
     [s**n] of (1 + s)**-alpha * G**m, G = (1 + s)**beta - 1, is the s**n
     coefficient of f's m-th term in -nu, and each correction reads one
     odd n of it.  That table depends on alpha and beta alone, so it is
-    built once and weighted by each end's x0.
+    built once and weighted by each end's x0.  Cached: a tail's closure
+    asks for the same x0 at every point.
     """
     size = _END_ORDER
     n = np.arange(1.0, size)
@@ -702,10 +673,10 @@ def _end_polynomials(
     out = []
     for x0 in x_ends:
         # B_2i/(2i)! * f^(n)(x0), n = 2i - 1, is B_2i/(2i)! * n! * x0**-n * [s**n] f(x0*(1 + s))
-        weights = _EM_WEIGHTS[:_END_TERMS] * [math.factorial(n) * x0 ** float(-n) for n in orders]
+        weights = _EM_WEIGHTS * [math.factorial(n) * x0 ** float(-n) for n in orders]
         q = (table @ weights) * signs
         out.append((tuple(q.tolist()), tuple((q * powers).tolist())))
-    return out
+    return tuple(out)
 
 
 def pseudo_ladder(family: PowerLawFamily) -> tuple[ExponentialKernel, EndCorrections | None]:

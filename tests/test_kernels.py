@@ -330,8 +330,8 @@ SWEPT_PAIRS = [
 ]
 
 
-def test_blocked_pass_matches_a_40_digit_sum_on_the_longest_head():
-    # the 49999-term head of the a = 12500 mode, summed to 40 digits (stdlib
+def test_blocked_pass_matches_a_40_digit_sum_on_a_49999_term_ladder():
+    # the first 49999 terms of the square-root family, summed to 40 digits (stdlib
     # decimal: the same digits as mpmath in a fifth of the time)
     kern = materialize(PowerLawFamily(1.0, 1.0, 0.5, 1.0, 49999))
     eps = np.finfo(float).eps
@@ -552,6 +552,54 @@ def test_laplace_tail_refuses_a_first_dropped_rate_past_the_double_range():
         laplace_tail(PowerLawFamily(1.0, 1e10, 0.5, 290.0, 10), 1j)
 
 
+def test_laplace_tail_of_a_steep_family_adds_nothing_past_the_double_range():
+    # the first dropped rates 11**120 and 11**290 are finite, later ones are
+    # not: those terms add nothing, with no OverflowError and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = laplace_tail(PowerLawFamily(1.0, 1.0, 0.5, 120.0, 10), 1j)
+        assert abs(tail - 3.2523223249364563e-126) <= 1e-14 * 3.2523223249364563e-126  # mpmath
+        assert cmath.isfinite(laplace_tail(PowerLawFamily(1.0, 1.0, 0.5, 290.0, 10), 1j))
+
+
+def _tail_to_40_digits(family, z, extra=3000):
+    """sum_{k > count} c_k/(z + g_k): the terms to count + extra, then the
+    integral past N = count + extra + 1 as its power series in z/g(N) and
+    three Euler-Maclaurin terms at N."""
+    with mp.workdps(40):
+        a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+        amp, scale, zz = mp.mpf(family.amplitude), mp.mpf(family.scale), mp.mpc(z)
+        f = lambda t: amp * t**-a / (zz + scale * t**b)
+        n = mp.mpf(family.count + extra + 1)
+        head = mp.fsum(f(mp.mpf(k)) for k in range(family.count + 1, family.count + extra + 1))
+        g_n, rest, j = scale * n**b, mp.mpf(0), 0
+        while True:
+            term = amp * n ** (1 - a) / g_n * (-zz / g_n) ** j / (a + (j + 1) * b - 1)
+            rest += term
+            if abs(term) < mp.mpf(10) ** -40 * abs(rest):
+                return complex(head + rest + f(n) / 2 - mp.diff(f, n, 1) / 12 + mp.diff(f, n, 3) / 720)
+            j += 1
+
+
+@pytest.mark.parametrize(
+    "family, phase",
+    [
+        # beta = 5 about x0 = 64: a closure started at 64 whatever beta is errs by 5e-12 here
+        (PowerLawFamily(1.0, 1.0, 0.5, 5.0, 63), math.pi),
+        (PowerLawFamily(1.0, 1.0, 0.5, 5.0, 64), math.pi),
+        (PowerLawFamily(1.0, 1.0, 0.5, 5.0, 65), math.pi),
+        # alpha + beta near 1: the tail is a thousand times its first term
+        (PowerLawFamily(1.0, 1.0, 0.3, 0.701, 10), 2.0),
+    ],
+    ids=["beta_5_count_63", "beta_5_count_64", "beta_5_count_65", "near_one"],
+)
+def test_laplace_tail_matches_a_40_digit_sum_on_the_hard_band(family, phase):
+    # |z| at 0.49 of the first dropped rate, the edge of the series' reach
+    z = cmath.rect(0.49 * family.scale * (family.count + 1.0) ** family.beta, phase)
+    want = _tail_to_40_digits(family, z)
+    assert abs(laplace_tail(family, z) - want) <= 1e-14 * abs(want)
+
+
 def test_the_pseudo_ladder_refuses_by_name_near_the_negative_real_axis():
     # the integrand's poles in ln(x) lie at Im u = arg(-z)/beta, so near the
     # negative real axis no bound is small, and on the real axis the share
@@ -619,9 +667,9 @@ def _family_sums(family, z):
         # beta = 3: 20 panels, each 0.2 wide in ln(x)
         (PowerLawFamily(0.5, 2.0, 0.9, 3.0, 3000), 32.0),
     ],
-    ids=["sqrt", "beta_1.5", "six_poles", "near_one_500", "near_one_50", "head_3"],
+    ids=["sqrt", "beta_1.5", "six_poles", "near_one_500", "near_one_50", "beta_3"],
 )
-def test_far_pole_series_matches_the_summed_terms(family, radius):
+def test_pseudo_ladder_matches_the_summed_terms(family, radius):
     # the pseudo-ladder and its end corrections stand for every pole past
     # the first 63: on |z| = radius, off the real axis, they give the
     # family's transform and slope within their bound, and within 45
@@ -721,7 +769,7 @@ def test_the_pseudo_ladder_reproduces_the_whole_ladder():
             assert abs(part - want) <= 1e-15 * abs(want)
 
 
-def test_a_head_is_an_ordinary_kernel():
+def test_a_pseudo_ladder_is_an_ordinary_kernel():
     # the pseudo-ladder starts with the family's first 63 poles as
     # materialize builds them, and solves as the same ladder built from
     # its tuples does, bit for bit: roots, brackets and certificate
@@ -735,7 +783,7 @@ def test_a_head_is_an_ordinary_kernel():
     assert solve_mode(ModePencil(10.0, 0.5, kern)) == solve_mode(ModePencil(10.0, 0.5, rebuilt))
 
 
-def test_a_series_head_carries_the_load_of_its_whole_ladder():
+def test_a_pseudo_ladder_carries_the_load_of_its_whole_family():
     # the pseudo-ladder's norm plus the corrections at z = 0 is the whole
     # family's sum c/g: at a weight just past the family's overload, the
     # gate refuses the pseudo-ladder with its corrections
@@ -751,7 +799,7 @@ def test_a_series_head_carries_the_load_of_its_whole_ladder():
         ModePencil(2.0 * a, xi, kern).check_load(ends)
 
 
-def test_head_reaching_count_materializes_the_whole_ladder():
+def test_a_family_no_longer_than_its_pseudo_ladder_is_materialized():
     # a family no longer than its pseudo-ladder would be is summed whole
     for count in (1, FSUM_MAX, 77):
         family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, count)
