@@ -813,7 +813,7 @@ def test_family_sweep_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_family_sweep_with_the_whole_ladder_as_head_is_unchanged(run_cli):
+def test_family_sweep_of_a_64_term_family_is_unchanged(run_cli):
     config = {
         "kernel": {"family": dict(SQRT_FAMILY, count=64)},
         "xi": 0.5,

@@ -87,7 +87,7 @@ def test_fixed_point_pair_takes_newton_steps_on_the_map(cubic, monkeypatch):
 
 
 @pytest.mark.parametrize("xi", (0.5, 0.75, 0.8))
-def test_pair_takes_at_most_four_passes_on_power_ladder_heads(xi, monkeypatch):
+def test_pair_takes_at_most_four_passes_on_a_pseudo_ladder(xi, monkeypatch):
     frequencies = [100.0 * 5.0**j for j in range(4)]
     kernel, ends = pseudo_ladder(SQRT_FAMILY)
     points = _counted_passes(monkeypatch)

@@ -5,8 +5,8 @@ Each ``tests/data/<config>-<job>.csv`` was written by
 configs are the a=10 cubic, CLUSTER_TWELVE at a = 10, at its pool frequency
 and at 3e5 (see conftest.py), a six-mode ladder a = 3 * 10**j on
 PINCHED_FIVE, and the 164415-term square-root family c_k = k**-1/2,
-g_k = k on six modes from a = 100, whose sweep closes the far poles with
-a power series.  Every job has a file; ``asymptote`` runs on the cubic and
+g_k = k on six modes from a = 100, whose sweep solves on its
+pseudo-ladder.  Every job has a file; ``asymptote`` runs on the cubic and
 the two ladders, and the family's imaginary remainder order prints
 ``nan``.  The PINCHED_FIVE ladder also runs ``spectrum``, ``verify`` and
 ``oracle-check``, which pins its branch roots down to 1e-13 from their

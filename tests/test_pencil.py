@@ -97,7 +97,7 @@ def test_symbol_mirrors_bit_for_bit(p):
     _assert_scalar_mirror(p, [plus, 1j * a, complex(-0.5 * g[0], 0.5 * a), complex(-2.0 * g[-1], 1.0)])
 
 
-def test_symbol_mirrors_bit_for_bit_on_long_ladders_and_series_heads():
+def test_symbol_mirrors_bit_for_bit_on_long_ladders_and_pseudo_ladders():
     # a whole 300-term ladder, and the pseudo-ladder of a 5000-term family
     # with its end corrections, which the pair solve adds to each pass
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 5000)
