@@ -290,10 +290,11 @@ def test_the_disc_holds_a_40_digit_root_on_a_blocked_sum_ladder(count):
 
 
 @pytest.mark.parametrize("xi", [0.5, 0.8])
-def test_the_disc_holds_a_40_digit_root_of_a_whole_family_on_its_pseudo_ladder(xi):
-    # the 3000-term family solves on its pseudo-ladder, its first 63 poles
-    # and 86 more, with its end corrections, so the disc rests on their
-    # error bound; the reference sums every term of the family to 40 digits
+def test_the_disc_holds_a_40_digit_root_of_a_whole_family_on_its_head(xi):
+    # the 3000-term family solves on its head, the pseudo-ladder: its first
+    # 63 poles and 86 more, with its end corrections, so the disc rests on
+    # their error bound; the reference sums every term of the family to 40
+    # digits
     family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, 3000)
     kernel, ends = pseudo_ladder(family)
     assert kernel.size == 149 and ends is not None
