@@ -188,11 +188,11 @@ def _guard_scalar(kernel: ExponentialKernel, z: complex) -> None:
     twice that share of -Re z are checked; there is seldom more than one,
     and mostly none.
     """
-    x, g = -z.real, kernel._g
+    x, g = -z.real, kernel.rates
     share = math.ldexp(POLE_GUARD_ULPS, -52)
     lo = bisect_left(g, x * (1.0 - 2.0 * share))
     hi = bisect_right(g, x * (1.0 + 2.0 * share), lo)
-    for rate in g[lo:hi].tolist():
+    for rate in g[lo:hi]:
         _guard_poles(abs(z + rate), rate)
 
 
