@@ -21,6 +21,7 @@ agreement is evidence rather than tautology:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -62,6 +63,9 @@ COMPANION_RESOLUTION = 2.0**-26
 #: binary exponents of the double range: a nonzero coefficient ratio must
 #: lie in [2**EXP_MIN, 2**EXP_MAX) to be carried as a normal double
 EXP_MIN, EXP_MAX = -1022, 1024
+
+#: 1 as a complex double, so the sweeps' complex arithmetic takes no float operand
+_ONE = complex(1.0)
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
@@ -237,7 +241,10 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     real roots come back with an imaginary part of exactly zero.  Only
     the iterates that moved in the last sweep are evaluated again, and a
     lower iterate on the exact conjugate of an upper one takes the
-    conjugate ratio.  Iterates that meet anywhere but at a multiple root
+    conjugate ratio.  The iterates, grid points and ratios are Python
+    complex numbers, so a sweep pays no numpy call, and each quotient
+    1/(g_i - g_j) is formed once per pair, added to the sum of i and
+    subtracted from that of j.  Iterates that meet anywhere but at a multiple root
     are moved apart, the others kept: by a relative nudge, or from 0, which
     a nudge leaves where it is, to the Cauchy lower bound
     |c_0| / (|c_0| + max_(k>0) |c_k|) on the root moduli of the monic
@@ -274,55 +281,67 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         )
     c = np.array([v / nums[-1] for v in nums])
 
-    points = _companion_start(c)
-    z = np.empty(n, dtype=complex)
-    ratio = np.empty(n, dtype=complex)
+    points = [complex(p) for p in _companion_start(c).tolist()]
+    z, ratio = [0j] * n, [0j] * n
     todo = range(n)
     for sweep in range(1, ABERTH_MAX_SWEEPS + 1):
         # the upper half plane first: a lower point on the exact conjugate of
         # an upper one takes the conjugates of that one's ratio and grid
         # point, bit for bit its own, as the coefficients are real
-        seeds = points.tolist()
-        upper = {p: j for j, p in enumerate(seeds) if p.imag > 0}
-        for i in sorted(todo, key=lambda i: seeds[i].imag < 0):
-            j = upper.get(seeds[i].conjugate()) if seeds[i].imag < 0 else None
+        upper = {p: j for j, p in enumerate(points) if p.imag > 0}
+        for i in sorted(todo, key=lambda i: points[i].imag < 0):
+            j = upper.get(points[i].conjugate()) if points[i].imag < 0 else None
             if j is None:
-                ratio[i], z[i] = _newton_ratio(nums, seeds[i])
+                ratio[i], z[i] = _newton_ratio(nums, points[i])
             else:
                 ratio[i], z[i] = ratio[j].conjugate(), z[j].conjugate()
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if not diff.all():
+        if len(set(z)) < n:
             # iterates on one point share its ratio: at a multiple root it
             # is zero and they stay; anywhere else they are moved apart
-            hit = diff == 0
-            meet = hit.any(axis=1)
-            if ratio[meet].any():
-                i, zero = np.flatnonzero(meet), np.flatnonzero(meet & (z == 0))
-                points = points.astype(complex)
-                points[i] = z[i] * (1.0 + 1e-12 * (i + 1))
-                bound = abs(c[0]) / (abs(c[0]) + np.abs(c[1:]).max())
-                points[zero] = bound * np.exp(2j * np.pi * (np.arange(zero.size) + 0.25) / zero.size)
-                todo = i.tolist()
+            meet = [i for i, g in enumerate(z) if z.count(g) > 1]
+            if any(ratio[i] for i in meet):
+                for i in meet:
+                    points[i] = z[i] * complex(1.0 + 1e-12 * (i + 1), 0.0)
+                zero = [i for i in meet if z[i] == 0]
+                if zero:
+                    bound = abs(c[0]) / (abs(c[0]) + np.abs(c[1:]).max())
+                    rays = bound * np.exp(2j * np.pi * (np.arange(len(zero)) + 0.25) / len(zero))
+                    for i, p in zip(zero, rays.tolist()):
+                        points[i] = p
+                todo = meet
                 continue
-            diff[hit] = np.inf
-        # iterates a subnormal distance apart overflow 1/diff, and what that
+        # sum_(j != i) 1/(g_i - g_j), each pair divided once, as 1/(-d) is
+        # -(1/d) exactly; iterates that share a point add nothing
+        sums = [0j] * n
+        for i in range(n - 1):
+            g, total = z[i], sums[i]
+            for j in range(i + 1, n):
+                d = g - z[j]
+                if d:
+                    q = _ONE / d
+                    total += q
+                    sums[j] -= q
+            sums[i] = total
+        moved = []
+        for g, r, total in zip(z, ratio, sums):
+            denom = _ONE - r * total
+            step = r / denom if denom else r
+            # an iterate whose grid point is real stays on the real line
+            moved.append(g - step.real if g.imag == 0 else g - step)
+        # iterates a subnormal distance apart overflow 1/d, and what that
         # leaves non-finite is refused before any ratio is formed at it
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = 1.0 - ratio * (1.0 / diff).sum(axis=1)
-            step = np.divide(ratio, denom, out=ratio.copy(), where=denom != 0)
-        # an iterate whose grid point is real stays on the real line
-        moved = z - np.where(z.imag == 0, step.real, step)
-        if not np.isfinite(moved).all():
-            gap = float(np.abs(diff).min())
+        if not all(map(cmath.isfinite, moved)):
+            apart = (math.hypot(g.real - h.real, g.imag - h.imag) for g in z for h in z if g != h)
+            gap = min(apart, default=math.inf)
             raise NumericalError(f"Aberth sweep {sweep} left the finite doubles: iterates {gap:.3e} apart")
-        todo = np.flatnonzero(moved != points).tolist()
+        todo = [i for i, (m, p) in enumerate(zip(moved, points)) if m != p]
         points = moved
         if not todo:
             break
     else:
         raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
+    points = np.array(points)
     v = _powers(points.astype(np.clongdouble), n)
     backward = np.abs(v @ c) / (np.abs(v) @ np.abs(c))
     worst = float(backward.max())
