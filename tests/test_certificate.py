@@ -208,7 +208,7 @@ def test_solve_mode_passes_over_the_ladder_once_after_the_pair_solve(which, cubi
 #: solves on its pseudo-ladder with its end corrections
 SWEEPS = {
     "cubic": dict(CUBIC_CONFIG, modes={"a_min": 10.0, "factor": 10.0, "count": 4}),
-    "family_head": {
+    "family_pseudo_ladder": {
         "kernel": {"family": {"amplitude": 1.0, "scale": 1.0, "alpha": 0.5, "beta": 1.0, "count": 10**5}},
         "xi": 0.5,
         "modes": {"a_min": 100.0, "factor": 5.0, "count": 4},
@@ -238,7 +238,7 @@ def test_a_sweep_mode_passes_over_the_ladder_only_in_its_pair_solve(which, run_c
         assert stop - start == pair.iterations and stop == after
         last = points[stop - 1]
         assert pair.disc[0] == complex(last.real / a, last.imag / a - 1.0) and pair.disc[2] <= 0.5
-        assert (ends is not None) == (which == "family_head")
+        assert (ends is not None) == (which == "family_pseudo_ladder")
 
 
 def test_a_bare_disc_passes_over_the_ladder_once(cubic, monkeypatch):

@@ -228,23 +228,23 @@ def test_fused_transform_equals_the_separate_sums_bitwise_on_small_ladders():
 @pytest.mark.parametrize(
     "which",
     [
-        "head_and_series",
+        "pseudo_ladder_of_100000",
         "plain",
         "plain_negative_rates_side",
-        "head_199_and_series",
+        "pseudo_ladder_of_5000",
         "random_300",
         "random_9999",
     ],
 )
 def test_fused_transform_on_large_ladders_matches_exact_sums(which):
     ends = None
-    if which.endswith("_and_series"):
+    if which.startswith("pseudo_ladder_of_"):
         # a family's pseudo-ladder and end corrections, against every term
-        count = 10**5 if which == "head_and_series" else 5000
+        count = 10**5 if which == "pseudo_ladder_of_100000" else 5000
         family = PowerLawFamily(1.0, 1.0, 0.5, 1.0, count)
         kern, (pseudo, ends) = materialize(family), pseudo_ladder(family)
         assert ends is not None and pseudo.size < 300
-        if which == "head_and_series":
+        if which == "pseudo_ladder_of_100000":
             points = [-3.0 + 12500j, 12000.0 + 3000j, -2400.0 + 5000j, 30.0 - 40.0j]
         else:
             points = [-3.0 + 99j, 60.0 + 70j, -50.0 + 60j, 30.0 - 40.0j]
