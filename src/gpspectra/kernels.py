@@ -186,13 +186,16 @@ def _guard_scalar(kernel: ExponentialKernel, z: complex) -> None:
     A pole can trip the guard only if |Re z + g| < POLE_GUARD_ULPS * ulp(g),
     at most share = POLE_GUARD_ULPS * 2**-52 of g, so only the rates within
     twice that share of -Re z are checked; there is seldom more than one,
-    and mostly none.
+    and mostly none.  A ladder of up to FSUM_MAX terms is bisected in its
+    cached ``rates`` tuple, whose probes compare Python floats; a longer
+    one in its array, as a tuple of a million rates would cost more to
+    build and hold than its probes save.
     """
-    x, g = -z.real, kernel.rates
+    x, g = -z.real, kernel.rates if kernel.size <= FSUM_MAX else kernel._g
     share = math.ldexp(POLE_GUARD_ULPS, -52)
     lo = bisect_left(g, x * (1.0 - 2.0 * share))
     hi = bisect_right(g, x * (1.0 + 2.0 * share), lo)
-    for rate in g[lo:hi]:
+    for rate in map(float, g[lo:hi]):
         _guard_poles(abs(z + rate), rate)
 
 
