@@ -64,9 +64,6 @@ COMPANION_RESOLUTION = 2.0**-26
 #: lie in [2**EXP_MIN, 2**EXP_MAX) to be carried as a normal double
 EXP_MIN, EXP_MAX = -1022, 1024
 
-#: 1 as a complex double, so the sweeps' complex arithmetic takes no float operand
-_ONE = complex(1.0)
-
 
 def _numerators(coeffs) -> tuple[list[int], int]:
     """Real coefficients as integer numerators over their least common denominator.
@@ -198,19 +195,21 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
         eigenvalues = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"companion eigenvalues failed: {exc}") from exc
-    x, y = eigenvalues.real, eigenvalues.imag
-    start = eigenvalues + np.where(np.abs(y) < NEAR_REAL * np.abs(x), y, 0.0)
-    real = sorted(x[y == 0].tolist())
+    # the few eigenvalues as Python complex numbers, each with numpy's
+    # operations on it, so the start is bit for bit an array pass's
+    values = eigenvalues.tolist()
+    start = [v + (v.imag if abs(v.imag) < NEAR_REAL * abs(v.real) else 0.0) for v in values]
+    real = sorted(v.real for v in values if v.imag == 0)
     close = [b - a < COMPANION_RESOLUTION * max(abs(a), abs(b)) for a, b in zip(real, real[1:])]
     if not any(close):
-        return start
+        return np.array(start)
     close = [False, *close, False]
     lifted = []
     for k, v in enumerate(real):
         h = 0.5 * COMPANION_RESOLUTION * abs(v) if close[k] or close[k + 1] else 0.0
         h = -h if k % 2 else h
         lifted.append(complex(v - h, h))
-    return np.concatenate([start[y != 0], lifted])
+    return np.array([p for p, v in zip(start, values) if v.imag != 0] + lifted)
 
 
 def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -241,10 +240,11 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
     real roots come back with an imaginary part of exactly zero.  Only
     the iterates that moved in the last sweep are evaluated again, and a
     lower iterate on the exact conjugate of an upper one takes the
-    conjugate ratio.  The iterates, grid points and ratios are Python
-    complex numbers, so a sweep pays no numpy call, and each quotient
-    1/(g_i - g_j) is formed once per pair, added to the sum of i and
-    subtracted from that of j.  Iterates that meet anywhere but at a multiple root
+    conjugate ratio.  The iterates, grid points and ratios are kept as
+    Python complex numbers, and each sweep forms only its sums and steps
+    in numpy, in one pass over the n x n differences g_i - g_j, whose
+    vectorised sums cost less than Python pairs from about ten iterates.
+    Iterates that meet anywhere but at a multiple root
     are moved apart, the others kept: by a relative nudge, or from 0, which
     a nudge leaves where it is, to the Cauchy lower bound
     |c_0| / (|c_0| + max_(k>0) |c_k|) on the root moduli of the monic
@@ -281,65 +281,60 @@ def aberth_roots(coeffs: Sequence[float] | np.ndarray) -> np.ndarray:
         )
     c = np.array([v / nums[-1] for v in nums])
 
-    points = [complex(p) for p in _companion_start(c).tolist()]
+    points = _companion_start(c).tolist()
     z, ratio = [0j] * n, [0j] * n
     todo = range(n)
-    for sweep in range(1, ABERTH_MAX_SWEEPS + 1):
-        # the upper half plane first: a lower point on the exact conjugate of
-        # an upper one takes the conjugates of that one's ratio and grid
-        # point, bit for bit its own, as the coefficients are real
-        upper = {p: j for j, p in enumerate(points) if p.imag > 0}
-        for i in sorted(todo, key=lambda i: points[i].imag < 0):
-            j = upper.get(points[i].conjugate()) if points[i].imag < 0 else None
-            if j is None:
-                ratio[i], z[i] = _newton_ratio(nums, points[i])
-            else:
-                ratio[i], z[i] = ratio[j].conjugate(), z[j].conjugate()
-        if len(set(z)) < n:
-            # iterates on one point share its ratio: at a multiple root it
-            # is zero and they stay; anywhere else they are moved apart
-            meet = [i for i, g in enumerate(z) if z.count(g) > 1]
-            if any(ratio[i] for i in meet):
-                for i in meet:
-                    points[i] = z[i] * complex(1.0 + 1e-12 * (i + 1), 0.0)
-                zero = [i for i in meet if z[i] == 0]
-                if zero:
-                    bound = abs(c[0]) / (abs(c[0]) + np.abs(c[1:]).max())
-                    rays = bound * np.exp(2j * np.pi * (np.arange(len(zero)) + 0.25) / len(zero))
-                    for i, p in zip(zero, rays.tolist()):
-                        points[i] = p
-                todo = meet
-                continue
-        # sum_(j != i) 1/(g_i - g_j), each pair divided once, as 1/(-d) is
-        # -(1/d) exactly; iterates that share a point add nothing
-        sums = [0j] * n
-        for i in range(n - 1):
-            g, total = z[i], sums[i]
-            for j in range(i + 1, n):
-                d = g - z[j]
-                if d:
-                    q = _ONE / d
-                    total += q
-                    sums[j] -= q
-            sums[i] = total
-        moved = []
-        for g, r, total in zip(z, ratio, sums):
-            denom = _ONE - r * total
-            step = r / denom if denom else r
-            # an iterate whose grid point is real stays on the real line
-            moved.append(g - step.real if g.imag == 0 else g - step)
-        # iterates a subnormal distance apart overflow 1/d, and what that
-        # leaves non-finite is refused before any ratio is formed at it
-        if not all(map(cmath.isfinite, moved)):
-            apart = (math.hypot(g.real - h.real, g.imag - h.imag) for g in z for h in z if g != h)
-            gap = min(apart, default=math.inf)
-            raise NumericalError(f"Aberth sweep {sweep} left the finite doubles: iterates {gap:.3e} apart")
-        todo = [i for i, (m, p) in enumerate(zip(moved, points)) if m != p]
-        points = moved
-        if not todo:
-            break
-    else:
-        raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
+    # iterates a subnormal distance apart overflow 1/(g_i - g_j), and what
+    # that leaves non-finite is refused before any ratio is formed at it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sweep in range(1, ABERTH_MAX_SWEEPS + 1):
+            # the upper half plane first: a lower point on the exact conjugate
+            # of an upper one takes the conjugates of that one's ratio and grid
+            # point, bit for bit its own, as the coefficients are real
+            upper = {p: j for j, p in enumerate(points) if p.imag > 0}
+            for i in sorted(todo, key=lambda i: points[i].imag < 0):
+                j = upper.get(points[i].conjugate()) if points[i].imag < 0 else None
+                if j is None:
+                    ratio[i], z[i] = _newton_ratio(nums, points[i])
+                else:
+                    ratio[i], z[i] = ratio[j].conjugate(), z[j].conjugate()
+            meet = len(set(z)) < n
+            if meet:
+                # iterates on one point share its ratio: at a multiple root
+                # it is zero and they stay; anywhere else they are moved apart
+                shared = [i for i, g in enumerate(z) if z.count(g) > 1]
+                if any(ratio[i] for i in shared):
+                    for i in shared:
+                        points[i] = z[i] * complex(1.0 + 1e-12 * (i + 1), 0.0)
+                    zero = [i for i in shared if z[i] == 0]
+                    if zero:
+                        bound = abs(c[0]) / (abs(c[0]) + np.abs(c[1:]).max())
+                        rays = bound * np.exp(2j * np.pi * (np.arange(len(zero)) + 0.25) / len(zero))
+                        for i, p in zip(zero, rays.tolist()):
+                            points[i] = p
+                    todo = shared
+                    continue
+            grid, newton = np.array(z), np.array(ratio)
+            diff = np.subtract.outer(grid, grid)
+            diff.flat[:: n + 1] = np.inf
+            if meet:
+                diff[diff == 0] = np.inf
+            denom = 1.0 - newton * (1.0 / diff).sum(axis=1)
+            moved = []
+            for g, r, d, step in zip(z, ratio, denom.tolist(), (newton / denom).tolist()):
+                # a zero denominator leaves the Newton step r, and an iterate
+                # whose grid point is real stays on the real line
+                step = step if d else r
+                moved.append(g - step.real if g.imag == 0 else g - step)
+            if not all(map(cmath.isfinite, moved)):
+                gap = float(np.abs(diff).min())
+                raise NumericalError(f"Aberth sweep {sweep} left the finite doubles: iterates {gap:.3e} apart")
+            todo = [i for i, (m, p) in enumerate(zip(moved, points)) if m != p]
+            points = moved
+            if not todo:
+                break
+        else:
+            raise MaxIterationsError(f"Aberth sweeps exhausted ({ABERTH_MAX_SWEEPS})")
 
     points = np.array(points)
     v = _powers(points.astype(np.clongdouble), n)
