@@ -29,13 +29,7 @@ more than its arithmetic: for either factor's roots of pool-style ladders
 on a 2-vCPU VM, the columns take about 5 us a mode at n = 1 against the
 block's 105 to 170, 115 against 250 at n = 12, and 255 to 290 against 270
 to 315 at n = 19; from n = 20 the block wins, at 280 against 390 at
-n = 24.  Ladders of up to PASS_MAX poles also take the residual and
-bracket passes column by column (:func:`_column_record`), with the numpy
-passes' operations in their order, so every record is bit for bit the
-same; there a whole solve of either factor takes 20 to 25 us a mode at
-n = 1 against 75 to 80 with the numpy passes, and 100 against 135 at
-n = 6.  Above PASS_MAX the columns' n**2 pole terms cost more than
-numpy's calls, and the passes run vectorised over all columns.
+n = 24.  The residual and bracket passes stay vectorised over all columns.
 
 Every located root also gets a proven bracket: F is evaluated at offsets
 just either side of it together with a running bound on the rounding
@@ -60,11 +54,6 @@ BLOCK_CELLS = 1 << 16
 
 #: largest ladder whose columns are solved one by one in Python floats
 SCALAR_MAX = 19
-
-#: largest ladder whose columns also take their residual and bracket passes
-#: in Python floats (:func:`_column_record`); above it numpy's passes over
-#: all columns cost less than the columns' n**2 pole terms
-PASS_MAX = 9
 
 #: iteration cap; the bracket alone converges within it
 MAX_ITER = 100
@@ -258,76 +247,6 @@ def _brackets(c, g, w: float, s: float, k, d, root_error, bound, slope):
     return lo, hi, margin
 
 
-def _maximum(a: float, b: float) -> float:
-    """``np.maximum`` on two floats: NaN if either is, ``b`` on a tie."""
-    return a if a > b or a != a else b
-
-
-def _minimum(a: float, b: float) -> float:
-    """``np.minimum`` on two floats: NaN if either is, ``b`` on a tie."""
-    return a if a < b or a != a else b
-
-
-def _column_record(c: Sequence[float], g: Sequence[float], w: float, s: float, k: int, d: float):
-    """:func:`_secular` at the offset ``d`` of branch ``k`` and :func:`_brackets`
-    about it, in Python floats: (k, x, d, F, |F/F'|, (lo, hi), margin).
-
-    The numpy passes' operations in their order, so the record is bit for
-    bit theirs: F, its bound, F' and the step in one loop over the poles,
-    F and its bound at both bracket ends in a second, each sum in ladder
-    order as :func:`_ladder_sum` sums it.  Every offset lies inside the
-    interval, so each t_j = x + (g_j - g_k) has the sign of its shift and
-    |shift|/|t| is shift/t exactly; a t_j of 0 divides by zero.
-    """
-    n, gk = len(g), g[k]
-    wide = n + 4
-    shifts = [gj - gk for gj in g]
-    total = size = slope = 0.0
-    for cj, shift in zip(c, shifts):
-        t = d + shift
-        term = cj / t
-        total += term
-        size += (shift / t + wide) * abs(term)
-        slope += term * w / t
-    x = d - gk
-    inertia = s * x * x
-    F = 1.0 + inertia - w * total
-    bound = _EPS * ((n + 2) + (n + 8) * inertia + w * size)
-    dF = 2.0 * s * x + slope
-    step = abs(F / dF)
-    right = gk if k == 0 else gk - g[k - 1]
-    h = _maximum(4.0 * step, 8.0 * bound / abs(dF))
-    lo = _maximum(d - h, 0.5 * d)
-    hi = _minimum(d + h, d + 0.5 * (right - d))
-    total_lo = size_lo = total_hi = size_hi = 0.0
-    for cj, shift in zip(c, shifts):
-        t = lo + shift
-        term = cj / t
-        total_lo += term
-        size_lo += (shift / t + wide) * abs(term)
-        t = hi + shift
-        term = cj / t
-        total_hi += term
-        size_hi += (shift / t + wide) * abs(term)
-    x_lo, x_hi = lo - gk, hi - gk
-    inertia_lo, inertia_hi = s * x_lo * x_lo, s * x_hi * x_hi
-    F_lo = 1.0 + inertia_lo - w * total_lo
-    F_hi = 1.0 + inertia_hi - w * total_hi
-    bound_lo = _EPS * ((n + 2) + (n + 8) * inertia_lo + w * size_lo)
-    bound_hi = _EPS * ((n + 2) + (n + 8) * inertia_hi + w * size_hi)
-    return k, x, d, F, step, (lo, hi), _minimum(-F_lo / bound_lo, F_hi / bound_hi)
-
-
-def _block_records(c, g, w: float, s: float, k: np.ndarray, d: np.ndarray):
-    """:func:`_column_record` for every column at once, by the numpy passes."""
-    F, bound, terms, t, x = _secular(c, g, w, s, k, d)
-    dF = 2.0 * s * x + _ladder_sum(terms * w / t)
-    step = np.abs(F / dF)
-    lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
-    brackets = zip(lo.tolist(), hi.tolist())
-    return zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), brackets, margin.tolist())
-
-
 def _solve(p: ModePencil, symbol: bool, first: int, last: int) -> list[BranchRoot]:
     """Branches first..last of the symbol, or of the stiffness factor if not ``symbol``.
 
@@ -351,7 +270,6 @@ def _solve(p: ModePencil, symbol: bool, first: int, last: int) -> list[BranchRoo
     out = []
     block = max(1, BLOCK_CELLS // g.size)
     solve_block = _solve_columns if g.size <= SCALAR_MAX else _solve_block
-    column_passes = g.size <= PASS_MAX
     # a mode past the double range overflows the numpy passes, and its bracket
     # or gate then refuses it by name, whether or not warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,19 +282,14 @@ def _solve(p: ModePencil, symbol: bool, first: int, last: int) -> list[BranchRoo
                     f"branch {k[col] + 1} root of the {'symbol' if symbol else 'stiffness factor'} "
                     f"lies on its pole: offset {float(d[col])!r} is not above 0"
                 )
-            # F and F' at the offsets, every pole included, for residual and
-            # step, and F at the bracket ends; a column pass that divides by
-            # zero, which numpy carries on through, leaves them to numpy
-            records = None
-            if column_passes:
-                cs, gs = kern.coeffs, kern.rates
-                try:
-                    records = [_column_record(cs, gs, w, s, ki, di) for ki, di in zip(k.tolist(), d.tolist())]
-                except ZeroDivisionError:
-                    pass
-            if records is None:
-                records = _block_records(c, g, w, s, k, d)
-            for i, value, offset, f, err, bracket, m in records:
+            # F and F' at the offsets, every pole included, for residual and step
+            F, bound, terms, t, x = _secular(c, g, w, s, k, d)
+            dF = 2.0 * s * x + _ladder_sum(terms * w / t)
+            step = np.abs(F / dF)
+            lo, hi, margin = _brackets(c, g, w, s, k, d, step, bound, dF)
+            brackets = zip(lo.tolist(), hi.tolist())
+            cols = zip(k.tolist(), x.tolist(), d.tolist(), F.tolist(), step.tolist(), brackets, margin.tolist())
+            for i, value, offset, f, err, bracket, m in cols:
                 out.append(BranchRoot(i + 1, value, intervals[i], scale * abs(f), offset, err, bracket, m))
     return out
 
